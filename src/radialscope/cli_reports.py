@@ -10,6 +10,7 @@ no timestamps).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -34,7 +35,7 @@ from .dynamics import (PotentialModel, heteroclinic_dag, locate_radial_points,
 from .oscverify import (StationaryPhaseCase, gaussian_amplitude,
                         stationary_phase_check)
 
-from .parallel import THREADS_ENV, parallel_map
+from .parallel import parallel_map
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -58,7 +59,6 @@ DEFAULTS = {
     "holdTime": 5.0,
     "tMax": 60.0,
     "sign": 1,
-    "seed": 20260810,
     "stationaryPhase": {
         "v0z": 0.0, "tau": 0.5, "center": None, "width": 0.3, "cut": 3.0,
         "xList": [1e-2, 10 ** -2.5, 1e-3, 10 ** -3.5, 1e-4],
@@ -104,8 +104,17 @@ class ConfigError(ValueError):
     pass
 
 
-class NumericalStageError(RuntimeError):
-    pass
+@functools.cache
+def _config_validator():
+    """CONFIG_SCHEMA's validator, checked against its meta-schema once per process.
+
+    A single CLI run builds it once, as jsonschema.validate did; a process that
+    calls from_dict for many configs (library use, in-process batches) no
+    longer repeats the meta-schema check for each.
+    """
+    cls = jsonschema.validators.validator_for(CONFIG_SCHEMA)
+    cls.check_schema(CONFIG_SCHEMA)
+    return cls(CONFIG_SCHEMA)
 
 
 def _parse_number(x):
@@ -130,10 +139,9 @@ class AnalysisConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "AnalysisConfig":
-        try:
-            jsonschema.validate(data, CONFIG_SCHEMA)
-        except jsonschema.ValidationError as exc:
-            raise ConfigError(f"config schema violation: {exc.message}") from exc
+        error = jsonschema.exceptions.best_match(_config_validator().iter_errors(data))
+        if error is not None:
+            raise ConfigError(f"config schema violation: {error.message}")
         mode = data["mode"]
         cps = []
         for entry in data.get("criticalPoints", []):
@@ -181,15 +189,6 @@ class AnalysisConfig:
                 stages = ["scan"]
         return cls(mode=mode, critical_points=cps, potential=potential,
                    energy=energy, stages=stages, options=options, raw=data)
-
-    @classmethod
-    def from_file(cls, path: str) -> "AnalysisConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        return cls.from_dict(data)
 
 
 @dataclass
@@ -389,7 +388,6 @@ def run_analysis(config: AnalysisConfig) -> AnalysisReport:
         "version": __version__,
         "config": config.raw,
         "effectiveOptions": _jsonable(options),
-        "seed": options["seed"],
     }
     return AnalysisReport(config=config, per_energy=per_energy,
                           global_results=global_results, stage_errors=errors,

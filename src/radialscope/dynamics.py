@@ -18,8 +18,7 @@ meaning V0(theta) = sum a_k cos(k theta) + b_k sin(k theta).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import networkx as nx
 import numpy as np
@@ -33,10 +32,6 @@ DEFAULT_FLOW_TOL = 1e-10
 DEFAULT_BALL_RADIUS = 1e-3
 DEFAULT_W_STOP = 1e-6
 DEFAULT_HOLD_TIME = 5.0
-
-
-class ChartDomainError(ValueError):
-    pass
 
 
 class ThresholdEnergyError(ValueError):
@@ -98,10 +93,6 @@ class ContactPoint:
 
 def symbol_value(pm: PotentialModel, sigma: float, pt: ContactPoint) -> float:
     return pt.nu ** 2 + sum(m * m for m in pt.mu) + pm.v0(pt.theta) - sigma
-
-
-def on_shell(pm: PotentialModel, sigma: float, pt: ContactPoint, tol: float = 1e-9) -> bool:
-    return abs(symbol_value(pm, sigma, pt)) <= tol
 
 
 def field_eval(pm: PotentialModel, sigma: float, pt: ContactPoint) -> np.ndarray:
@@ -315,9 +306,6 @@ class HeteroclinicDag:
     undecided: list[dict]
     graph: nx.DiGraph
     settings: dict
-
-    def partial_order(self) -> nx.DiGraph:
-        return nx.transitive_closure_dag(self.graph)
 
     def to_json_dict(self) -> dict:
         return {"nodes": [n.to_json_dict() for n in self.nodes],

@@ -12,7 +12,7 @@ solves a PDE.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -23,7 +23,7 @@ import scipy.sparse.linalg as spla
 from .multipoly import MultiPoly
 from .radial import DegenerateError, RadialPoint, classify_radial
 
-from .symalg import EXACT, WeightedPolynomial
+from .symalg import EXACT, WeightedPolynomial, compositions
 
 
 class DegenerateOscillatorError(ValueError):
@@ -143,20 +143,6 @@ class ExponentData:
         }
 
 
-def _beta_prime_indices(nprime: int, max_total: int):
-    def rec(length, total):
-        if length == 0:
-            yield ()
-            return
-        for head in range(total + 1):
-            for tail in rec(length - 1, total - head):
-                yield (head,) + tail
-    for total in range(max_total + 1):
-        for tup in rec(nprime, total):
-            if sum(tup) == total:
-                yield tup
-
-
 def exponent_data(rp: RadialPoint, re_b: float = 0.0, k_max: int = 5,
                   max_beta_prime: int = 2,
                   oscillator_specs: Mapping[int, OscillatorSpec] | None = None) -> ExponentData:
@@ -204,12 +190,13 @@ def exponent_data(rp: RadialPoint, re_b: float = 0.0, k_max: int = 5,
 
     a_beta = {}
     nprime = len(lay.yprime_indices)
-    for bp in _beta_prime_indices(nprime, max_beta_prime):
-        acc = 0.0
-        for pos, e in enumerate(bp):
-            if e:
-                acc += e * float(rp.r_list[list(lay.yprime_indices)[pos]])
-        a_beta[bp] = complex(-acc, 0.0) + (-1j) * b_tilde
+    for total in range(max_beta_prime + 1):
+        for bp in compositions(nprime, total):
+            acc = 0.0
+            for pos, e in enumerate(bp):
+                if e:
+                    acc += e * float(rp.r_list[list(lay.yprime_indices)[pos]])
+            a_beta[bp] = complex(-acc, 0.0) + (-1j) * b_tilde
     return ExponentData(rp=rp, classification=classification, b_tilde=b_tilde,
                         B=B, d=d,
                         re_b_provenance="user input (default 0); Im forced by self-adjointness",
@@ -338,29 +325,25 @@ def log_variable_recursion(rp: RadialPoint,
     if p0_poly is not None:
         _validate_homogeneous(p0_poly, r_all, Fraction(1), set(sec), "P_0")
 
+    def shifted_ys(positions: list[int], psharp: dict) -> dict[int, MultiPoly]:
+        """Y + Psharp per position, in the ring (Y over `positions`, t last)."""
+        nv = len(positions) + 1
+        out = {}
+        for slot, pos in enumerate(positions):
+            base = MultiPoly.variable(nv, slot)
+            out[pos] = base + psharp[pos] if pos in psharp else base
+        return out
+
     def build_chain(positions: list[int], ordered: list[int]):
         """psharp per position, in the ring (Y over `positions`, t last)."""
         nv = len(positions) + 1
-        t_slot = nv - 1
-        slot = {pos: i for i, pos in enumerate(positions)}
         psharp: dict[int, MultiPoly] = {}
-
-        def ybar(pos: int) -> MultiPoly:
-            base = MultiPoly.variable(nv, slot[pos])
-            return base + psharp[pos] if pos in psharp else base
-
         for pos in ordered:
             poly = p_polys.get(pos)
             if poly is None or poly.is_zero():
                 continue
-            integrand = MultiPoly.zero(nv)
-            for exps, c in poly.terms.items():
-                term = MultiPoly.constant(nv, c)
-                for ypos, e in enumerate(exps):
-                    for _ in range(e):
-                        term = term * ybar(ypos)
-                integrand = integrand + term
-            psharp[pos] = integrand.integrate_zero_to(t_slot)
+            integrand = poly.compose(shifted_ys(positions, psharp), nv)
+            psharp[pos] = integrand.integrate_zero_to(nv - 1)
         return psharp
 
     sec_psharp = build_chain(sec, sorted(sec))
@@ -368,18 +351,8 @@ def log_variable_recursion(rp: RadialPoint,
 
     psharp0 = None
     if p0_poly is not None and not p0_poly.is_zero():
-        nv = len(sec) + 1
-        slot = {pos: i for i, pos in enumerate(sec)}
-        integrand = MultiPoly.zero(nv)
-        for exps, c in p0_poly.terms.items():
-            term = MultiPoly.constant(nv, c)
-            for ypos, e in enumerate(exps):
-                for _ in range(e):
-                    base = MultiPoly.variable(nv, slot[ypos])
-                    extra = sec_psharp.get(ypos)
-                    term = term * (base + extra if extra is not None else base)
-            integrand = integrand + term
-        psharp0 = integrand.integrate_zero_to(nv - 1)
+        integrand = p0_poly.compose(shifted_ys(sec, sec_psharp), len(sec) + 1)
+        psharp0 = integrand.integrate_zero_to(len(sec))
 
     certificate = _certify(rp, p_polys, p0_poly, sec, pr, sec_psharp, pr_psharp,
                            psharp0, r_all)
@@ -439,7 +412,7 @@ def _certify(rp, p_polys, p0_poly, sec, pr, sec_psharp, pr_psharp, psharp0, r_al
             if ps is not None:
                 args = {i: y_expr[cp] for i, cp in enumerate(chain_positions) if cp in y_expr}
                 args[len(chain_positions)] = MultiPoly.variable(NV, t_slot)
-                base = base - _eval_at(ps, args, NV)
+                base = base - ps.compose(args, NV)
             y_expr[pos] = base
 
     expand_chain(sec, sorted(sec), sec_psharp)
@@ -451,21 +424,10 @@ def _certify(rp, p_polys, p0_poly, sec, pr, sec_psharp, pr_psharp, psharp0, r_al
     if psharp0 is not None:
         args = {i: y_expr[cp] for i, cp in enumerate(sec)}
         args[len(sec)] = MultiPoly.variable(NV, t_slot)
-        p0_expr = _eval_at(psharp0, args, NV)
+        p0_expr = psharp0.compose(args, NV)
         target = lift(p0_poly) * xpow(-denom)
         cert["P_0"] = (v_apply(p0_expr) - target).is_zero()
     return cert
-
-
-def _eval_at(poly: MultiPoly, args: dict, target_nvars: int) -> MultiPoly:
-    out = MultiPoly.zero(target_nvars)
-    for exps, c in poly.terms.items():
-        term = MultiPoly.constant(target_nvars, c)
-        for pos, e in enumerate(exps):
-            for _ in range(e):
-                term = term * args[pos]
-        out = out + term
-    return out
 
 
 # -- templates ------------------------------------------------------------------------

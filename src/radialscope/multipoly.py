@@ -121,23 +121,22 @@ class MultiPoly:
             out[key] = c * Fraction(1, e + 1)
         return MultiPoly(self.nvars, out)
 
-    def substitute(self, j: int, value: "MultiPoly") -> "MultiPoly":
-        """Replace variable j by a polynomial (nonnegative powers of j only)."""
-        result = MultiPoly.zero(self.nvars)
-        powers: dict[int, MultiPoly] = {0: MultiPoly.constant(self.nvars, Fraction(1))}
+    def compose(self, args: Mapping[int, "MultiPoly"], nvars: int) -> "MultiPoly":
+        """Replace every variable j by args[j] at once, in a ring of nvars variables.
 
-        def power(k: int) -> MultiPoly:
-            if k not in powers:
-                powers[k] = power(k - 1) * value
-            return powers[k]
-
+        Variables that occur must have a value in args; Laurent (negative)
+        powers cannot be substituted into.
+        """
+        out = MultiPoly.zero(nvars)
         for exps, c in self.terms.items():
-            e = exps[j]
-            if e < 0:
-                raise ValueError("cannot substitute into a Laurent power")
-            base = MultiPoly(self.nvars, {exps[:j] + (0,) + exps[j + 1:]: c})
-            result = result + base * power(e)
-        return result
+            term = MultiPoly.constant(nvars, c)
+            for j, e in enumerate(exps):
+                if e < 0:
+                    raise ValueError("cannot substitute into a Laurent power")
+                for _ in range(e):
+                    term = term * args[j]
+            out = out + term
+        return out
 
     def degree_in(self, j: int) -> int:
         return max((exps[j] for exps in self.terms), default=0)

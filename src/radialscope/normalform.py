@@ -21,10 +21,11 @@ from scipy.integrate import solve_ivp
 from .parallel import parallel_map
 from .scalars import as_complex
 from .symalg import (EXACT, FLOATING, ModelQuadratic, MonomialKey,
-                     WeightedPolynomial, ad_exponential, iter_monomials)
+                     WeightedPolynomial, ad_exponential, iter_monomials,
+                     normalized_eigenvalue)
 from .radial import CriticalPointSpec, RadialPoint, linearization_spectrum
 from .resonance import (EFF_NONRES, EFF_R1, EFF_R2, classify_resonance,
-                        normalized_eigenvalue, scan_effectively_resonant_energies)
+                        scan_effectively_resonant_energies)
 
 DEFAULT_FLOAT_TOL = 1e-12
 
@@ -174,7 +175,7 @@ def reduce_to_normal_form(p: WeightedPolynomial, rp: RadialPoint, max_grade: int
 
 
 def _is_resonant_for(key: MonomialKey, rp: RadialPoint, tol: float) -> bool:
-    rho = normalized_eigenvalue(key, rp)
+    rho = normalized_eigenvalue(key, rp.r_list)
     if rp.mode == EXACT:
         return rho == 0
     return abs(as_complex(rho)) <= math.sqrt(tol)

@@ -218,14 +218,15 @@ def _filon_integrate(f, phi, x, a, b, tol):
     if phippp > 0:
         h0 = min(h0, (0.3 * x / phippp) ** (1.0 / 3.0))
     n = max(8, int(math.ceil((b - a) / h0)))
-    prev = pass_with(n)
+    val = pass_with(n)
     for _ in range(12):
         n *= 2
         cur = pass_with(n)
-        if abs(cur - prev) <= tol:
-            return cur, abs(cur - prev)
-        prev = cur
-    return prev, abs(cur - prev)
+        err = abs(cur - val)
+        val = cur
+        if not err > tol:     # converged, or NaN that no halving mends
+            break
+    return val, err
 
 
 def _max_third_derivative(phi, a, b, samples: int = 64) -> float:
@@ -258,7 +259,7 @@ def oscillatory_quadrature(f: Callable[[float], complex], phi: Callable[[float],
         val, err = _gk_adaptive(fn, a, b, tol)
     else:
         val, err = _filon_integrate(f, phi, x, a, b, tol)
-    if err > 50 * tol:
+    if not err <= 50 * tol:     # NaN counts as failure
         raise QuadratureError(f"estimated error {err} exceeds budget {tol}")
     return val
 
@@ -355,6 +356,8 @@ class SPResult:
 def locate_phase_peak(case: StationaryPhaseCase, fd_step: float = 1e-7) -> float:
     """Root of the finite-difference phase derivative inside the support."""
     lo, hi = case.support()
+    if lo - fd_step <= case.v0z:
+        lo = case.v0z + 2.0 * fd_step    # the stencil stays where the phase is defined
 
     def dphi(s: float) -> float:
         return (case.phase(s + fd_step) - case.phase(s - fd_step)) / (2.0 * fd_step)

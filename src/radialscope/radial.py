@@ -122,18 +122,6 @@ class RadialPoint:
     def mode(self) -> str:
         return EXACT if (is_exact(self.lam) and all(is_exact(r) for r in self.r_list)) else FLOATING
 
-    @property
-    def rprime(self) -> tuple:
-        return tuple(self.r_list[j] for j in self.layout.yprime_indices)
-
-    @property
-    def rsecond(self) -> tuple:
-        return tuple(self.r_list[j] for j in self.layout.ysecond_indices)
-
-    @property
-    def rthird(self) -> tuple:
-        return tuple(self.r_list[j] for j in self.layout.ythird_indices)
-
     def model_quadratic(self, quad_blocks=None) -> ModelQuadratic:
         """The grade-0 model for this radial point.
 

@@ -19,14 +19,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from scipy.optimize import brentq
 
 from .parallel import parallel_map
 from .scalars import GaussianRational, as_complex
-from .symalg import (EXACT, MonomialKey, WeightedPolynomial, bracket,
-                     iter_monomials, weighted_degree)
+from .symalg import (EXACT, MonomialKey, WeightedPolynomial, bracket, compositions,
+                     iter_monomials, normalized_eigenvalue, weighted_degree)
 from .radial import (CriticalPointSpec, HessianThresholdError, RadialPoint,
                      hessian_thresholds)
 
@@ -63,22 +63,10 @@ class ResonanceRecord:
                 "eigenvalue": {"re": ev.real, "im": ev.imag}, "class": self.klass}
 
 
-def normalized_eigenvalue(idx: MonomialKey, rp: RadialPoint):
-    """R / lam = a - 1 + sum alpha_j r_j + sum beta_j (1 - r_j)."""
-    a, alpha, beta = idx
-    acc = a - 1
-    for j, r in enumerate(rp.r_list):
-        if alpha[j]:
-            acc = acc + alpha[j] * r
-        if beta[j]:
-            acc = acc + beta[j] * (1 - r)
-    return acc
-
-
 def is_resonant(idx: MonomialKey, rp: RadialPoint, tol: float = DEFAULT_FLOAT_TOL) -> bool:
     if weighted_degree(idx) < 3:
         return False
-    rho = normalized_eigenvalue(idx, rp)
+    rho = normalized_eigenvalue(idx, rp.r_list)
     if rp.mode == EXACT:
         return rho == 0
     return abs(as_complex(rho)) <= tol
@@ -117,7 +105,7 @@ def enumerate_resonances(rp: RadialPoint, max_degree: int,
     for idx in iter_monomials(rp.n - 1, max_degree, min_weighted_degree=3):
         if is_resonant(idx, rp, tol):
             out.append(ResonanceRecord(idx=idx,
-                                       eigenvalue=rp.lam * normalized_eigenvalue(idx, rp),
+                                       eigenvalue=rp.lam * normalized_eigenvalue(idx, rp.r_list),
                                        klass=classify_resonance(idx, rp, tol)))
     out.sort(key=lambda rec: (rec.degree, rec.idx))
     return out
@@ -130,7 +118,7 @@ def near_resonances(rp: RadialPoint, max_degree: int,
         return []
     out = []
     for idx in iter_monomials(rp.n - 1, max_degree, min_weighted_degree=3):
-        rho = abs(as_complex(normalized_eigenvalue(idx, rp)))
+        rho = abs(as_complex(normalized_eigenvalue(idx, rp.r_list)))
         if tol < rho <= 10 * tol:
             out.append(idx)
     return out
@@ -170,16 +158,6 @@ def _r_real(h: float, w: float) -> float:
     """Real branch r = 1/2 - sqrt(1/4 - (h/2)/w); caller guarantees realness."""
     disc = 0.25 - (h / 2.0) / w
     return 0.5 - disc ** 0.5
-
-
-def _exponent_tuples(length: int, total: int) -> Iterator[tuple[int, ...]]:
-    if length == 0:
-        if total == 0:
-            yield ()
-        return
-    for head in range(total + 1):
-        for tail in _exponent_tuples(length - 1, total - head):
-            yield (head,) + tail
 
 
 def scan_effectively_resonant_energies(cp: CriticalPointSpec,
@@ -251,7 +229,7 @@ def scan_effectively_resonant_energies(cp: CriticalPointSpec,
                 max_abs_k = max(abs(rp_lo[k]), abs(rp_hi[k]))
                 bound = int(max_abs_k / min_abs + 1e-9)
                 for total in range(2, bound + 1):
-                    for av in _exponent_tuples(len(neg_pos), total):
+                    for av in compositions(len(neg_pos), total):
                         alpha = embed(neg_pos, av)
                         beta = embed([k], [1])
                         idx = (0, alpha, beta)
@@ -269,9 +247,9 @@ def scan_effectively_resonant_energies(cp: CriticalPointSpec,
             min_r = min(min(rs_lo[j], rs_hi[j]) for j in sec_pos)
             amax = int(1.0 / min_r + 1e-9)
             for btotal in (0, 1):
-                for bv in _exponent_tuples(len(sec_pos), btotal):
+                for bv in compositions(len(sec_pos), btotal):
                     for atotal in range(max(0, 3 - btotal), amax + 1):
-                        for av in _exponent_tuples(len(sec_pos), atotal):
+                        for av in compositions(len(sec_pos), atotal):
                             idx = (0, embed(sec_pos, av), embed(sec_pos, bv))
 
                             def g(sig, av=av, bv=bv):
@@ -339,9 +317,9 @@ def second_index_set(rp: RadialPoint) -> list[tuple[tuple[int, ...], tuple[int, 
     bound = int(2.0 / rmin) + 1
     out = []
     for atotal in range(0, bound + 1):
-        for av in _exponent_tuples(len(sec), atotal):
+        for av in compositions(len(sec), atotal):
             for btotal in range(0, bound + 1):
-                for bv in _exponent_tuples(len(sec), btotal):
+                for bv in compositions(len(sec), btotal):
                     if sum(av) + sum(bv) == 0:
                         continue
                     val = sum(av[i] * rp.r_list[j] + bv[i] * (1 - rp.r_list[j])
@@ -492,9 +470,7 @@ def module_closure_check(rp: RadialPoint, max_degree: int = 3) -> ModuleClosureR
 
     def products(max_total: int):
         for total in range(1, max_total + 1):
-            for counts in _exponent_tuples(ngen, total):
-                if sum(counts) == total:
-                    yield counts
+            yield from compositions(ngen, total)
 
     def symbol_power(counts):
         poly = None

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Mapping
 
-from .scalars import GaussianRational, as_complex, format_fraction, is_exact, parse_fraction
+from .scalars import GaussianRational, format_fraction, is_exact, parse_fraction
 
 MonomialKey = tuple[int, tuple[int, ...], tuple[int, ...]]
 
@@ -533,37 +533,45 @@ class ModelQuadratic:
 
     def eigenvalue(self, key: MonomialKey):
         """R_{a,alpha,beta} = lam (a - 1 + sum alpha_j r_j + sum beta_j (1 - r_j))."""
-        a, alpha, beta = key
-        acc = a - 1
-        for j in range(self.layout.nvars):
-            if alpha[j]:
-                acc = acc + alpha[j] * self.r_list[j]
-            if beta[j]:
-                acc = acc + beta[j] * (1 - self.r_list[j])
-        return self.lam * acc
+        return self.lam * normalized_eigenvalue(key, self.r_list)
+
+
+def normalized_eigenvalue(key: MonomialKey, r_list):
+    """R / lam = a - 1 + sum alpha_j r_j + sum beta_j (1 - r_j)."""
+    a, alpha, beta = key
+    acc = a - 1
+    for j, r in enumerate(r_list):
+        if alpha[j]:
+            acc = acc + alpha[j] * r
+        if beta[j]:
+            acc = acc + beta[j] * (1 - r)
+    return acc
+
+
+def compositions(length: int, total: int) -> Iterator[tuple[int, ...]]:
+    """All nonnegative integer tuples of the given length summing to total.
+
+    Ordered lexicographically (first entry ascending, then the rest).
+    """
+    if length == 0:
+        if total == 0:
+            yield ()
+        return
+    for head in range(total + 1):
+        for tail in compositions(length - 1, total - head):
+            yield (head,) + tail
 
 
 def iter_monomials(nvars: int, max_weighted_degree: int,
                    min_weighted_degree: int = 0) -> Iterator[MonomialKey]:
     """All (a, alpha, beta) with weighted degree in the given range."""
-    def exponent_tuples(length: int, total_max: int):
-        if length == 0:
-            yield ()
-            return
-        for head in range(total_max + 1):
-            for tail in exponent_tuples(length - 1, total_max - head):
-                yield (head,) + tail
-
     for w in range(min_weighted_degree, max_weighted_degree + 1):
         for a in range(w // 2 + 1):
             rem = w - 2 * a
             for da in range(rem + 1):
-                for alpha in exponent_tuples(nvars, da):
-                    if sum(alpha) != da:
-                        continue
-                    for beta in exponent_tuples(nvars, rem - da):
-                        if sum(beta) == rem - da:
-                            yield (a, alpha, beta)
+                for alpha in compositions(nvars, da):
+                    for beta in compositions(nvars, rem - da):
+                        yield (a, alpha, beta)
 
 
 def eigen_action_table(model: ModelQuadratic, layout: VariableLayout | None = None,

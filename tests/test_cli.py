@@ -1,14 +1,17 @@
 import json
 import os
+import pathlib
+import re
 import subprocess
 import sys
 
+import jsonschema
 import pytest
 
 from radialscope.cli import main
-from radialscope.cli_reports import (EXIT_CONFIG, EXIT_FORBIDDEN_ENERGY, EXIT_NUMERICAL,
-                                     EXIT_OK, AnalysisConfig, ConfigError,
-                                     parallel_map)
+from radialscope.cli_reports import (CONFIG_SCHEMA, DEFAULTS, EXIT_CONFIG,
+                                     EXIT_FORBIDDEN_ENERGY, EXIT_NUMERICAL, EXIT_OK,
+                                     AnalysisConfig, ConfigError, parallel_map)
 
 COS2_CONFIG = {
     "mode": "explicit",
@@ -137,6 +140,33 @@ def test_stationary_phase_subcommand(tmp_path):
     assert (tmp_path / "o" / "stationary_phase.csv").exists()
     rep = json.loads((tmp_path / "o" / "report.json").read_text())
     assert abs(rep["global"]["stationaryPhase"]["sigmaC"] - 1.0) < 1e-12
+
+
+def test_stationary_phase_support_clipped_at_v0(tmp_path):
+    # tau = 0.6 puts the amplitude support below V0(z) = 0, where it is clipped
+    cfg = write_config(tmp_path, dict(COS2_CONFIG, options={"stationaryPhase": {"tau": 0.6}}))
+    assert main(["stationary-phase", "--config", cfg,
+                 "--out", str(tmp_path / "o")]) == EXIT_OK
+    rep = json.loads((tmp_path / "o" / "report.json").read_text())
+    res = rep["global"]["stationaryPhase"]
+    assert abs(res["peakSigma"] - 1.0 / (4.0 * 0.6 ** 2)) < 1e-6
+    assert 0.8 <= res["convergenceExponent"] <= 1.2
+
+
+def test_schema_doc_matches_defaults_and_schema():
+    path = pathlib.Path(__file__).resolve().parents[1] / "docs" / "config_schema.json"
+    text = path.read_text(encoding="utf-8")
+    doc = {"$comment": json.loads(text)["$comment"],
+           "defaults": DEFAULTS, "schema": CONFIG_SCHEMA}
+    assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_schema_violation_message_is_best_match():
+    bad = {"mode": "abstract", "criticalPoints": [{"label": 1, "value": 0}]}
+    with pytest.raises(jsonschema.ValidationError) as ref:
+        jsonschema.validate(bad, CONFIG_SCHEMA)
+    with pytest.raises(ConfigError, match=re.escape(ref.value.message)):
+        AnalysisConfig.from_dict(bad)
 
 
 def test_threads_env_cap(tmp_path, monkeypatch):

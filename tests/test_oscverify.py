@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from radialscope.oscverify import (STATIONARY_PHASE_CONSTANT, NoStationaryPointError,
-                                   StationaryPhaseCase, _filon_integrate,
+                                   QuadratureError, StationaryPhaseCase, _filon_integrate,
                                    gaussian_amplitude, locate_phase_peak,
                                    measure_phase_hessian, oscillatory_quadrature,
                                    psi_of_tau, stationary_phase_check)
@@ -165,3 +165,20 @@ def test_against_mpmath_high_precision_oracle():
     oracle = complex(mp.quad(f, pts, maxdegree=8))
     ours = oscillatory_quadrature(amp, lambda s: -tau * s + math.sqrt(s), x, lo, hi)
     assert abs(oracle - ours) < 1e-12
+
+
+def test_filon_unconverged_is_a_quadrature_error(monkeypatch):
+    # panels whose composite sum never settles: after the last doubling the
+    # estimate is that halving's difference, not 0, and must fail the budget
+    monkeypatch.setattr("radialscope.oscverify._filon_panel",
+                        lambda f, phi, x, u, v: math.sqrt(v - u))
+    lo, hi = AMP.support
+    val, err = _filon_integrate(AMP, lambda s: 0.0, 1e-5, lo, hi, 1e-8)
+    assert err == pytest.approx(val * (1.0 - math.sqrt(0.5)))
+    with pytest.raises(QuadratureError):
+        oscillatory_quadrature(AMP, lambda s: 0.0, 1e-5, lo, hi)
+
+
+def test_filon_nan_is_a_quadrature_error():
+    with pytest.raises(QuadratureError), np.errstate(invalid="ignore"):
+        oscillatory_quadrature(AMP, lambda s: math.nan, 1e-5, *AMP.support)

@@ -53,9 +53,15 @@ def test_multipoly_arithmetic_and_calculus():
 def test_multipoly_substitute_is_simultaneous():
     x = MultiPoly.variable(2, 0)
     y = MultiPoly.variable(2, 1)
-    # x -> x + y in x^2: (x + y)^2, even though the value contains x itself
-    out = (x * x).substitute(0, x + y)
-    assert out == x * x + (x * y).scale(2) + y * y
+    # x -> x + y in x^2 y: (x + y)^2 y, even though the value contains x itself
+    out = (x * x * y).compose({0: x + y, 1: y}, 2)
+    assert out == (x * x + (x * y).scale(2) + y * y) * y
+    # swapping the variables needs every value taken from the old ring
+    assert (x * y * y).compose({0: y, 1: x}, 2) == y * x * x
+    # the target ring may differ: x -> t^2, y -> 3 in Q[t]
+    t = MultiPoly.variable(1, 0)
+    assert (x * y).compose({0: t * t, 1: MultiPoly.constant(1, Fraction(3))}, 1) \
+        == (t * t).scale(3)
 
 
 def test_multipoly_laurent_guards():
@@ -63,7 +69,7 @@ def test_multipoly_laurent_guards():
     with pytest.raises(ValueError):
         p.integrate_zero_to(0)
     with pytest.raises(ValueError):
-        p.substitute(0, MultiPoly.variable(1, 0))
+        p.compose({0: MultiPoly.variable(1, 0)}, 1)
     # Laurent multiplication itself is fine
     q = p * MultiPoly(1, {(3,): Fraction(2)})
     assert q == MultiPoly(1, {(1,): Fraction(2)})

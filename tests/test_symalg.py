@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -6,8 +7,8 @@ import pytest
 from radialscope.scalars import GaussianRational
 from radialscope.symalg import (EXACT, FLOATING, ModeMismatchError, ModelQuadratic,
                                 VariableLayout, WeightedPolynomial, ad_exponential,
-                                bracket, eigen_action_table, grade_components,
-                                iter_monomials)
+                                bracket, compositions, eigen_action_table,
+                                grade_components, iter_monomials)
 
 LAY1 = VariableLayout(n=2, s=1, m=2)
 LAY2 = VariableLayout(n=3)
@@ -205,6 +206,14 @@ def test_iter_monomials_count():
     for key in keys:
         a, alpha, beta = key
         assert 2 * a + sum(alpha) + sum(beta) <= 4
+
+
+def test_compositions_match_filtered_product():
+    for length in range(5):
+        for total in range(7):
+            expect = [t for t in itertools.product(range(total + 1), repeat=length)
+                      if sum(t) == total]
+            assert list(compositions(length, total)) == expect, (length, total)
 
 
 def test_complex_block_model_requires_elliptic():
