@@ -17,6 +17,7 @@ effectively resonant where not allowed), 4 numerical-stage failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -37,7 +38,9 @@ STAGE_SETS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and reused by every main call."""
     parser = argparse.ArgumentParser(prog="radialscope",
                                      description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)

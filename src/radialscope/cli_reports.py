@@ -179,6 +179,9 @@ class AnalysisConfig:
         for key in ("tol", "bisectTol", "flowTol", "wStop"):
             if options[key] <= 0:
                 raise ConfigError(f"option {key} must be positive")
+        grid = options["scanGridPoints"]
+        if isinstance(grid, bool) or not isinstance(grid, int) or grid < 2:
+            raise ConfigError(f"option scanGridPoints must be an integer >= 2, got {grid!r}")
 
         stages = data.get("stages")
         if stages is None:

@@ -21,14 +21,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
 from scipy.optimize import brentq
 
-from .parallel import parallel_map
 from .scalars import GaussianRational, as_complex
 from .symalg import (EXACT, MonomialKey, WeightedPolynomial, bracket, compositions,
                      iter_monomials, normalized_eigenvalue, weighted_degree)
-from .radial import (CriticalPointSpec, HessianThresholdError, RadialPoint,
-                     hessian_thresholds)
+from .radial import CriticalPointSpec, HessianThresholdError, RadialPoint
 
 EFF_R1 = "effR1"
 EFF_R2 = "effR2"
@@ -37,6 +36,7 @@ EFF_NONRES = "effNonres"
 DEFAULT_FLOAT_TOL = 1e-12
 DEFAULT_GRID = 10_000
 DEFAULT_BISECT_TOL = 1e-10
+_NEAR_ZERO = 1e-12
 
 
 class InvalidInputError(ValueError):
@@ -176,7 +176,18 @@ def scan_effectively_resonant_energies(cp: CriticalPointSpec,
     and |alpha''| <= 1 / min r''_j, |beta''| <= 1, by a sign-change scan on
     a grid followed by bisection.  The interval is split at the Hessian
     thresholds, across which the y''/y''' block structure changes.
+
+    On each threshold-free subinterval the grid of grid_points + 1 energies
+    and every block's r_j on it are numpy arrays built once, and each family
+    is evaluated on the whole grid as array arithmetic.  Grid points where
+    a family's array value is near zero are re-decided with its scalar
+    function, so zeros and signs agree bit for bit with a point-by-point
+    scalar scan.  brentq runs on the scalar function, and only on cells
+    whose end values change sign; tangential zeros are not found.
+    grid_points must be an integer >= 2.
     """
+    if isinstance(grid_points, bool) or not isinstance(grid_points, int) or grid_points < 2:
+        raise InvalidInputError(f"grid_points must be an integer >= 2, got {grid_points!r}")
     lo, hi = float(interval[0]), float(interval[1])
     v0 = float(cp.value)
     if not (v0 < lo < hi):
@@ -188,7 +199,6 @@ def scan_effectively_resonant_energies(cp: CriticalPointSpec,
     hsorted = [hvals[i] for i in order]
     neg_pos = [j for j, h in enumerate(hsorted) if h < 0]
 
-    thr_all = hessian_thresholds(cp)
     thresholds = []
     for h_idx, h in enumerate(cp.hessian):
         if float(h) > 0:
@@ -220,6 +230,8 @@ def scan_effectively_resonant_energies(cp: CriticalPointSpec,
         # y'' membership is constant on a threshold-free subinterval
         sec_pos = [j for j, h in enumerate(hsorted) if h > 0 and wa > 2.0 * h and wb > 2.0 * h]
 
+        # each family is (idx, f, weight): f maps r = {block: r_j} to the
+        # family's value, weight counts its r terms with multiplicity
         families = []
         if neg_pos:
             rp_lo = {j: _r_real(hsorted[j], wa) for j in neg_pos}
@@ -230,17 +242,12 @@ def scan_effectively_resonant_energies(cp: CriticalPointSpec,
                 bound = int(max_abs_k / min_abs + 1e-9)
                 for total in range(2, bound + 1):
                     for av in compositions(len(neg_pos), total):
-                        alpha = embed(neg_pos, av)
-                        beta = embed([k], [1])
-                        idx = (0, alpha, beta)
+                        idx = (0, embed(neg_pos, av), embed([k], [1]))
 
-                        def g(sig, av=av, k=k):
-                            w = sig - v0
-                            return (sum(av[i] * _r_real(hsorted[j], w)
-                                        for i, j in enumerate(neg_pos))
-                                    - _r_real(hsorted[k], w))
+                        def f(r, av=av, k=k):
+                            return sum(av[i] * r[j] for i, j in enumerate(neg_pos)) - r[k]
 
-                        families.append((idx, g))
+                        families.append((idx, f, total + 1))
         if sec_pos:
             rs_lo = {j: _r_real(hsorted[j], wa) for j in sec_pos}
             rs_hi = {j: _r_real(hsorted[j], wb) for j in sec_pos}
@@ -252,37 +259,41 @@ def scan_effectively_resonant_energies(cp: CriticalPointSpec,
                         for av in compositions(len(sec_pos), atotal):
                             idx = (0, embed(sec_pos, av), embed(sec_pos, bv))
 
-                            def g(sig, av=av, bv=bv):
-                                w = sig - v0
-                                return sum(av[i] * _r_real(hsorted[j], w)
-                                           + bv[i] * (1.0 - _r_real(hsorted[j], w))
+                            def f(r, av=av, bv=bv):
+                                return sum(av[i] * r[j] + bv[i] * (1.0 - r[j])
                                            for i, j in enumerate(sec_pos)) - 1.0
 
-                            families.append((idx, g))
+                            families.append((idx, f, atotal + btotal + 1))
 
         if not families:
             continue
-        npts = max(grid_points, 2)
-        step = (b_end - a_end) / npts
-        grid = [a_end + i * step for i in range(npts + 1)]
+        blocks = neg_pos + sec_pos
+        step = (b_end - a_end) / grid_points
+        grid = a_end + np.arange(grid_points + 1) * step
+        r_grid = {j: _r_real(hsorted[j], grid - v0) for j in blocks}
+        # |r_j| is monotone in sigma, so its largest value sits at an end
+        rmax = max([1.0] + [abs(r_grid[j][e]) for j in blocks for e in (0, -1)])
 
-        def scan_family(pair):
-            idx, g = pair
-            found = []
-            vals = [g(s) for s in grid]
-            for i in range(npts):
-                va, vb = vals[i], vals[i + 1]
-                if va == 0.0:
-                    found.append((grid[i], idx, 0.0))
-                elif va * vb < 0.0:
-                    root = brentq(g, grid[i], grid[i + 1], xtol=bisect_tol * 1e-4)
-                    found.append((root, idx, abs(g(root))))
+        for idx, f, weight in families:
+            def g(sig, f=f):
+                return f({j: _r_real(hsorted[j], sig - v0) for j in blocks})
+
+            vals = f(r_grid)
+            # numpy's sqrt and libm's pow can differ in the last bit, which
+            # moves vals by a few ulps of weight * rmax; re-decide every point
+            # within a thousandfold margin of that with the scalar g, so
+            # zeros and signs are the ones the scalar g gives
+            for i in np.flatnonzero(np.abs(vals) <= _NEAR_ZERO * weight * rmax):
+                vals[i] = g(float(grid[i]))
+            for i in np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0)):
+                if vals[i] == 0.0:
+                    roots.append((float(grid[i]), idx, 0.0))
+                else:
+                    root = brentq(g, float(grid[i]), float(grid[i + 1]),
+                                  xtol=bisect_tol * 1e-4)
+                    roots.append((root, idx, abs(g(root))))
             if vals[-1] == 0.0:
-                found.append((grid[-1], idx, 0.0))
-            return found
-
-        for found in parallel_map(scan_family, families):
-            roots.extend(found)
+                roots.append((float(grid[-1]), idx, 0.0))
 
     dedup: dict[tuple, tuple[float, MonomialKey, float]] = {}
     for s, idx, res in roots:

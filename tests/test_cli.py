@@ -8,7 +8,7 @@ import sys
 import jsonschema
 import pytest
 
-from radialscope.cli import main
+from radialscope.cli import build_parser, main
 from radialscope.cli_reports import (CONFIG_SCHEMA, DEFAULTS, EXIT_CONFIG,
                                      EXIT_FORBIDDEN_ENERGY, EXIT_NUMERICAL, EXIT_OK,
                                      AnalysisConfig, ConfigError, parallel_map)
@@ -109,6 +109,25 @@ def test_scan_subcommand(tmp_path):
     assert len(roots) == 1
     assert abs(roots[0]["sigma"] - 1.0) < 1e-8
     assert roots[0]["witness"] == {"a": 0, "alpha": [0, 2], "beta": [1, 0]}
+
+
+@pytest.mark.parametrize("grid", [0, 1, -3, 2.5, 100.0, "100", True])
+def test_scan_grid_points_must_be_integer_at_least_2(tmp_path, capsys, grid):
+    cfg = write_config(tmp_path, {
+        "mode": "abstract",
+        "criticalPoints": [{"label": "z", "value": 0, "hessian": [-12, -4]}],
+        "energy": [0.5, 2.0],
+        "options": {"scanGridPoints": grid},
+    })
+    assert main(["scan-energies", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "scanGridPoints must be an integer >= 2" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_parser_built_once_per_process():
+    assert build_parser() is build_parser()
 
 
 def test_stage_isolation_failing_stage_preserves_others(tmp_path):

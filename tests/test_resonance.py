@@ -3,6 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from scipy.optimize import brentq
 
 from radialscope.radial import CriticalPointSpec, linearization_spectrum, radial_point_from_spectrum
 from radialscope.resonance import (EFF_NONRES, EFF_R1, EFF_R2, InvalidInputError,
@@ -11,6 +12,7 @@ from radialscope.resonance import (EFF_NONRES, EFF_R1, EFF_R2, InvalidInputError
                                    module_multiindex, module_order, near_resonances,
                                    s_alpha,
                                    scan_effectively_resonant_energies, second_index_set)
+from radialscope.symalg import compositions
 
 
 def brute_force_resonances(r_list, max_degree):
@@ -239,3 +241,165 @@ def test_scan_deterministic_under_thread_cap(monkeypatch):
     monkeypatch.setenv("RADIALSCOPE_THREADS", "4")
     par = scan_effectively_resonant_energies(cp, (0.5, 2.0), grid_points=2000)
     assert base.eff_res_energies == par.eff_res_energies
+
+
+def test_scan_grid_points_contract():
+    cp = CriticalPointSpec("z", Fraction(0), (Fraction(-12), Fraction(-4)))
+    for bad in (0, 1, -5, 2.5, 100.0, "100", True, None):
+        with pytest.raises(ValueError, match="integer >= 2"):
+            scan_effectively_resonant_energies(cp, (0.5, 2.0), grid_points=bad)
+    assert scan_effectively_resonant_energies(cp, (0.5, 2.0), grid_points=2).settings[
+        "gridPoints"] == 2
+
+
+# -- the vectorised scan against a point-by-point scalar scan ------------------------
+
+
+def scalar_reference_scan(cp, interval, grid_points, bisect_tol=1e-10):
+    """One Python closure per family, called at every grid point; brentq on sign changes.
+
+    Returns (eff_res_energies, thresholds) as the scan reports them.
+    """
+    lo, hi = float(interval[0]), float(interval[1])
+    v0 = float(cp.value)
+    hsorted = sorted(float(h) for h in cp.hessian)
+    neg_pos = [j for j, h in enumerate(hsorted) if h < 0]
+
+    def r_of(h, w):
+        return 0.5 - (0.25 - (h / 2.0) / w) ** 0.5
+
+    thresholds = sorted((v0 + 2.0 * float(h), h_idx) for h_idx, h in enumerate(cp.hessian)
+                        if float(h) > 0 and lo <= v0 + 2.0 * float(h) <= hi)
+    cuts = sorted({lo, hi} | {t for t, _ in thresholds})
+    pad = max((hi - lo) * 1e-9, 1e-12)
+    subintervals = []
+    for a, b in zip(cuts, cuts[1:]):
+        aa = a + (pad if any(abs(a - t) < pad for t, _ in thresholds) else 0.0)
+        bb = b - (pad if any(abs(b - t) < pad for t, _ in thresholds) else 0.0)
+        if aa < bb:
+            subintervals.append((aa, bb))
+
+    def embed(positions, values):
+        out = [0] * len(hsorted)
+        for p, v in zip(positions, values):
+            out[p] = v
+        return tuple(out)
+
+    roots = []
+    for a_end, b_end in subintervals:
+        wa, wb = a_end - v0, b_end - v0
+        sec_pos = [j for j, h in enumerate(hsorted) if h > 0 and wa > 2.0 * h and wb > 2.0 * h]
+        families = []
+        if neg_pos:
+            ends = {j: (r_of(hsorted[j], wa), r_of(hsorted[j], wb)) for j in neg_pos}
+            min_abs = min(abs(r) for j in neg_pos for r in ends[j])
+            for k in neg_pos:
+                bound = int(max(abs(r) for r in ends[k]) / min_abs + 1e-9)
+                for total in range(2, bound + 1):
+                    for av in compositions(len(neg_pos), total):
+                        def g(sig, av=av, k=k):
+                            w = sig - v0
+                            return (sum(av[i] * r_of(hsorted[j], w) for i, j in enumerate(neg_pos))
+                                    - r_of(hsorted[k], w))
+                        families.append(((0, embed(neg_pos, av), embed([k], [1])), g))
+        if sec_pos:
+            min_r = min(min(r_of(hsorted[j], wa), r_of(hsorted[j], wb)) for j in sec_pos)
+            amax = int(1.0 / min_r + 1e-9)
+            for btotal in (0, 1):
+                for bv in compositions(len(sec_pos), btotal):
+                    for atotal in range(max(0, 3 - btotal), amax + 1):
+                        for av in compositions(len(sec_pos), atotal):
+                            def g(sig, av=av, bv=bv, sec_pos=sec_pos):
+                                w = sig - v0
+                                return sum(av[i] * r_of(hsorted[j], w)
+                                           + bv[i] * (1.0 - r_of(hsorted[j], w))
+                                           for i, j in enumerate(sec_pos)) - 1.0
+                            families.append(((0, embed(sec_pos, av), embed(sec_pos, bv)), g))
+        step = (b_end - a_end) / grid_points
+        grid = [a_end + i * step for i in range(grid_points + 1)]
+        for idx, g in families:
+            vals = [g(s) for s in grid]
+            for i in range(grid_points):
+                if vals[i] == 0.0:
+                    roots.append((grid[i], idx, 0.0))
+                elif vals[i] * vals[i + 1] < 0.0:
+                    root = brentq(g, grid[i], grid[i + 1], xtol=bisect_tol * 1e-4)
+                    roots.append((root, idx, abs(g(root))))
+            if vals[-1] == 0.0:
+                roots.append((grid[-1], idx, 0.0))
+
+    dedup = {}
+    for s, idx, res in roots:
+        key = (round(s / bisect_tol), idx)
+        if key not in dedup or res < dedup[key][2]:
+            dedup[key] = (s, idx, res)
+    return tuple(sorted(dedup.values())), tuple(thresholds)
+
+
+SCALAR_CASES = [
+    # (Hessian, V0, interval, grid, root families expected)
+    ((Fraction(-1), Fraction(-1, 2), Fraction(1, 4)), 0, (0.2, 3.0), 3000, {"I''"}),
+    ((Fraction(-2), Fraction(-1), Fraction(1, 3)), 0, (0.3, 2.5), 3000, {"I''"}),
+    # ratios (-1, -1/2, 1/4) and (-2, -1, 1/3) planted at sigma = 1
+    ((Fraction(-4), Fraction(-3, 2), Fraction(3, 8)), 0, (0.7, 1.2), 3000, {"I'", "I''"}),
+    ((Fraction(-12), Fraction(-4), Fraction(4, 9)), 0, (0.85, 1.25), 3000, {"I'", "I''"}),
+    ((Fraction(-12), Fraction(-4), Fraction(3, 8)), 0, (0.5, 2.0), 8192, {"I'", "I''"}),
+    ((Fraction(3, 8),), 0, (0.875, 1.125), 8192, {"I''"}),
+    # at sigma = lo the family (2, 2) is exactly 0.0 with libm's pow and
+    # -1.1e-16 with numpy's sqrt; only the scalar value may decide it
+    ((0.2, 0.7422063750045471), 0, (1.5150087658616196, 1.6), 1000, {"I''"}),
+]
+
+
+@pytest.mark.parametrize("hessian,v0,interval,grid,kinds", SCALAR_CASES,
+                         ids=["(-1,-1/2,1/4)", "(-2,-1,1/3)", "r=(-1,-1/2,1/4)",
+                              "r=(-2,-1,1/3)", "(-12,-4,3/8)", "grid-hit", "pow-vs-sqrt"])
+def test_scan_equals_scalar_reference(hessian, v0, interval, grid, kinds):
+    cp = CriticalPointSpec("z", Fraction(v0), hessian)
+    res = scan_effectively_resonant_energies(cp, interval, grid_points=grid)
+    eff, thresholds = scalar_reference_scan(cp, interval, grid)
+    assert res.eff_res_energies == eff
+    assert res.thresholds == thresholds
+    # I' witnesses carry beta' (the negative, leading Hessian positions)
+    n_neg = sum(1 for h in hessian if h < 0)
+    assert {"I'" if any(idx[2][:n_neg]) else "I''" for _, idx, _ in eff} == kinds
+
+
+def test_scan_reports_exact_grid_hits():
+    cp = CriticalPointSpec("z", Fraction(0), (Fraction(3, 8),))
+    for interval in ((0.875, 1.125), (0.875, 1.0), (1.0, 1.125)):   # inside, last, first
+        res = scan_effectively_resonant_energies(cp, interval, grid_points=8192)
+        assert res.eff_res_energies == ((1.0, (0, (4,), (0,)), 0.0),)
+    cp = CriticalPointSpec("z", Fraction(0), (0.2, 0.7422063750045471))
+    res = scan_effectively_resonant_energies(cp, (1.5150087658616196, 1.6), grid_points=1000)
+    assert res.eff_res_energies[0] == (1.5150087658616196, (0, (2, 2), (0, 0)), 0.0)
+
+
+# -- the scan against exact enumeration at planted rational energies -----------------
+
+PLANTED_SHAPES = [
+    ((Fraction(1, 3),), Fraction(4, 5), Fraction(31, 20)),
+    ((Fraction(1, 4),), Fraction(7, 10), Fraction(29, 20)),
+    ((Fraction(-1, 2), Fraction(1, 3)), Fraction(17, 20), Fraction(13, 10)),
+    ((Fraction(-1), Fraction(-1, 2), Fraction(1, 4)), Fraction(7, 10), Fraction(6, 5)),
+    ((Fraction(1, 6), Fraction(1, 3)), Fraction(3, 5), Fraction(11, 10)),
+    ((Fraction(-2), Fraction(-1), Fraction(1, 3)), Fraction(17, 20), Fraction(5, 4)),
+]
+
+
+@pytest.mark.parametrize("rs,lo_rel,hi_rel", PLANTED_SHAPES,
+                         ids=[",".join(map(str, s[0])) for s in PLANTED_SHAPES])
+def test_scan_finds_every_exact_effective_resonance(rs, lo_rel, hi_rel):
+    v0, w = Fraction(-7, 3), Fraction(5, 8)
+    hessian = tuple(2 * w * r * (1 - r) for r in rs)
+    cp = CriticalPointSpec("z", v0, hessian)
+    bisect_tol = 1e-10
+    res = scan_effectively_resonant_energies(cp, (float(v0 + w * lo_rel), float(v0 + w * hi_rel)),
+                                             bisect_tol=bisect_tol)
+    sigma_star = v0 + w
+    rp = linearization_spectrum(cp, sigma_star, +1)
+    assert rp.r_list == tuple(sorted(rs))
+    planted = {rec.idx for rec in enumerate_resonances(rp, 8) if rec.klass in (EFF_R1, EFF_R2)}
+    assert planted
+    near = {idx for s, idx, _ in res.eff_res_energies if abs(s - float(sigma_star)) <= bisect_tol}
+    assert planted <= near
