@@ -145,10 +145,14 @@ class AnalysisConfig:
         mode = data["mode"]
         cps = []
         for entry in data.get("criticalPoints", []):
+            if any(cp.label == entry["label"] for cp in cps):
+                raise ConfigError(f"duplicate critical point label {entry['label']!r}")
             hess = tuple(_parse_number(h) for h in entry["hessian"])
-            cps.append(CriticalPointSpec(label=entry["label"],
-                                         value=_parse_number(entry["value"]),
-                                         hessian=hess))
+            value = _parse_number(entry["value"])
+            try:
+                cps.append(CriticalPointSpec(label=entry["label"], value=value, hessian=hess))
+            except ValueError as exc:
+                raise ConfigError(f"critical point {entry['label']!r}: {exc}") from exc
         potential = None
         if mode == "explicit":
             if "potential" not in data:
@@ -179,9 +183,10 @@ class AnalysisConfig:
         for key in ("tol", "bisectTol", "flowTol", "wStop"):
             if options[key] <= 0:
                 raise ConfigError(f"option {key} must be positive")
-        grid = options["scanGridPoints"]
-        if isinstance(grid, bool) or not isinstance(grid, int) or grid < 2:
-            raise ConfigError(f"option scanGridPoints must be an integer >= 2, got {grid!r}")
+        for key, least in (("scanGridPoints", 2), ("maxDegree", 1)):
+            value = options[key]
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise ConfigError(f"option {key} must be an integer >= {least}, got {value!r}")
 
         stages = data.get("stages")
         if stages is None:

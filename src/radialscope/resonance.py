@@ -326,10 +326,17 @@ def second_index_set(rp: RadialPoint) -> list[tuple[tuple[int, ...], tuple[int, 
     rvals = [float(rp.r_list[j]) for j in sec]
     rmin = min(min(rvals), 0.5)
     bound = int(2.0 / rmin) + 1
+    # atotal * min r + btotal * min(1 - r) bounds the value from below, so
+    # once it passes 2 (with slack for the float r) no larger total is inside
+    amin, bmin = min(rvals), 1.0 - max(rvals)
     out = []
     for atotal in range(0, bound + 1):
+        if atotal * amin > 2.0 + 1e-9:
+            break
         for av in compositions(len(sec), atotal):
             for btotal in range(0, bound + 1):
+                if atotal * amin + btotal * bmin > 2.0 + 1e-9:
+                    break
                 for bv in compositions(len(sec), btotal):
                     if sum(av) + sum(bv) == 0:
                         continue

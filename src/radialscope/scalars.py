@@ -13,15 +13,21 @@ from typing import Union
 
 Rat = Union[int, Fraction]
 
+_FRACTION_ZERO = Fraction(0)
+
 
 class GaussianRational:
-    """A complex number with exact rational real/imaginary parts."""
+    """A complex number with exact rational real/imaginary parts.
+
+    Sums and products of two real values (both imaginary parts 0) take one
+    Fraction operation; real-block exact models produce only such values.
+    """
 
     __slots__ = ("re", "im")
 
-    def __init__(self, re: Rat = 0, im: Rat = 0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+    def __init__(self, re: Rat = 0, im: Rat = _FRACTION_ZERO):
+        self.re = re if type(re) is Fraction else Fraction(re)
+        self.im = im if type(im) is Fraction else Fraction(im)
 
     @classmethod
     def coerce(cls, value) -> "GaussianRational":
@@ -35,6 +41,8 @@ class GaussianRational:
 
     def __add__(self, other):
         other = GaussianRational.coerce(other)
+        if not self.im and not other.im:
+            return GaussianRational(self.re + other.re, _FRACTION_ZERO)
         return GaussianRational(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
@@ -50,6 +58,8 @@ class GaussianRational:
 
     def __mul__(self, other):
         other = GaussianRational.coerce(other)
+        if not self.im and not other.im:
+            return GaussianRational(self.re * other.re, _FRACTION_ZERO)
         return GaussianRational(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,

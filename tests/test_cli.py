@@ -126,6 +126,44 @@ def test_scan_grid_points_must_be_integer_at_least_2(tmp_path, capsys, grid):
     assert not (tmp_path / "o").exists()
 
 
+def assert_config_exit(tmp_path, capsys, data, message):
+    """The CLI exits 2 with one stderr line holding `message`, no traceback, no report."""
+    cfg = write_config(tmp_path, data)
+    assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("config error: ") and message in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("degree", [-3, 0, 2.5, 6.0, "6", True, None])
+def test_max_degree_must_be_integer_at_least_1(tmp_path, capsys, degree):
+    assert_config_exit(tmp_path, capsys, {
+        "mode": "abstract",
+        "criticalPoints": [{"label": "z", "value": 0, "hessian": ["3/8"]}],
+        "energy": 1.0,
+        "options": {"maxDegree": degree},
+    }, "option maxDegree must be an integer >= 1")
+
+
+def test_duplicate_critical_point_labels_rejected(tmp_path, capsys):
+    assert_config_exit(tmp_path, capsys, {
+        "mode": "abstract",
+        "criticalPoints": [{"label": "z", "value": 0, "hessian": ["3/8"]},
+                           {"label": "z", "value": 1, "hessian": [-1]}],
+        "energy": 2.0,
+    }, "duplicate critical point label 'z'")
+
+
+@pytest.mark.parametrize("hessian", [["0/1"], [0], [-1, 0.0]])
+def test_zero_hessian_entry_is_config_error(tmp_path, capsys, hessian):
+    assert_config_exit(tmp_path, capsys, {
+        "mode": "abstract",
+        "criticalPoints": [{"label": "z", "value": 0, "hessian": hessian}],
+        "energy": 1.0,
+    }, "critical point 'z': Morse condition violated: zero Hessian eigenvalue")
+
+
 def test_parser_built_once_per_process():
     assert build_parser() is build_parser()
 

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from radialscope.normalform import reduce_to_normal_form
+from radialscope.radial import radial_point_from_spectrum
 from radialscope.scalars import GaussianRational
 from radialscope.symalg import (EXACT, FLOATING, ModeMismatchError, ModelQuadratic,
                                 VariableLayout, WeightedPolynomial, ad_exponential,
@@ -89,6 +91,117 @@ def test_bracket_antisymmetry_and_grading():
         br = bracket(a, b)
         if not br.is_zero():
             assert br.homogeneous_grade() == 3
+
+
+def _term_map(p, rule):
+    """Image of p under a term-wise linear map: rule(a, alpha, beta) gives
+    (factor, new key), and distinct keys with nonzero factor map apart."""
+    terms = {}
+    for t in p.terms():
+        factor, key = rule(t.a, t.alpha, t.beta)
+        if factor:
+            terms[key] = t.coeff * factor
+    return WeightedPolynomial(p.layout, p.mode, terms)
+
+
+def _lower(exps, j):
+    return exps[:j] + (exps[j] - 1,) + exps[j + 1:]
+
+
+def product_bracket(a, b, max_grade):
+    """Reference bracket: W_a(b) + (d_nu a) b from whole polynomial
+    products, then truncated (the definition in the symalg docstring)."""
+    def d_nu(p):
+        return _term_map(p, lambda e, al, be: (e, (e - 1, al, be)))
+
+    def euler_mu(p):
+        return _term_map(p, lambda e, al, be: (sum(be), (e, al, be)))
+
+    def d_y(p, j):
+        return _term_map(p, lambda e, al, be: (al[j], (e, _lower(al, j), be)))
+
+    def d_mu(p, j):
+        return _term_map(p, lambda e, al, be: (be[j], (e, al, _lower(be, j))))
+
+    out = -(d_nu(a) * euler_mu(b)) + (euler_mu(a) - a) * d_nu(b) + d_nu(a) * b
+    for j in range(a.layout.nvars):
+        out = out + d_mu(a, j) * d_y(b, j) - d_y(a, j) * d_mu(b, j)
+    return out.truncate_grade(max_grade)
+
+
+def test_bracket_equals_product_formula():
+    # complex Gaussian-rational coefficients, with and without a grade bound
+    rng = random.Random(29)
+    complex_pairs = 0
+    for lay in (LAY1, LAY2, VariableLayout(n=4)):
+        for _ in range(15):
+            a = rand_poly(lay, rng, nterms=rng.randint(1, 7))
+            b = rand_poly(lay, rng, nterms=rng.randint(1, 7))
+            complex_pairs += any(t.coeff.im for p in (a, b) for t in p.terms())
+            assert bracket(a, b) == product_bracket(a, b, 99)
+            for max_grade in (-1, 0, 2, 4, 6):
+                assert bracket(a, b, max_grade) == product_bracket(a, b, max_grade)
+    assert complex_pairs >= 40
+
+
+def test_floating_bracket_matches_product_formula():
+    rng = random.Random(31)
+    for _ in range(15):
+        a, b = (WeightedPolynomial(LAY2, FLOATING, {(t.a, t.alpha, t.beta): complex(t.coeff) / 3
+                                                    for t in rand_poly(LAY2, rng).terms()})
+                for _ in range(2))
+        got = bracket(a, b, 3)
+        ref = product_bracket(a, b, 3)
+        keys = {(t.a, t.alpha, t.beta) for t in ref.terms()}
+        assert keys == {(t.a, t.alpha, t.beta) for t in got.terms()}
+        for key in keys:
+            assert abs(got.coefficient(*key) - ref.coefficient(*key)) <= 1e-12
+
+
+def test_reduction_round_trip_random_real_block():
+    # n = 3, G = 5: exact reversibility apply_inverse(reduce(p)) == p on a
+    # random real-coefficient perturbation of grades 1..5
+    rng = random.Random(43)
+    rp = radial_point_from_spectrum(Fraction(1), (Fraction(-1, 3), Fraction(1, 5)))
+    assert rp.layout.nvars == 2 and rp.layout.is_real_block
+    support = list(iter_monomials(2, 7, 3))
+    pert = WeightedPolynomial(rp.layout, EXACT, {
+        key: Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+        for key in rng.sample(support, 40)})
+    p = rp.model_quadratic().p0() + pert
+    res = reduce_to_normal_form(p, rp, 5)
+    assert len(pert) > 30 and any(not b.is_zero() for b in res.generators)
+    assert res.apply_inverse(res.p_norm) == p.truncate_grade(5)
+
+
+def test_gaussian_real_fast_path_agrees_with_general_formula():
+    rng = random.Random(47)
+
+    def rand_scalar():
+        re = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        kind = rng.randrange(4)
+        if kind == 0:
+            return re                                   # a plain Fraction operand
+        im = Fraction(rng.randint(-3, 3), rng.randint(1, 4)) if kind == 1 else 0
+        return GaussianRational(re, im)
+
+    for _ in range(400):
+        x, y = rand_scalar(), rand_scalar()
+        if not isinstance(x, GaussianRational):
+            x = GaussianRational(x)
+        yy = GaussianRational.coerce(y)
+        expect_sum = GaussianRational(x.re + yy.re, x.im + yy.im)
+        expect_prod = GaussianRational(x.re * yy.re - x.im * yy.im,
+                                       x.re * yy.im + x.im * yy.re)
+        for got, expect in ((x + y, expect_sum), (y + x, expect_sum),
+                            (x * y, expect_prod), (y * x, expect_prod)):
+            assert type(got.re) is Fraction and type(got.im) is Fraction
+            assert (got.re, got.im) == (expect.re, expect.im)
+            assert got == expect and hash(got) == hash(expect)
+            if not expect.im:
+                assert got == expect.re and hash(got) == hash((expect.re, Fraction(0)))
+    assert GaussianRational(3) == GaussianRational(Fraction(3), Fraction(0))
+    assert type(GaussianRational(3, 1).im) is Fraction
 
 
 def test_jacobi_identity():
