@@ -23,13 +23,13 @@ print("arg c = -3 pi/4 =", cmath.phase(STATIONARY_PHASE_CONSTANT))
 case = StationaryPhaseCase(
     v0z=0.0, tau=0.5,
     amplitude=gaussian_amplitude(1.0, 0.3, cut=3.0),
-    x_list=tuple(10 ** e for e in (-2, -2.5, -3, -3.5, -4)),
+    x_list=tuple(10 ** e for e in (-2, -2.5, -3, -3.5, -4, -6)),
 )
 print("\nenergy equation: sigma_c = V0 + 1/(4 tau^2) =", case.sigma_c)
 
 res = stationary_phase_check(case)
 print("measured peak:", res.peak_sigma)
-print("phase Hessian at x = 1e-4:", res.hessian_measured,
+print(f"phase Hessian at x = {case.x_list[-1]:.0e}:", res.hessian_measured,
       " (expected -2 tau^3/x =", res.hessian_expected, ")")
 
 cmod = abs(STATIONARY_PHASE_CONSTANT)

@@ -65,6 +65,7 @@ DEFAULTS = {
     },
 }
 
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 CONFIG_SCHEMA = {
     "type": "object",
     "required": ["mode"],
@@ -95,7 +96,14 @@ CONFIG_SCHEMA = {
         },
         "energy": {"type": ["number", "array", "string"]},
         "stages": {"type": "array", "items": {"type": "string"}},
-        "options": {"type": "object"},
+        "options": {"type": "object", "properties": {"stationaryPhase": {
+            "type": "object",
+            "properties": {"v0z": {"type": "number"}, "tau": _POSITIVE,
+                           "center": {"type": ["number", "null"]},
+                           "width": _POSITIVE, "cut": _POSITIVE,
+                           "xList": {"type": "array", "minItems": 1, "items": _POSITIVE}},
+            "additionalProperties": False,
+        }}},
     },
 }
 
@@ -141,7 +149,9 @@ class AnalysisConfig:
     def from_dict(cls, data: dict) -> "AnalysisConfig":
         error = jsonschema.exceptions.best_match(_config_validator().iter_errors(data))
         if error is not None:
-            raise ConfigError(f"config schema violation: {error.message}")
+            path = ".".join(map(str, error.absolute_path))
+            where = f" at {path}" if path else ""
+            raise ConfigError(f"config schema violation{where}: {error.message}")
         mode = data["mode"]
         cps = []
         for entry in data.get("criticalPoints", []):

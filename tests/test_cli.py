@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import pathlib
 import re
@@ -126,10 +127,10 @@ def test_scan_grid_points_must_be_integer_at_least_2(tmp_path, capsys, grid):
     assert not (tmp_path / "o").exists()
 
 
-def assert_config_exit(tmp_path, capsys, data, message):
+def assert_config_exit(tmp_path, capsys, data, message, command="analyze"):
     """The CLI exits 2 with one stderr line holding `message`, no traceback, no report."""
     cfg = write_config(tmp_path, data)
-    assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert err.startswith("config error: ") and message in err
@@ -208,6 +209,40 @@ def test_stationary_phase_support_clipped_at_v0(tmp_path):
     res = rep["global"]["stationaryPhase"]
     assert abs(res["peakSigma"] - 1.0 / (4.0 * 0.6 ** 2)) < 1e-6
     assert 0.8 <= res["convergenceExponent"] <= 1.2
+
+
+@pytest.mark.parametrize("x_list", [[1e-3, 3e-4, 5e-5], [1e-3, 1e-4, 1e-6]])
+def test_stationary_phase_clipped_support_at_small_x(tmp_path, x_list):
+    # tau = 0.6 clips the support at V0(z) = 0, which in u = sqrt(sigma - V0)
+    # is a smooth end point at every x
+    cfg = write_config(tmp_path, dict(COS2_CONFIG, options={
+        "stationaryPhase": {"tau": 0.6, "xList": x_list}}))
+    assert main(["stationary-phase", "--config", cfg,
+                 "--out", str(tmp_path / "o")]) == EXIT_OK
+    res = json.loads((tmp_path / "o" / "report.json").read_text())["global"]["stationaryPhase"]
+    assert abs(res["peakSigma"] - 1.0 / (4.0 * 0.6 ** 2)) < 1e-6
+    if x_list[-1] == 1e-6:
+        assert abs(res["rows"][-1]["prefactorMod"] - 1.0 / (2.0 * math.sqrt(math.pi))) < 1e-3
+
+
+@pytest.mark.parametrize("sp, message", [
+    ({"tau": -0.5}, "at options.stationaryPhase.tau: -0.5 is less than or equal to the minimum of 0"),
+    ({"tau": "a"}, "at options.stationaryPhase.tau: 'a' is not of type 'number'"),
+    ({"width": 0}, "at options.stationaryPhase.width: 0 is less than or equal to the minimum of 0"),
+    ({"cut": -1}, "at options.stationaryPhase.cut: -1 is less than or equal to the minimum of 0"),
+    ({"xList": []}, "at options.stationaryPhase.xList: [] should be non-empty"),
+    ({"xList": [1e-3, 0]},
+     "at options.stationaryPhase.xList.1: 0 is less than or equal to the minimum of 0"),
+    ({"xList": [1e-3, -1e-3]},
+     "at options.stationaryPhase.xList.1: -0.001 is less than or equal to the minimum of 0"),
+    ({"xlist": [1e-3]}, "Additional properties are not allowed ('xlist' was unexpected)"),
+])
+def test_stationary_phase_options_checked_at_load(tmp_path, capsys, sp, message):
+    assert_config_exit(tmp_path, capsys, {
+        "mode": "abstract",
+        "criticalPoints": [{"label": "z", "value": 0, "hessian": [1]}],
+        "options": {"stationaryPhase": sp},
+    }, message, command="stationary-phase")
 
 
 def test_schema_doc_matches_defaults_and_schema():

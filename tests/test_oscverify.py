@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from radialscope.oscverify import (STATIONARY_PHASE_CONSTANT, NoStationaryPointError,
-                                   QuadratureError, StationaryPhaseCase, _filon_integrate,
+                                   QuadratureError, StationaryPhaseCase,
                                    gaussian_amplitude, locate_phase_peak,
                                    measure_phase_hessian, oscillatory_quadrature,
-                                   psi_of_tau, stationary_phase_check)
+                                   psi_of_tau, quadratic_phase_filon,
+                                   stationary_phase_check, _quadratic_moments)
 
 AMP = gaussian_amplitude(1.0, 0.05)
 
@@ -18,6 +19,13 @@ def acceptance_case(x_list=(1e-2, 1e-3, 1e-4)):
     return StationaryPhaseCase(v0z=0.0, tau=0.5,
                                amplitude=gaussian_amplitude(1.0, 0.3, cut=3.0),
                                x_list=tuple(x_list))
+
+
+def filon_integral(case, x, tol=1e-13, **kwargs):
+    """integral a(sigma) e^{i phi(sigma)/x} d sigma by the Filon rule in u, and its panels."""
+    val, panels = quadratic_phase_filon(case.u_amplitude, -case.tau / x, 0.5 / case.tau,
+                                        *case.u_support(), tol, **kwargs)
+    return val * cmath.exp(1j * case.psi / x), panels
 
 
 def test_zero_phase_reduces_to_plain_integral():
@@ -46,13 +54,85 @@ def test_no_stationary_point_rapid_decay():
 
 
 def test_filon_agrees_with_gauss_kronrod():
+    # the Filon rule in u against Gauss-Kronrod in sigma
     case = acceptance_case()
     lo, hi = case.support()
-    for x in (3e-4, 1.5e-4):
-        gk = oscillatory_quadrature(case.amplitude, case.phase, x, lo, hi,
-                                    filon_threshold=1e-6)    # force GK
-        fi, _ = _filon_integrate(case.amplitude, case.phase, x, lo, hi, 1e-13)
+    for x in (1e-2, 1e-3, 3e-4, 1.5e-4):
+        gk = oscillatory_quadrature(case.amplitude, case.phase, x, lo, hi)
+        fi, _ = filon_integral(case, x)
         assert abs(gk - fi) < 1e-10 * max(abs(gk), 1e-3)
+
+
+def test_check_integrals_agree_with_gauss_kronrod_relative():
+    # the check's tolerance is absolute (1e-10 of max|a| times the support), yet
+    # its integrals match Gauss-Kronrod to 1e-10 relative, also on a support
+    # clipped at V0 (tau = 0.6), where one agreement of two passes was not enough
+    for tau in (0.5, 0.6):
+        case = StationaryPhaseCase(v0z=0.0, tau=tau,
+                                   amplitude=gaussian_amplitude(0.25 / tau ** 2, 0.3, cut=3.0),
+                                   x_list=(1e-3, 1e-4))
+        lo, hi = case.support()
+        for row in stationary_phase_check(case).rows:
+            gk = oscillatory_quadrature(case.amplitude, case.phase, row["x"], lo, hi) / (2j * math.pi)
+            assert abs(row["integral"] - gk) <= 1e-10 * abs(gk)
+
+
+def test_filon_against_mpmath_oracle():
+    # the u-integrand 2u a(u^2) e^{-i tau (u - 1/(2 tau))^2 / x} is smooth:
+    # 30-digit tanh-sinh quadrature of it is an independent oracle
+    import mpmath as mp
+
+    mp.mp.dps = 30
+    case, x = acceptance_case(), 1e-3
+    lo, hi = case.u_support()
+    beta, u0 = -case.tau / x, 0.5 / case.tau
+
+    def f(u):
+        s = float(u)
+        return 2.0 * s * case.amplitude(s * s) * mp.expj(beta * (u - u0) ** 2)
+
+    oracle = complex(mp.quad(f, mp.linspace(lo, hi, 41), maxdegree=6))
+    ours, _ = quadratic_phase_filon(case.u_amplitude, beta, u0, lo, hi, 1e-13)
+    assert abs(oracle - ours) < 1e-12
+    mirror, _ = quadratic_phase_filon(case.u_amplitude, -beta, u0, lo, hi, 1e-13)
+    assert abs(mirror - oracle.conjugate()) < 1e-12
+
+
+@pytest.mark.parametrize("b", [1e-9, -0.3, 1.0, -1.01, 5.0, -40.0, 600.0])
+def test_quadratic_moments_against_gauss_legendre(b):
+    # every branch: chirp series (|b| <= 1), forward recurrence near the
+    # stationary point, backward sweep far from it
+    s_star = np.array([0.0, 0.4, 1.0, 1.99, 2.01, 3.0, 12.0, 40.0])
+    a = -2.0 * b * s_star if abs(b) > 1e-3 else 3.0 * s_star
+    mu = _quadratic_moments(a, b)
+    t, w = np.polynomial.legendre.leggauss(40)
+    for row, ai in zip(mu, a):
+        edges = np.linspace(-1.0, 1.0, int(abs(ai) + 2 * abs(b)) // 8 + 5)
+        s = (0.5 * (edges[1:] + edges[:-1])[:, None] + 0.5 * np.diff(edges)[:, None] * t).ravel()
+        ws = (0.5 * np.diff(edges)[:, None] * w).ravel() * np.exp(1j * (ai * s + b * s * s))
+        ref = np.array([np.sum(ws * s ** j) for j in range(len(row))])
+        assert np.max(np.abs(row - ref)) < 1e-12
+
+
+def test_filon_panels_do_not_grow_as_x_shrinks():
+    res = stationary_phase_check(acceptance_case(x_list=(1e-3, 1e-6)))
+    panels = {r["x"]: r["panels"] for r in res.rows}
+    assert panels[1e-6] <= 4 * panels[1e-3]
+    assert abs(res.rows[-1]["prefactorMod"] - abs(STATIONARY_PHASE_CONSTANT)) < 1e-6
+
+
+def test_filon_panels_same_for_affine_equivalent_cases():
+    # sigma = V0 + s v maps the (tau, width) = (0.5, 0.3) problem at x to the one
+    # at tau / sqrt(s), width * s, x * sqrt(s): the same quadrature in u, scaled
+    counts = set()
+    for v0z, s in ((0.0, 1.0), (0.3, 1.1), (-0.7, 0.85), (0.41, 1.23)):
+        tau = 0.5 / math.sqrt(s)
+        case = StationaryPhaseCase(
+            v0z=v0z, tau=tau,
+            amplitude=gaussian_amplitude(v0z + 1 / (4 * tau * tau), 0.3 * s, cut=3.0),
+            x_list=(2.5e-5 * math.sqrt(s),))
+        counts.add(stationary_phase_check(case).rows[0]["panels"])
+    assert len(counts) == 1
 
 
 def test_energy_equation_peak():
@@ -137,7 +217,7 @@ def test_quadrature_error_budget_exceeded():
 
 
 def test_prefactor_convergence_continues_into_filon_regime():
-    case = acceptance_case(x_list=(1e-4, 5e-5, 3e-5))   # below 1e-4: Filon rule
+    case = acceptance_case(x_list=(1e-4, 5e-5, 3e-5))
     res = stationary_phase_check(case)
     cmod = abs(STATIONARY_PHASE_CONSTANT)
     cph = cmath.phase(STATIONARY_PHASE_CONSTANT)
@@ -167,18 +247,30 @@ def test_against_mpmath_high_precision_oracle():
     assert abs(oracle - ours) < 1e-12
 
 
-def test_filon_unconverged_is_a_quadrature_error(monkeypatch):
-    # panels whose composite sum never settles: after the last doubling the
-    # estimate is that halving's difference, not 0, and must fail the budget
-    monkeypatch.setattr("radialscope.oscverify._filon_panel",
-                        lambda f, phi, x, u, v: math.sqrt(v - u))
-    lo, hi = AMP.support
-    val, err = _filon_integrate(AMP, lambda s: 0.0, 1e-5, lo, hi, 1e-8)
-    assert err == pytest.approx(val * (1.0 - math.sqrt(0.5)))
-    with pytest.raises(QuadratureError):
-        oscillatory_quadrature(AMP, lambda s: 0.0, 1e-5, lo, hi)
+def test_filon_unconverged_is_a_quadrature_error():
+    # passes that have not agreed twice when the panel budget runs out fail
+    case = acceptance_case()
+    with pytest.raises(QuadratureError, match="within 32 panels"):
+        filon_integral(case, 1e-3, max_panels=32)
+    val, panels = filon_integral(case, 1e-3)
+    assert panels > 32 and math.isfinite(abs(val))
 
 
 def test_filon_nan_is_a_quadrature_error():
-    with pytest.raises(QuadratureError), np.errstate(invalid="ignore"):
-        oscillatory_quadrature(AMP, lambda s: math.nan, 1e-5, *AMP.support)
+    with pytest.raises(QuadratureError, match="with 8 panels is not finite"):
+        quadratic_phase_filon(lambda u: np.full(u.shape, np.nan), -500.0, 1.0, 0.3, 1.4, 1e-10)
+
+
+def test_gaussian_amplitude_array_matches_scalar():
+    center, width, cut = 1.0, 0.3, 3.0
+    amp = gaussian_amplitude(center, width, cut=cut)
+    lo, hi = amp.support
+    band = [center + sign * k * width for sign in (-1, 1) for k in (cut - 2.0, cut)]
+    sigma = np.concatenate([np.linspace(lo - 0.2, hi + 0.2, 1995), [lo, hi, center], band])
+    assert sigma.size == 2002
+    vec = amp(sigma)
+    ref = np.array([amp(float(s)) for s in sigma])
+    zero = ref == 0.0
+    assert zero.any() and (~zero).any()
+    assert np.all(vec[zero] == 0.0)
+    assert np.all(np.abs(vec[~zero] - ref[~zero]) <= 2 * np.spacing(ref[~zero]))
