@@ -96,20 +96,29 @@ CONFIG_SCHEMA = {
         },
         "energy": {"type": ["number", "array", "string"]},
         "stages": {"type": "array", "items": {"type": "string"}},
-        "options": {"type": "object", "properties": {"stationaryPhase": {
-            "type": "object",
-            "properties": {"v0z": {"type": "number"}, "tau": _POSITIVE,
-                           "center": {"type": ["number", "null"]},
-                           "width": _POSITIVE, "cut": _POSITIVE,
-                           "xList": {"type": "array", "minItems": 1, "items": _POSITIVE}},
-            "additionalProperties": False,
-        }}},
+        "options": {"type": "object", "properties": {
+            **{key: _POSITIVE for key in ("tol", "bisectTol", "flowTol", "wStop", "seedEps",
+                                          "ballRadius", "holdTime", "tMax")},
+            "stationaryPhase": {
+                "type": "object",
+                "properties": {"v0z": {"type": "number"}, "tau": _POSITIVE,
+                               "center": {"type": ["number", "null"]},
+                               "width": _POSITIVE, "cut": _POSITIVE,
+                               "xList": {"type": "array", "minItems": 1,
+                                         "items": _POSITIVE}},
+                "additionalProperties": False,
+            }}},
     },
 }
 
 
 class ConfigError(ValueError):
     pass
+
+
+def _stage_error(exc: Exception) -> str:
+    """A stageErrors entry: the exception's type, then its message."""
+    return f"{type(exc).__name__}: {exc}"
 
 
 @functools.cache
@@ -190,9 +199,6 @@ class AnalysisConfig:
         options.update({k: v for k, v in user_opts.items() if k != "stationaryPhase"})
         sp_defaults.update(sp_user)
         options["stationaryPhase"] = sp_defaults
-        for key in ("tol", "bisectTol", "flowTol", "wStop"):
-            if options[key] <= 0:
-                raise ConfigError(f"option {key} must be positive")
         for key, least in (("scanGridPoints", 2), ("maxDegree", 1)):
             value = options[key]
             if isinstance(value, bool) or not isinstance(value, int) or value < least:
@@ -252,7 +258,7 @@ def _point_stages(rp: RadialPoint, stages, options, errors, tag):
                                   "s": float(g.order)} for g in rec_mod.generators],
             }
         except Exception as exc:  # noqa: BLE001 - stage isolation by contract
-            errors[f"{tag}:resonance"] = str(exc)
+            errors[f"{tag}:resonance"] = _stage_error(exc)
 
     nf = None
     if "normalform" in stages and not threshold_blocked and rp.layout.is_real_block:
@@ -266,7 +272,7 @@ def _point_stages(rp: RadialPoint, stages, options, errors, tag):
             nf = reduce_to_normal_form(p, rp, options["maxDegree"])
             out["normalForm"] = nf.to_json_dict()
         except Exception as exc:  # noqa: BLE001
-            errors[f"{tag}:normalform"] = str(exc)
+            errors[f"{tag}:normalform"] = _stage_error(exc)
 
     if "expansion" in stages and not threshold_blocked:
         try:
@@ -297,7 +303,7 @@ def _point_stages(rp: RadialPoint, stages, options, errors, tag):
             out["expansion"] = {"exponents": ed.to_json_dict(),
                                 "template": tpl.to_json_dict()}
         except Exception as exc:  # noqa: BLE001
-            errors[f"{tag}:expansion"] = str(exc)
+            errors[f"{tag}:expansion"] = _stage_error(exc)
     return out
 
 
@@ -331,7 +337,7 @@ def run_analysis(config: AnalysisConfig) -> AnalysisReport:
                     bisect_tol=options["bisectTol"])
                 scans[cp.label] = res.to_json_dict()
             except Exception as exc:  # noqa: BLE001
-                errors[f"scan:{cp.label}"] = str(exc)
+                errors[f"scan:{cp.label}"] = _stage_error(exc)
         global_results["energyScan"] = scans
 
     point_stages = {"radial", "resonance", "normalform", "expansion"} & set(stages)
@@ -384,7 +390,7 @@ def run_analysis(config: AnalysisConfig) -> AnalysisReport:
                     if not ms.verified:
                         errors["morse"] = "; ".join(ms.issues)
             except Exception as exc:  # noqa: BLE001
-                errors["flow"] = str(exc)
+                errors["flow"] = _stage_error(exc)
 
     if "stationaryPhase" in stages or "stationary-phase" in stages:
         sp = options["stationaryPhase"]
@@ -399,7 +405,7 @@ def run_analysis(config: AnalysisConfig) -> AnalysisReport:
             global_results["stationaryPhase"] = res.to_json_dict()
             artifacts["stationaryPhase"] = res
         except Exception as exc:  # noqa: BLE001
-            errors["stationaryPhase"] = str(exc)
+            errors["stationaryPhase"] = _stage_error(exc)
 
     provenance = {
         "tool": "radialscope",

@@ -60,13 +60,32 @@ class PotentialModel:
                 "critical-point pipeline for other dimensions")
         object.__setattr__(self, "v0_coeffs", tuple(tuple(row) for row in self.v0_coeffs))
 
+    # Each form adds its rows left to right from 0, so the scalar, array and
+    # right-hand-side (_rhs) values agree bit for bit where np.cos/np.sin
+    # agree with math.cos/math.sin.
     def v0(self, theta: float) -> float:
-        return sum(a * math.cos(k * theta) + b * math.sin(k * theta)
-                   for k, a, b in self.v0_coeffs)
+        total = 0.0
+        for k, a, b in self.v0_coeffs:
+            total += a * math.cos(k * theta) + b * math.sin(k * theta)
+        return total
 
     def v0_prime(self, theta: float) -> float:
-        return sum(-a * k * math.sin(k * theta) + b * k * math.cos(k * theta)
-                   for k, a, b in self.v0_coeffs)
+        total = 0.0
+        for k, a, b in self.v0_coeffs:
+            total += -a * k * math.sin(k * theta) + b * k * math.cos(k * theta)
+        return total
+
+    def v0_array(self, theta: np.ndarray) -> np.ndarray:
+        total = np.zeros(np.shape(theta))
+        for k, a, b in self.v0_coeffs:
+            total += a * np.cos(k * theta) + b * np.sin(k * theta)
+        return total
+
+    def v0_prime_array(self, theta: np.ndarray) -> np.ndarray:
+        total = np.zeros(np.shape(theta))
+        for k, a, b in self.v0_coeffs:
+            total += -a * k * np.sin(k * theta) + b * k * np.cos(k * theta)
+        return total
 
     def v0_second(self, theta: float) -> float:
         return sum(-a * k * k * math.cos(k * theta) - b * k * k * math.sin(k * theta)
@@ -105,10 +124,23 @@ def field_eval(pm: PotentialModel, sigma: float, pt: ContactPoint) -> np.ndarray
 
 
 def _rhs(pm: PotentialModel, sigma: float):
+    """W as solve_ivp's right-hand side, with one cos/sin pair per row.
+
+    Each row carries the products -a k and b k that pm.v0_prime forms, so
+    the values equal field_eval's bit for bit.
+    """
+    rows = tuple((k, a, b, -a * k, b * k) for k, a, b in pm.v0_coeffs)
+    cos, sin = math.cos, math.sin
+
     def fn(_t, z):
-        theta, nu, mu = z
-        p = nu * nu + mu * mu + pm.v0(theta) - sigma
-        return (2.0 * mu, 2.0 * mu * mu - p, -2.0 * nu * mu - pm.v0_prime(theta))
+        theta, nu, mu = z.tolist()
+        v = vp = 0.0
+        for k, a, b, ak, bk in rows:
+            c, s = cos(k * theta), sin(k * theta)
+            v += a * c + b * s
+            vp += ak * s + bk * c
+        p = nu * nu + mu * mu + v - sigma
+        return (2.0 * mu, 2.0 * mu * mu - p, -2.0 * nu * mu - vp)
     return fn
 
 
@@ -149,17 +181,16 @@ class Trajectory:
 
     def to_csv_rows(self):
         rows = [("t", "chart", "y1", "nu", "mu1", "p")]
-        for t, (th, nu, mu), p in zip(self.times, self.states, self.pvals):
-            rows.append((repr(float(t)), "circle", repr(float(th)), repr(float(nu)),
-                         repr(float(mu)), repr(float(p))))
+        for t, (th, nu, mu), p in zip(self.times.tolist(), self.states.tolist(),
+                                      self.pvals.tolist()):
+            rows.append((repr(t), "circle", repr(th), repr(nu), repr(mu), repr(p)))
         return rows
 
 
 def _make_trajectory(pm: PotentialModel, sigma: float, times, states, p_ref: float = 0.0) -> Trajectory:
     times = np.asarray(times, dtype=float)
     states = np.asarray(states, dtype=float)
-    pvals = states[:, 1] ** 2 + states[:, 2] ** 2 \
-        + np.array([pm.v0(th) for th in states[:, 0]]) - sigma
+    pvals = states[:, 1] ** 2 + states[:, 2] ** 2 + pm.v0_array(states[:, 0]) - sigma
     drift = float(np.max(np.abs(pvals - p_ref))) if pvals.size else 0.0
     dnu = np.diff(states[:, 1])
     nu_min_inc = float(dnu.min()) if dnu.size else 0.0
@@ -217,17 +248,15 @@ class LocatedRadialPoint:
 
 
 def _critical_angles(pm: PotentialModel, grid: int = 4096, tol: float = 1e-12) -> list[float]:
+    """Zeros of V0' on [0, 2 pi): grid zeros as they are, brentq on sign changes."""
     thetas = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
-    vals = np.array([pm.v0_prime(t) for t in thetas])
-    roots = []
-    for i in range(grid):
+    vals = pm.v0_prime_array(thetas)
+    nxt = np.roll(vals, -1)
+    roots = thetas[vals == 0.0].tolist()
+    for i in np.flatnonzero((vals != 0.0) & (vals * nxt < 0.0)).tolist():
         a, b = thetas[i], thetas[(i + 1) % grid]
-        fa, fb = vals[i], vals[(i + 1) % grid]
-        if fa == 0.0:
-            roots.append(float(a))
-        elif fa * fb < 0.0:
-            bb = b if b > a else b + 2.0 * math.pi
-            roots.append(float(brentq(pm.v0_prime, a, bb, xtol=1e-14)) % (2.0 * math.pi))
+        bb = b if b > a else b + 2.0 * math.pi
+        roots.append(float(brentq(pm.v0_prime, a, bb, xtol=1e-14)) % (2.0 * math.pi))
     dedup: list[float] = []
     for r in sorted(roots):
         if not dedup or abs(r - dedup[-1]) > 1e-9:
@@ -511,10 +540,12 @@ class LyapunovGauge:
     frame_inv: np.ndarray       # maps (dtheta, dmu) to eigen coordinates
     signs: np.ndarray           # +1 unstable, -1 stable
 
-    def rho(self, pt: ContactPoint) -> float:
-        dz = np.array([pt.theta - self.node.theta, pt.mu[0]])
-        xi = self.frame_inv @ dz
-        val = float(np.sum(self.signs * np.abs(xi) ** 2))
+    def rho(self, theta: np.ndarray, mu: np.ndarray) -> np.ndarray:
+        """rho at the points (theta, mu), elementwise over arrays."""
+        dth = theta - self.node.theta
+        (f00, f01), (f10, f11) = self.frame_inv
+        val = self.signs[0] * (f00 * dth + f01 * mu) ** 2 \
+            + self.signs[1] * (f10 * dth + f11 * mu) ** 2
         return val if self.node.outgoing else -val
 
 
@@ -540,39 +571,45 @@ def lyapunov_check(pm: PotentialModel, sigma: float, node: LocatedRadialPoint,
     """Spot check W rho >= c (|y|^2 + |mu|^2) / 2 on shell samples near node.
 
     Returns the empirical constant c and the validated radius (halved
-    until the positivity holds on all samples, if needed).
+    until the positivity holds on all samples, if needed).  Each pass
+    draws 2 * samples uniforms at once, angle 2 pi u[0::2] and radius
+    r sqrt(0.05 + 0.95 u[1::2]), and evaluates every sample as arrays.
+    A pass that fails at sample i leaves the stream 2 (i + 1) draws past
+    its start, as a sample-by-sample loop that stops there would, so the
+    next pass draws the same values.  Samples off the shell are skipped
+    but still consume their draws.
     """
     rng = rng or np.random.default_rng(20260810)
     gauge = lyapunov_gauge(pm, sigma, node)
+    h = 1e-7
     r = radius
     for _ in range(12):
-        ok = True
-        c_best = math.inf
-        for _ in range(samples):
-            ang = rng.uniform(0.0, 2.0 * math.pi)
-            rad = r * math.sqrt(rng.uniform(0.05, 1.0))
-            dth, dmu = rad * math.cos(ang), rad * math.sin(ang)
-            th = node.theta + dth
-            mu = dmu
-            shell = sigma - pm.v0(th) - mu * mu
-            if shell <= 0:
-                continue
-            nu = math.copysign(math.sqrt(shell), node.nu)
-            pt = ContactPoint("circle", (th,), nu, (mu,))
-            w = field_eval(pm, sigma, pt)
-            # W rho via the chain rule in (theta, mu); rho is nu-independent
-            h = 1e-7
-            pt_th = ContactPoint("circle", (th + h,), nu, (mu,))
-            pt_mu = ContactPoint("circle", (th,), nu, (mu + h,))
-            drho_th = (gauge.rho(pt_th) - gauge.rho(pt)) / h
-            drho_mu = (gauge.rho(pt_mu) - gauge.rho(pt)) / h
-            wrho = drho_th * w[0] + drho_mu * w[2]
-            quad = dth * dth + dmu * dmu
-            if wrho <= 0:
-                ok = False
-                break
-            c_best = min(c_best, 2.0 * wrho / quad)
-        if ok and c_best < math.inf:
+        start = rng.bit_generator.state
+        u = rng.random(2 * samples)
+        ang = 2.0 * math.pi * u[0::2]
+        rad = r * np.sqrt(0.05 + 0.95 * u[1::2])
+        dth, dmu = rad * np.cos(ang), rad * np.sin(ang)
+        th = node.theta + dth
+        shell = sigma - pm.v0_array(th) - dmu * dmu
+        kept = np.flatnonzero(shell > 0)
+        th, mu, dth, shell = th[kept], dmu[kept], dth[kept], shell[kept]
+        nu = np.copysign(np.sqrt(shell), node.nu)
+        # W's theta and mu components as field_eval forms them; rho is
+        # nu-independent
+        w_th = 2.0 * mu
+        w_mu = -2.0 * nu * mu - pm.v0_prime_array(th)
+        # W rho via the chain rule, with forward differences of rho
+        rho = gauge.rho(th, mu)
+        drho_th = (gauge.rho(th + h, mu) - rho) / h
+        drho_mu = (gauge.rho(th, mu + h) - rho) / h
+        wrho = drho_th * w_th + drho_mu * w_mu
+        failed = np.flatnonzero(wrho <= 0)
+        if failed.size:
+            rng.bit_generator.state = start
+            rng.random(2 * (int(kept[failed[0]]) + 1))
+        elif kept.size:
+            quad = dth * dth + mu * mu
+            c_best = float(np.min(2.0 * wrho / quad))
             return {"nodeId": node.node_id, "validatedRadius": r, "c": c_best, "ok": True}
         r /= 2.0
     return {"nodeId": node.node_id, "validatedRadius": 0.0, "c": 0.0, "ok": False}

@@ -9,6 +9,7 @@ import sys
 import jsonschema
 import pytest
 
+from radialscope import cli_reports
 from radialscope.cli import build_parser, main
 from radialscope.cli_reports import (CONFIG_SCHEMA, DEFAULTS, EXIT_CONFIG,
                                      EXIT_FORBIDDEN_ENERGY, EXIT_NUMERICAL, EXIT_OK,
@@ -187,6 +188,28 @@ def test_stage_isolation_failing_stage_preserves_others(tmp_path):
     assert "expansion" in rep["perEnergy"]["1.0"]["min"]
 
 
+def test_stage_error_names_exception_type(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path, {
+        "mode": "abstract",
+        "criticalPoints": [{"label": "min", "value": 0, "hessian": [0.375]}],
+        "energy": 1.0,
+        "stages": ["stationaryPhase"],
+        "options": {"stationaryPhase": {"tau": 0.1, "center": 1.0, "width": 0.05}},
+    })
+    assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "sp")]) == EXIT_NUMERICAL
+    errors = json.loads((tmp_path / "sp" / "report.json").read_text())["stageErrors"]
+    assert errors["stationaryPhase"].startswith("NoStationaryPointError: sigma_c = ")
+
+    def fail(*args, **kwargs):
+        raise FloatingPointError("forced")
+
+    monkeypatch.setattr(cli_reports, "heteroclinic_dag", fail)
+    cfg = write_config(tmp_path, COS2_CONFIG, name="flow.json")
+    assert main(["flow", "--config", cfg, "--out", str(tmp_path / "flow")]) == EXIT_NUMERICAL
+    errors = json.loads((tmp_path / "flow" / "report.json").read_text())["stageErrors"]
+    assert errors == {"flow": "FloatingPointError: forced"}
+
+
 def test_stationary_phase_subcommand(tmp_path):
     cfg = write_config(tmp_path, {
         "mode": "abstract",
@@ -243,6 +266,30 @@ def test_stationary_phase_options_checked_at_load(tmp_path, capsys, sp, message)
         "criticalPoints": [{"label": "z", "value": 0, "hessian": [1]}],
         "options": {"stationaryPhase": sp},
     }, message, command="stationary-phase")
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("flowTol", "x", "at options.flowTol: 'x' is not of type 'number'"),
+    ("ballRadius", "a", "at options.ballRadius: 'a' is not of type 'number'"),
+    ("holdTime", None, "at options.holdTime: None is not of type 'number'"),
+    ("tMax", -1, "at options.tMax: -1 is less than or equal to the minimum of 0"),
+    ("seedEps", 0, "at options.seedEps: 0 is less than or equal to the minimum of 0"),
+    ("wStop", "1e-6", "at options.wStop: '1e-6' is not of type 'number'"),
+    ("tol", 0, "at options.tol: 0 is less than or equal to the minimum of 0"),
+    ("bisectTol", -1e-10, "at options.bisectTol: -1e-10 is less than or equal to the minimum of 0"),
+])
+def test_flow_and_tolerance_options_checked_at_load(tmp_path, capsys, key, value, message):
+    assert_config_exit(tmp_path, capsys, dict(COS2_CONFIG, options={key: value}), message,
+                       command="morse")
+
+
+def test_tol_override_checked_at_load(tmp_path, capsys):
+    cfg = write_config(tmp_path, COS2_CONFIG)
+    assert main(["morse", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--tol", "0"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == ("config error: config schema violation at options.tol: "
+                   "0.0 is less than or equal to the minimum of 0\n")
 
 
 def test_schema_doc_matches_defaults_and_schema():

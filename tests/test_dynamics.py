@@ -4,11 +4,13 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from scipy.optimize import brentq
+
 from radialscope.dynamics import (ContactPoint, HeteroclinicDag, NotMorseError,
-                                  PotentialModel, ThresholdEnergyError, field_eval,
-                                  heteroclinic_dag, integrate_flow,
-                                  locate_radial_points, lyapunov_check, morse_sequence,
-                                  symbol_value)
+                                  PotentialModel, ThresholdEnergyError, _critical_angles,
+                                  _rhs, field_eval, heteroclinic_dag, integrate_flow,
+                                  locate_radial_points, lyapunov_check, lyapunov_gauge,
+                                  morse_sequence, symbol_value)
 from radialscope.radial import CriticalPointSpec, linearization_spectrum
 
 COS2 = PotentialModel(n=2, v0_coeffs=[(2, 1.0, 0.0)])
@@ -224,6 +226,9 @@ def test_trajectory_csv_rows():
     rows = traj.to_csv_rows()
     assert rows[0] == ("t", "chart", "y1", "nu", "mu1", "p")
     assert len(rows) == len(traj.times) + 1
+    th, nu, mu = traj.states[-1]
+    assert rows[-1] == (repr(float(traj.times[-1])), "circle", repr(float(th)),
+                        repr(float(nu)), repr(float(mu)), repr(float(traj.pvals[-1])))
 
 
 def test_tangency_identity_symbolic():
@@ -251,3 +256,137 @@ def test_asymmetric_double_well_dag():
     for e in dag.edges:
         assert e.trajectory.p_drift <= 1e-9
         assert e.trajectory.nu_min_increment >= -1e-9
+
+
+def random_potentials(seed, count):
+    """Random trigonometric potentials with 1-3 rows, harmonics 0-4."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        rows = [(int(rng.integers(0, 5)), float(rng.normal()), float(rng.normal()))
+                for _ in range(int(rng.integers(1, 4)))]
+        out.append(PotentialModel(n=2, v0_coeffs=rows))
+    return out
+
+
+def reference_rhs(pm, sigma, z):
+    """W from the scalar symbol, V0 and V0' as field_eval forms it."""
+    theta, nu, mu = z
+    p = nu * nu + mu * mu + pm.v0(theta) - sigma
+    return (2.0 * mu, 2.0 * mu * mu - p, -2.0 * nu * mu - pm.v0_prime(theta))
+
+
+def test_rhs_equals_scalar_formula_bitwise():
+    rng = np.random.default_rng(31)
+    for pm in random_potentials(5, 4) + [COS2]:
+        sigma = float(rng.uniform(-1.0, 3.0))
+        fn = _rhs(pm, sigma)
+        for _ in range(500):
+            z = np.array([rng.uniform(-10.0, 10.0), rng.normal(), rng.normal()])
+            got = [float(v).hex() for v in fn(0.0, z)]
+            assert got == [float(v).hex() for v in reference_rhs(pm, sigma, z)]
+
+
+def reference_lyapunov_check(pm, sigma, node, radius, samples=200, rng=None):
+    """lyapunov_check one sample at a time, with a matrix-vector product per rho."""
+    rng = rng or np.random.default_rng(20260810)
+    gauge = lyapunov_gauge(pm, sigma, node)
+
+    def rho(th, mu):
+        xi = gauge.frame_inv @ np.array([th - node.theta, mu])
+        val = float(np.sum(gauge.signs * np.abs(xi) ** 2))
+        return val if node.outgoing else -val
+
+    r = radius
+    for _ in range(12):
+        ok = True
+        c_best = math.inf
+        for _ in range(samples):
+            ang = rng.uniform(0.0, 2.0 * math.pi)
+            rad = r * math.sqrt(rng.uniform(0.05, 1.0))
+            dth, dmu = rad * math.cos(ang), rad * math.sin(ang)
+            th = node.theta + dth
+            mu = dmu
+            shell = sigma - pm.v0(th) - mu * mu
+            if shell <= 0:
+                continue
+            nu = math.copysign(math.sqrt(shell), node.nu)
+            w = field_eval(pm, sigma, ContactPoint("circle", (th,), nu, (mu,)))
+            h = 1e-7
+            drho_th = (rho(th + h, mu) - rho(th, mu)) / h
+            drho_mu = (rho(th, mu + h) - rho(th, mu)) / h
+            wrho = drho_th * w[0] + drho_mu * w[2]
+            quad = dth * dth + dmu * dmu
+            if wrho <= 0:
+                ok = False
+                break
+            c_best = min(c_best, 2.0 * wrho / quad)
+        if ok and c_best < math.inf:
+            return {"nodeId": node.node_id, "validatedRadius": r, "c": c_best, "ok": True}
+        r /= 2.0
+    return {"nodeId": node.node_id, "validatedRadius": 0.0, "c": 0.0, "ok": False}
+
+
+@pytest.mark.parametrize("radius", [1e-2, 2.0, 3.0])
+def test_lyapunov_check_matches_per_sample_reference(radius):
+    # radii 2.0 and 3.0 fail a pass part way through its samples, so the
+    # halved pass must start where the per-sample loop stopped drawing
+    pm = PotentialModel(n=2, v0_coeffs=[(2, 1.0, 0.0), (1, 0.0, 0.3)])
+    halved = 0
+    for node in locate_radial_points(pm, 2.2):
+        if not node.outgoing:
+            continue
+        # the default generator, then a caller's one, which must be left
+        # where the per-sample loop leaves it
+        for seed in (20260810, 7):
+            rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = lyapunov_check(pm, 2.2, node, radius=radius,
+                                 rng=rng_new if seed == 7 else None)
+            want = reference_lyapunov_check(pm, 2.2, node, radius, rng=rng_ref)
+            assert (got["nodeId"], got["ok"], got["validatedRadius"]) == \
+                (want["nodeId"], want["ok"], want["validatedRadius"])
+            assert got["c"] == pytest.approx(want["c"], rel=1e-7, abs=0.0)
+            if seed == 7:
+                assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+            halved += got["validatedRadius"] < radius
+    assert halved > 0 if radius > 1.0 else halved == 0
+
+
+def reference_critical_angles(pm, grid=4096):
+    """_critical_angles with V0' evaluated one grid point at a time."""
+    thetas = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
+    vals = [pm.v0_prime(float(t)) for t in thetas]
+    roots = []
+    for i in range(grid):
+        a, b = float(thetas[i]), float(thetas[(i + 1) % grid])
+        fa, fb = vals[i], vals[(i + 1) % grid]
+        if fa == 0.0:
+            roots.append(a)
+        elif fa * fb < 0.0:
+            bb = b if b > a else b + 2.0 * math.pi
+            roots.append(brentq(pm.v0_prime, a, bb, xtol=1e-14) % (2.0 * math.pi))
+    dedup = []
+    for r in sorted(roots):
+        if not dedup or abs(r - dedup[-1]) > 1e-9:
+            dedup.append(r)
+    if dedup and abs(dedup[0] + 2.0 * math.pi - dedup[-1]) < 1e-9:
+        dedup.pop()
+    return dedup
+
+
+def test_critical_angles_match_scalar_grid():
+    # sin(2 theta) vanishes exactly at grid point 0, so the grid-zero branch runs too
+    pms = random_potentials(11, 6) + [COS2, PotentialModel(n=2, v0_coeffs=[(2, 0.0, 1.0)])]
+    for pm in pms:
+        assert _critical_angles(pm) == reference_critical_angles(pm)
+
+
+def test_potential_arrays_match_scalar_forms():
+    thetas = np.random.default_rng(3).uniform(-7.0, 7.0, 400)
+    for pm in random_potentials(13, 4):
+        want_v0 = np.array([pm.v0(t) for t in thetas.tolist()])
+        want_vp = np.array([pm.v0_prime(t) for t in thetas.tolist()])
+        scale = sum(abs(a) + abs(b) for _, a, b in pm.v0_coeffs) * 5.0
+        np.testing.assert_allclose(pm.v0_array(thetas), want_v0, rtol=0, atol=1e-14 * scale)
+        np.testing.assert_allclose(pm.v0_prime_array(thetas), want_vp, rtol=0,
+                                   atol=1e-14 * scale)
