@@ -179,6 +179,17 @@ class WeightedPolynomial:
 
     # -- construction helpers -------------------------------------------------
 
+    @classmethod
+    def _trusted(cls, layout: VariableLayout, mode: str,
+                 terms: dict[MonomialKey, object]) -> "WeightedPolynomial":
+        """An instance that owns `terms` as they are: keys of the layout's
+        shape with nonnegative exponents, coefficients of the mode's type,
+        no zeros.  For results of this module's own operations; public
+        construction goes through __init__, which checks all of that."""
+        out = object.__new__(cls)
+        out.layout, out.mode, out._terms = layout, mode, terms
+        return out
+
     def _coerce(self, coeff):
         if self.mode == EXACT:
             return GaussianRational.coerce(coeff)
@@ -298,7 +309,7 @@ class WeightedPolynomial:
                 out[key] = coeff
             elif cur is not None:
                 del out[key]
-        return WeightedPolynomial(self.layout, self.mode, out)
+        return WeightedPolynomial._trusted(self.layout, self.mode, out)
 
     def __neg__(self) -> "WeightedPolynomial":
         return self.map_coeffs(lambda c: -c)
@@ -339,7 +350,10 @@ class WeightedPolynomial:
         s = self._coerce(scalar)
         if not s:
             return WeightedPolynomial.zero(self.layout, self.mode)
-        return self.map_coeffs(lambda c: c * s)
+        # a floating product can underflow to 0
+        return WeightedPolynomial._trusted(
+            self.layout, self.mode,
+            {k: v for k, c in self._terms.items() if (v := c * s)})
 
     def chop(self, tol: float = 0.0) -> "WeightedPolynomial":
         """Drop floating terms with |coeff| <= tol (no-op in exact mode)."""
@@ -360,12 +374,12 @@ class WeightedPolynomial:
     # -- grading -------------------------------------------------------------------
 
     def grade_part(self, l: int) -> "WeightedPolynomial":
-        return WeightedPolynomial(self.layout, self.mode,
-                                  {k: c for k, c in self._terms.items() if grade(k) == l})
+        return WeightedPolynomial._trusted(
+            self.layout, self.mode, {k: c for k, c in self._terms.items() if grade(k) == l})
 
     def truncate_grade(self, max_grade: int) -> "WeightedPolynomial":
-        return WeightedPolynomial(self.layout, self.mode,
-                                  {k: c for k, c in self._terms.items() if grade(k) <= max_grade})
+        return WeightedPolynomial._trusted(
+            self.layout, self.mode, {k: c for k, c in self._terms.items() if grade(k) <= max_grade})
 
     # -- serialization ----------------------------------------------------------------
 
@@ -450,7 +464,7 @@ def bracket(a: WeightedPolynomial, b: WeightedPolynomial,
                            be[:j] + (be[j] - 1,) + be[j + 1:])
                     cur = out.get(key)
                     out[key] = c * m if cur is None else cur + c * m
-    return WeightedPolynomial(a.layout, a.mode, {key: c for key, c in out.items() if c})
+    return WeightedPolynomial._trusted(a.layout, a.mode, {key: c for key, c in out.items() if c})
 
 
 def ad_exponential(b: WeightedPolynomial, p: WeightedPolynomial, max_grade: int) -> WeightedPolynomial:

@@ -1,14 +1,18 @@
 import math
+import types
 
 import networkx as nx
 import numpy as np
 import pytest
 
+from scipy.integrate import solve_ivp
+from scipy.integrate._ivp import dop853_coefficients as dop
 from scipy.optimize import brentq
 
-from radialscope.dynamics import (ContactPoint, HeteroclinicDag, NotMorseError,
-                                  PotentialModel, ThresholdEnergyError, _critical_angles,
-                                  _rhs, field_eval, heteroclinic_dag, integrate_flow,
+from radialscope.dynamics import (MAX_FLOW_STEPS, ContactPoint, FlowStepError, HeteroclinicDag,
+                                  NotMorseError, PotentialModel, ThresholdEnergyError,
+                                  _critical_angles, _dop853, _dop853_step, _rhs, field_eval,
+                                  flow_jacobian, heteroclinic_dag, integrate_flow,
                                   locate_radial_points, lyapunov_check, lyapunov_gauge,
                                   morse_sequence, symbol_value)
 from radialscope.radial import CriticalPointSpec, linearization_spectrum
@@ -282,8 +286,8 @@ def test_rhs_equals_scalar_formula_bitwise():
         sigma = float(rng.uniform(-1.0, 3.0))
         fn = _rhs(pm, sigma)
         for _ in range(500):
-            z = np.array([rng.uniform(-10.0, 10.0), rng.normal(), rng.normal()])
-            got = [float(v).hex() for v in fn(0.0, z)]
+            z = (float(rng.uniform(-10.0, 10.0)), float(rng.normal()), float(rng.normal()))
+            got = [float(v).hex() for v in fn(*z)]
             assert got == [float(v).hex() for v in reference_rhs(pm, sigma, z)]
 
 
@@ -390,3 +394,172 @@ def test_potential_arrays_match_scalar_forms():
         np.testing.assert_allclose(pm.v0_array(thetas), want_v0, rtol=0, atol=1e-14 * scale)
         np.testing.assert_allclose(pm.v0_prime_array(thetas), want_vp, rtol=0,
                                    atol=1e-14 * scale)
+
+
+def saddle_seed(pm, sigma, eps=1e-5):
+    """A shell point eps along the unstable direction of a maximum's outgoing
+    radial point, projected along nu as heteroclinic_dag seeds it."""
+    node = next(n for n in locate_radial_points(pm, sigma) if n.outgoing and not n.is_min)
+    eigvals, eigvecs = np.linalg.eig(flow_jacobian(pm, sigma, node))
+    col = int(np.argmax(eigvals.real))
+    v = np.real(eigvecs[:, col]) / np.linalg.norm(np.real(eigvecs[:, col]))
+    seed = node.contact_point().state() + eps * v
+    seed[1] = math.copysign(math.sqrt(sigma - pm.v0(seed[0]) - seed[2] ** 2), node.nu)
+    return tuple(seed.tolist())
+
+
+def reference_dop853_step(field, y, f0, h):
+    """One DOP853 step as a loop over scipy's tableau, nonzero entries in
+    index order, sums left to right."""
+    n = dop.N_STAGES
+    k = [f0]
+    for s in range(1, n):
+        d = [0.0, 0.0, 0.0]
+        for j in range(s):
+            if dop.A[s, j]:
+                for i in range(3):
+                    d[i] += float(dop.A[s, j]) * k[j][i]
+        k.append(field(*(y[i] + d[i] * h for i in range(3))))
+
+    def combo(weights):
+        out = [0.0, 0.0, 0.0]
+        for j in range(n):
+            if weights[j]:
+                for i in range(3):
+                    out[i] += float(weights[j]) * k[j][i]
+        return tuple(out)
+
+    b = combo(dop.B)
+    return (tuple(y[i] + h * b[i] for i in range(3)), combo(dop.E5), combo(dop.E3))
+
+
+def test_straight_line_step_equals_loop_bitwise():
+    rng = np.random.default_rng(41)
+    for pm in random_potentials(9, 3) + [COS2]:
+        field = _rhs(pm, float(rng.uniform(0.0, 3.0)))
+        for _ in range(200):
+            y = (float(rng.uniform(-7.0, 7.0)), float(rng.normal()), float(rng.normal()))
+            h = float(10.0 ** rng.uniform(-6.0, 0.0))
+            got, want = _dop853_step(field, y, field(*y), h), \
+                reference_dop853_step(field, y, field(*y), h)
+            assert [[v.hex() for v in part] for part in got] == \
+                [[v.hex() for v in part] for part in want]
+
+
+def test_dop853_stepper_follows_solve_ivp():
+    # the same tableau and control as solve_ivp's DOP853: roundoff in the
+    # BLAS stage sums may move a step size, never the step count by more
+    # than a couple or the end state beyond the tolerance
+    pms = [pm for pm in random_potentials(21, 12) if any(k for k, _, _ in pm.v0_coeffs)][:3]
+    assert len(pms) == 3
+    tol = 1e-10
+    for pm in pms:
+        sigma = max(pm.v0(t) for t in np.linspace(0.0, 2.0 * math.pi, 400).tolist()) + 0.5
+        y0 = saddle_seed(pm, sigma)
+        field = _rhs(pm, sigma)
+        # at a loose tolerance roundoff barely moves the error estimate, so
+        # every step of the control (growth capped after a rejection too)
+        # shows in the step times
+        times, _, _ = _dop853(field, y0, 12.0, 1e-4, 1e-6, MAX_FLOW_STEPS)
+        sol = solve_ivp(lambda _t, z: field(*z.tolist()), (0.0, 12.0), y0,
+                        method="DOP853", rtol=1e-4, atol=1e-6)
+        assert times == pytest.approx(sol.t[1:].tolist(), rel=1e-4, abs=0.0)
+    for pm in pms:
+        sigma = max(pm.v0(t) for t in np.linspace(0.0, 2.0 * math.pi, 400).tolist()) + 0.5
+        y0 = saddle_seed(pm, sigma)
+        field = _rhs(pm, sigma)
+        for t_end in (1.0, 12.0):
+            times, states, attempted = _dop853(field, y0, t_end, tol, tol * 1e-2, MAX_FLOW_STEPS)
+            sol = solve_ivp(lambda _t, z: field(*z.tolist()), (0.0, t_end), y0,
+                            method="DOP853", rtol=tol, atol=tol * 1e-2)
+            assert sol.success
+            assert times[0] == pytest.approx(float(sol.t[1]), rel=1e-12, abs=0.0)
+            # roundoff in the error sums moves early step sizes by about 1e-6
+            assert times[:10] == pytest.approx(sol.t[1:11].tolist(), rel=1e-4, abs=0.0)
+            assert abs(len(times) - (len(sol.t) - 1)) <= 2
+            if len(times) == len(sol.t) - 1:
+                assert times == pytest.approx(sol.t[1:].tolist(), rel=1e-2, abs=0.0)
+            # solve_ivp evaluates the field twice to start and 12 times per attempt
+            assert abs(attempted - (sol.nfev - 2) // 12) <= 2
+            assert times[-1] == t_end
+            assert np.max(np.abs(np.array(states[-1]) - sol.y[:, -1])) < 1e-8
+
+
+def test_dop853_stepper_matches_closed_form_on_constant_potential():
+    # V0 = c: with R^2 = sigma - c the shell flow is nu = R tanh(2R(t - t0)),
+    # mu = R sech(2R(t - t0)), theta = theta0 + gd(2R(t - t0)) - gd(-2R t0)
+    c, R, t0, theta0 = 0.7, 1.3, 2.0, 0.4
+    pm = PotentialModel(n=2, v0_coeffs=[(0, c, 0.0)])
+    sigma = c + R * R
+
+    def gd(x):
+        return math.atan(math.sinh(x))
+
+    def exact(t):
+        x = 2.0 * R * (t - t0)
+        return (theta0 + gd(x) - gd(-2.0 * R * t0), R * math.tanh(x), R / math.cosh(x))
+
+    times, states, _ = _dop853(_rhs(pm, sigma), exact(0.0), 6.0, 1e-10, 1e-12, MAX_FLOW_STEPS)
+    assert len(times) > 10 and times[-1] == 6.0
+    for t, state in zip(times, states):
+        assert max(abs(a - b) for a, b in zip(state, exact(t))) < 1e-8
+
+
+def test_dop853_stepper_reports_step_floor_and_budget():
+    # y' = y^2 from 1 blows up at t = 1: the step falls below 10 ulp(t)
+    # there, where solve_ivp stops with the same message
+    blowup = lambda a, b, c: (a * a, 0.0, 0.0)   # noqa: E731
+    with pytest.raises(FlowStepError, match="less than spacing") as info:
+        _dop853(blowup, (1.0, 0.0, 0.0), 2.0, 1e-10, 1e-12, MAX_FLOW_STEPS)
+    sol = solve_ivp(lambda _t, z: blowup(*z.tolist()), (0.0, 2.0), [1.0, 0.0, 0.0],
+                    method="DOP853", rtol=1e-10, atol=1e-12)
+    assert sol.status == -1 and str(info.value) == sol.message
+    assert info.value.t == pytest.approx(float(sol.t[-1]), rel=1e-12, abs=0.0)
+    field = _rhs(COS2, 2.0)
+    y0 = saddle_seed(COS2, 2.0)
+    with pytest.raises(FlowStepError, match="budget") as info:
+        _dop853(field, y0, 12.0, 1e-10, 1e-12, 5)
+    assert 0.0 < info.value.t < 12.0
+    assert _dop853(field, y0, 0.0, 1e-10, 1e-12, 5) == ([], [], 0)
+
+
+def test_heteroclinic_dag_step_budget_bounds_huge_t_max():
+    # no ball is ever reached, so without a budget t_max = 1e9 would run for days
+    dag = heteroclinic_dag(COS2, 2.0, ball_radius=1e-300, t_max=1e9)
+    assert not dag.edges
+    assert len(dag.undecided) == 4
+    for rec in dag.undecided:
+        assert "budget" in rec["reason"] and "\n" not in rec["reason"]
+        assert len(rec["final_state"]) == 3
+
+
+def test_trace_budget_counts_a_hold_that_leaves_the_ball(monkeypatch):
+    # a decoy node where the trace sits at t = 2 (mu is 4e-4 there), with
+    # |W| always below w_stop: a hold starts there, leaves the ball, and
+    # the trace goes on with the hold's steps taken off its budget
+    import radialscope.dynamics as dyn
+    edge = heteroclinic_dag(COS2, 2.0).edges[0]
+    nodes = locate_radial_points(COS2, 2.0)
+    source = next(n for n in nodes if n.node_id == edge.source)
+    k = int(np.flatnonzero(edge.trajectory.times == 2.0)[0])
+    th, nu, _ = edge.trajectory.states[k].tolist()
+    decoy = types.SimpleNamespace(node_id="decoy", theta=th, nu=nu)
+    calls = []
+
+    def spy(field, y, t_bound, rtol, atol, max_steps):
+        out = dyn_dop853(field, y, t_bound, rtol, atol, max_steps)
+        calls.append((t_bound, max_steps, out[2]))
+        return out
+
+    dyn_dop853 = dyn._dop853
+    monkeypatch.setattr(dyn, "_dop853", spy)
+    seed = edge.trajectory.states[0].tolist()
+    rec = dyn._trace_to_radial_point(COS2, 2.0, _rhs(COS2, 2.0), seed, nodes + [decoy], source,
+                                     edge.seed_offset, edge.seed_direction, 1e-10, 1e-3,
+                                     1e9, 2.5, 60.0)
+    assert rec.target == edge.target
+    holds = [i for i, c in enumerate(calls) if c[0] == 2.5]
+    assert len(holds) >= 2                        # the decoy's holds, then the target's
+    assert calls[0][1] == MAX_FLOW_STEPS
+    for (_, left, used), (_, nxt, _) in zip(calls, calls[1:]):
+        assert nxt == left - used

@@ -305,6 +305,45 @@ def test_no_zero_terms_stored():
     assert len(y + y - y - y) == 0
 
 
+def _assert_clean(p):
+    """p's terms are what the validating constructor would store."""
+    kind = GaussianRational if p.mode == EXACT else complex
+    for (a, alpha, beta), c in p._terms.items():
+        assert len(alpha) == len(beta) == p.layout.nvars
+        assert a >= 0 and min(alpha + beta, default=0) >= 0
+        assert type(c) is kind and c
+    assert WeightedPolynomial(p.layout, p.mode, dict(p._terms)) == p
+
+
+def test_operation_results_skip_validation_but_stay_clean():
+    # bracket, +, scale, truncate_grade and grade_part build their results
+    # without re-validating; each must equal the checked construction
+    rng = random.Random(17)
+    for lay in (LAY1, LAY2):
+        for _ in range(10):
+            a, b = rand_poly(lay, rng, nterms=6), rand_poly(lay, rng, nterms=6)
+            fa, fb = (WeightedPolynomial(lay, FLOATING, {k: complex(c) for k, c in q._terms.items()})
+                      for q in (a, b))
+            for x, y, scalar in ((a, b, Fraction(-3, 7)), (fa, fb, -3 / 7)):
+                results = [bracket(x, y), bracket(x, y, max_grade=2), x + y, x + x.scale(-1),
+                           x.scale(scalar), x.truncate_grade(2), x.grade_part(1)]
+                for r in results:
+                    _assert_clean(r)
+    # a floating product that underflows is dropped, as __init__ drops zeros
+    tiny = WeightedPolynomial.monomial(LAY1, 1e-200, a=1, mode=FLOATING) \
+        + WeightedPolynomial.monomial(LAY1, 1.0, mode=FLOATING)
+    scaled = tiny.scale(1e-200)
+    _assert_clean(scaled)
+    assert len(scaled) == 1
+    # public construction keeps every check
+    with pytest.raises(ValueError, match="negative exponent"):
+        WeightedPolynomial(LAY1, EXACT, {(0, (-1,), (0,)): 1})
+    with pytest.raises(ValueError, match="does not match layout"):
+        WeightedPolynomial(LAY1, EXACT, {(0, (0, 0), (0,)): 1})
+    with pytest.raises(TypeError):
+        WeightedPolynomial(LAY1, EXACT, {(0, (0,), (0,)): 0.5j})
+
+
 def test_monomial_iteration_canonical_order():
     rng = random.Random(3)
     p = rand_poly(LAY2, rng, nterms=8)
