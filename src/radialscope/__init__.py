@@ -1,10 +1,11 @@
 """radialscope: the computable core of scattering at order-zero potentials.
 
-Modules cover the weighted symbol algebra (symalg), radial-point
-linearization (radial), resonance bookkeeping (resonance), normal-form
-reduction (normalform), explicit boundary flows and the Morse DAG
-(dynamics), eigenfunction expansion templates (expansion), stationary
-phase verification (oscverify) and report orchestration (cli_reports).
+Modules cover the sparse-polynomial kernel (multipoly), the weighted
+symbol algebra built on it (symalg), radial-point linearization
+(radial), resonance bookkeeping (resonance), normal-form reduction
+(normalform), explicit boundary flows and the Morse DAG (dynamics),
+eigenfunction expansion templates (expansion), stationary phase
+verification (oscverify) and report orchestration (cli_reports).
 """
 
 __version__ = "0.1.0"

@@ -66,6 +66,10 @@ DEFAULTS = {
 }
 
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+# integer options and their least values, checked at load
+INTEGER_OPTIONS = {"scanGridPoints": 2, "maxDegree": 1, "K": 0, "maxBetaPrime": 0}
+STAGES = ["radial", "resonance", "normalform", "expansion", "scan", "flow", "morse",
+          "stationaryPhase"]
 CONFIG_SCHEMA = {
     "type": "object",
     "required": ["mode"],
@@ -94,11 +98,17 @@ CONFIG_SCHEMA = {
                                  "items": {"type": "number"}}},
             },
         },
-        "energy": {"type": ["number", "array", "string"]},
-        "stages": {"type": "array", "items": {"type": "string"}},
-        "options": {"type": "object", "properties": {
+        "energy": {"type": ["number", "array", "string"], "items": {"type": "number"}},
+        "stages": {"type": "array", "items": {"enum": STAGES}},
+        "options": {"type": "object", "additionalProperties": False, "properties": {
+            **{key: {"$comment": f"an integer >= {least}, checked at load"}
+               for key, least in INTEGER_OPTIONS.items()},
             **{key: _POSITIVE for key in ("tol", "bisectTol", "flowTol", "wStop", "seedEps",
-                                          "ballRadius", "holdTime", "tMax")},
+                                          "ballRadius", "holdTime", "tMax", "floatResonanceTol")},
+            "sign": {"enum": [1, -1]},
+            "reB": {"type": "number"},
+            "perturbation": {"type": ["object", "null"]},
+            "oscillator": {"type": ["object", "null"]},
             "stationaryPhase": {
                 "type": "object",
                 "properties": {"v0z": {"type": "number"}, "tau": _POSITIVE,
@@ -153,6 +163,15 @@ class AnalysisConfig:
     stages: list[str]
     options: dict
     raw: dict
+    perturbation: WeightedPolynomial | None = field(init=False)   # options.perturbation
+
+    def __post_init__(self):
+        data = self.options.get("perturbation")
+        try:
+            self.perturbation = None if data is None else WeightedPolynomial.from_json_dict(data)
+        except (ArithmeticError, LookupError, TypeError, ValueError) as exc:
+            raise ConfigError(f"options.perturbation is not a polynomial: "
+                              f"{_stage_error(exc)}") from exc
 
     @classmethod
     def from_dict(cls, data: dict) -> "AnalysisConfig":
@@ -199,7 +218,7 @@ class AnalysisConfig:
         options.update({k: v for k, v in user_opts.items() if k != "stationaryPhase"})
         sp_defaults.update(sp_user)
         options["stationaryPhase"] = sp_defaults
-        for key, least in (("scanGridPoints", 2), ("maxDegree", 1)):
+        for key, least in INTEGER_OPTIONS.items():
             value = options[key]
             if isinstance(value, bool) or not isinstance(value, int) or value < least:
                 raise ConfigError(f"option {key} must be an integer >= {least}, got {value!r}")
@@ -237,13 +256,11 @@ class AnalysisReport:
         }
 
 
-def _point_stages(rp: RadialPoint, stages, options, errors, tag):
+def _point_stages(rp: RadialPoint, config: AnalysisConfig, errors, tag):
     """The per-radial-point pipeline: resonance, normal form, expansion."""
     out = {"radial": rp.to_json_dict()}
     threshold_blocked = rp.hessian_threshold
-    perturbation = None
-    if options.get("perturbation") is not None:
-        perturbation = WeightedPolynomial.from_json_dict(options["perturbation"])
+    stages, options, perturbation = config.stages, config.options, config.perturbation
 
     if "resonance" in stages and not threshold_blocked:
         try:
@@ -353,7 +370,7 @@ def run_analysis(config: AnalysisConfig) -> AnalysisReport:
                     rp = linearization_spectrum(cp, sigma, options["sign"])
                 except NoRealRadialPointError as exc:
                     return cp.label, {"error": str(exc)}
-                return cp.label, _point_stages(rp, stages, options, errors, cp.label)
+                return cp.label, _point_stages(rp, config, errors, cp.label)
 
             for label, data in parallel_map(run_cp, config.critical_points):
                 entry[label] = data
@@ -364,7 +381,7 @@ def run_analysis(config: AnalysisConfig) -> AnalysisReport:
                 if not node.outgoing:
                     entry[node.node_id] = {"radial": node.to_json_dict()}
                     continue
-                data = _point_stages(node.record, stages, options, errors, node.node_id)
+                data = _point_stages(node.record, config, errors, node.node_id)
                 data["radial"] = node.to_json_dict()
                 entry[node.node_id] = data
         per_energy[key] = entry
@@ -392,7 +409,7 @@ def run_analysis(config: AnalysisConfig) -> AnalysisReport:
             except Exception as exc:  # noqa: BLE001
                 errors["flow"] = _stage_error(exc)
 
-    if "stationaryPhase" in stages or "stationary-phase" in stages:
+    if "stationaryPhase" in stages:
         sp = options["stationaryPhase"]
         try:
             center = sp["center"]

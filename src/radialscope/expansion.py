@@ -246,22 +246,16 @@ def eff_r_polynomials(rp: RadialPoint, r_eff_r: WeightedPolynomial):
     Terms (0, alpha, e_j) become the coefficient polynomial P_j(y);
     terms (0, alpha'', 0) with no mu factor feed the zeroth-order P_0.
     """
-    nvars = rp.layout.nvars
-    p_polys: dict[int, MultiPoly] = {}
-    p0 = MultiPoly.zero(nvars)
+    parts: dict = {}                  # mu index j (None: no mu factor) -> {alpha: coeff}
     for term in r_eff_r.terms():
         if term.a != 0:
             raise InvalidInputError("effectively resonant terms have a = 0")
-        nbeta = sum(term.beta)
-        if nbeta == 0:
-            p0 = p0 + MultiPoly(nvars, {term.alpha: term.coeff})
-        elif nbeta == 1:
-            j = next(i for i, e in enumerate(term.beta) if e)
-            cur = p_polys.get(j, MultiPoly.zero(nvars))
-            p_polys[j] = cur + MultiPoly(nvars, {term.alpha: term.coeff})
-        else:
+        if sum(term.beta) > 1:
             raise InvalidInputError("effectively resonant terms have |beta| <= 1")
-    return p_polys, (p0 if not p0.is_zero() else None)
+        j = term.beta.index(1) if any(term.beta) else None
+        parts.setdefault(j, {})[term.alpha] = term.coeff
+    p_polys = {j: MultiPoly(rp.layout.nvars, t) for j, t in parts.items()}
+    return p_polys, p_polys.pop(None, None)
 
 
 def _validate_homogeneous(poly: MultiPoly, r_all: Sequence[Fraction], target: Fraction,
@@ -387,11 +381,8 @@ def _certify(rp, p_polys, p0_poly, sec, pr, sec_psharp, pr_psharp, psharp0, r_al
         return poly.map_vars(list(range(poly.nvars)), NV)
 
     def v_apply(f: MultiPoly) -> MultiPoly:
-        out = f.diff(x_slot)
         # x d_x = (X / D) d_X
-        out = MultiPoly(NV, {tuple(e[:x_slot] + (e[x_slot] + 1,) + e[x_slot + 1:]): c * Fraction(1, denom)
-                             for e, c in out.terms.items()})
-        out = out + f.diff(t_slot)
+        out = f.diff(x_slot) * xpow(1).scale(Fraction(1, denom)) + f.diff(t_slot)
         for j in range(nvars):
             if r_all[j] is None:
                 continue

@@ -1,20 +1,27 @@
-"""Minimal sparse multivariate polynomials over exact scalars.
+"""The package's one sparse-polynomial kernel.
 
-Used for the blown-up log-variable recursion and its certificate, where
-the ring is Q[y_1..y_k, X, X^{-1}, T] (X a root of the boundary defining
-function, T = log x).  Exponents are integer tuples; designated Laurent
-variables may carry negative exponents.
+A MultiPoly maps flat integer exponent tuples to coefficients of any ring
+(Fraction, GaussianRational, complex).  Exponents may be negative, so the
+same arithmetic serves the Laurent ring Q[y_1..y_k, X, X^{-1}, T] of the
+blown-up log-variable recursion and its certificate (X a root of the
+boundary defining function, T = log x) and, through
+symalg.WeightedPolynomial, the weighted-graded ring of (nu, y, mu), stored
+under keys (a, *alpha, *beta).
+
+Zero coefficients are never stored.  Every operation keeps the insertion
+order of its operands' terms, so floating sums are formed in a fixed
+order and results are reproducible bit for bit.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping
 
 
-
 class MultiPoly:
-    """Sparse polynomial: dict of exponent tuples -> exact coefficients."""
+    """Sparse polynomial: dict of exponent tuples -> nonzero coefficients."""
 
     __slots__ = ("nvars", "terms")
 
@@ -32,6 +39,15 @@ class MultiPoly:
                         self.terms[tuple(exps)] = val
                     elif exps in self.terms:
                         del self.terms[exps]
+
+    @classmethod
+    def of(cls, nvars: int, terms: dict[tuple, object]) -> "MultiPoly":
+        """An instance that owns `terms` as they are: tuples of length nvars,
+        no zero coefficients.  For results of the kernel's own operations;
+        other input goes through __init__, which checks and merges."""
+        out = object.__new__(cls)
+        out.nvars, out.terms = nvars, terms
+        return out
 
     @classmethod
     def zero(cls, nvars: int) -> "MultiPoly":
@@ -57,19 +73,24 @@ class MultiPoly:
     def __hash__(self):
         return hash((self.nvars, frozenset(self.terms.items())))
 
+    def _same_ring(self, other: "MultiPoly"):
+        if self.nvars != other.nvars:
+            raise ValueError("exponent tuple length mismatch")
+
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
+        self._same_ring(other)
         out = dict(self.terms)
         for exps, c in other.terms.items():
             cur = out.get(exps)
             val = c if cur is None else cur + c
             if val:
                 out[exps] = val
-            elif exps in out:
+            elif cur is not None:
                 del out[exps]
-        return MultiPoly(self.nvars, out)
+        return MultiPoly.of(self.nvars, out)
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly.of(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         return self + (-other)
@@ -77,10 +98,11 @@ class MultiPoly:
     def __mul__(self, other) -> "MultiPoly":
         if not isinstance(other, MultiPoly):
             return self.scale(other)
+        self._same_ring(other)
         out: dict[tuple, object] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
+                key = tuple(map(add, e1, e2))
                 c = c1 * c2
                 cur = out.get(key)
                 c = c if cur is None else cur + c
@@ -88,14 +110,27 @@ class MultiPoly:
                     out[key] = c
                 elif cur is not None:
                     del out[key]
-        return MultiPoly(self.nvars, out)
+        return MultiPoly.of(self.nvars, out)
 
     __rmul__ = __mul__
 
+    def __pow__(self, exponent: int) -> "MultiPoly":
+        """Repeated product from the constant Fraction(1)."""
+        if not isinstance(exponent, int) or exponent < 0:
+            raise ValueError("only nonnegative integer powers")
+        out = MultiPoly.constant(self.nvars, Fraction(1))
+        for _ in range(exponent):
+            out = out * self
+        return out
+
     def scale(self, scalar) -> "MultiPoly":
-        if not scalar:
-            return MultiPoly(self.nvars)
-        return MultiPoly(self.nvars, {e: c * scalar for e, c in self.terms.items()})
+        # a floating product can underflow to 0
+        return MultiPoly.of(self.nvars, {e: v for e, c in self.terms.items()
+                                         if (v := c * scalar)})
+
+    def map_coeffs(self, fn) -> "MultiPoly":
+        """Apply fn to every coefficient; terms mapped to 0 are dropped."""
+        return MultiPoly.of(self.nvars, {e: v for e, c in self.terms.items() if (v := fn(c))})
 
     def diff(self, j: int) -> "MultiPoly":
         out = {}
@@ -104,7 +139,7 @@ class MultiPoly:
             if e:
                 key = exps[:j] + (e - 1,) + exps[j + 1:]
                 out[key] = c * e
-        return MultiPoly(self.nvars, out)
+        return MultiPoly.of(self.nvars, out)
 
     def integrate_zero_to(self, j: int) -> "MultiPoly":
         """Definite integral over variable j from 0 to (the same variable).
@@ -119,7 +154,7 @@ class MultiPoly:
                 raise ValueError("cannot integrate a Laurent power")
             key = exps[:j] + (e + 1,) + exps[j + 1:]
             out[key] = c * Fraction(1, e + 1)
-        return MultiPoly(self.nvars, out)
+        return MultiPoly.of(self.nvars, out)
 
     def compose(self, args: Mapping[int, "MultiPoly"], nvars: int) -> "MultiPoly":
         """Replace every variable j by args[j] at once, in a ring of nvars variables.

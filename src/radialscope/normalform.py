@@ -21,10 +21,9 @@ from scipy.integrate import solve_ivp
 from .parallel import parallel_map
 from .scalars import as_complex
 from .symalg import (EXACT, FLOATING, ModelQuadratic, MonomialKey,
-                     WeightedPolynomial, ad_exponential, iter_monomials,
-                     normalized_eigenvalue)
+                     WeightedPolynomial, ad_exponential, iter_monomials)
 from .radial import CriticalPointSpec, RadialPoint, linearization_spectrum
-from .resonance import (EFF_NONRES, EFF_R1, EFF_R2, classify_resonance,
+from .resonance import (EFF_NONRES, EFF_R1, EFF_R2, classify_resonance, is_resonant,
                         scan_effectively_resonant_energies)
 
 DEFAULT_FLOAT_TOL = 1e-12
@@ -154,12 +153,14 @@ def reduce_to_normal_form(p: WeightedPolynomial, rp: RadialPoint, max_grade: int
         if p.mode == FLOATING:
             current = current.chop(tol * 1e-2)
 
-    remainder = current - p0
+    # grade <= 0 noise that passed the model check is no remainder term
     effr_terms, effnr_terms = {}, {}
-    for term in remainder.terms():
+    for term in (current - p0).terms():
+        if term.grade < 1:
+            continue
         key = (term.a, term.alpha, term.beta)
         klass = classify_resonance(key, rp, tol=math.sqrt(tol)) \
-            if _is_resonant_for(key, rp, tol) else EFF_NONRES
+            if is_resonant(key, rp, math.sqrt(tol)) else EFF_NONRES
         if klass in (EFF_R1, EFF_R2):
             effr_terms[key] = term.coeff
         else:
@@ -172,13 +173,6 @@ def reduce_to_normal_form(p: WeightedPolynomial, rp: RadialPoint, max_grade: int
         r_eff_nr=WeightedPolynomial(p.layout, p.mode, effnr_terms),
         residual_grade=max_grade,
     )
-
-
-def _is_resonant_for(key: MonomialKey, rp: RadialPoint, tol: float) -> bool:
-    rho = normalized_eigenvalue(key, rp.r_list)
-    if rp.mode == EXACT:
-        return rho == 0
-    return abs(as_complex(rho)) <= math.sqrt(tol)
 
 
 def _same_poly(a: WeightedPolynomial, b: WeightedPolynomial, mode: str, tol: float) -> bool:
@@ -305,7 +299,7 @@ def family_normal_form(cp: CriticalPointSpec, interval: tuple[float, float],
                                  layout=rp.layout)
         p = model_f.p0(FLOATING)
         if perturbation is not None:
-            p = p + _to_floating(perturbation)
+            p = p + perturbation.to_mode(FLOATING)
         current = p.truncate_grade(max_grade)
         for l in range(1, max_grade + 1):
             e_l = current.grade_part(l)
@@ -336,13 +330,6 @@ def family_normal_form(cp: CriticalPointSpec, interval: tuple[float, float],
                 dd_report[idx]["max_second_dd"] = float(d2.max()) if d2.size else 0.0
     return FamilyCoefficients(sigma_grid=tuple(sigmas), index_set=tuple(index_set),
                               coeffs=coeffs, divided_differences=dd_report)
-
-
-def _to_floating(p: WeightedPolynomial) -> WeightedPolynomial:
-    if p.mode == FLOATING:
-        return p
-    return WeightedPolynomial(p.layout, FLOATING,
-                              {(t.a, t.alpha, t.beta): as_complex(t.coeff) for t in p.terms()})
 
 
 # -- Nelson conjugacy -------------------------------------------------------------------

@@ -5,6 +5,13 @@ nu carries weight 2 and y, mu carry weight 1.  The grade of a monomial
 nu^a y^alpha mu^beta is 2a + |alpha| + |beta| - 2, so the quadratic model
 sits at grade 0 and the rescaled bracket is grade-additive.
 
+The terms are stored in the package's one sparse-polynomial kernel
+(multipoly.MultiPoly) under flat keys (a, *alpha, *beta) over 2n - 1
+variables, and the ring arithmetic is the kernel's.  The nested
+MonomialKey (a, alpha, beta) stays the public key of terms(),
+coefficient(), resonance and reports.  This module adds the layout, the
+coefficient mode, the grading, the canonical term order and the bracket.
+
 The rescaled bracket is {{a, b}} = W_a(b) + (d_nu a) b, with W_a the
 Legendre field of a,
 
@@ -30,8 +37,10 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping
+from operator import add
+from typing import Iterator, Mapping
 
+from .multipoly import MultiPoly
 from .scalars import GaussianRational, format_fraction, is_exact, parse_fraction
 
 MonomialKey = tuple[int, tuple[int, ...], tuple[int, ...]]
@@ -119,13 +128,9 @@ def weighted_degree(key: MonomialKey) -> int:
     return 2 * a + sum(alpha) + sum(beta)
 
 
-def grade(key: MonomialKey) -> int:
-    return weighted_degree(key) - 2
-
-
-def monomial_sort_key(key: MonomialKey):
-    """Canonical term order: (grade, a, alpha lex, beta lex)."""
-    return (grade(key), key[0], key[1], key[2])
+def _flat_grade(key: tuple[int, ...]) -> int:
+    """Grade 2a + |alpha| + |beta| - 2 of a flat key (a, *alpha, *beta)."""
+    return key[0] + sum(key) - 2
 
 
 @dataclass(frozen=True)
@@ -146,56 +151,51 @@ class WeightedMonomial:
         return self.weighted_degree - 2
 
 
+# coefficient type of each mode
+_COERCE = {EXACT: GaussianRational.coerce, FLOATING: complex}
+
+
 class WeightedPolynomial:
     """Sparse polynomial in (nu, y, mu) with the weight-2 grading on nu.
 
-    Immutable by convention: all operations return new instances.  Terms
-    with zero coefficient are never stored.
+    The terms live in `poly`, a kernel MultiPoly over the 2n - 1 flat
+    exponents (a, *alpha, *beta); the ring arithmetic is the kernel's.  The
+    nested MonomialKey (a, alpha, beta) is the key of the public interface:
+    the constructor, terms(), coefficient() and JSON.  Immutable by
+    convention: all operations return new instances.  Terms with zero
+    coefficient are never stored.
     """
 
-    __slots__ = ("layout", "mode", "_terms")
+    __slots__ = ("layout", "mode", "poly")
 
     def __init__(self, layout: VariableLayout, mode: str = EXACT,
                  terms: Mapping[MonomialKey, object] | None = None):
         if mode not in (EXACT, FLOATING):
             raise ValueError(f"unknown mode {mode!r}")
+        coerce, nvars = _COERCE[mode], layout.nvars
+        flat = {}
+        for (a, alpha, beta), coeff in (terms or {}).items():
+            if len(alpha) != nvars or len(beta) != nvars:
+                raise ValueError("exponent tuple length does not match layout")
+            if a < 0 or any(e < 0 for e in alpha) or any(e < 0 for e in beta):
+                raise ValueError("negative exponent")
+            flat[(a, *alpha, *beta)] = coerce(coeff)
         self.layout = layout
         self.mode = mode
-        clean: dict[MonomialKey, object] = {}
-        if terms:
-            for key, coeff in terms.items():
-                a, alpha, beta = key
-                if len(alpha) != layout.nvars or len(beta) != layout.nvars:
-                    raise ValueError("exponent tuple length does not match layout")
-                if a < 0 or any(e < 0 for e in alpha) or any(e < 0 for e in beta):
-                    raise ValueError("negative exponent")
-                c = self._coerce(coeff)
-                if c:
-                    existing = clean.get(key)
-                    clean[key] = c if existing is None else existing + c
-                    if not clean[key]:
-                        del clean[key]
-        self._terms = clean
+        self.poly = MultiPoly(2 * nvars + 1, flat)
 
     # -- construction helpers -------------------------------------------------
 
-    @classmethod
-    def _trusted(cls, layout: VariableLayout, mode: str,
-                 terms: dict[MonomialKey, object]) -> "WeightedPolynomial":
-        """An instance that owns `terms` as they are: keys of the layout's
-        shape with nonnegative exponents, coefficients of the mode's type,
-        no zeros.  For results of this module's own operations; public
-        construction goes through __init__, which checks all of that."""
-        out = object.__new__(cls)
-        out.layout, out.mode, out._terms = layout, mode, terms
+    def _of(self, poly: MultiPoly) -> "WeightedPolynomial":
+        """A polynomial of self's layout and mode that owns `poly`, a result
+        of kernel operations on clean terms; public construction goes
+        through __init__, which checks keys and coefficients."""
+        out = object.__new__(WeightedPolynomial)
+        out.layout, out.mode, out.poly = self.layout, self.mode, poly
         return out
 
-    def _coerce(self, coeff):
-        if self.mode == EXACT:
-            return GaussianRational.coerce(coeff)
-        if isinstance(coeff, GaussianRational):
-            return complex(coeff)
-        return complex(coeff)
+    def _from_terms(self, terms: dict) -> "WeightedPolynomial":
+        return self._of(MultiPoly.of(self.poly.nvars, terms))
 
     @classmethod
     def zero(cls, layout: VariableLayout, mode: str = EXACT) -> "WeightedPolynomial":
@@ -224,27 +224,34 @@ class WeightedPolynomial:
         beta = tuple(1 if k == j else 0 for k in range(layout.nvars))
         return cls.monomial(layout, 1, beta=beta, mode=mode)
 
+    def to_mode(self, mode: str) -> "WeightedPolynomial":
+        """The same polynomial with its coefficients coerced to `mode`."""
+        out = WeightedPolynomial(self.layout, mode)
+        out.poly = self.poly.map_coeffs(_COERCE[mode])
+        return out
+
     # -- inspection ------------------------------------------------------------
 
     def terms(self) -> Iterator[WeightedMonomial]:
         """Terms in the canonical (grade, a, alpha, beta) order."""
-        for key in sorted(self._terms, key=monomial_sort_key):
-            yield WeightedMonomial(self._terms[key], *key)
+        n, terms = self.layout.n, self.poly.terms
+        for key in sorted(terms, key=lambda k: (_flat_grade(k), k)):
+            yield WeightedMonomial(terms[key], key[0], key[1:n], key[n:])
 
     def coefficient(self, a: int, alpha, beta):
-        key = (a, tuple(alpha), tuple(beta))
-        if key in self._terms:
-            return self._terms[key]
+        c = self.poly.terms.get((a, *alpha, *beta))
+        if c is not None:
+            return c
         return GaussianRational(0) if self.mode == EXACT else 0j
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self.poly.terms
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self.poly.terms)
 
     def grades(self) -> list[int]:
-        return sorted({grade(key) for key in self._terms})
+        return sorted({_flat_grade(key) for key in self.poly.terms})
 
     def is_homogeneous(self) -> bool:
         return len(self.grades()) <= 1
@@ -261,14 +268,13 @@ class WeightedPolynomial:
     def __eq__(self, other):
         if not isinstance(other, WeightedPolynomial):
             return NotImplemented
-        return (self.mode == other.mode and self.layout.n == other.layout.n
-                and self._terms == other._terms)
+        return self.mode == other.mode and self.poly == other.poly
 
     def __hash__(self):
-        return hash((self.mode, self.layout.n, frozenset(self._terms.items())))
+        return hash((self.mode, self.poly))
 
     def __str__(self):
-        if not self._terms:
+        if not self.poly.terms:
             return "0"
         parts = []
         for t in self.terms():
@@ -287,7 +293,7 @@ class WeightedPolynomial:
 
     __repr__ = __str__
 
-    # -- ring operations --------------------------------------------------------
+    # -- ring operations (the kernel's) -------------------------------------------
 
     def _check_compatible(self, other: "WeightedPolynomial"):
         if self.mode != other.mode:
@@ -295,24 +301,12 @@ class WeightedPolynomial:
         if self.layout.n != other.layout.n:
             raise ValueError("layouts have different dimension")
 
-    def map_coeffs(self, fn: Callable) -> "WeightedPolynomial":
-        return WeightedPolynomial(self.layout, self.mode,
-                                  {k: fn(c) for k, c in self._terms.items()})
-
     def __add__(self, other: "WeightedPolynomial") -> "WeightedPolynomial":
         self._check_compatible(other)
-        out = dict(self._terms)
-        for key, coeff in other._terms.items():
-            cur = out.get(key)
-            coeff = coeff if cur is None else cur + coeff
-            if coeff:
-                out[key] = coeff
-            elif cur is not None:
-                del out[key]
-        return WeightedPolynomial._trusted(self.layout, self.mode, out)
+        return self._of(self.poly + other.poly)
 
     def __neg__(self) -> "WeightedPolynomial":
-        return self.map_coeffs(lambda c: -c)
+        return self._of(-self.poly)
 
     def __sub__(self, other: "WeightedPolynomial") -> "WeightedPolynomial":
         return self + (-other)
@@ -321,65 +315,35 @@ class WeightedPolynomial:
         if not isinstance(other, WeightedPolynomial):
             return self.scale(other)
         self._check_compatible(other)
-        out: dict[MonomialKey, object] = {}
-        for (a1, al1, be1), c1 in self._terms.items():
-            for (a2, al2, be2), c2 in other._terms.items():
-                key = (a1 + a2,
-                       tuple(x + y for x, y in zip(al1, al2)),
-                       tuple(x + y for x, y in zip(be1, be2)))
-                c = c1 * c2
-                cur = out.get(key)
-                c = c if cur is None else cur + c
-                if c:
-                    out[key] = c
-                elif cur is not None:
-                    del out[key]
-        return WeightedPolynomial(self.layout, self.mode, out)
+        return self._of(self.poly * other.poly)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "WeightedPolynomial":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("only nonnegative integer powers")
-        out = WeightedPolynomial.monomial(self.layout, 1, mode=self.mode)
-        for _ in range(exponent):
-            out = out * self
-        return out
+        # the kernel's zeroth power is the constant Fraction(1)
+        return self._of((self.poly ** exponent).map_coeffs(_COERCE[self.mode]))
 
     def scale(self, scalar) -> "WeightedPolynomial":
-        s = self._coerce(scalar)
-        if not s:
-            return WeightedPolynomial.zero(self.layout, self.mode)
-        # a floating product can underflow to 0
-        return WeightedPolynomial._trusted(
-            self.layout, self.mode,
-            {k: v for k, c in self._terms.items() if (v := c * s)})
+        return self._of(self.poly.scale(_COERCE[self.mode](scalar)))
 
     def chop(self, tol: float = 0.0) -> "WeightedPolynomial":
         """Drop floating terms with |coeff| <= tol (no-op in exact mode)."""
         if self.mode == EXACT or tol <= 0:
             return self
-        return WeightedPolynomial(self.layout, self.mode,
-                                  {k: c for k, c in self._terms.items() if abs(c) > tol})
-
-    # -- calculus ----------------------------------------------------------------
+        return self._from_terms({k: c for k, c in self.poly.terms.items() if abs(c) > tol})
 
     def diff_nu(self) -> "WeightedPolynomial":
-        out = {}
-        for (a, alpha, beta), c in self._terms.items():
-            if a:
-                out[(a - 1, alpha, beta)] = c * a
-        return WeightedPolynomial(self.layout, self.mode, out)
+        return self._of(self.poly.diff(0))
 
     # -- grading -------------------------------------------------------------------
 
     def grade_part(self, l: int) -> "WeightedPolynomial":
-        return WeightedPolynomial._trusted(
-            self.layout, self.mode, {k: c for k, c in self._terms.items() if grade(k) == l})
+        return self._from_terms({k: c for k, c in self.poly.terms.items()
+                             if k[0] + sum(k) - 2 == l})
 
     def truncate_grade(self, max_grade: int) -> "WeightedPolynomial":
-        return WeightedPolynomial._trusted(
-            self.layout, self.mode, {k: c for k, c in self._terms.items() if grade(k) <= max_grade})
+        return self._from_terms({k: c for k, c in self.poly.terms.items()
+                             if k[0] + sum(k) - 2 <= max_grade})
 
     # -- serialization ----------------------------------------------------------------
 
@@ -403,7 +367,7 @@ class WeightedPolynomial:
     @classmethod
     def from_json_dict(cls, data: dict) -> "WeightedPolynomial":
         layout = VariableLayout(n=data["n"], s=data["blocks"][0], m=data["blocks"][1])
-        mode = data["mode"]
+        mode = cls(layout, data["mode"]).mode      # an unknown mode fails first
         terms = {}
         for entry in data["terms"]:
             key = (entry["a"], tuple(entry["alpha"]), tuple(entry["beta"]))
@@ -422,49 +386,49 @@ class WeightedPolynomial:
 def grade_components(p: WeightedPolynomial) -> dict[int, WeightedPolynomial]:
     """Split p into its weighted-homogeneous components, keyed by grade."""
     out: dict[int, dict] = {}
-    for key, coeff in p._terms.items():
-        out.setdefault(grade(key), {})[key] = coeff
-    return {l: WeightedPolynomial(p.layout, p.mode, terms) for l, terms in sorted(out.items())}
+    for key, coeff in p.poly.terms.items():
+        out.setdefault(_flat_grade(key), {})[key] = coeff
+    return {l: p._from_terms(terms) for l, terms in sorted(out.items())}
 
 
 def bracket(a: WeightedPolynomial, b: WeightedPolynomial,
             max_grade: int | None = None) -> WeightedPolynomial:
     """The rescaled Poisson bracket {{a, b}}, monomial pair by monomial pair.
 
-    Uses the closed form of the module docstring.  Pairs whose grades sum
-    above `max_grade` are skipped, which equals truncating the full bracket.
-    Antisymmetric and grade-additive: for homogeneous inputs the result is
-    homogeneous of grade(a) + grade(b).
+    Uses the closed form of the module docstring on flat keys.  Pairs whose
+    grades sum above `max_grade` are skipped, which equals truncating the
+    full bracket.  Antisymmetric and grade-additive: for homogeneous inputs
+    the result is homogeneous of grade(a) + grade(b).
     """
     a._check_compatible(b)
     limit = math.inf if max_grade is None else max_grade
-    indices = range(a.layout.nvars)
-    bterms = [(key[0], key[1], key[2], sum(key[2]), grade(key), c)
-              for key, c in b._terms.items()]
-    out: dict[MonomialKey, object] = {}
-    for key1, c1 in a._terms.items():
-        a1, al1, be1 = key1
-        g1 = grade(key1)
-        nb1 = sum(be1)
-        for a2, al2, be2, nb2, g2, c2 in bterms:
+    m, width = a.layout.nvars, a.poly.nvars
+    # per pair (y_j, mu_j): both flat positions and the offsets lowering each by one
+    pairs = [(1 + j, 1 + m + j, tuple(-1 if i in (1 + j, 1 + m + j) else 0 for i in range(width)))
+             for j in range(m)]
+    bterms = [(k2, k2[0], sum(k2[m + 1:]), _flat_grade(k2), c2) for k2, c2 in b.poly.terms.items()]
+    out: dict[tuple, object] = {}
+    for k1, c1 in a.poly.terms.items():
+        a1 = k1[0]
+        g1 = _flat_grade(k1)
+        nb1 = sum(k1[m + 1:])
+        for k2, a2, nb2, g2, c2 in bterms:
             if g1 + g2 > limit:
                 continue
             c = c1 * c2
-            al = tuple(x + y for x, y in zip(al1, al2))
-            be = tuple(x + y for x, y in zip(be1, be2))
+            ab = tuple(map(add, k1, k2))
             k = a1 * (1 - nb2) + a2 * (nb1 - 1)
             if k:
-                key = (a1 + a2 - 1, al, be)
+                key = (ab[0] - 1,) + ab[1:]
                 cur = out.get(key)
                 out[key] = c * k if cur is None else cur + c * k
-            for j in indices:
-                m = be1[j] * al2[j] - al1[j] * be2[j]
-                if m:
-                    key = (a1 + a2, al[:j] + (al[j] - 1,) + al[j + 1:],
-                           be[:j] + (be[j] - 1,) + be[j + 1:])
+            for iy, imu, lower in pairs:
+                mm = k1[imu] * k2[iy] - k1[iy] * k2[imu]
+                if mm:
+                    key = tuple(map(add, ab, lower))
                     cur = out.get(key)
-                    out[key] = c * m if cur is None else cur + c * m
-    return WeightedPolynomial._trusted(a.layout, a.mode, {key: c for key, c in out.items() if c})
+                    out[key] = c * mm if cur is None else cur + c * mm
+    return a._from_terms({key: c for key, c in out.items() if c})
 
 
 def ad_exponential(b: WeightedPolynomial, p: WeightedPolynomial, max_grade: int) -> WeightedPolynomial:

@@ -14,6 +14,7 @@ from radialscope.cli import build_parser, main
 from radialscope.cli_reports import (CONFIG_SCHEMA, DEFAULTS, EXIT_CONFIG,
                                      EXIT_FORBIDDEN_ENERGY, EXIT_NUMERICAL, EXIT_OK,
                                      AnalysisConfig, ConfigError, parallel_map)
+from radialscope.symalg import WeightedPolynomial
 
 COS2_CONFIG = {
     "mode": "explicit",
@@ -281,6 +282,107 @@ def test_stationary_phase_options_checked_at_load(tmp_path, capsys, sp, message)
 def test_flow_and_tolerance_options_checked_at_load(tmp_path, capsys, key, value, message):
     assert_config_exit(tmp_path, capsys, dict(COS2_CONFIG, options={key: value}), message,
                        command="morse")
+
+
+ABSTRACT_CONFIG = {
+    "mode": "abstract",
+    "criticalPoints": [{"label": "z", "value": 0.1, "hessian": [0.3]}],
+    "energy": 1.3,
+}
+
+
+@pytest.mark.parametrize("options, message", [
+    ({"K": -1}, "option K must be an integer >= 0, got -1"),
+    ({"maxBetaPrime": 1.5}, "option maxBetaPrime must be an integer >= 0, got 1.5"),
+    ({"sign": 5}, "at options.sign: 5 is not one of [1, -1]"),
+    ({"reB": "0"}, "at options.reB: '0' is not of type 'number'"),
+    ({"floatResonanceTol": 0},
+     "at options.floatResonanceTol: 0 is less than or equal to the minimum of 0"),
+    ({"perturbation": 2}, "at options.perturbation: 2 is not of type 'object', 'null'"),
+    ({"oscillator": [1.0]}, "at options.oscillator: [1.0] is not of type 'object', 'null'"),
+    ({"maxdegree": 4}, "Additional properties are not allowed ('maxdegree' was unexpected)"),
+])
+def test_remaining_options_checked_at_load(tmp_path, capsys, options, message):
+    assert_config_exit(tmp_path, capsys, dict(ABSTRACT_CONFIG, options=options), message)
+
+
+@pytest.mark.parametrize("stage", ["nonsense", "stationary-phase"])
+def test_stage_names_are_closed(tmp_path, capsys, stage):
+    assert_config_exit(tmp_path, capsys, dict(ABSTRACT_CONFIG, stages=["radial", stage]),
+                       f"at stages.1: '{stage}' is not one of ['radial', ")
+
+
+@pytest.mark.parametrize("energy, message", [
+    ([1, "2"], "at energy.1: '2' is not of type 'number'"),
+    (["1", 2], "at energy.0: '1' is not of type 'number'"),
+    ([None, 2.0], "at energy.0: None is not of type 'number'"),
+    ([2.0, [3]], "at energy.1: [3] is not of type 'number'"),
+])
+def test_interval_energy_entries_must_be_numbers(tmp_path, capsys, energy, message):
+    assert_config_exit(tmp_path, capsys, dict(ABSTRACT_CONFIG, energy=energy), message,
+                       command="scan-energies")
+
+
+def floating_perturbation(*terms):
+    return {"mode": "floating", "n": 2, "blocks": [1, 2],
+            "terms": [{"a": a, "alpha": alpha, "beta": beta, "re": re, "im": 0.0}
+                      for a, alpha, beta, re in terms]}
+
+
+@pytest.mark.parametrize("perturbation, message", [
+    (floating_perturbation((0, [-1], [2], 0.5)), "ValueError: negative exponent"),
+    (dict(floating_perturbation((0, [3], [0], 0.2)), mode="exakt"),
+     "ValueError: unknown mode 'exakt'"),
+    ({"mode": "exact", "n": 2, "blocks": [1, 2],
+      "terms": [{"a": 0, "beta": [0], "re": "1/2", "im": "0/1"}]}, "KeyError: 'alpha'"),
+])
+def test_malformed_perturbation_is_config_error(tmp_path, capsys, perturbation, message):
+    assert_config_exit(tmp_path, capsys,
+                       dict(ABSTRACT_CONFIG, options={"perturbation": perturbation}),
+                       f"options.perturbation is not a polynomial: {message}")
+
+
+def test_perturbation_parsed_once_per_run(tmp_path, monkeypatch):
+    calls = []
+    parse = WeightedPolynomial.from_json_dict.__func__
+
+    def counting(cls, data):
+        calls.append(data)
+        return parse(cls, data)
+
+    monkeypatch.setattr(WeightedPolynomial, "from_json_dict", classmethod(counting))
+    cfg = write_config(tmp_path, dict(
+        ABSTRACT_CONFIG, stages=["radial", "normalform"],
+        criticalPoints=[{"label": "z", "value": 0.1, "hessian": [0.3]},
+                        {"label": "w", "value": 0.2, "hessian": [0.25]}],
+        options={"perturbation": floating_perturbation((0, [3], [0], 0.2))}))
+    assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_OK
+    assert len(calls) == 1
+    rep = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert set(rep["perEnergy"]["1.3"]) == {"z", "w"}
+    assert rep["provenance"]["config"]["options"]["perturbation"] == calls[0]
+
+
+def test_floating_normal_form_keeps_grade0_noise_in_p_norm_only(tmp_path):
+    # a grade-0 term within 100 tol of the model passes the model check; it
+    # stays in pNorm and is not classified as a remainder term
+    def normal_form(*terms):
+        name = f"o{len(terms)}"
+        cfg = write_config(tmp_path, dict(
+            ABSTRACT_CONFIG, stages=["radial", "resonance", "normalform"],
+            options={"perturbation": floating_perturbation(*terms)}), name=name + ".json")
+        assert main(["analyze", "--config", cfg, "--out", str(tmp_path / name)]) == EXIT_OK
+        rep = json.loads((tmp_path / name / "report.json").read_text())
+        nf = rep["perEnergy"]["1.3"]["z"]["normalForm"]
+        return {part: {(t["a"], tuple(t["alpha"]), tuple(t["beta"])): t["re"]
+                       for t in nf[part]["terms"]} for part in ("pNorm", "rEffR", "rEffNR")}
+
+    clean = normal_form((0, [3], [0], 0.2))
+    noisy = normal_form((0, [1], [1], 1e-11), (0, [3], [0], 0.2))
+    ymu = (0, (1,), (1,))
+    assert abs(noisy["pNorm"][ymu] - clean["pNorm"][ymu] - 1e-11) < 1e-16
+    assert ymu not in noisy["rEffR"] and ymu not in noisy["rEffNR"]
+    assert noisy["rEffR"] == clean["rEffR"] == {}
 
 
 def test_tol_override_checked_at_load(tmp_path, capsys):

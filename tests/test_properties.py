@@ -1,0 +1,144 @@
+"""Property tests: the sparse-polynomial kernel's ring laws, WeightedPolynomial
+as a view of it, and the config loader's totality."""
+
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from radialscope.cli_reports import DEFAULTS, STAGES, AnalysisConfig, ConfigError
+from radialscope.multipoly import MultiPoly
+from radialscope.scalars import GaussianRational
+from radialscope.symalg import EXACT, FLOATING, VariableLayout, WeightedPolynomial
+
+FEW = settings(max_examples=15, deadline=None)
+
+NV = 3
+fractions = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+
+def multipolys(nvars=NV, low=-2, high=2, size=4):
+    """Sparse polynomials whose exponents lie in [low, high] (low < 0: Laurent)."""
+    keys = st.tuples(*[st.integers(low, high)] * nvars)
+    return st.dictionaries(keys, fractions, max_size=size).map(lambda t: MultiPoly(nvars, t))
+
+
+@FEW
+@given(multipolys(), multipolys(), multipolys())
+def test_kernel_ring_laws(p, q, r):
+    assert (p + q) + r == p + (q + r)
+    assert p + q == q + p
+    assert (p * q) * r == p * (q * r)
+    assert p * q == q * p
+    assert p * (q + r) == p * q + p * r
+    assert (p - p).is_zero() and p * MultiPoly.constant(NV, Fraction(1)) == p
+    assert p ** 2 == p * p
+
+
+@FEW
+@given(multipolys(2, low=0, size=3), multipolys(2, low=0, size=3),
+       multipolys(size=3), multipolys(size=3))
+def test_kernel_compose_is_a_ring_homomorphism(p, q, f, g):
+    def sub(s):
+        return s.compose({0: f, 1: g}, NV)
+
+    assert sub(p + q) == sub(p) + sub(q)
+    assert sub(p * q) == sub(p) * sub(q)
+    assert sub(MultiPoly.constant(2, Fraction(3))) == MultiPoly.constant(NV, Fraction(3))
+
+
+LAYOUT = VariableLayout(n=3)
+nested_keys = st.tuples(st.integers(0, 2), st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                        st.tuples(st.integers(0, 2), st.integers(0, 2)))
+COEFFS = {
+    EXACT: st.builds(GaussianRational, fractions, fractions),
+    FLOATING: st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False),
+}
+
+
+def raw_pairs(mode):
+    terms = st.dictionaries(nested_keys, COEFFS[mode], max_size=5)
+    return st.tuples(st.just(mode), terms, terms, COEFFS[mode])
+
+
+def flat(terms):
+    return {(a, *alpha, *beta): c for (a, alpha, beta), c in terms.items()}
+
+
+def as_flat(p):
+    return {(t.a, *t.alpha, *t.beta): t.coeff for t in p.terms()}
+
+
+@FEW
+@given(st.sampled_from([EXACT, FLOATING]).flatmap(raw_pairs))
+def test_weighted_polynomial_arithmetic_is_the_kernels(case):
+    # the same flat terms in the same order: equal bit for bit in both modes
+    mode, ta, tb, s = case
+    a, b = (WeightedPolynomial(LAYOUT, mode, t) for t in (ta, tb))
+    ka, kb = (MultiPoly(5, flat(t)) for t in (ta, tb))
+    assert as_flat(a) == ka.terms
+    assert as_flat(a + b) == (ka + kb).terms
+    assert as_flat(a - b) == (ka - kb).terms
+    assert as_flat(a * b) == (ka * kb).terms
+    assert as_flat(a.scale(s)) == ka.scale(s).terms
+    assert as_flat(a.diff_nu()) == ka.diff(0).terms
+    assert (a == b) == (ka == kb)
+
+
+# -- the loader is total: any JSON value gives a config or a ConfigError -----------
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-10, 10**6)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=3),
+    max_leaves=8)
+
+# near-valid perturbations with arbitrary JSON in some field
+perturbations = st.fixed_dictionaries({
+    "mode": st.sampled_from([EXACT, FLOATING]) | json_values,
+    "n": st.just(2) | json_values,
+    "blocks": st.just([1, 2]) | json_values,
+    "terms": st.lists(st.fixed_dictionaries({
+        "a": st.integers(-1, 2) | json_values,
+        "alpha": st.lists(st.integers(-1, 3), max_size=2) | json_values,
+        "beta": st.lists(st.integers(-1, 3), max_size=2) | json_values,
+        "re": st.sampled_from(["1/2", 0.5, "0/1"]) | json_values,
+        "im": st.sampled_from(["0/1", 0.0]) | json_values,
+    }), max_size=2),
+})
+
+BASE = {"mode": "abstract",
+        "criticalPoints": [{"label": "z", "value": 0, "hessian": [0.375]}],
+        "energy": 1.0}
+
+
+def loads_or_config_error(data):
+    try:
+        AnalysisConfig.from_dict(data)
+    except ConfigError:
+        pass
+
+
+@FEW
+@given(st.sampled_from(sorted(DEFAULTS) + ["perturbation", "oscillator", "unknown"]),
+       json_values)
+def test_loader_total_on_any_option_value(key, value):
+    loads_or_config_error(dict(BASE, options={key: value}))
+
+
+@FEW
+@given(perturbations)
+def test_loader_total_on_near_valid_perturbations(perturbation):
+    loads_or_config_error(dict(BASE, options={"perturbation": perturbation}))
+
+
+@FEW
+@given(st.lists(st.sampled_from(STAGES) | json_values, max_size=3))
+def test_loader_total_on_any_stage_entries(stages):
+    loads_or_config_error(dict(BASE, stages=stages))
+
+
+@FEW
+@given(json_values | st.lists(json_values, min_size=2, max_size=2))
+def test_loader_total_on_any_energy(energy):
+    loads_or_config_error(dict(BASE, energy=energy))

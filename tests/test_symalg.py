@@ -308,11 +308,12 @@ def test_no_zero_terms_stored():
 def _assert_clean(p):
     """p's terms are what the validating constructor would store."""
     kind = GaussianRational if p.mode == EXACT else complex
-    for (a, alpha, beta), c in p._terms.items():
+    terms = {(t.a, t.alpha, t.beta): t.coeff for t in p.terms()}
+    for (a, alpha, beta), c in terms.items():
         assert len(alpha) == len(beta) == p.layout.nvars
         assert a >= 0 and min(alpha + beta, default=0) >= 0
         assert type(c) is kind and c
-    assert WeightedPolynomial(p.layout, p.mode, dict(p._terms)) == p
+    assert WeightedPolynomial(p.layout, p.mode, terms) == p
 
 
 def test_operation_results_skip_validation_but_stay_clean():
@@ -322,7 +323,8 @@ def test_operation_results_skip_validation_but_stay_clean():
     for lay in (LAY1, LAY2):
         for _ in range(10):
             a, b = rand_poly(lay, rng, nterms=6), rand_poly(lay, rng, nterms=6)
-            fa, fb = (WeightedPolynomial(lay, FLOATING, {k: complex(c) for k, c in q._terms.items()})
+            fa, fb = (WeightedPolynomial(lay, FLOATING, {(t.a, t.alpha, t.beta): complex(t.coeff)
+                                                         for t in q.terms()})
                       for q in (a, b))
             for x, y, scalar in ((a, b, Fraction(-3, 7)), (fa, fb, -3 / 7)):
                 results = [bracket(x, y), bracket(x, y, max_grade=2), x + y, x + x.scale(-1),
