@@ -59,29 +59,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _reject_constant(name: str):
+    """json.load's hook for NaN, Infinity and -Infinity, which JSON does not allow."""
+    raise ConfigError(f"non-finite number {name} is not allowed")
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    if args.sigma is not None:
-        raw["energy"] = args.sigma
-    opts = raw.setdefault("options", {})
-    if args.max_degree is not None:
-        opts["maxDegree"] = args.max_degree
-    if args.tol is not None:
-        opts["tol"] = args.tol
-    stages = STAGE_SETS[args.command]
-    if stages is not None:
-        raw["stages"] = stages
-
-    try:
+            raw = json.load(fh, parse_constant=_reject_constant)
+        # the overrides below need an object with an options object
+        if not isinstance(raw, dict):
+            raise ConfigError(f"the config must be a JSON object, got {type(raw).__name__}")
+        if not isinstance(raw.get("options", {}), dict):
+            raise ConfigError(f"options must be a JSON object, "
+                              f"got {type(raw['options']).__name__}")
+        if args.sigma is not None:
+            raw["energy"] = args.sigma
+        opts = raw.setdefault("options", {})
+        if args.max_degree is not None:
+            opts["maxDegree"] = args.max_degree
+        if args.tol is not None:
+            opts["tol"] = args.tol
+        stages = STAGE_SETS[args.command]
+        if stages is not None:
+            raw["stages"] = stages
         config = AnalysisConfig.from_dict(raw)
-    except ConfigError as exc:
+    except (OSError, json.JSONDecodeError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -18,10 +18,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import jsonschema
-import numpy as np
 
 from . import __version__
-from .scalars import GaussianRational, format_fraction
 from .symalg import EXACT, WeightedPolynomial
 from .radial import (CriticalPointSpec, NoRealRadialPointError, RadialPoint,
                      linearization_spectrum)
@@ -144,6 +142,15 @@ def _config_validator():
     return cls(CONFIG_SCHEMA)
 
 
+def _check_finite(obj, path: list) -> None:
+    """Raise ConfigError at the first NaN or infinite float in a JSON-like tree."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        raise ConfigError(f"non-finite number {obj!r} at {'.'.join(map(str, path))}")
+    for key, value in (obj.items() if isinstance(obj, dict)
+                       else enumerate(obj) if isinstance(obj, list) else ()):
+        _check_finite(value, path + [key])
+
+
 def _parse_number(x):
     """Accept JSON numbers or "p/q" strings; strings stay exact."""
     if isinstance(x, str):
@@ -180,6 +187,7 @@ class AnalysisConfig:
             path = ".".join(map(str, error.absolute_path))
             where = f" at {path}" if path else ""
             raise ConfigError(f"config schema violation{where}: {error.message}")
+        _check_finite(data, [])
         mode = data["mode"]
         cps = []
         for entry in data.get("criticalPoints", []):
@@ -428,7 +436,7 @@ def run_analysis(config: AnalysisConfig) -> AnalysisReport:
         "tool": "radialscope",
         "version": __version__,
         "config": config.raw,
-        "effectiveOptions": _jsonable(options),
+        "effectiveOptions": options,
     }
     return AnalysisReport(config=config, per_energy=per_energy,
                           global_results=global_results, stage_errors=errors,
@@ -447,32 +455,9 @@ def _explicit_critical_points(pm: PotentialModel) -> list[CriticalPointSpec]:
 # -- emission --------------------------------------------------------------------------
 
 
-def _jsonable(obj):
-    """Normalize to plain JSON types: Fractions to "p/q", complex to re/im."""
-    if isinstance(obj, Fraction):
-        return format_fraction(obj)
-    if isinstance(obj, GaussianRational):
-        return {"re": format_fraction(obj.re), "im": format_fraction(obj.im)}
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, float) and (math.isnan(obj) or math.isinf(obj)):
-        return repr(obj)
-    return obj
-
-
 def canonical_json(obj) -> str:
-    return json.dumps(_jsonable(obj), sort_keys=True, separators=(",", ":"),
-                      ensure_ascii=True) + "\n"
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True,
+                      allow_nan=False) + "\n"
 
 
 def emit(report: AnalysisReport, formats: list[str], outdir: str) -> list[str]:
@@ -496,14 +481,15 @@ def emit(report: AnalysisReport, formats: list[str], outdir: str) -> list[str]:
 
     if "json" in formats:
         path = os.path.join(outdir, "report.json")
+        text = canonical_json(report.to_json_dict())
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(canonical_json(report.to_json_dict()))
+            fh.write(text)
         written.append(path)
     if "csv" in formats:
         for name in sorted(csv_tables):
             path = os.path.join(outdir, name)
             with open(path, "w", encoding="utf-8") as fh:
                 for row in csv_tables[name]:
-                    fh.write(",".join("" if v is None else str(v) for v in row) + "\n")
+                    fh.write(",".join(row) + "\n")
             written.append(path)
     return written

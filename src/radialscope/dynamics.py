@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.integrate._ivp import dop853_coefficients as _dop
@@ -468,7 +467,6 @@ class HeteroclinicDag:
     nodes: list[LocatedRadialPoint]
     edges: list[FlowoutRecord]
     undecided: list[dict]
-    graph: nx.DiGraph
     settings: dict
 
     def to_json_dict(self) -> dict:
@@ -503,10 +501,6 @@ def heteroclinic_dag(pm: PotentialModel, sigma: float, eps: float = 1e-5,
     other, in node order.
     """
     nodes = nodes if nodes is not None else locate_radial_points(pm, sigma)
-    graph = nx.DiGraph()
-    for node in nodes:
-        graph.add_node(node.node_id, nu=node.nu, theta=node.theta,
-                       is_min=node.is_min, outgoing=node.outgoing)
     edges: list[FlowoutRecord] = []
     undecided: list[dict] = []
     field = _rhs(pm, sigma)
@@ -532,19 +526,16 @@ def heteroclinic_dag(pm: PotentialModel, sigma: float, eps: float = 1e-5,
                     continue
                 seed[1] = math.copysign(math.sqrt(rad), node.nu)
                 rec = _trace_to_radial_point(pm, sigma, field, seed.tolist(), nodes, node,
-                                             direction * eps, tuple(v), tol,
+                                             direction * eps, tuple(v.tolist()), tol,
                                              ball_radius, w_stop, hold_time, t_max)
                 if isinstance(rec, FlowoutRecord):
-                    if not graph.has_edge(rec.source, rec.target):
-                        graph.add_edge(rec.source, rec.target)
                     edges.append(rec)
                 else:
                     undecided.append(rec)
 
     settings = {"eps": eps, "tol": tol, "ballRadius": ball_radius,
                 "wStop": w_stop, "holdTime": hold_time, "tMax": t_max}
-    return HeteroclinicDag(nodes=nodes, edges=edges, undecided=undecided,
-                           graph=graph, settings=settings)
+    return HeteroclinicDag(nodes=nodes, edges=edges, undecided=undecided, settings=settings)
 
 
 def _trace_to_radial_point(pm, sigma, field, seed, nodes, source, seed_offset,
@@ -623,22 +614,53 @@ class MorseSequence:
                 "verified": self.verified, "issues": self.issues}
 
 
+def _reachable(succ: dict[str, list[str]], start: str) -> set[str]:
+    """Nodes reached from start along one or more edges (start itself only on a cycle)."""
+    seen: set[str] = set()
+    stack = list(succ[start])
+    while stack:
+        q = stack.pop()
+        if q not in seen:
+            seen.add(q)
+            stack.extend(succ[q])
+    return seen
+
+
+def _cycle_through(succ: dict[str, list[str]], start: str) -> list[tuple[str, str]]:
+    """A shortest closed walk start -> ... -> start, as (source, target) edges."""
+    parent: dict[str, str] = {}
+    queue = [start]
+    for q in queue:
+        for t in succ[q]:
+            if t == start:
+                walk = [(q, start)]
+                while q != start:
+                    walk.append((parent[q], q))
+                    q = parent[q]
+                return walk[::-1]
+            if t not in parent:
+                parent[t] = q
+                queue.append(t)
+
+
 def morse_sequence(dag: HeteroclinicDag, nu_tie_tol: float = 1e-9) -> MorseSequence:
     """Order outgoing radial points by descending nu, minima last on ties.
 
     Verifies that the cumulative sets are closed under the transitive
-    flowout order and that each added point is order-minimal; a cycle in
-    the DAG (a numerical misclassification) is reported, not silently
-    broken.
+    flowout order (the edges among outgoing points) and that each added
+    point is order-minimal; a cycle in the DAG (a numerical
+    misclassification) is reported, not silently broken.
     """
-    sub_nodes = [n for n in dag.nodes if n.outgoing]
-    sub = dag.graph.subgraph([n.node_id for n in sub_nodes]).copy()
-    issues: list[str] = []
-    if not nx.is_directed_acyclic_graph(sub):
-        cycle = nx.find_cycle(sub)
+    by_id = {n.node_id: n for n in dag.nodes if n.outgoing}
+    succ: dict[str, list[str]] = {nid: [] for nid in by_id}
+    for e in dag.edges:
+        if e.source in by_id and e.target in by_id and e.target not in succ[e.source]:
+            succ[e.source].append(e.target)
+    reach = {nid: _reachable(succ, nid) for nid in by_id}
+    on_cycle = [nid for nid in by_id if nid in reach[nid]]
+    if on_cycle:
         return MorseSequence(order=[], gammas=[], verified=False,
-                             issues=[f"cycle detected: {cycle}"])
-    by_id = {n.node_id: n for n in sub_nodes}
+                             issues=[f"cycle detected: {_cycle_through(succ, on_cycle[0])}"])
 
     def sort_key(node_id: str):
         n = by_id[node_id]
@@ -658,18 +680,15 @@ def morse_sequence(dag: HeteroclinicDag, nu_tie_tol: float = 1e-9) -> MorseSeque
         g.sort(key=lambda nid: (0 if not by_id[nid].is_min else 1, -by_id[nid].nu, nid))
         order.extend(g)
 
-    closure = nx.transitive_closure_dag(sub)
+    issues: list[str] = []
     gammas = []
     for i, nid in enumerate(order):
-        gamma = set(order[:i + 1])
-        for q in gamma:
-            for succ in closure.successors(q):
-                if succ not in gamma:
-                    issues.append(f"Gamma_{i + 1} not closed: {q} -> {succ}")
-        for q in gamma - {nid}:
-            if closure.has_edge(q, nid):
-                issues.append(f"{nid} not minimal in Gamma_{i + 1}: {q} < {nid}")
-        gammas.append(sorted(gamma))
+        for q in order[:i + 1]:
+            issues += [f"Gamma_{i + 1} not closed: {q} -> {s}"
+                       for s in order[i + 1:] if s in reach[q]]
+        issues += [f"{nid} not minimal in Gamma_{i + 1}: {q} < {nid}"
+                   for q in order[:i] if nid in reach[q]]
+        gammas.append(sorted(order[:i + 1]))
     return MorseSequence(order=order, gammas=gammas, verified=not issues, issues=issues)
 
 

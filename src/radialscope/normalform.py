@@ -19,7 +19,6 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .parallel import parallel_map
-from .scalars import as_complex
 from .symalg import (EXACT, FLOATING, ModelQuadratic, MonomialKey,
                      WeightedPolynomial, ad_exponential, iter_monomials)
 from .radial import CriticalPointSpec, RadialPoint, linearization_spectrum
@@ -77,11 +76,11 @@ def solve_homological(model: ModelQuadratic, e: WeightedPolynomial,
     for term in e.terms():
         key = (term.a, term.alpha, term.beta)
         R = model.eigenvalue(key)
-        resonant = (R == 0) if exact else abs(as_complex(R)) <= tol * abs(as_complex(model.lam))
+        resonant = (R == 0) if exact else abs(complex(R)) <= tol * abs(complex(model.lam))
         if resonant:
             resid_terms[key] = term.coeff
         else:
-            b_terms[key] = term.coeff / R if exact else term.coeff / as_complex(R)
+            b_terms[key] = term.coeff / R if exact else term.coeff / complex(R)
     return HomologicalSolution(WeightedPolynomial(e.layout, e.mode, b_terms),
                                WeightedPolynomial(e.layout, e.mode, resid_terms))
 
@@ -179,7 +178,7 @@ def _same_poly(a: WeightedPolynomial, b: WeightedPolynomial, mode: str, tol: flo
     diff = a - b
     if mode == EXACT:
         return diff.is_zero()
-    return all(abs(as_complex(t.coeff)) <= 100 * tol for t in diff.terms())
+    return all(abs(complex(t.coeff)) <= 100 * tol for t in diff.terms())
 
 
 # -- parameter families ---------------------------------------------------------------
@@ -308,12 +307,12 @@ def family_normal_form(cp: CriticalPointSpec, interval: tuple[float, float],
                 key = (term.a, term.alpha, term.beta)
                 if key in keep:
                     continue
-                R = as_complex(model_f.eigenvalue(key))
+                R = complex(model_f.eigenvalue(key))
                 b_terms[key] = -term.coeff / R
             b = WeightedPolynomial(p.layout, FLOATING, b_terms)
             if not b.is_zero():
                 current = ad_exponential(b, current, max_grade).chop(1e-14)
-        return {idx: as_complex(current.coefficient(*idx)) for idx in index_set}
+        return {idx: complex(current.coefficient(*idx)) for idx in index_set}
 
     per_sigma = parallel_map(reduce_at, sigmas)
     coeffs = {idx: [row[idx] for row in per_sigma] for idx in index_set}

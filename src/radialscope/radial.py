@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .scalars import GaussianRational, as_complex, is_exact, rational_sqrt
+from .scalars import GaussianRational, is_exact, rational_sqrt
 from .symalg import EXACT, FLOATING, ModelQuadratic, VariableLayout
 
 THRESHOLD_TOL = 1e-12
@@ -76,20 +76,8 @@ def _num(x):
     return x
 
 
-def _re(r) -> float:
-    if isinstance(r, GaussianRational):
-        return float(r.re)
-    return as_complex(r).real
-
-
-def _im(r) -> float:
-    if isinstance(r, GaussianRational):
-        return float(r.im)
-    return as_complex(r).imag
-
-
 def is_complex_ratio(r) -> bool:
-    return _im(r) != 0.0
+    return complex(r).imag != 0.0
 
 
 @dataclass(frozen=True)
@@ -112,7 +100,7 @@ class RadialPoint:
 
     @property
     def outgoing(self) -> bool:
-        return _re(self.lam) < 0
+        return complex(self.lam).real < 0
 
     @property
     def n(self) -> int:
@@ -140,7 +128,7 @@ class RadialPoint:
             "sign": self.sign,
             "nu": _num(self.nu) if is_exact(self.nu) else self.nu,
             "lambda": _num(self.lam) if is_exact(self.lam) else self.lam,
-            "rList": [{"re": _re(r), "im": _im(r)} for r in self.r_list],
+            "rList": [{"re": complex(r).real, "im": complex(r).imag} for r in self.r_list],
             "partition": [self.layout.s, self.layout.m],
             "outgoing": self.outgoing,
             "hessianThreshold": self.hessian_threshold,
@@ -200,12 +188,12 @@ def linearization_spectrum(cp: CriticalPointSpec, sigma, sign: int,
         r, is_thr = _ratio_to_r(a / w, exact, tol)
         threshold = threshold or is_thr
         entries.append((idx, r))
-    entries.sort(key=lambda item: (_re(item[1]), _im(item[1])))
+    entries.sort(key=lambda item: (complex(item[1]).real, complex(item[1]).imag))
     order = tuple(idx for idx, _ in entries)
     r_list = tuple(r for _, r in entries)
 
-    s = 1 + sum(1 for r in r_list if not is_complex_ratio(r) and _re(r) < 0)
-    m = s + sum(1 for r in r_list if not is_complex_ratio(r) and _re(r) > 0)
+    s = 1 + sum(1 for r in r_list if not is_complex_ratio(r) and complex(r).real < 0)
+    m = s + sum(1 for r in r_list if not is_complex_ratio(r) and complex(r).real > 0)
     layout = VariableLayout(n=cp.n, s=s, m=m)
 
     if exact:
@@ -291,10 +279,10 @@ class LinearizationData:
     f_forms: tuple            # per index j: (c_y, c_mu) with eigenvalue lam*(1-r_j)
 
     def eigenvalue_e(self, j: int) -> complex:
-        return as_complex(self.rp.lam) * as_complex(self.rp.r_list[j])
+        return complex(self.rp.lam) * complex(self.rp.r_list[j])
 
     def eigenvalue_f(self, j: int) -> complex:
-        return as_complex(self.rp.lam) * (1 - as_complex(self.rp.r_list[j]))
+        return complex(self.rp.lam) * (1 - complex(self.rp.r_list[j]))
 
     def form_vector(self, coeffs: tuple, j: int) -> np.ndarray:
         """Embed a per-block form (c_y, c_mu) as a full covector."""
@@ -318,7 +306,7 @@ def linearization_eigenvectors(rp: RadialPoint) -> LinearizationData:
     """
     if rp.hessian_threshold:
         raise DegenerateError("eigenvector basis degenerates at a Hessian threshold")
-    lam = as_complex(rp.lam)
+    lam = complex(rp.lam)
     nv = rp.n - 1
     A = np.zeros((2 * nv, 2 * nv))
     # Per-block tangent action: d/dt (y_j, mu_j) = (2 mu_j, -2a_j y_j + lam mu_j).
@@ -334,7 +322,7 @@ def linearization_eigenvectors(rp: RadialPoint) -> LinearizationData:
     e_forms = []
     f_forms = []
     for j in range(nv):
-        r = as_complex(rp.r_list[j])
+        r = complex(rp.r_list[j])
         e_forms.append((-(lam / 2) * (1 - r), 1.0 + 0j))
         f_forms.append((-(lam / 2) * r, 1.0 + 0j))
     return LinearizationData(rp=rp, matrix_a=A, omega=omega,

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import brentq
 
-from .scalars import GaussianRational, as_complex
+from .scalars import GaussianRational
 from .symalg import (EXACT, MonomialKey, WeightedPolynomial, bracket, compositions,
                      iter_monomials, normalized_eigenvalue, weighted_degree)
 from .radial import CriticalPointSpec, HessianThresholdError, RadialPoint
@@ -58,7 +58,7 @@ class ResonanceRecord:
         return weighted_degree(self.idx)
 
     def to_json_dict(self) -> dict:
-        ev = as_complex(self.eigenvalue)
+        ev = complex(self.eigenvalue)
         return {"a": self.idx[0], "alpha": list(self.idx[1]), "beta": list(self.idx[2]),
                 "eigenvalue": {"re": ev.real, "im": ev.imag}, "class": self.klass}
 
@@ -69,7 +69,7 @@ def is_resonant(idx: MonomialKey, rp: RadialPoint, tol: float = DEFAULT_FLOAT_TO
     rho = normalized_eigenvalue(idx, rp.r_list)
     if rp.mode == EXACT:
         return rho == 0
-    return abs(as_complex(rho)) <= tol
+    return abs(complex(rho)) <= tol
 
 
 def classify_resonance(idx: MonomialKey, rp: RadialPoint,
@@ -118,7 +118,7 @@ def near_resonances(rp: RadialPoint, max_degree: int,
         return []
     out = []
     for idx in iter_monomials(rp.n - 1, max_degree, min_weighted_degree=3):
-        rho = abs(as_complex(normalized_eigenvalue(idx, rp.r_list)))
+        rho = abs(complex(normalized_eigenvalue(idx, rp.r_list)))
         if tol < rho <= 10 * tol:
             out.append(idx)
     return out

@@ -130,12 +130,6 @@ def is_exact(value) -> bool:
     return isinstance(value, (int, Fraction, GaussianRational))
 
 
-def as_complex(value) -> complex:
-    if isinstance(value, GaussianRational):
-        return complex(value)
-    return complex(value)
-
-
 def format_fraction(value: Fraction) -> str:
     """Render a Fraction as the wire format "p/q" (always with denominator)."""
     return f"{value.numerator}/{value.denominator}"

@@ -181,15 +181,17 @@ def test_criterion_09_morse_decomposition():
     minima = sorted(n.node_id for n in outgoing if n.is_min)
     assert len(maxima) == 2 and len(minima) == 2
     # each maximum flows into its two adjacent minima (the two minima)
-    assert set(dag.graph.edges()) == {(mx, mn) for mx in maxima for mn in minima}
+    assert {(e.source, e.target) for e in dag.edges} == {(mx, mn) for mx in maxima
+                                                          for mn in minima}
     assert not dag.undecided
     for e in dag.edges:
         assert e.trajectory.p_drift <= 1e-9
         assert e.trajectory.nu_min_increment >= -1e-9
     ms = morse_sequence(dag)
     assert ms.verified
-    assert [dag.graph.nodes[nid]["is_min"] for nid in ms.order] == [True, True, False, False]
-    nus = [dag.graph.nodes[nid]["nu"] for nid in ms.order]
+    by_id = {n.node_id: n for n in dag.nodes}
+    assert [by_id[nid].is_min for nid in ms.order] == [True, True, False, False]
+    nus = [by_id[nid].nu for nid in ms.order]
     assert nus[0] == pytest.approx(math.sqrt(3.0)) and nus[-1] == pytest.approx(1.0)
     assert nus == sorted(nus, reverse=True)
     elapsed = time.perf_counter() - t0

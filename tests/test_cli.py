@@ -129,10 +129,11 @@ def test_scan_grid_points_must_be_integer_at_least_2(tmp_path, capsys, grid):
     assert not (tmp_path / "o").exists()
 
 
-def assert_config_exit(tmp_path, capsys, data, message, command="analyze"):
+def assert_config_exit(tmp_path, capsys, data, message, command="analyze", flags=()):
     """The CLI exits 2 with one stderr line holding `message`, no traceback, no report."""
     cfg = write_config(tmp_path, data)
-    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o"),
+                 *flags]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert err.startswith("config error: ") and message in err
@@ -165,6 +166,75 @@ def test_zero_hessian_entry_is_config_error(tmp_path, capsys, hessian):
         "criticalPoints": [{"label": "z", "value": 0, "hessian": hessian}],
         "energy": 1.0,
     }, "critical point 'z': Morse condition violated: zero Hessian eigenvalue")
+
+
+def test_config_top_level_must_be_an_object(tmp_path, capsys):
+    assert_config_exit(tmp_path, capsys, [1], "the config must be a JSON object, got list")
+
+
+def test_config_options_must_be_an_object_before_overrides(tmp_path, capsys):
+    assert_config_exit(tmp_path, capsys, {
+        "mode": "abstract",
+        "criticalPoints": [{"label": "z", "value": 0, "hessian": ["3/8"]}],
+        "energy": 1.0,
+        "options": 5,
+    }, "options must be a JSON object, got int", flags=["--max-degree", "4"])
+
+
+ABSTRACT_Z = {"mode": "abstract",
+              "criticalPoints": [{"label": "z", "value": 0, "hessian": ["3/8"]}],
+              "energy": 1.0}
+
+
+@pytest.mark.parametrize("data, literal", [
+    (dict(ABSTRACT_Z, energy=float("nan")), "NaN"),
+    (dict(ABSTRACT_Z, options={"reB": float("inf")}), "Infinity"),
+    (dict(ABSTRACT_Z, criticalPoints=[{"label": "z", "value": 0,
+                                       "hessian": [0.375, -float("inf")]}]), "-Infinity"),
+])
+def test_non_finite_json_literals_are_config_errors(tmp_path, capsys, data, literal):
+    # json.dumps writes NaN, Infinity and -Infinity, which JSON itself does not allow
+    assert literal in json.dumps(data)
+    assert_config_exit(tmp_path, capsys, data, f"non-finite number {literal} is not allowed",
+                       command="expansion")
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--sigma", "nan"], "non-finite number nan at energy"),
+    (["--tol", "inf"], "non-finite number inf at options.tol"),
+])
+def test_non_finite_overrides_are_config_errors(tmp_path, capsys, flags, message):
+    assert_config_exit(tmp_path, capsys, ABSTRACT_Z, message, command="expansion",
+                       flags=flags)
+
+
+def test_loader_rejects_non_finite_floats_anywhere():
+    with pytest.raises(ConfigError, match="non-finite number nan at criticalPoints.0.hessian.1"):
+        AnalysisConfig.from_dict(dict(ABSTRACT_Z, criticalPoints=[
+            {"label": "z", "value": 0, "hessian": [0.375, float("nan")]}]))
+    with pytest.raises(ConfigError, match="non-finite number -inf at options.stationaryPhase.v0z"):
+        AnalysisConfig.from_dict(dict(ABSTRACT_Z, options={
+            "stationaryPhase": {"v0z": -math.inf}}))
+
+
+def test_canonical_json_rejects_non_finite_floats(tmp_path):
+    with pytest.raises(ValueError):
+        cli_reports.canonical_json({"x": float("nan")})
+    # a report that cannot be written leaves no empty report.json behind
+    report = cli_reports.AnalysisReport(config=None, per_energy={}, stage_errors={},
+                                        global_results={"x": float("inf")}, provenance={})
+    with pytest.raises(ValueError):
+        cli_reports.emit(report, ["json"], str(tmp_path))
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_cli_import_does_not_load_networkx():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, radialscope.cli; print('networkx' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_parser_built_once_per_process():

@@ -1,7 +1,6 @@
 import math
 import types
 
-import networkx as nx
 import numpy as np
 import pytest
 
@@ -18,6 +17,15 @@ from radialscope.dynamics import (MAX_FLOW_STEPS, ContactPoint, FlowStepError, H
 from radialscope.radial import CriticalPointSpec, linearization_spectrum
 
 COS2 = PotentialModel(n=2, v0_coeffs=[(2, 1.0, 0.0)])
+
+
+def edge_set(dag):
+    return {(e.source, e.target) for e in dag.edges}
+
+
+def fake_edge(source, target):
+    """A stand-in for a FlowoutRecord: morse_sequence reads only its endpoints."""
+    return types.SimpleNamespace(source=source, target=target)
 
 
 def fd_field(pm, sigma, pt, step=1e-6):
@@ -116,7 +124,7 @@ def test_integrate_flow_rejects_off_shell():
 def test_heteroclinic_dag_cos2theta():
     dag = heteroclinic_dag(COS2, 2.0)
     by_id = {n.node_id: n for n in dag.nodes}
-    edges = set(dag.graph.edges())
+    edges = edge_set(dag)
     maxima = {n.node_id for n in dag.nodes if n.outgoing and not n.is_min}
     minima = {n.node_id for n in dag.nodes if n.outgoing and n.is_min}
     assert len(maxima) == 2 and len(minima) == 2
@@ -131,14 +139,14 @@ def test_heteroclinic_dag_cos2theta():
 def test_heteroclinic_dag_stable_under_eps_halving():
     dag1 = heteroclinic_dag(COS2, 2.0, eps=1e-5)
     dag2 = heteroclinic_dag(COS2, 2.0, eps=5e-6)
-    assert set(dag1.graph.edges()) == set(dag2.graph.edges())
+    assert edge_set(dag1) == edge_set(dag2)
 
 
 def test_single_well_dag_isolated_minimum():
     single = PotentialModel(n=2, v0_coeffs=[(1, 1.0, 0.0)])   # V0 = cos(theta)
     dag = heteroclinic_dag(single, 0.5)                       # only the minimum is below
     assert len([n for n in dag.nodes if n.outgoing]) == 1
-    assert not dag.graph.edges()
+    assert not edge_set(dag)
     assert not dag.undecided
 
 
@@ -167,7 +175,8 @@ def test_morse_sequence_cos2theta():
     dag = heteroclinic_dag(COS2, 2.0)
     ms = morse_sequence(dag)
     assert ms.verified, ms.issues
-    nus = [dag.graph.nodes[nid]["nu"] for nid in ms.order]
+    by_id = {n.node_id: n for n in dag.nodes}
+    nus = [by_id[nid].nu for nid in ms.order]
     assert nus == sorted(nus, reverse=True)
     by_id = {n.node_id: n for n in dag.nodes}
     assert all(by_id[nid].is_min for nid in ms.order[:2])     # minima first (nu = sqrt 3)
@@ -187,11 +196,8 @@ def test_morse_sequence_equal_nu_tiebreak():
             self.outgoing = True
             self.theta = 0.0
 
-    g = nx.DiGraph()
     nodes = [FakeNode("max", 1.0, False), FakeNode("min", 1.0, True)]
-    for n in nodes:
-        g.add_node(n.node_id, nu=n.nu, is_min=n.is_min)
-    dag = HeteroclinicDag(nodes=nodes, edges=[], undecided=[], graph=g, settings={})
+    dag = HeteroclinicDag(nodes=nodes, edges=[], undecided=[], settings={})
     ms = morse_sequence(dag)
     assert ms.order == ["max", "min"]     # min placed last on ties
     assert ms.verified
@@ -203,16 +209,12 @@ def test_morse_sequence_reports_cycles():
             self.node_id, self.nu = node_id, nu
             self.is_min, self.outgoing, self.theta = False, True, 0.0
 
-    g = nx.DiGraph()
-    for n in ("a", "b"):
-        g.add_node(n, nu=1.0, is_min=False)
-    g.add_edge("a", "b")
-    g.add_edge("b", "a")
     dag = HeteroclinicDag(nodes=[FakeNode("a", 1.0), FakeNode("b", 1.0)],
-                          edges=[], undecided=[], graph=g, settings={})
+                          edges=[fake_edge("a", "b"), fake_edge("b", "a")],
+                          undecided=[], settings={})
     ms = morse_sequence(dag)
     assert not ms.verified
-    assert "cycle" in ms.issues[0]
+    assert ms.issues == ["cycle detected: [('a', 'b'), ('b', 'a')]"]
 
 
 def test_lyapunov_spot_check():
@@ -251,11 +253,11 @@ def test_asymmetric_double_well_dag():
     outgoing = {n.node_id: n for n in dag.nodes if n.outgoing}
     maxima = {k for k, n in outgoing.items() if not n.is_min}
     minima = {k for k, n in outgoing.items() if n.is_min}
-    assert set(dag.graph.edges()) == {(a, b) for a in maxima for b in minima}
+    assert edge_set(dag) == {(a, b) for a in maxima for b in minima}
     assert not dag.undecided
     ms = morse_sequence(dag)
     assert ms.verified
-    nus = [dag.graph.nodes[n]["nu"] for n in ms.order]
+    nus = [outgoing[n].nu for n in ms.order]
     assert nus == sorted(nus, reverse=True)
     for e in dag.edges:
         assert e.trajectory.p_drift <= 1e-9

@@ -1,11 +1,15 @@
 """Property tests: the sparse-polynomial kernel's ring laws, WeightedPolynomial
-as a view of it, and the config loader's totality."""
+as a view of it, the config loader's totality, and the Morse sequence's
+order checks against a brute-force reachability matrix."""
 
+import ast
 from fractions import Fraction
+from types import SimpleNamespace
 
 from hypothesis import given, settings, strategies as st
 
 from radialscope.cli_reports import DEFAULTS, STAGES, AnalysisConfig, ConfigError
+from radialscope.dynamics import HeteroclinicDag, morse_sequence
 from radialscope.multipoly import MultiPoly
 from radialscope.scalars import GaussianRational
 from radialscope.symalg import EXACT, FLOATING, VariableLayout, WeightedPolynomial
@@ -142,3 +146,56 @@ def test_loader_total_on_any_stage_entries(stages):
 @given(json_values | st.lists(json_values, min_size=2, max_size=2))
 def test_loader_total_on_any_energy(energy):
     loads_or_config_error(dict(BASE, energy=energy))
+
+
+@st.composite
+def digraphs(draw):
+    """Up to 8 stand-in nodes with tied nu values, some incoming, and random edges
+    (self-loops and repeats included); half the draws keep only forward edges."""
+    n = draw(st.integers(1, 8))
+    nodes = [SimpleNamespace(node_id=f"n{i}", nu=draw(st.sampled_from([1.0, 1.25, 1.5])),
+                             is_min=draw(st.booleans()),
+                             outgoing=draw(st.sampled_from([True, True, True, False])))
+             for i in range(n)]
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=12))
+    if draw(st.booleans()):
+        pairs = [(min(i, j), max(i, j)) for i, j in pairs if i != j]
+    edges = [SimpleNamespace(source=f"n{i}", target=f"n{j}") for i, j in pairs]
+    return HeteroclinicDag(nodes=nodes, edges=edges, undecided=[], settings={})
+
+
+@settings(max_examples=300, deadline=None)
+@given(digraphs())
+def test_morse_sequence_matches_brute_force_reachability(dag):
+    ids = [n.node_id for n in dag.nodes if n.outgoing]
+    arcs = {(e.source, e.target) for e in dag.edges if e.source in ids and e.target in ids}
+    reach = {(a, b): (a, b) in arcs for a in ids for b in ids}
+    for k in ids:                                      # Warshall's closure
+        for a in ids:
+            for b in ids:
+                reach[a, b] = reach[a, b] or (reach[a, k] and reach[k, b])
+    ms = morse_sequence(dag)
+    on_cycle = [a for a in ids if reach[a, a]]
+    if on_cycle:
+        assert not ms.verified and ms.order == [] and ms.gammas == [] and len(ms.issues) == 1
+        prefix = "cycle detected: "
+        assert ms.issues[0].startswith(prefix)
+        walk = ast.literal_eval(ms.issues[0][len(prefix):])
+        assert walk and walk[0][0] == on_cycle[0] and walk[-1][1] == on_cycle[0]
+        assert all(edge in arcs for edge in walk)
+        assert all(a[1] == b[0] for a, b in zip(walk, walk[1:]))
+        return
+    assert sorted(ms.order) == sorted(ids)
+    nus = [next(n.nu for n in dag.nodes if n.node_id == nid) for nid in ms.order]
+    assert nus == sorted(nus, reverse=True)
+    expected = []
+    for i, nid in enumerate(ms.order):
+        gamma, rest = ms.order[:i + 1], ms.order[i + 1:]
+        expected += [f"Gamma_{i + 1} not closed: {q} -> {s}"
+                     for q in gamma for s in rest if reach[q, s]]
+        expected += [f"{nid} not minimal in Gamma_{i + 1}: {q} < {nid}"
+                     for q in gamma[:-1] if reach[q, nid]]
+    assert ms.issues == expected
+    assert ms.verified == (not expected)
+    assert ms.gammas == [sorted(ms.order[:i + 1]) for i in range(len(ms.order))]
