@@ -28,8 +28,9 @@ from .resonance import (enumerate_resonances, module_order,
 from .normalform import reduce_to_normal_form
 from .expansion import (OscillatorSpec, exponent_data, expansion_template,
                         log_variable_recursion)
-from .dynamics import (PotentialModel, heteroclinic_dag, locate_radial_points,
-                       lyapunov_check, morse_sequence)
+from .dynamics import (PotentialModel, ThresholdEnergyError, critical_points,
+                       heteroclinic_dag, locate_radial_points, lyapunov_check,
+                       morse_sequence)
 from .oscverify import (StationaryPhaseCase, gaussian_amplitude,
                         stationary_phase_check)
 
@@ -46,7 +47,7 @@ DEFAULTS = {
     "K": 3,                  # oscillator levels per template
     "maxBetaPrime": 2,       # saddle monomial ceiling
     "reB": 0.0,              # user Re b (subprincipal constant input)
-    "tol": 1e-10,            # generic numerical tolerance
+    "tol": 1e-10,            # refuse an explicit energy this close to a critical value of V0
     "floatResonanceTol": 1e-12,
     "scanGridPoints": 10000,
     "bisectTol": 1e-10,
@@ -251,10 +252,6 @@ class AnalysisReport:
     provenance: dict
     artifacts: dict = field(default_factory=dict)   # live objects for CSV emission
 
-    @property
-    def ok(self) -> bool:
-        return not self.stage_errors
-
     def to_json_dict(self) -> dict:
         return {
             "provenance": self.provenance,
@@ -345,30 +342,45 @@ def run_analysis(config: AnalysisConfig) -> AnalysisReport:
     if "scan" in stages:
         if not isinstance(config.energy, tuple):
             raise ConfigError("scan stage requires an interval energy [lo, hi]")
-        cps = config.critical_points
-        if config.potential is not None:
-            cps = _explicit_critical_points(config.potential)
-        scans = {}
-        for cp in cps:
-            if float(cp.value) >= config.energy[0]:
-                errors[f"scan:{cp.label}"] = (
-                    f"interval starts at {config.energy[0]} which is not above "
-                    f"V0({cp.label}) = {float(cp.value)}")
-                continue
-            try:
-                res = scan_effectively_resonant_energies(
-                    cp, config.energy, sign=options["sign"],
-                    grid_points=options["scanGridPoints"],
-                    bisect_tol=options["bisectTol"])
-                scans[cp.label] = res.to_json_dict()
-            except Exception as exc:  # noqa: BLE001
-                errors[f"scan:{cp.label}"] = _stage_error(exc)
-        global_results["energyScan"] = scans
+        try:
+            cps = config.critical_points if config.potential is None else \
+                [cp for _, cp in critical_points(config.potential)]
+        except Exception as exc:  # noqa: BLE001
+            errors["scan"] = _stage_error(exc)
+        else:
+            scans = {}
+            for cp in cps:
+                if float(cp.value) >= config.energy[0]:
+                    errors[f"scan:{cp.label}"] = (
+                        f"interval starts at {config.energy[0]} which is not above "
+                        f"V0({cp.label}) = {float(cp.value)}")
+                    continue
+                try:
+                    res = scan_effectively_resonant_energies(
+                        cp, config.energy, sign=options["sign"],
+                        grid_points=options["scanGridPoints"],
+                        bisect_tol=options["bisectTol"])
+                    scans[cp.label] = res.to_json_dict()
+                except Exception as exc:  # noqa: BLE001
+                    errors[f"scan:{cp.label}"] = _stage_error(exc)
+            global_results["energyScan"] = scans
 
+    scalar_energy = config.energy is not None and not isinstance(config.energy, tuple)
     point_stages = {"radial", "resonance", "normalform", "expansion"} & set(stages)
-    if point_stages and not isinstance(config.energy, tuple) and config.energy is not None:
+    flow_stages = {"flow", "morse"} & set(stages) if config.mode == "explicit" else set()
+    located = None
+    if config.mode == "explicit" and scalar_energy and (point_stages or flow_stages):
+        # the one locate of the run; a critical value within tol propagates (exit 3)
+        try:
+            located = locate_radial_points(config.potential, float(config.energy),
+                                           tol=options["tol"])
+        except ThresholdEnergyError:
+            raise
+        except Exception as exc:  # noqa: BLE001
+            errors["radial"] = _stage_error(exc)
+
+    if point_stages and scalar_energy and (config.mode == "abstract" or located is not None):
         sigma = config.energy
-        key = repr(float(sigma))
         entry: dict = {}
         if config.mode == "abstract":
             def run_cp(cp):
@@ -383,8 +395,6 @@ def run_analysis(config: AnalysisConfig) -> AnalysisReport:
             for label, data in parallel_map(run_cp, config.critical_points):
                 entry[label] = data
         else:
-            located = locate_radial_points(config.potential, float(sigma),
-                                           tol=options["tol"])
             for node in located:
                 if not node.outgoing:
                     entry[node.node_id] = {"radial": node.to_json_dict()}
@@ -392,30 +402,28 @@ def run_analysis(config: AnalysisConfig) -> AnalysisReport:
                 data = _point_stages(node.record, config, errors, node.node_id)
                 data["radial"] = node.to_json_dict()
                 entry[node.node_id] = data
-        per_energy[key] = entry
+        per_energy[repr(float(sigma))] = entry
 
-    if ("flow" in stages or "morse" in stages) and config.mode == "explicit":
-        if isinstance(config.energy, tuple) or config.energy is None:
-            errors["flow"] = "flow/morse stages need a single energy"
-        else:
-            try:
-                dag = heteroclinic_dag(
-                    config.potential, float(config.energy),
-                    eps=options["seedEps"], tol=options["flowTol"],
-                    ball_radius=options["ballRadius"], w_stop=options["wStop"],
-                    hold_time=options["holdTime"], t_max=options["tMax"])
-                global_results["dag"] = dag.to_json_dict()
-                artifacts["dag"] = dag
-                global_results["lyapunov"] = [
-                    lyapunov_check(config.potential, float(config.energy), n)
-                    for n in dag.nodes if n.outgoing]
-                if "morse" in stages:
-                    ms = morse_sequence(dag)
-                    global_results["morse"] = ms.to_json_dict()
-                    if not ms.verified:
-                        errors["morse"] = "; ".join(ms.issues)
-            except Exception as exc:  # noqa: BLE001
-                errors["flow"] = _stage_error(exc)
+    if flow_stages and not scalar_energy:
+        errors["flow"] = "flow/morse stages need a single energy"
+    elif flow_stages and located is not None:
+        sigma = float(config.energy)
+        try:
+            dag = heteroclinic_dag(
+                config.potential, sigma, eps=options["seedEps"], tol=options["flowTol"],
+                ball_radius=options["ballRadius"], w_stop=options["wStop"],
+                hold_time=options["holdTime"], t_max=options["tMax"], nodes=located)
+            global_results["dag"] = dag.to_json_dict()
+            artifacts["dag"] = dag
+            global_results["lyapunov"] = [lyapunov_check(config.potential, sigma, n)
+                                          for n in dag.nodes if n.outgoing]
+            if "morse" in flow_stages:
+                ms = morse_sequence(dag)
+                global_results["morse"] = ms.to_json_dict()
+                if not ms.verified:
+                    errors["morse"] = "; ".join(ms.issues)
+        except Exception as exc:  # noqa: BLE001
+            errors["flow"] = _stage_error(exc)
 
     if "stationaryPhase" in stages:
         sp = options["stationaryPhase"]
@@ -441,15 +449,6 @@ def run_analysis(config: AnalysisConfig) -> AnalysisReport:
     return AnalysisReport(config=config, per_energy=per_energy,
                           global_results=global_results, stage_errors=errors,
                           provenance=provenance, artifacts=artifacts)
-
-
-def _explicit_critical_points(pm: PotentialModel) -> list[CriticalPointSpec]:
-    from .dynamics import _critical_angles
-    cps = []
-    for k, th in enumerate(_critical_angles(pm)):
-        cps.append(CriticalPointSpec(label=f"cp{k}", value=pm.v0(th),
-                                     hessian=(pm.v0_second(th),)))
-    return cps
 
 
 # -- emission --------------------------------------------------------------------------

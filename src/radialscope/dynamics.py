@@ -124,18 +124,15 @@ def symbol_value(pm: PotentialModel, sigma: float, pt: ContactPoint) -> float:
 
 def field_eval(pm: PotentialModel, sigma: float, pt: ContactPoint) -> np.ndarray:
     """W at pt, as (dtheta, dnu, dmu)."""
-    theta, nu, mu = pt.theta, pt.nu, pt.mu[0]
-    p = symbol_value(pm, sigma, pt)
-    return np.array([2.0 * mu,
-                     2.0 * mu * mu - p,
-                     -2.0 * nu * mu - pm.v0_prime(theta)])
+    return np.array(_rhs(pm, sigma)(pt.theta, pt.nu, pt.mu[0]))
 
 
 def _rhs(pm: PotentialModel, sigma: float):
     """W as a function (theta, nu, mu) -> (dtheta, dnu, dmu) on plain floats.
 
     One cos/sin pair per row; each row carries the products -a k and b k
-    that pm.v0_prime forms, so the values equal field_eval's bit for bit.
+    that pm.v0_prime forms, so V0 and V0' equal pm.v0's and pm.v0_prime's
+    bit for bit.
     """
     rows = tuple((k, a, b, -a * k, b * k) for k, a, b in pm.v0_coeffs)
     cos, sin = math.cos, math.sin
@@ -308,10 +305,6 @@ class Trajectory:
     p_drift: float
     nu_min_increment: float
 
-    def point(self, i: int) -> ContactPoint:
-        th, nu, mu = self.states[i]
-        return ContactPoint("circle", (th,), nu, (mu,))
-
     def to_csv_rows(self):
         rows = [("t", "chart", "y1", "nu", "mu1", "p")]
         for t, (th, nu, mu), p in zip(self.times.tolist(), self.states.tolist(),
@@ -400,32 +393,41 @@ def _critical_angles(pm: PotentialModel, grid: int = 4096, tol: float = 1e-12) -
     return dedup
 
 
-def locate_radial_points(pm: PotentialModel, sigma: float,
-                         tol: float = 1e-9) -> list[LocatedRadialPoint]:
-    """All radial points (theta_c, +-sqrt(sigma - V0(theta_c)), mu = 0).
+def critical_points(pm: PotentialModel) -> list[tuple[float, CriticalPointSpec]]:
+    """V0's critical angles on [0, 2 pi), each with its spec cp{k}.
 
-    Critical points of V0 come from a dense grid plus Newton refinement;
-    each is cross-checked through the abstract linearization using the
-    numerically computed Hessian.  sigma within tol of a critical value
-    raises ThresholdEnergyError.
+    Raises NotMorseError when there are none or one has |V0''| < 1e-8.
     """
     angles = _critical_angles(pm)
     if not angles:
         raise NotMorseError("V0 has no nondegenerate critical points on the grid")
     out = []
     for k, th in enumerate(angles):
-        v = pm.v0(th)
         h = pm.v0_second(th)
         if abs(h) < 1e-8:
             raise NotMorseError(f"degenerate critical point at theta = {th}")
-        if abs(sigma - v) < tol:
+        out.append((th, CriticalPointSpec(label=f"cp{k}", value=pm.v0(th), hessian=(h,))))
+    return out
+
+
+def locate_radial_points(pm: PotentialModel, sigma: float,
+                         tol: float = 1e-9) -> list[LocatedRadialPoint]:
+    """All radial points (theta_c, +-sqrt(sigma - V0(theta_c)), mu = 0).
+
+    Critical points of V0 come from critical_points; each is
+    cross-checked through the abstract linearization using the
+    numerically computed Hessian.  sigma within tol of a critical value
+    raises ThresholdEnergyError.
+    """
+    out = []
+    for th, cp in critical_points(pm):
+        if abs(sigma - cp.value) < tol:
             raise ThresholdEnergyError(f"sigma = {sigma} is a critical value of V0 (at theta = {th})")
-        if v > sigma:
+        if cp.value > sigma:
             continue
-        cp = CriticalPointSpec(label=f"cp{k}", value=v, hessian=(h,))
         for sign, tag in ((+1, "out"), (-1, "in")):
             rp = linearization_spectrum(cp, sigma, sign)
-            node = LocatedRadialPoint(node_id=f"cp{k}:{tag}", theta=th, record=rp)
+            node = LocatedRadialPoint(node_id=f"{cp.label}:{tag}", theta=th, record=rp)
             w = field_eval(pm, sigma, node.contact_point())
             if np.linalg.norm(w) > 1e-7:
                 raise RuntimeError(f"located point {node.node_id} is not radial: |W| = {np.linalg.norm(w)}")

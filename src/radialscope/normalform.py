@@ -51,13 +51,15 @@ class HomologicalSolution:
 
 
 def solve_homological(model: ModelQuadratic, e: WeightedPolynomial,
-                      tol: float = DEFAULT_FLOAT_TOL) -> HomologicalSolution:
+                      tol: float = DEFAULT_FLOAT_TOL,
+                      keep: set[MonomialKey] | None = None) -> HomologicalSolution:
     """Solve {{p0, b}} = e modulo resonant terms, in the nu-monomial eigenbasis.
 
     Requires a real-block model (where nu^a y^alpha mu^beta is an exact
     eigenbasis) and e homogeneous of grade >= 1.  The generator b has no
     component on resonant monomials (minimal-norm convention); the
-    residual is exactly the resonant part of e.
+    residual is exactly the resonant part of e.  A keep set replaces the
+    resonance test: exactly its monomials go to the residual.
     """
     if not model.layout.is_real_block:
         raise ValueError("homological solve requires a real-block model")
@@ -76,7 +78,10 @@ def solve_homological(model: ModelQuadratic, e: WeightedPolynomial,
     for term in e.terms():
         key = (term.a, term.alpha, term.beta)
         R = model.eigenvalue(key)
-        resonant = (R == 0) if exact else abs(complex(R)) <= tol * abs(complex(model.lam))
+        if keep is not None:
+            resonant = key in keep
+        else:
+            resonant = (R == 0) if exact else abs(complex(R)) <= tol * abs(complex(model.lam))
         if resonant:
             resid_terms[key] = term.coeff
         else:
@@ -119,13 +124,15 @@ class NormalFormResult:
 
 
 def reduce_to_normal_form(p: WeightedPolynomial, rp: RadialPoint, max_grade: int,
-                          tol: float = DEFAULT_FLOAT_TOL) -> NormalFormResult:
+                          tol: float = DEFAULT_FLOAT_TOL,
+                          keep: set[MonomialKey] | None = None) -> NormalFormResult:
     """Iterated homological reduction of p to grades <= max_grade.
 
     Precondition: the grade <= 0 part of p equals the model quadratic of
     rp (raises ModelMismatchError otherwise).  Grade-0 terms are never
     modified; in exact mode every nonresonant monomial of the output
-    vanishes identically.
+    vanishes identically.  keep, if given, is passed to every
+    solve_homological call in place of its resonance test.
     """
     if max_grade < 1:
         raise ValueError("max_grade must be >= 1")
@@ -143,7 +150,7 @@ def reduce_to_normal_form(p: WeightedPolynomial, rp: RadialPoint, max_grade: int
     generators = []
     for l in range(1, max_grade + 1):
         e_l = current.grade_part(l)
-        sol = solve_homological(model, -e_l, tol) if not e_l.is_zero() else None
+        sol = solve_homological(model, -e_l, tol, keep) if not e_l.is_zero() else None
         if sol is None or sol.b.is_zero():
             generators.append(WeightedPolynomial.zero(p.layout, p.mode))
             continue
@@ -202,23 +209,10 @@ class FamilyCoefficients:
     def curve(self, idx: MonomialKey) -> np.ndarray:
         return np.asarray(self.coeffs[idx])
 
-    @staticmethod
-    def idx_id(idx: MonomialKey) -> str:
-        a, alpha, beta = idx
-        return f"nu^{a}.y^{'.'.join(map(str, alpha))}.mu^{'.'.join(map(str, beta))}"
 
-    def to_csv_rows(self):
-        rows = [("sigma", "idxId", "re", "im")]
-        for idx in self.index_set:
-            name = self.idx_id(idx)
-            for s, c in zip(self.sigma_grid, self.coeffs[idx]):
-                rows.append((repr(s), name, repr(c.real), repr(c.imag)))
-        return rows
-
-
-def _fixed_index_set(cp: CriticalPointSpec, sigmas: Sequence[float], sign: int,
-                     max_degree: int) -> list[MonomialKey]:
-    """The fixed set I' from the parameter-family construction.
+def _fixed_index_set(rps: Sequence[RadialPoint], max_degree: int) -> list[MonomialKey]:
+    """The fixed set I' from the parameter-family construction, for the
+    radial points of one critical point at the grid energies.
 
     Its complement consists of the never-resonant cases: (1) a + |beta'| = 1
     with alpha'' = alpha''' = beta'' = beta''' = 0; (2)-(3) purely one-sided
@@ -228,7 +222,6 @@ def _fixed_index_set(cp: CriticalPointSpec, sigmas: Sequence[float], sign: int,
     a = 0, |beta'| = 1 additionally requires non-effective-resonance, which
     holds because the interval was scanned.
     """
-    rps = [linearization_spectrum(cp, s, sign) for s in sigmas]
     lay = rps[0].layout
     nvars = lay.nvars
     out = []
@@ -288,33 +281,18 @@ def family_normal_form(cp: CriticalPointSpec, interval: tuple[float, float],
     else:
         sigmas = [lo + i * (hi - lo) / (grid_size - 1) for i in range(grid_size)]
 
-    index_set = _fixed_index_set(cp, sigmas, sign, max_grade)
+    rps = [linearization_spectrum(cp, s, sign) for s in sigmas]
+    index_set = _fixed_index_set(rps, max_grade)
     keep = set(index_set)
 
-    def reduce_at(s: float) -> dict:
-        rp = linearization_spectrum(cp, s, sign)
-        model_f = ModelQuadratic(lam=float(rp.lam),
-                                 r_list=tuple(float(r) for r in rp.r_list),
-                                 layout=rp.layout)
-        p = model_f.p0(FLOATING)
+    def reduce_at(rp: RadialPoint) -> dict:
+        p = rp.model_quadratic().p0(FLOATING)
         if perturbation is not None:
             p = p + perturbation.to_mode(FLOATING)
-        current = p.truncate_grade(max_grade)
-        for l in range(1, max_grade + 1):
-            e_l = current.grade_part(l)
-            b_terms = {}
-            for term in e_l.terms():
-                key = (term.a, term.alpha, term.beta)
-                if key in keep:
-                    continue
-                R = complex(model_f.eigenvalue(key))
-                b_terms[key] = -term.coeff / R
-            b = WeightedPolynomial(p.layout, FLOATING, b_terms)
-            if not b.is_zero():
-                current = ad_exponential(b, current, max_grade).chop(1e-14)
-        return {idx: complex(current.coefficient(*idx)) for idx in index_set}
+        nf = reduce_to_normal_form(p, rp, max_grade, keep=keep)
+        return {idx: complex(nf.p_norm.coefficient(*idx)) for idx in index_set}
 
-    per_sigma = parallel_map(reduce_at, sigmas)
+    per_sigma = parallel_map(reduce_at, rps)
     coeffs = {idx: [row[idx] for row in per_sigma] for idx in index_set}
 
     dd_report = {}

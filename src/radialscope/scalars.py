@@ -108,10 +108,6 @@ class GaussianRational:
         return f"({self.re}{sign}{abs(self.im)}*i)"
 
 
-ZERO = GaussianRational(0)
-ONE = GaussianRational(1)
-
-
 def rational_sqrt(value: Fraction) -> Fraction | None:
     """Exact square root of a nonnegative rational, or None if irrational."""
     if value < 0:

@@ -62,16 +62,11 @@ class VariableLayout:
     (0, 1/2)) and y''' = m..n-1 (complex ratio pairs).  Indices here are
     1-based to match the block boundaries s and m; the *_indices helpers
     return 0-based positions into exponent tuples.
-
-    For y''' blocks, `complex_frames[j]` optionally records the complex
-    2x2 matrix expressing the eigen-coordinates (e_j, f_j) in terms of
-    (y_j, mu_j); the polynomial ring itself stays real-coordinate based.
     """
 
     n: int
     s: int | None = None
     m: int | None = None
-    complex_frames: tuple = field(default=(), compare=False)
 
     def __post_init__(self):
         if self.n < 2:

@@ -533,3 +533,71 @@ def test_no_real_radial_point_is_informational(tmp_path):
     rep = json.loads((tmp_path / "o" / "report.json").read_text())
     assert "error" in rep["perEnergy"]["1.0"]["hi"]
     assert rep["perEnergy"]["1.0"]["lo"]["radial"]["class"] == "saddle"
+
+
+def assert_forbidden_exit(tmp_path, capsys, data, command, flags=()):
+    """The CLI exits 3 with one stderr line, no traceback and no report."""
+    cfg = write_config(tmp_path, data)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o"),
+                 *flags]) == EXIT_FORBIDDEN_ENERGY
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("forbidden energy: ")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["flow", "morse"])
+def test_critical_value_exits_3_on_flow_subcommands(tmp_path, capsys, command):
+    assert_forbidden_exit(tmp_path, capsys, dict(COS2_CONFIG, energy=1.0), command)
+
+
+@pytest.mark.parametrize("command", ["analyze", "flow"])
+def test_options_tol_decides_a_near_critical_energy(tmp_path, capsys, command):
+    # 5e-10 above max V0 = 1: outside the default tol 1e-10, inside 1e-8
+    data = dict(COS2_CONFIG, energy=1.0 + 5e-10)
+    cfg = write_config(tmp_path, data)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "ok")]) == EXIT_OK
+    rep = json.loads((tmp_path / "ok" / "report.json").read_text())
+    assert rep["stageErrors"] == {} and rep["global"]["dag"]["nodes"]
+    capsys.readouterr()
+    assert_forbidden_exit(tmp_path, capsys, data, command, flags=["--tol", "1e-8"])
+
+
+CONSTANT_POTENTIAL = {"mode": "explicit", "potential": {"n": 2, "v0": [[0, 0.5, 0]]}}
+
+
+@pytest.mark.parametrize("command", ["analyze", "flow"])
+def test_locate_failure_is_a_radial_stage_error(tmp_path, command):
+    cfg = write_config(tmp_path, dict(CONSTANT_POTENTIAL, energy=2.0))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
+    rep = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert rep["stageErrors"] == {
+        "radial": "NotMorseError: degenerate critical point at theta = 0.0"}
+    assert rep["perEnergy"] == {} and "dag" not in rep["global"]
+
+
+def test_explicit_scan_critical_point_failure_is_a_scan_stage_error(tmp_path):
+    cfg = write_config(tmp_path, dict(CONSTANT_POTENTIAL, energy=[1.0, 2.0]))
+    assert main(["scan-energies", "--config", cfg,
+                 "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
+    rep = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert rep["stageErrors"] == {
+        "scan": "NotMorseError: degenerate critical point at theta = 0.0"}
+
+
+def test_explicit_analyze_locates_radial_points_once(tmp_path, monkeypatch):
+    from radialscope import dynamics
+    calls = {"locate": 0, "angles": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli_reports, "locate_radial_points",
+                        counted("locate", cli_reports.locate_radial_points))
+    monkeypatch.setattr(dynamics, "_critical_angles",
+                        counted("angles", dynamics._critical_angles))
+    cfg = write_config(tmp_path, COS2_CONFIG)
+    assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_OK
+    assert calls == {"locate": 1, "angles": 1}
