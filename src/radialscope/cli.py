@@ -10,8 +10,9 @@ Subcommands run the pipeline with a stage filter:
     radialscope expansion        --config cfg.json
     radialscope stationary-phase --config cfg.json
 
-Exit codes: 0 ok, 2 config error, 3 forbidden energy (threshold or
-effectively resonant where not allowed), 4 numerical-stage failure.
+Exit codes: 0 ok, 2 config error, 3 forbidden energy (within --tol of a
+critical value of V0 or a Hessian threshold, in abstract and explicit
+mode alike), 4 numerical-stage failure.
 """
 
 from __future__ import annotations
@@ -23,9 +24,7 @@ import sys
 
 from .cli_reports import (EXIT_CONFIG, EXIT_FORBIDDEN_ENERGY, EXIT_NUMERICAL, EXIT_OK,
                           AnalysisConfig, ConfigError, emit, run_analysis)
-from .normalform import ForbiddenEnergyError
-from .radial import HessianThresholdError
-from .dynamics import ThresholdEnergyError
+from .radial import ForbiddenEnergyError
 
 STAGE_SETS = {
     "analyze": None,  # config-driven default
@@ -92,7 +91,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         report = run_analysis(config)
-    except (ForbiddenEnergyError, HessianThresholdError, ThresholdEnergyError) as exc:
+    except ForbiddenEnergyError as exc:
         print(f"forbidden energy: {exc}", file=sys.stderr)
         return EXIT_FORBIDDEN_ENERGY
     except ConfigError as exc:

@@ -21,14 +21,14 @@ import jsonschema
 
 from . import __version__
 from .symalg import EXACT, WeightedPolynomial
-from .radial import (CriticalPointSpec, NoRealRadialPointError, RadialPoint,
-                     linearization_spectrum)
+from .radial import (DEFAULT_TOL, CriticalPointSpec, ForbiddenEnergyError,
+                     NoRealRadialPointError, RadialPoint, linearization_spectrum)
 from .resonance import (enumerate_resonances, module_order,
                         scan_effectively_resonant_energies, second_index_set)
 from .normalform import reduce_to_normal_form
 from .expansion import (OscillatorSpec, exponent_data, expansion_template,
                         log_variable_recursion)
-from .dynamics import (PotentialModel, ThresholdEnergyError, critical_points,
+from .dynamics import (PotentialModel, critical_points,
                        heteroclinic_dag, locate_radial_points, lyapunov_check,
                        morse_sequence)
 from .oscverify import (StationaryPhaseCase, gaussian_amplitude,
@@ -47,7 +47,7 @@ DEFAULTS = {
     "K": 3,                  # oscillator levels per template
     "maxBetaPrime": 2,       # saddle monomial ceiling
     "reB": 0.0,              # user Re b (subprincipal constant input)
-    "tol": 1e-10,            # refuse an explicit energy this close to a critical value of V0
+    "tol": DEFAULT_TOL,      # refuse an energy this close to a critical value or Hessian threshold
     "floatResonanceTol": 1e-12,
     "scanGridPoints": 10000,
     "bisectTol": 1e-10,
@@ -264,10 +264,9 @@ class AnalysisReport:
 def _point_stages(rp: RadialPoint, config: AnalysisConfig, errors, tag):
     """The per-radial-point pipeline: resonance, normal form, expansion."""
     out = {"radial": rp.to_json_dict()}
-    threshold_blocked = rp.hessian_threshold
     stages, options, perturbation = config.stages, config.options, config.perturbation
 
-    if "resonance" in stages and not threshold_blocked:
+    if "resonance" in stages:
         try:
             recs = enumerate_resonances(rp, options["maxDegree"],
                                         tol=options["floatResonanceTol"])
@@ -283,7 +282,7 @@ def _point_stages(rp: RadialPoint, config: AnalysisConfig, errors, tag):
             errors[f"{tag}:resonance"] = _stage_error(exc)
 
     nf = None
-    if "normalform" in stages and not threshold_blocked and rp.layout.is_real_block:
+    if "normalform" in stages and rp.layout.is_real_block:
         try:
             mode = rp.mode
             p = rp.model_quadratic().p0(mode)
@@ -296,7 +295,7 @@ def _point_stages(rp: RadialPoint, config: AnalysisConfig, errors, tag):
         except Exception as exc:  # noqa: BLE001
             errors[f"{tag}:normalform"] = _stage_error(exc)
 
-    if "expansion" in stages and not threshold_blocked:
+    if "expansion" in stages:
         try:
             osc = None
             if options.get("oscillator") is not None:
@@ -370,11 +369,11 @@ def run_analysis(config: AnalysisConfig) -> AnalysisReport:
     flow_stages = {"flow", "morse"} & set(stages) if config.mode == "explicit" else set()
     located = None
     if config.mode == "explicit" and scalar_energy and (point_stages or flow_stages):
-        # the one locate of the run; a critical value within tol propagates (exit 3)
+        # the one locate of the run; a forbidden energy propagates (exit 3)
         try:
             located = locate_radial_points(config.potential, float(config.energy),
                                            tol=options["tol"])
-        except ThresholdEnergyError:
+        except ForbiddenEnergyError:
             raise
         except Exception as exc:  # noqa: BLE001
             errors["radial"] = _stage_error(exc)
@@ -384,10 +383,10 @@ def run_analysis(config: AnalysisConfig) -> AnalysisReport:
         entry: dict = {}
         if config.mode == "abstract":
             def run_cp(cp):
-                # a Hessian threshold is a forbidden energy and propagates
-                # (exit 3); a critical value above sigma is ordinary data
+                # a forbidden energy propagates (exit 3); a critical value
+                # above sigma is ordinary data
                 try:
-                    rp = linearization_spectrum(cp, sigma, options["sign"])
+                    rp = linearization_spectrum(cp, sigma, options["sign"], options["tol"])
                 except NoRealRadialPointError as exc:
                     return cp.label, {"error": str(exc)}
                 return cp.label, _point_stages(rp, config, errors, cp.label)

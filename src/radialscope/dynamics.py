@@ -31,7 +31,9 @@ from scipy.integrate import solve_ivp
 from scipy.integrate._ivp import dop853_coefficients as _dop
 from scipy.optimize import brentq
 
-from .radial import CriticalPointSpec, RadialPoint, classify_radial, linearization_spectrum
+from .radial import (DEFAULT_TOL, CriticalPointSpec, NoRealRadialPointError, RadialPoint,
+                     ThresholdEnergyError,  # noqa: F401 - re-exported
+                     classify_radial, linearization_spectrum)
 
 DEFAULT_FLOW_TOL = 1e-10
 DEFAULT_BALL_RADIUS = 1e-3
@@ -40,10 +42,6 @@ DEFAULT_HOLD_TIME = 5.0
 # attempted DOP853 steps per heteroclinic trace, chunks and hold together;
 # a workload trajectory takes about 170
 MAX_FLOW_STEPS = 10_000
-
-
-class ThresholdEnergyError(ValueError):
-    """sigma is (numerically) a critical value of V0."""
 
 
 class NotMorseError(ValueError):
@@ -306,11 +304,10 @@ class Trajectory:
     nu_min_increment: float
 
     def to_csv_rows(self):
-        rows = [("t", "chart", "y1", "nu", "mu1", "p")]
-        for t, (th, nu, mu), p in zip(self.times.tolist(), self.states.tolist(),
-                                      self.pvals.tolist()):
-            rows.append((repr(t), "circle", repr(th), repr(nu), repr(mu), repr(p)))
-        return rows
+        th, nu, mu = self.states.T.tolist()
+        return [("t", "chart", "y1", "nu", "mu1", "p"),
+                *zip(map(repr, self.times.tolist()), ["circle"] * len(th), map(repr, th),
+                     map(repr, nu), map(repr, mu), map(repr, self.pvals.tolist()))]
 
 
 def _make_trajectory(pm: PotentialModel, sigma: float, times, states, p_ref: float = 0.0) -> Trajectory:
@@ -411,22 +408,22 @@ def critical_points(pm: PotentialModel) -> list[tuple[float, CriticalPointSpec]]
 
 
 def locate_radial_points(pm: PotentialModel, sigma: float,
-                         tol: float = 1e-9) -> list[LocatedRadialPoint]:
+                         tol: float = DEFAULT_TOL) -> list[LocatedRadialPoint]:
     """All radial points (theta_c, +-sqrt(sigma - V0(theta_c)), mu = 0).
 
     Critical points of V0 come from critical_points; each is
     cross-checked through the abstract linearization using the
-    numerically computed Hessian.  sigma within tol of a critical value
-    raises ThresholdEnergyError.
+    numerically computed Hessian.  linearization_spectrum refuses sigma
+    within tol of a critical value or a Hessian threshold
+    (ForbiddenEnergyError).
     """
     out = []
     for th, cp in critical_points(pm):
-        if abs(sigma - cp.value) < tol:
-            raise ThresholdEnergyError(f"sigma = {sigma} is a critical value of V0 (at theta = {th})")
-        if cp.value > sigma:
+        try:
+            pair = [linearization_spectrum(cp, sigma, sign, tol) for sign in (+1, -1)]
+        except NoRealRadialPointError:
             continue
-        for sign, tag in ((+1, "out"), (-1, "in")):
-            rp = linearization_spectrum(cp, sigma, sign)
+        for rp, tag in zip(pair, ("out", "in")):
             node = LocatedRadialPoint(node_id=f"{cp.label}:{tag}", theta=th, record=rp)
             w = field_eval(pm, sigma, node.contact_point())
             if np.linalg.norm(w) > 1e-7:

@@ -21,7 +21,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .multipoly import MultiPoly
-from .radial import DegenerateError, RadialPoint, classify_radial
+from .radial import RadialPoint, classify_radial
 
 from .symalg import EXACT, WeightedPolynomial, compositions
 
@@ -153,8 +153,6 @@ def exponent_data(rp: RadialPoint, re_b: float = 0.0, k_max: int = 5,
     an input at this stage, not derived).  Multiple blocks combine by
     Cartesian sums of their spectra, sorted ascending.
     """
-    if rp.hessian_threshold:
-        raise DegenerateError("exponent data undefined at a Hessian threshold")
     lay = rp.layout
     classification = classify_radial(rp)
     exact = rp.mode == EXACT

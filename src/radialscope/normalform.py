@@ -21,7 +21,8 @@ from scipy.integrate import solve_ivp
 from .parallel import parallel_map
 from .symalg import (EXACT, FLOATING, ModelQuadratic, MonomialKey,
                      WeightedPolynomial, ad_exponential, iter_monomials)
-from .radial import CriticalPointSpec, RadialPoint, linearization_spectrum
+from .radial import (CriticalPointSpec, ForbiddenEnergyError,
+                     RadialPoint, linearization_spectrum)
 from .resonance import (EFF_NONRES, EFF_R1, EFF_R2, classify_resonance, is_resonant,
                         scan_effectively_resonant_energies)
 
@@ -34,14 +35,6 @@ class ModelMismatchError(ValueError):
 
 class ThresholdModelError(ValueError):
     """Homological solve refused: some r_j = 1/2."""
-
-
-class ForbiddenEnergyError(ValueError):
-    """Interval contains an effectively resonant energy or threshold."""
-
-    def __init__(self, message, offending):
-        super().__init__(message)
-        self.offending = offending
 
 
 @dataclass(frozen=True)

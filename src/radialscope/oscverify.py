@@ -321,11 +321,10 @@ class SPResult:
     convergence_exponent: float | None
 
     def to_csv_rows(self):
-        out = [("x", "reIntegral", "imIntegral", "prefactorMod", "prefactorPhase", "peakSigma")]
-        for r in self.rows:
-            out.append((repr(r["x"]), repr(r["integral"].real), repr(r["integral"].imag),
-                        repr(r["prefactorMod"]), repr(r["prefactorPhase"]), repr(self.peak_sigma)))
-        return out
+        values = [(r["x"], r["integral"].real, r["integral"].imag, r["prefactorMod"],
+                   r["prefactorPhase"], self.peak_sigma) for r in self.rows]
+        return [("x", "reIntegral", "imIntegral", "prefactorMod", "prefactorPhase", "peakSigma"),
+                *zip(*(map(repr, column) for column in zip(*values)))]
 
     def to_json_dict(self) -> dict:
         return {

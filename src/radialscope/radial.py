@@ -8,13 +8,20 @@ with eigenvalue pairs lam*r_j, lam*(1 - r_j),
     r_j = 1/2 - sqrt(1/4 - a_j/(sigma - V0(z))),   lam = -2 nu.
 
 r_j is kept exact (Fraction, or GaussianRational on complex blocks) when
-the inputs are rational and the discriminant is a perfect square.
+the inputs are rational and every discriminant is a perfect square;
+otherwise every r_j is a float or complex.
+
+linearization_spectrum is the one gate for forbidden energies, in the
+abstract and the explicit pipeline alike: sigma within tol of a critical
+value V0(z) raises ThresholdEnergyError, and within tol of a Hessian
+threshold V0(z) + 4 a_j (a_j > 0, where r_j = 1/2) HessianThresholdError.
+Exact inputs are tested on the exact difference.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -23,19 +30,28 @@ import numpy as np
 from .scalars import GaussianRational, is_exact, rational_sqrt
 from .symalg import EXACT, FLOATING, ModelQuadratic, VariableLayout
 
-THRESHOLD_TOL = 1e-12
+# distance in energy under which sigma is refused; options.tol's default
+DEFAULT_TOL = 1e-10
+
+
+class ForbiddenEnergyError(ValueError):
+    """sigma is a forbidden energy; offending is the refused sigma (CLI exit 3)."""
+
+    def __init__(self, message, offending):
+        super().__init__(message)
+        self.offending = offending
+
+
+class ThresholdEnergyError(ForbiddenEnergyError):
+    """sigma is a critical value of V0."""
+
+
+class HessianThresholdError(ForbiddenEnergyError):
+    """sigma sits at a Hessian threshold V0(z) + 4 a_j."""
 
 
 class NoRealRadialPointError(ValueError):
     """sigma <= V0(z): no real radial point over this critical point."""
-
-
-class HessianThresholdError(ValueError):
-    """sigma sits at a Hessian threshold V0(z) + 4 a_j."""
-
-
-class DegenerateError(ValueError):
-    """Operation refused at a Hessian-threshold radial point."""
 
 
 @dataclass(frozen=True)
@@ -96,7 +112,6 @@ class RadialPoint:
     r_list: tuple
     layout: VariableLayout
     hessian_order: tuple[int, ...]
-    hessian_threshold: bool = False
 
     @property
     def outgoing(self) -> bool:
@@ -117,8 +132,6 @@ class RadialPoint:
         data, which is not determined by the Hessian alone and must be
         supplied by the caller.
         """
-        if self.hessian_threshold:
-            raise DegenerateError("no model quadratic at a Hessian threshold")
         return ModelQuadratic(lam=self.lam, r_list=self.r_list, layout=self.layout,
                               quad_blocks=quad_blocks or {})
 
@@ -131,66 +144,56 @@ class RadialPoint:
             "rList": [{"re": complex(r).real, "im": complex(r).imag} for r in self.r_list],
             "partition": [self.layout.s, self.layout.m],
             "outgoing": self.outgoing,
-            "hessianThreshold": self.hessian_threshold,
-            "class": classify_radial(self) if not self.hessian_threshold else None,
+            "hessianThreshold": False,   # thresholds are refused; kept for the report format
+            "class": classify_radial(self),
         }
 
 
-def _ratio_to_r(ratio, exact: bool, tol: float):
-    """r = 1/2 - sqrt(1/4 - ratio) with Re r <= 1/2, exact when possible.
-
-    Returns (r, is_threshold).
-    """
+def _ratio_to_r(ratio, exact: bool):
+    """r = 1/2 - sqrt(1/4 - ratio) with Re r <= 1/2, exact when the root is rational."""
+    disc = Fraction(1, 4) - ratio if exact else 0.25 - float(ratio)
     if exact:
-        disc = Fraction(1, 4) - Fraction(ratio)
-        if disc == 0:
-            return Fraction(1, 2), True
-        if disc > 0:
-            root = rational_sqrt(disc)
-            if root is not None:
-                return Fraction(1, 2) - root, False
-            return 0.5 - math.sqrt(float(disc)), False
-        root = rational_sqrt(-disc)
+        root = rational_sqrt(abs(disc))
         if root is not None:
-            return GaussianRational(Fraction(1, 2), root), False
-        return complex(0.5, math.sqrt(-float(disc))), False
-    disc = 0.25 - float(ratio)
-    if abs(disc) < tol * tol or (disc > 0 and abs(math.sqrt(disc)) < tol):
-        return 0.5, True
-    if disc > 0:
-        return 0.5 - math.sqrt(disc), False
-    return complex(0.5, math.sqrt(-disc)), False
+            return Fraction(1, 2) - root if disc > 0 else GaussianRational(Fraction(1, 2), root)
+        disc = float(disc)
+    if disc >= 0:
+        return 0.5 - math.sqrt(disc)
+    return complex(0.5, math.sqrt(-disc))
 
 
 def linearization_spectrum(cp: CriticalPointSpec, sigma, sign: int,
-                           tol: float = THRESHOLD_TOL,
-                           raise_on_threshold: bool = True) -> RadialPoint:
+                           tol: float = DEFAULT_TOL) -> RadialPoint:
     """Build the radial point over cp at energy sigma with nu of given sign.
 
-    Raises NoRealRadialPointError when sigma <= V0(z) and
-    HessianThresholdError when sigma hits V0(z) + 4 a_j (in the floating
-    case the threshold test is |r - 1/2| < tol); with
-    raise_on_threshold=False a threshold returns the flagged RadialPoint
-    instead, and the downstream operations refuse it individually.
+    Raises ThresholdEnergyError when |sigma - V0(z)| < tol,
+    HessianThresholdError when |sigma - (V0(z) + 4 a_j)| < tol for some
+    a_j > 0, and then NoRealRadialPointError when sigma < V0(z).
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     exact = cp.is_exact and is_exact(sigma)
     w = (Fraction(sigma) - Fraction(cp.value)) if exact else float(sigma) - float(cp.value)
+    if abs(w) < tol:
+        raise ThresholdEnergyError(
+            f"sigma = {sigma} is a critical value of V0: V0({cp.label}) = {cp.value}", sigma)
+    halves = [Fraction(h) / 2 if exact else float(h) / 2.0 for h in cp.hessian]
+    if any(a > 0 and abs(w - 4 * a) < tol for a in halves):
+        listed = ", ".join(map(str, hessian_thresholds(cp)))
+        raise HessianThresholdError(
+            f"sigma = {sigma} is a Hessian threshold for {cp.label}; thresholds: {listed}",
+            sigma)
     if w <= 0:
         raise NoRealRadialPointError(
             f"sigma = {sigma} is not above V0({cp.label}) = {cp.value}")
 
-    entries = []
-    threshold = False
-    for idx, h in enumerate(cp.hessian):
-        a = (Fraction(h) / 2) if exact else float(h) / 2.0
-        r, is_thr = _ratio_to_r(a / w, exact, tol)
-        threshold = threshold or is_thr
-        entries.append((idx, r))
-    entries.sort(key=lambda item: (complex(item[1]).real, complex(item[1]).imag))
+    entries = sorted(enumerate(_ratio_to_r(a / w, exact) for a in halves),
+                     key=lambda item: (complex(item[1]).real, complex(item[1]).imag))
     order = tuple(idx for idx, _ in entries)
     r_list = tuple(r for _, r in entries)
+    if not all(is_exact(r) for r in r_list):
+        # one representation per point: a single irrational r_j makes all floating
+        r_list = tuple(complex(r) if is_complex_ratio(r) else float(r) for r in r_list)
 
     s = 1 + sum(1 for r in r_list if not is_complex_ratio(r) and complex(r).real < 0)
     m = s + sum(1 for r in r_list if not is_complex_ratio(r) and complex(r).real > 0)
@@ -202,14 +205,8 @@ def linearization_spectrum(cp: CriticalPointSpec, sigma, sign: int,
     else:
         nu = sign * math.sqrt(w)
     lam = -2 * nu
-
-    rp = RadialPoint(cp=cp, sign=sign, nu=nu, lam=lam, r_list=r_list,
-                     layout=layout, hessian_order=order, hessian_threshold=threshold)
-    if threshold and raise_on_threshold:
-        raise HessianThresholdError(
-            f"sigma = {sigma} is a Hessian threshold for {cp.label}; "
-            f"thresholds: {hessian_thresholds(cp)}")
-    return rp
+    return RadialPoint(cp=cp, sign=sign, nu=nu, lam=lam, r_list=r_list,
+                       layout=layout, hessian_order=order)
 
 
 def radial_point_from_spectrum(lam, r_list: Sequence, label: str = "abstract",
@@ -304,8 +301,6 @@ def linearization_eigenvectors(rp: RadialPoint) -> LinearizationData:
     each verified against the Jacobian of W: the returned forms satisfy
     A^T v = eigenvalue v exactly for the quadratic local model.
     """
-    if rp.hessian_threshold:
-        raise DegenerateError("eigenvector basis degenerates at a Hessian threshold")
     lam = complex(rp.lam)
     nv = rp.n - 1
     A = np.zeros((2 * nv, 2 * nv))

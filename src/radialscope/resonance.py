@@ -27,7 +27,7 @@ from scipy.optimize import brentq
 from .scalars import GaussianRational
 from .symalg import (EXACT, MonomialKey, WeightedPolynomial, bracket, compositions,
                      iter_monomials, normalized_eigenvalue, weighted_degree)
-from .radial import CriticalPointSpec, HessianThresholdError, RadialPoint
+from .radial import CriticalPointSpec, RadialPoint
 
 EFF_R1 = "effR1"
 EFF_R2 = "effR2"
@@ -97,8 +97,6 @@ def enumerate_resonances(rp: RadialPoint, max_degree: int,
     (this *is* the brute-force scan; the finiteness bounds enter only in
     the energy scan).
     """
-    if rp.hessian_threshold:
-        raise HessianThresholdError("resonance enumeration refused at a Hessian threshold")
     if max_degree < 3:
         raise InvalidInputError("max_degree must be >= 3")
     out = []
@@ -318,8 +316,6 @@ def second_index_set(rp: RadialPoint) -> list[tuple[tuple[int, ...], tuple[int, 
 
     Exponents are over the y'' block only, in sorted-block order.
     """
-    if rp.hessian_threshold:
-        raise HessianThresholdError("J'' undefined at a Hessian threshold")
     sec = list(rp.layout.ysecond_indices)
     if not sec:
         return []

@@ -536,13 +536,14 @@ def test_no_real_radial_point_is_informational(tmp_path):
 
 
 def assert_forbidden_exit(tmp_path, capsys, data, command, flags=()):
-    """The CLI exits 3 with one stderr line, no traceback and no report."""
+    """The CLI exits 3 with one stderr line, no traceback and no report; returns the line."""
     cfg = write_config(tmp_path, data)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o"),
                  *flags]) == EXIT_FORBIDDEN_ENERGY
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("forbidden energy: ")
     assert not (tmp_path / "o").exists()
+    return err
 
 
 @pytest.mark.parametrize("command", ["flow", "morse"])
@@ -601,3 +602,51 @@ def test_explicit_analyze_locates_radial_points_once(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, COS2_CONFIG)
     assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_OK
     assert calls == {"locate": 1, "angles": 1}
+
+
+@pytest.mark.parametrize("command", ["analyze", "flow", "normal-form", "expansion"])
+def test_explicit_hessian_threshold_exits_3(tmp_path, capsys, command):
+    # the minima of cos 2 theta (V0 = -1, V0'' = 4) have their threshold at -1 + 2 * 4
+    assert_forbidden_exit(tmp_path, capsys, dict(COS2_CONFIG, energy=7.0), command)
+
+
+def abstract_config(value, hessian, energy):
+    return {"mode": "abstract", "energy": energy,
+            "criticalPoints": [{"label": "z", "value": value, "hessian": hessian}]}
+
+
+@pytest.mark.parametrize("value, energy", [("1/2", "1/2"), (0.5, 0.5), (0.5, 0.5 - 5e-11)])
+def test_abstract_critical_value_exits_3(tmp_path, capsys, value, energy):
+    assert_forbidden_exit(tmp_path, capsys, abstract_config(value, ["-4", "3/8"], energy),
+                          "analyze")
+
+
+def test_abstract_threshold_within_default_tol_exits_3(tmp_path, capsys):
+    # V0 + 4a = 0 + 2 * 1.0; 1e-11 is inside the default tol 1e-10
+    assert_forbidden_exit(tmp_path, capsys, abstract_config(0.0, [1.0], 2.0 + 1e-11), "analyze")
+
+
+@pytest.mark.parametrize("data", [abstract_config(0.0, [1.0], 2.0 + 1e-7),
+                                  dict(COS2_CONFIG, energy=7.0 + 1e-7)],
+                         ids=["abstract", "explicit"])
+def test_options_tol_decides_a_near_threshold_energy(tmp_path, capsys, data):
+    # 1e-7 above the threshold: outside the default tol 1e-10, inside 1e-6
+    cfg = write_config(tmp_path, data)
+    assert main(["normal-form", "--config", cfg, "--out", str(tmp_path / "ok")]) == EXIT_OK
+    capsys.readouterr()
+    assert_forbidden_exit(tmp_path, capsys, data, "normal-form", flags=["--tol", "1e-6"])
+
+
+def test_threshold_message_lists_thresholds_as_numbers(tmp_path, capsys):
+    err = assert_forbidden_exit(tmp_path, capsys, abstract_config("-1", ["4", "-2"], "7"),
+                                "analyze")
+    assert err.endswith("thresholds: 7\n") and "Fraction" not in err
+
+
+def test_mixed_exact_and_irrational_ratios_run(tmp_path):
+    # w = 1/2: a = 1/4 gives r = 1/2 + i/2 exactly, a = -2 gives r = (1 - sqrt 17)/2
+    cfg = write_config(tmp_path, abstract_config("0", ["-4", "1/2"], "1/2"))
+    assert main(["expansion", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_OK
+    rep = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert rep["stageErrors"] == {}
+    assert rep["perEnergy"]["0.5"]["z"]["expansion"]

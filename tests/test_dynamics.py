@@ -14,7 +14,9 @@ from radialscope.dynamics import (MAX_FLOW_STEPS, ContactPoint, FlowStepError, H
                                   flow_jacobian, heteroclinic_dag, integrate_flow,
                                   locate_radial_points, lyapunov_check, lyapunov_gauge,
                                   morse_sequence, symbol_value)
-from radialscope.radial import CriticalPointSpec, linearization_spectrum
+from radialscope.cli_reports import DEFAULTS
+from radialscope.normalform import ForbiddenEnergyError
+from radialscope.radial import CriticalPointSpec, HessianThresholdError, linearization_spectrum
 
 COS2 = PotentialModel(n=2, v0_coeffs=[(2, 1.0, 0.0)])
 
@@ -87,6 +89,19 @@ def test_locate_cross_checks_abstract_path():
 def test_threshold_energy_rejected():
     with pytest.raises(ThresholdEnergyError):
         locate_radial_points(COS2, 1.0)   # sigma = max V0
+
+
+def test_hessian_threshold_rejected():
+    # min V0 + 2 V0'' = -1 + 8, refused as a forbidden energy (CLI exit 3)
+    with pytest.raises(HessianThresholdError) as err:
+        locate_radial_points(COS2, 7.0)
+    assert isinstance(err.value, ForbiddenEnergyError) and err.value.offending == 7.0
+
+
+def test_library_default_tol_is_the_clis():
+    # 5e-10 above max V0 = 1 is outside the default tol 1e-10, as in the CLI
+    assert locate_radial_points.__defaults__ == (DEFAULTS["tol"],)
+    assert heteroclinic_dag(COS2, 1.0 + 5e-10).nodes
 
 
 def test_not_morse_rejected():

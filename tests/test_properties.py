@@ -1,13 +1,20 @@
 """Property tests: the sparse-polynomial kernel's ring laws, WeightedPolynomial
-as a view of it, the config loader's totality, and the Morse sequence's
-order checks against a brute-force reachability matrix."""
+as a view of it, the config loader's totality, the CLI's forbidden-energy
+exit, and the Morse sequence's order checks against a brute-force
+reachability matrix."""
 
 import ast
+import contextlib
+import io
+import json
+import os
+import tempfile
 from fractions import Fraction
 from types import SimpleNamespace
 
 from hypothesis import given, settings, strategies as st
 
+from radialscope.cli import main
 from radialscope.cli_reports import DEFAULTS, STAGES, AnalysisConfig, ConfigError
 from radialscope.dynamics import HeteroclinicDag, morse_sequence
 from radialscope.multipoly import MultiPoly
@@ -146,6 +153,62 @@ def test_loader_total_on_any_stage_entries(stages):
 @given(json_values | st.lists(json_values, min_size=2, max_size=2))
 def test_loader_total_on_any_energy(energy):
     loads_or_config_error(dict(BASE, energy=energy))
+
+
+@st.composite
+def energy_cases(draw):
+    """A config, a subcommand, an optional --tol, and the energies it must refuse.
+
+    Abstract points and explicit potentials V0 = A cos k theta, whose critical
+    values are +-A and whose minima have the Hessian threshold -A + 2 A k^2;
+    sigma sits within tol/2 of one of them, 2 to 100 tols away, or anywhere.
+    """
+    tol = draw(st.sampled_from([None, 1e-6]))
+    if draw(st.booleans()):
+        amp, k = draw(st.sampled_from([0.5, 1.0, 2.0])), draw(st.sampled_from([1, 2]))
+        config = {"mode": "explicit", "potential": {"n": 2, "v0": [[k, amp, 0.0]]}}
+        special = [amp, -amp, -amp + 2 * amp * k * k]
+        command = "normal-form"
+    else:
+        value = draw(st.integers(-2, 2))
+        hessian = draw(st.lists(st.sampled_from([-4, -1, 1, 3]), min_size=1, max_size=2))
+        config = {"mode": "abstract",
+                  "criticalPoints": [{"label": "z", "value": value, "hessian": hessian}]}
+        special = [value] + [value + 2 * h for h in hessian if h > 0]
+        command = draw(st.sampled_from(["analyze", "expansion"]))
+    eff = DEFAULTS["tol"] if tol is None else tol
+    kind = draw(st.sampled_from(["inside", "outside", "exact", "anywhere"]))
+    if kind == "anywhere":
+        sigma = draw(st.floats(-3.0, 10.0))
+    elif kind == "exact":
+        sigma = Fraction(draw(st.sampled_from(special)))
+    else:
+        u = draw(st.floats(-0.5, 0.5)) if kind == "inside" else \
+            draw(st.floats(2.0, 100.0)) * draw(st.sampled_from([-1, 1]))
+        sigma = draw(st.sampled_from(special)) + u * eff
+    config["energy"] = str(sigma) if isinstance(sigma, Fraction) else sigma
+    config["options"] = {"maxDegree": 4, "K": 1}
+    flags = [] if tol is None else ["--tol", repr(tol)]
+    return config, command, flags, any(abs(sigma - c) < eff for c in special)
+
+
+@settings(max_examples=60, deadline=None)
+@given(energy_cases())
+def test_cli_exits_3_exactly_on_forbidden_energies(case):
+    config, command, flags, forbidden = case
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = os.path.join(tmp, "cfg.json"), os.path.join(tmp, "out")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([command, "--config", cfg, "--out", out, *flags])
+        assert code in (0, 3, 4)
+        assert (code == 3) == forbidden, err.getvalue()
+        if code == 3:
+            assert err.getvalue().count("\n") == 1 and not os.path.exists(out)
+        else:
+            assert os.path.exists(os.path.join(out, "report.json"))
 
 
 @st.composite

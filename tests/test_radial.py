@@ -3,8 +3,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from radialscope.radial import (CriticalPointSpec,
+from radialscope.radial import (CriticalPointSpec, ForbiddenEnergyError,
                                 HessianThresholdError, NoRealRadialPointError,
+                                ThresholdEnergyError,
                                 classify_radial, cp_hessian_sorted, hessian_thresholds,
                                 linearization_eigenvectors, linearization_spectrum,
                                 numerical_jacobian, radial_point_from_spectrum)
@@ -42,6 +43,35 @@ def test_hessian_threshold_raise_and_list():
     # maxima contribute no thresholds
     cp3 = CriticalPointSpec("z", Fraction(0), (Fraction(-1), Fraction(-7, 3)))
     assert hessian_thresholds(cp3) == []
+
+
+@pytest.mark.parametrize("sigma, tol, error", [
+    (2.0 + 5e-11, 1e-10, HessianThresholdError),
+    (2.0 + 1e-7, 1e-6, HessianThresholdError),
+    (Fraction(2) + Fraction(1, 10 ** 11), 1e-10, HessianThresholdError),
+    (5e-11, 1e-10, ThresholdEnergyError),
+    (-5e-11, 1e-10, ThresholdEnergyError),     # below V0, yet refused, not "no point"
+    (Fraction(0), 1e-10, ThresholdEnergyError),
+])
+def test_gate_refuses_energies_within_tol(sigma, tol, error):
+    cp = CriticalPointSpec("z", Fraction(0), (Fraction(1), Fraction(-4)))
+    with pytest.raises(error) as err:
+        linearization_spectrum(cp, sigma, +1, tol)
+    assert isinstance(err.value, ForbiddenEnergyError) and err.value.offending == sigma
+
+
+def test_gate_passes_energies_outside_tol():
+    cp = CriticalPointSpec("z", 0.0, (1.0, -4.0))
+    assert linearization_spectrum(cp, 2.0 + 1e-7, +1).mode == "floating"
+    with pytest.raises(NoRealRadialPointError):
+        linearization_spectrum(cp, -2e-10, +1)
+
+
+def test_one_irrational_ratio_makes_every_ratio_floating():
+    cp = CriticalPointSpec("z", Fraction(0), (Fraction(-4), Fraction(1, 2)))
+    rp = linearization_spectrum(cp, Fraction(1, 2), +1)
+    assert [type(r) for r in rp.r_list] == [float, complex]
+    assert rp.r_list[1] == complex(0.5, 0.5) and rp.mode == "floating"
 
 
 def test_block_partition_consistency():
@@ -177,24 +207,3 @@ def test_report_json_shape():
     assert d["rList"] == [{"re": 0.25, "im": 0.0}]
     assert d["partition"] == [1, 2]
     assert d["class"] == "sourceSink"
-
-
-def test_flagged_threshold_point_is_refused_downstream():
-    from radialscope.radial import DegenerateError
-    from radialscope.resonance import enumerate_resonances, second_index_set
-    from radialscope.expansion import exponent_data
-
-    cp = CriticalPointSpec("z", Fraction(0), (Fraction(1, 2),))
-    rp = linearization_spectrum(cp, Fraction(1), +1, raise_on_threshold=False)
-    assert rp.hessian_threshold
-    assert rp.r_list == (Fraction(1, 2),)
-    with pytest.raises(DegenerateError):
-        linearization_eigenvectors(rp)
-    with pytest.raises(DegenerateError):
-        rp.model_quadratic()
-    with pytest.raises(HessianThresholdError):
-        enumerate_resonances(rp, 4)
-    with pytest.raises(HessianThresholdError):
-        second_index_set(rp)
-    with pytest.raises(DegenerateError):
-        exponent_data(rp)
