@@ -2,10 +2,10 @@
 
 Modules cover the sparse-polynomial kernel (multipoly), the weighted
 symbol algebra built on it (symalg), radial-point linearization
-(radial), resonance bookkeeping (resonance), normal-form reduction
-(normalform), explicit boundary flows and the Morse DAG (dynamics),
-eigenfunction expansion templates (expansion), stationary phase
-verification (oscverify) and report orchestration (cli_reports).
+(radial), Brent's root finder (roots), resonance bookkeeping (resonance),
+normal-form reduction (normalform), explicit boundary flows and the Morse
+DAG (dynamics), eigenfunction expansion templates (expansion), stationary
+phase verification (oscverify) and report orchestration (cli_reports).
 """
 
 __version__ = "0.1.0"

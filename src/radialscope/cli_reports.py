@@ -65,8 +65,17 @@ DEFAULTS = {
 }
 
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
-# integer options and their least values, checked at load
-INTEGER_OPTIONS = {"scanGridPoints": 2, "maxDegree": 1, "K": 0, "maxBetaPrime": 0}
+# integer options and their (least, greatest) values, checked at load; None is
+# no ceiling.  The scan allocates scanGridPoints + 1 floats per family.
+INTEGER_OPTIONS = {"scanGridPoints": (2, 1_000_000), "maxDegree": (1, None), "K": (0, None),
+                   "maxBetaPrime": (0, None)}
+
+
+def _integer_range(key: str) -> str:
+    least, most = INTEGER_OPTIONS[key]
+    return f">= {least}" if most is None else f">= {least} and <= {most}"
+
+
 STAGES = ["radial", "resonance", "normalform", "expansion", "scan", "flow", "morse",
           "stationaryPhase"]
 CONFIG_SCHEMA = {
@@ -100,8 +109,8 @@ CONFIG_SCHEMA = {
         "energy": {"type": ["number", "array", "string"], "items": {"type": "number"}},
         "stages": {"type": "array", "items": {"enum": STAGES}},
         "options": {"type": "object", "additionalProperties": False, "properties": {
-            **{key: {"$comment": f"an integer >= {least}, checked at load"}
-               for key, least in INTEGER_OPTIONS.items()},
+            **{key: {"$comment": f"an integer {_integer_range(key)}, checked at load"}
+               for key in INTEGER_OPTIONS},
             **{key: _POSITIVE for key in ("tol", "bisectTol", "flowTol", "wStop", "seedEps",
                                           "ballRadius", "holdTime", "tMax", "floatResonanceTol")},
             "sign": {"enum": [1, -1]},
@@ -227,10 +236,12 @@ class AnalysisConfig:
         options.update({k: v for k, v in user_opts.items() if k != "stationaryPhase"})
         sp_defaults.update(sp_user)
         options["stationaryPhase"] = sp_defaults
-        for key, least in INTEGER_OPTIONS.items():
+        for key, (least, most) in INTEGER_OPTIONS.items():
             value = options[key]
-            if isinstance(value, bool) or not isinstance(value, int) or value < least:
-                raise ConfigError(f"option {key} must be an integer >= {least}, got {value!r}")
+            if isinstance(value, bool) or not isinstance(value, int) or value < least \
+                    or (most is not None and value > most):
+                raise ConfigError(f"option {key} must be an integer {_integer_range(key)}, "
+                                  f"got {value!r}")
 
         stages = data.get("stages")
         if stages is None:

@@ -15,10 +15,11 @@ Trigonometric potentials are given as coefficient rows (k, a_k, b_k)
 meaning V0(theta) = sum a_k cos(k theta) + b_k sin(k theta).
 
 The heteroclinic traces run on _dop853, a DOP853 stepper on three Python
-floats with solve_ivp's tableau and step control (Hairer, Norsett and
-Wanner, Solving ODEs I, Sec. II.10), under a fixed budget of attempted
-steps per trajectory.  integrate_flow, which takes backward spans and
-max_step, stays on solve_ivp.
+floats with solve_ivp's step control (Hairer, Norsett and Wanner, Solving
+ODEs I, Sec. II.10) and a literal copy of solve_ivp's tableau, under a
+fixed budget of attempted steps per trajectory.  integrate_flow, which
+takes backward spans and max_step, stays on solve_ivp; it is the only
+path here that imports scipy.
 """
 
 from __future__ import annotations
@@ -27,13 +28,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.integrate._ivp import dop853_coefficients as _dop
-from scipy.optimize import brentq
 
 from .radial import (DEFAULT_TOL, CriticalPointSpec, NoRealRadialPointError, RadialPoint,
                      ThresholdEnergyError,  # noqa: F401 - re-exported
                      classify_radial, linearization_spectrum)
+from .roots import brentq
 
 DEFAULT_FLOW_TOL = 1e-10
 DEFAULT_BALL_RADIUS = 1e-3
@@ -146,12 +145,39 @@ def _rhs(pm: PotentialModel, sigma: float):
     return fn
 
 
-# solve_ivp's DOP853 tableau, nonzero entries only: stage rows of A, the
-# weights B and the error weights E5 and E3, each as (j, coefficient of k_j)
-_DOP_A = tuple(tuple((j, float(_dop.A[s, j])) for j in range(s) if _dop.A[s, j])
-               for s in range(1, _dop.N_STAGES))
-_DOP_B, _DOP_E5, _DOP_E3 = (tuple((j, float(c)) for j, c in enumerate(w[:_dop.N_STAGES]) if c)
-                            for w in (_dop.B, _dop.E5, _dop.E3))
+# solve_ivp's DOP853 tableau (scipy.integrate._ivp.dop853_coefficients),
+# nonzero entries only: stage rows of A, the weights B and the error weights
+# E5 and E3, each as (j, coefficient of k_j), written with repr
+_DOP_A = (
+    ((0, 0.05260015195876773),),
+    ((0, 0.0197250569845379), (1, 0.0591751709536137)),
+    ((0, 0.02958758547680685), (2, 0.08876275643042054)),
+    ((0, 0.2413651341592667), (2, -0.8845494793282861), (3, 0.924834003261792)),
+    ((0, 0.037037037037037035), (3, 0.17082860872947386), (4, 0.12546768756682242)),
+    ((0, 0.037109375), (3, 0.17025221101954405), (4, 0.06021653898045596), (5, -0.017578125)),
+    ((0, 0.03709200011850479), (3, 0.17038392571223998), (4, 0.10726203044637328),
+     (5, -0.015319437748624402), (6, 0.008273789163814023)),
+    ((0, 0.6241109587160757), (3, -3.3608926294469414), (4, -0.868219346841726),
+     (5, 27.59209969944671), (6, 20.154067550477894), (7, -43.48988418106996)),
+    ((0, 0.47766253643826434), (3, -2.4881146199716677), (4, -0.590290826836843),
+     (5, 21.230051448181193), (6, 15.279233632882423), (7, -33.28821096898486),
+     (8, -0.020331201708508627)),
+    ((0, -0.9371424300859873), (3, 5.186372428844064), (4, 1.0914373489967295),
+     (5, -8.149787010746927), (6, -18.52006565999696), (7, 22.739487099350505),
+     (8, 2.4936055526796523), (9, -3.0467644718982196)),
+    ((0, 2.273310147516538), (3, -10.53449546673725), (4, -2.0008720582248625),
+     (5, -17.9589318631188), (6, 27.94888452941996), (7, -2.8589982771350235),
+     (8, -8.87285693353063), (9, 12.360567175794303), (10, 0.6433927460157636)),
+)
+_DOP_B = ((0, 0.054293734116568765), (5, 4.450312892752409), (6, 1.8915178993145003),
+          (7, -5.801203960010585), (8, 0.3111643669578199), (9, -0.1521609496625161),
+          (10, 0.20136540080403034), (11, 0.04471061572777259))
+_DOP_E5 = ((0, 0.01312004499419488), (5, -1.2251564463762044), (6, -0.4957589496572502),
+           (7, 1.6643771824549864), (8, -0.35032884874997366), (9, 0.3341791187130175),
+           (10, 0.08192320648511571), (11, -0.022355307863886294))
+_DOP_E3 = ((0, -0.18980075407240762), (5, 4.450312892752409), (6, 1.8915178993145003),
+           (7, -5.801203960010585), (8, -0.4226823213237919), (9, -0.1521609496625161),
+           (10, 0.20136540080403034), (11, 0.02265179219836082))
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1.0 / 8.0
 
@@ -319,6 +345,14 @@ def _make_trajectory(pm: PotentialModel, sigma: float, times, states, p_ref: flo
     nu_min_inc = float(dnu.min()) if dnu.size else 0.0
     return Trajectory(times=times, states=states, pvals=pvals, sigma=sigma,
                       p_drift=drift, nu_min_increment=nu_min_inc)
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported on the first call, so that
+    importing this module does not load scipy.integrate.  It stays a
+    module-level name because bench/tracing.py counts calls through it."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+    return scipy_solve_ivp(*args, **kwargs)
 
 
 def integrate_flow(pm: PotentialModel, sigma: float, pt0: ContactPoint,

@@ -17,8 +17,6 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .multipoly import MultiPoly
 from .radial import RadialPoint, classify_radial
@@ -86,6 +84,9 @@ def oscillator_spectrum_grid(spec: OscillatorSpec, k_max: int,
     High-order central differences on a uniform grid with Dirichlet
     boundaries; the test oracle for the closed form.
     """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     lo, hi = domain
     ys = np.linspace(lo, hi, npts)
     h = ys[1] - ys[0]

@@ -16,7 +16,6 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .parallel import parallel_map
 from .symalg import (EXACT, FLOATING, ModelQuadratic, MonomialKey,
@@ -357,6 +356,8 @@ class NelsonResult:
 
 
 def _flow(field: Callable, x: np.ndarray, t: float, tol: float) -> np.ndarray:
+    from scipy.integrate import solve_ivp
+
     if t == 0:
         return np.asarray(x, dtype=float)
     sol = solve_ivp(lambda _, z: field(z), (0.0, t), np.asarray(x, dtype=float),

@@ -34,8 +34,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import erf
+
+from .roots import brentq
 
 STATIONARY_PHASE_CONSTANT = (1.0 / (2.0 * math.sqrt(math.pi))) * cmath.exp(-0.75j * math.pi)
 DEFAULT_REL_TOL = 1e-10
@@ -149,6 +149,8 @@ def _quadratic_moments(a: np.ndarray, b: float) -> np.ndarray:
             coefs.append(coefs[-1] * 1j * b / len(coefs))
         lin = _linear_moments(a, _NODES - 1 + 2 * (len(coefs) - 1))
         return sum(coef * lin[:, 2 * n:2 * n + _NODES] for n, coef in enumerate(coefs))
+    from scipy.special import erf
+
     ep, em = np.exp(1j * (b + a)), np.exp(1j * (b - a))
     rhs = (-1j * (ep - em), -1j * (ep + em))       # by parity of j
     root, c = np.sqrt(-1j * b), a / (2.0 * b)

@@ -22,8 +22,8 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
+from .roots import brentq
 from .scalars import GaussianRational
 from .symalg import (EXACT, MonomialKey, WeightedPolynomial, bracket, compositions,
                      iter_monomials, normalized_eigenvalue, weighted_degree)

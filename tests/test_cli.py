@@ -150,6 +150,20 @@ def test_max_degree_must_be_integer_at_least_1(tmp_path, capsys, degree):
     }, "option maxDegree must be an integer >= 1")
 
 
+def test_scan_grid_points_ceiling(tmp_path, capsys):
+    # checked at load: the ceiling passes on a run that never scans, and one
+    # more exits 2 before the scan allocates its grid
+    cfg = write_config(tmp_path, dict(ABSTRACT_Z, options={"scanGridPoints": 1_000_000}))
+    assert main(["expansion", "--config", cfg, "--out", str(tmp_path / "ok")]) == EXIT_OK
+    assert_config_exit(tmp_path, capsys, {
+        "mode": "abstract",
+        "criticalPoints": [{"label": "z", "value": 0, "hessian": [-12, -4]}],
+        "energy": [0.5, 2.0],
+        "options": {"scanGridPoints": 1_000_001},
+    }, "option scanGridPoints must be an integer >= 2 and <= 1000000, got 1000001",
+        command="scan-energies")
+
+
 def test_duplicate_critical_point_labels_rejected(tmp_path, capsys):
     assert_config_exit(tmp_path, capsys, {
         "mode": "abstract",
@@ -228,13 +242,35 @@ def test_canonical_json_rejects_non_finite_floats(tmp_path):
     assert not (tmp_path / "report.json").exists()
 
 
-def test_cli_import_does_not_load_networkx():
+# runs (subcommand, config, out) triples given as argv in a fresh interpreter;
+# the last stdout line lists the exit codes and the unused dependencies loaded
+COLD_RUN = """
+import json, sys
+import radialscope.cli as cli
+args = sys.argv[1:]
+codes = [cli.main([args[i], "--config", args[i + 1], "--out", args[i + 2]])
+         for i in range(0, len(args), 3)]
+unused = ("networkx", "scipy.optimize", "scipy.integrate", "scipy.sparse", "scipy.special")
+print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith(unused))]))
+"""
+
+
+def test_cold_cli_run_imports_no_unused_dependency(tmp_path):
+    # scan-energies and an abstract expansion need none of scipy; the root
+    # finder and the DOP853 tableau live in the package
+    scan = write_config(tmp_path, {
+        "mode": "abstract",
+        "criticalPoints": [{"label": "z", "value": 0, "hessian": [-12, -4]}],
+        "energy": [0.5, 2.0], "options": {"scanGridPoints": 2000},
+    }, "scan.json")
+    expansion = write_config(tmp_path, ABSTRACT_Z, "expansion.json")
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, radialscope.cli; print('networkx' in sys.modules)"],
+        [sys.executable, "-c", COLD_RUN,
+         "scan-energies", scan, str(tmp_path / "scan"),
+         "expansion", expansion, str(tmp_path / "expansion")],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[EXIT_OK, EXIT_OK], []]
 
 
 def test_parser_built_once_per_process():

@@ -8,7 +8,8 @@ from scipy.integrate import solve_ivp
 from scipy.integrate._ivp import dop853_coefficients as dop
 from scipy.optimize import brentq
 
-from radialscope.dynamics import (MAX_FLOW_STEPS, ContactPoint, FlowStepError, HeteroclinicDag,
+from radialscope.dynamics import (_DOP_A, _DOP_B, _DOP_E3, _DOP_E5, MAX_FLOW_STEPS,
+                                  ContactPoint, FlowStepError, HeteroclinicDag,
                                   NotMorseError, PotentialModel, ThresholdEnergyError,
                                   _critical_angles, _dop853, _dop853_step, _rhs, field_eval,
                                   flow_jacobian, heteroclinic_dag, integrate_flow,
@@ -448,6 +449,14 @@ def reference_dop853_step(field, y, f0, h):
 
     b = combo(dop.B)
     return (tuple(y[i] + h * b[i] for i in range(3)), combo(dop.E5), combo(dop.E3))
+
+
+def test_dop853_tableau_literals_equal_scipy():
+    n = dop.N_STAGES
+    assert _DOP_A == tuple(tuple((j, float(dop.A[s, j])) for j in range(s) if dop.A[s, j])
+                           for s in range(1, n))
+    for literal, weights in ((_DOP_B, dop.B), (_DOP_E5, dop.E5), (_DOP_E3, dop.E3)):
+        assert literal == tuple((j, float(c)) for j, c in enumerate(weights[:n]) if c)
 
 
 def test_straight_line_step_equals_loop_bitwise():
