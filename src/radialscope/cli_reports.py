@@ -23,14 +23,16 @@ from . import __version__
 from .symalg import EXACT, WeightedPolynomial
 from .radial import (DEFAULT_TOL, CriticalPointSpec, ForbiddenEnergyError,
                      NoRealRadialPointError, RadialPoint, linearization_spectrum)
-from .resonance import (enumerate_resonances, module_order,
+from .resonance import (DEFAULT_BISECT_TOL, DEFAULT_FLOAT_TOL, DEFAULT_GRID,
+                        enumerate_resonances, module_order,
                         scan_effectively_resonant_energies, second_index_set)
 from .normalform import reduce_to_normal_form
 from .expansion import (OscillatorSpec, exponent_data, expansion_template,
                         log_variable_recursion)
-from .dynamics import (PotentialModel, critical_points,
-                       heteroclinic_dag, locate_radial_points, lyapunov_check,
-                       morse_sequence)
+from .dynamics import (DEFAULT_BALL_RADIUS, DEFAULT_FLOW_TOL, DEFAULT_HOLD_TIME,
+                       DEFAULT_SEED_EPS, DEFAULT_T_MAX, DEFAULT_W_STOP, PotentialModel,
+                       critical_points, heteroclinic_dag, locate_radial_points,
+                       lyapunov_check, morse_sequence)
 from .oscverify import (StationaryPhaseCase, gaussian_amplitude,
                         stationary_phase_check)
 
@@ -48,15 +50,15 @@ DEFAULTS = {
     "maxBetaPrime": 2,       # saddle monomial ceiling
     "reB": 0.0,              # user Re b (subprincipal constant input)
     "tol": DEFAULT_TOL,      # refuse an energy this close to a critical value or Hessian threshold
-    "floatResonanceTol": 1e-12,
-    "scanGridPoints": 10000,
-    "bisectTol": 1e-10,
-    "flowTol": 1e-10,
-    "seedEps": 1e-5,
-    "ballRadius": 1e-3,
-    "wStop": 1e-6,
-    "holdTime": 5.0,
-    "tMax": 60.0,
+    "floatResonanceTol": DEFAULT_FLOAT_TOL,
+    "scanGridPoints": DEFAULT_GRID,
+    "bisectTol": DEFAULT_BISECT_TOL,
+    "flowTol": DEFAULT_FLOW_TOL,
+    "seedEps": DEFAULT_SEED_EPS,
+    "ballRadius": DEFAULT_BALL_RADIUS,
+    "wStop": DEFAULT_W_STOP,
+    "holdTime": DEFAULT_HOLD_TIME,
+    "tMax": DEFAULT_T_MAX,
     "sign": 1,
     "stationaryPhase": {
         "v0z": 0.0, "tau": 0.5, "center": None, "width": 0.3, "cut": 3.0,
@@ -171,6 +173,18 @@ def _parse_number(x):
     return x
 
 
+def _oscillator_spec(data: dict, where: str) -> OscillatorSpec:
+    """One options.oscillator block {p, q, c}, elliptic with p > 0."""
+    if sorted(data) != ["c", "p", "q"] or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in data.values()):
+        raise ConfigError(f"options.oscillator{where} must map exactly p, q and c to "
+                          f"numbers, got {data!r}")
+    try:
+        return OscillatorSpec(**data)
+    except (ArithmeticError, ValueError) as exc:
+        raise ConfigError(f"options.oscillator{where}: {exc}") from exc
+
+
 @dataclass
 class AnalysisConfig:
     mode: str
@@ -181,6 +195,8 @@ class AnalysisConfig:
     options: dict
     raw: dict
     perturbation: WeightedPolynomial | None = field(init=False)   # options.perturbation
+    # options.oscillator: one spec for every y''' block, or specs per block index
+    oscillator: OscillatorSpec | dict[int, OscillatorSpec] | None = field(init=False)
 
     def __post_init__(self):
         data = self.options.get("perturbation")
@@ -189,6 +205,18 @@ class AnalysisConfig:
         except (ArithmeticError, LookupError, TypeError, ValueError) as exc:
             raise ConfigError(f"options.perturbation is not a polynomial: "
                               f"{_stage_error(exc)}") from exc
+        data = self.options.get("oscillator")
+        if data is None or not all(isinstance(v, dict) for v in data.values()):
+            self.oscillator = None if data is None else _oscillator_spec(data, "")
+        else:
+            self.oscillator = {}
+            for key, spec in data.items():
+                try:
+                    index = int(key)
+                except ValueError:
+                    raise ConfigError(f"options.oscillator key {key!r} is not a block "
+                                      f"index") from None
+                self.oscillator[index] = _oscillator_spec(spec, f"[{key!r}]")
 
     @classmethod
     def from_dict(cls, data: dict) -> "AnalysisConfig":
@@ -308,13 +336,10 @@ def _point_stages(rp: RadialPoint, config: AnalysisConfig, errors, tag):
 
     if "expansion" in stages:
         try:
-            osc = None
-            if options.get("oscillator") is not None:
-                blocks = options["oscillator"]
-                osc = {int(k): OscillatorSpec(**v) for k, v in blocks.items()} \
-                    if all(isinstance(v, dict) for v in blocks.values()) \
-                    else {j: OscillatorSpec(**blocks) for j in rp.layout.ythird_indices}
-            elif rp.layout.ythird_indices:
+            osc = config.oscillator
+            if isinstance(osc, OscillatorSpec):
+                osc = {j: osc for j in rp.layout.ythird_indices}
+            elif osc is None and rp.layout.ythird_indices:
                 # default normalized block (mu^2 + a y^2)/|lambda|, which
                 # reproduces the block eigenvalue ratios r(1-r) = a/w exactly;
                 # overridable via options.oscillator (quantization ambiguity)

@@ -14,16 +14,17 @@ the microlocal Morse construction (descending nu, minima last on ties).
 Trigonometric potentials are given as coefficient rows (k, a_k, b_k)
 meaning V0(theta) = sum a_k cos(k theta) + b_k sin(k theta).
 
-The heteroclinic traces run on _dop853, a DOP853 stepper on three Python
-floats with solve_ivp's step control (Hairer, Norsett and Wanner, Solving
-ODEs I, Sec. II.10) and a literal copy of solve_ivp's tableau, under a
-fixed budget of attempted steps per trajectory.  integrate_flow, which
-takes backward spans and max_step, stays on solve_ivp; it is the only
-path here that imports scipy.
+Every flow here, and the Nelson limit in normalform, runs on _dop853, a
+DOP853 stepper on n Python floats with solve_ivp's step control (Hairer,
+Norsett and Wanner, Solving ODEs I, Sec. II.4 and II.10) and a literal
+copy of solve_ivp's tableau, under a budget of MAX_FLOW_STEPS attempted
+steps per trajectory.  The module-level solve_ivp is only the name that
+bench/tracing.py patches; nothing here calls it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -38,8 +39,10 @@ DEFAULT_FLOW_TOL = 1e-10
 DEFAULT_BALL_RADIUS = 1e-3
 DEFAULT_W_STOP = 1e-6
 DEFAULT_HOLD_TIME = 5.0
-# attempted DOP853 steps per heteroclinic trace, chunks and hold together;
-# a workload trajectory takes about 170
+DEFAULT_SEED_EPS = 1e-5
+DEFAULT_T_MAX = 60.0
+# attempted DOP853 steps per heteroclinic trace (chunks and hold together)
+# and per integrate_flow or Nelson flow; a workload trajectory takes about 170
 MAX_FLOW_STEPS = 10_000
 
 
@@ -190,9 +193,10 @@ class FlowStepError(RuntimeError):
         self.t, self.state = t, state
 
 
-def _straight_line_step():
-    """One DOP853 step, step(field, y, f0, h) -> (y_new, e5, e3), as
-    straight-line code generated once from the tableau.
+@functools.cache
+def _straight_line_step(n: int):
+    """One DOP853 step on n components, step(field, y, f0, h) -> (y_new,
+    e5, e3), as straight-line code generated once per n from the tableau.
 
     Each stage is one expression per component over its nonzero entries,
     summed left to right, with no loop or indexing at run time; e5 and e3
@@ -204,35 +208,40 @@ def _straight_line_step():
     def combo(pairs, i):
         return " + ".join(f"{c!r} * k{j}_{i}" for j, c in pairs)
 
+    def tup(items):   # a 1-tuple needs its trailing comma
+        return ", ".join(items) + ("," if n == 1 else "")
+
     lines = ["def step(field, y, f0, h):",
-             "    y0, y1, y2 = y",
-             "    k0_0, k0_1, k0_2 = f0"]
+             f"    {tup(f'y{i}' for i in range(n))} = y",
+             f"    {tup(f'k0_{i}' for i in range(n))} = f0"]
     for s, row in enumerate(_DOP_A, start=1):
-        args = ", ".join(f"y{i} + ({combo(row, i)}) * h" for i in range(3))
-        lines.append(f"    k{s}_0, k{s}_1, k{s}_2 = field({args})")
-    y_new = ", ".join(f"y{i} + h * ({combo(_DOP_B, i)})" for i in range(3))
-    e5 = ", ".join(combo(_DOP_E5, i) for i in range(3))
-    e3 = ", ".join(combo(_DOP_E3, i) for i in range(3))
-    lines.append(f"    return ({y_new}), ({e5}), ({e3})")
+        args = ", ".join(f"y{i} + ({combo(row, i)}) * h" for i in range(n))
+        lines.append(f"    {tup(f'k{s}_{i}' for i in range(n))} = field({args})")
+    y_new = tup(f"y{i} + h * ({combo(_DOP_B, i)})" for i in range(n))
+    lines.append(f"    return ({y_new}), ({tup(combo(_DOP_E5, i) for i in range(n))}), "
+                 f"({tup(combo(_DOP_E3, i) for i in range(n))})")
     namespace: dict = {}
     exec("\n".join(lines), namespace)
     return namespace["step"]
 
 
-_dop853_step = _straight_line_step()
+_dop853_step = _straight_line_step(3)
 
 
 def _rms(v, s) -> float:
-    """RMS of v / s over the three components, summed left to right."""
-    return math.sqrt(((v[0] / s[0]) ** 2 + (v[1] / s[1]) ** 2 + (v[2] / s[2]) ** 2) / 3.0)
+    """RMS of v / s over the components, summed left to right."""
+    total = 0.0
+    for a, b in zip(v, s):
+        total += (a / b) ** 2
+    return math.sqrt(total / len(v))
 
 
 def _dop853(field, y, t_bound: float, rtol: float, atol: float, max_steps: int):
-    """Integrate y' = field(*y) over (0, t_bound] as solve_ivp's DOP853 would.
+    """Integrate y' = field(*y), n = len(y), over (0, t_bound] as solve_ivp's DOP853 would.
 
     The same tableau and control: select_initial_step with exponent 1/8,
     steps clipped to t_bound, a floor of 10 ulp(t) on the step, the
-    DOP853 error norm |h| ||e5||^2 / sqrt((||e5||^2 + 0.01 ||e3||^2) 3)
+    DOP853 error norm |h| ||e5||^2 / sqrt((||e5||^2 + 0.01 ||e3||^2) n)
     scaled by atol + max(|y|, |y_new|) rtol, SAFETY 0.9, MIN_FACTOR 0.2,
     MAX_FACTOR 10 and no growth right after a rejection.  The sums run
     left to right in Python floats, where scipy uses BLAS dot products,
@@ -248,6 +257,7 @@ def _dop853(field, y, t_bound: float, rtol: float, atol: float, max_steps: int):
     if t_bound <= 0.0:
         return times, states, 0
     y = tuple(y)
+    n, step = len(y), _straight_line_step(len(y))
     f = field(*y)
     # select_initial_step
     scale = [atol + abs(v) * rtol for v in y]
@@ -277,13 +287,13 @@ def _dop853(field, y, t_bound: float, rtol: float, atol: float, max_steps: int):
             t_new = min(t + h_abs, t_bound)
             h = h_abs = t_new - t
             attempted += 1
-            y_new, e5, e3 = _dop853_step(field, y, f, h)
+            y_new, e5, e3 = step(field, y, f, h)
             n5 = n3 = 0.0
             for a, b, c, d in zip(y, y_new, e5, e3):
                 s = atol + max(abs(a), abs(b)) * rtol
                 n5 += (c / s) ** 2
                 n3 += (d / s) ** 2
-            err = 0.0 if n5 == 0.0 and n3 == 0.0 else h_abs * n5 / math.sqrt((n5 + 0.01 * n3) * 3.0)
+            err = 0.0 if n5 == 0.0 and n3 == 0.0 else h_abs * n5 / math.sqrt((n5 + 0.01 * n3) * n)
             if err < 1.0:
                 factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR,
                                                             _SAFETY * err ** _ERROR_EXPONENT)
@@ -348,32 +358,33 @@ def _make_trajectory(pm: PotentialModel, sigma: float, times, states, p_ref: flo
 
 
 def solve_ivp(*args, **kwargs):
-    """scipy.integrate.solve_ivp, imported on the first call, so that
-    importing this module does not load scipy.integrate.  It stays a
-    module-level name because bench/tracing.py counts calls through it."""
+    """scipy.integrate.solve_ivp, imported on the first call.  No flow here
+    calls it; it is kept only as the name bench/tracing.py patches, until
+    that tracer reads counters of its own (ROADMAP item 1)."""
     from scipy.integrate import solve_ivp as scipy_solve_ivp
     return scipy_solve_ivp(*args, **kwargs)
 
 
 def integrate_flow(pm: PotentialModel, sigma: float, pt0: ContactPoint,
-                   t_span: tuple[float, float], tol: float = DEFAULT_FLOW_TOL,
-                   max_step: float | None = None) -> Trajectory:
+                   t_span: tuple[float, float], tol: float = DEFAULT_FLOW_TOL) -> Trajectory:
     """Adaptive integration of W with conservation and monotonicity audits.
 
     The initial point must be on-shell within tol; along the accepted
     trajectory |p| drifts by at most ~10 tol and nu decreases by at most
-    ~10 tol between consecutive samples.
+    ~10 tol between consecutive samples.  A backward span runs -W forward.
     """
     p_init = symbol_value(pm, sigma, pt0)
     if abs(p_init) > 10 * tol:
         raise ValueError(f"initial point is off-shell: p = {p_init}")
-    field = _rhs(pm, sigma)
-    sol = solve_ivp(lambda _t, z: field(*z.tolist()), t_span, list(pt0.state()), method="DOP853",
-                    rtol=tol, atol=tol * 1e-2, dense_output=False,
-                    max_step=max_step or np.inf)
-    if not sol.success:
-        raise RuntimeError(f"flow integration failed: {sol.message}")
-    return _make_trajectory(pm, sigma, sol.t, sol.y.T, p_ref=p_init)
+    t0, t1 = t_span
+    y0, forward = tuple(pt0.state().tolist()), _rhs(pm, sigma)
+    field = forward if t1 >= t0 else (lambda *z: tuple(-w for w in forward(*z)))
+    try:
+        times, states, _ = _dop853(field, y0, abs(t1 - t0), tol, tol * 1e-2, MAX_FLOW_STEPS)
+    except FlowStepError as exc:
+        raise RuntimeError(f"flow integration failed: {exc}") from exc
+    times = [t0, *(t0 + math.copysign(t, t1 - t0) for t in times)]
+    return _make_trajectory(pm, sigma, times, [y0, *states], p_ref=p_init)
 
 
 @dataclass(frozen=True)
@@ -514,12 +525,12 @@ def _circle_dist(a: float, b: float) -> float:
     return min(d, 2.0 * math.pi - d)
 
 
-def heteroclinic_dag(pm: PotentialModel, sigma: float, eps: float = 1e-5,
+def heteroclinic_dag(pm: PotentialModel, sigma: float, eps: float = DEFAULT_SEED_EPS,
                      tol: float = DEFAULT_FLOW_TOL,
                      ball_radius: float = DEFAULT_BALL_RADIUS,
                      w_stop: float = DEFAULT_W_STOP,
                      hold_time: float = DEFAULT_HOLD_TIME,
-                     t_max: float = 60.0,
+                     t_max: float = DEFAULT_T_MAX,
                      nodes: list[LocatedRadialPoint] | None = None) -> HeteroclinicDag:
     """Edges of the flowout order, witnessed by forward trajectories.
 

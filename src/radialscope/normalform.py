@@ -17,15 +17,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .dynamics import MAX_FLOW_STEPS, FlowStepError, _dop853
 from .parallel import parallel_map
 from .symalg import (EXACT, FLOATING, ModelQuadratic, MonomialKey,
                      WeightedPolynomial, ad_exponential, iter_monomials)
 from .radial import (CriticalPointSpec, ForbiddenEnergyError,
                      RadialPoint, linearization_spectrum)
-from .resonance import (EFF_NONRES, EFF_R1, EFF_R2, classify_resonance, is_resonant,
-                        scan_effectively_resonant_energies)
-
-DEFAULT_FLOAT_TOL = 1e-12
+from .resonance import (DEFAULT_FLOAT_TOL, EFF_NONRES, EFF_R1, EFF_R2, classify_resonance,
+                        is_resonant, scan_effectively_resonant_energies)
 
 
 class ModelMismatchError(ValueError):
@@ -356,15 +355,15 @@ class NelsonResult:
 
 
 def _flow(field: Callable, x: np.ndarray, t: float, tol: float) -> np.ndarray:
-    from scipy.integrate import solve_ivp
-
+    """U(t) x, t >= 0, on _dop853 with rtol = atol = tol under MAX_FLOW_STEPS."""
     if t == 0:
         return np.asarray(x, dtype=float)
-    sol = solve_ivp(lambda _, z: field(z), (0.0, t), np.asarray(x, dtype=float),
-                    method="DOP853", rtol=tol, atol=tol, dense_output=False)
-    if not sol.success:
-        raise RuntimeError(f"flow integration failed: {sol.message}")
-    return sol.y[:, -1]
+    try:
+        _, states, _ = _dop853(lambda *z: field(np.array(z)).tolist(),
+                               np.asarray(x, dtype=float).tolist(), t, tol, tol, MAX_FLOW_STEPS)
+    except FlowStepError as exc:
+        raise RuntimeError(f"flow integration failed: {exc}") from exc
+    return np.array(states[-1])
 
 
 def nelson_limit(case: NelsonCase) -> NelsonResult:

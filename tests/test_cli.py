@@ -200,6 +200,45 @@ ABSTRACT_Z = {"mode": "abstract",
               "energy": 1.0}
 
 
+# hessian 1 at energy 1 gives r = 1/2 + i/2: one y''' block, index 0
+ABSTRACT_Y3 = dict(ABSTRACT_Z, criticalPoints=[{"label": "z", "value": 0, "hessian": [1]}])
+
+
+@pytest.mark.parametrize("config, oscillator, message", [
+    (ABSTRACT_Y3, {"p": 1.0, "q": 0.0},
+     "options.oscillator must map exactly p, q and c to numbers, got {'p': 1.0, 'q': 0.0}"),
+    (ABSTRACT_Y3, {"0": {"p": 1.0, "q": 0.0, "c": "x"}},
+     "options.oscillator['0'] must map exactly p, q and c to numbers"),
+    (ABSTRACT_Y3, {"p": 1.0, "q": 2.0, "c": 1.0},
+     "options.oscillator: oscillator block must be elliptic: pc - q^2 > 0"),
+    (ABSTRACT_Y3, {"first": {"p": 1.0, "q": 0.0, "c": 1.0}},
+     "options.oscillator key 'first' is not a block index"),
+    # no y''' block, so the spec is never used: refused at load all the same
+    (ABSTRACT_Z, {"p": 1.0, "q": 0.0, "c": "x"},
+     "options.oscillator must map exactly p, q and c to numbers"),
+])
+def test_malformed_oscillator_exits_2_at_load(tmp_path, capsys, config, oscillator, message):
+    assert_config_exit(tmp_path, capsys, dict(config, options={"oscillator": oscillator}),
+                       message, command="expansion")
+
+
+def test_oscillator_one_spec_or_per_block(tmp_path):
+    # both accepted shapes reach the y''' block: kappa_k = (2k + 1) sqrt(pc - (q - 1/4)^2)
+    spec = {"p": 1.0, "q": 0.1, "c": 2}
+    results = []
+    for name, oscillator in (("one", spec), ("block", {"0": spec})):
+        cfg = write_config(tmp_path, dict(ABSTRACT_Y3, options={"oscillator": oscillator}),
+                           name=f"{name}.json")
+        assert main(["expansion", "--config", cfg, "--out", str(tmp_path / name)]) == EXIT_OK
+        rep = json.loads((tmp_path / name / "report.json").read_text())
+        assert not rep["stageErrors"]
+        results.append(rep["perEnergy"])
+    assert results[0] == results[1]
+    kappas = results[0]["1.0"]["z"]["expansion"]["exponents"]["kappas"]
+    assert kappas == pytest.approx([(2 * k + 1) * math.sqrt(2.0 - 0.15 ** 2)
+                                    for k in range(len(kappas))])
+
+
 @pytest.mark.parametrize("data, literal", [
     (dict(ABSTRACT_Z, energy=float("nan")), "NaN"),
     (dict(ABSTRACT_Z, options={"reB": float("inf")}), "Infinity"),
@@ -271,6 +310,21 @@ def test_cold_cli_run_imports_no_unused_dependency(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == [[EXIT_OK, EXIT_OK], []]
+
+
+def test_flows_import_no_scipy_integrate():
+    # integrate_flow and the Nelson limit run on the package's DOP853
+    code = ("import math, sys\n"
+            "from radialscope.dynamics import ContactPoint, PotentialModel, integrate_flow\n"
+            "from radialscope.normalform import flat_perturbation_case_1d, nelson_limit\n"
+            "pm = PotentialModel(n=2, v0_coeffs=[(2, 1.0, 0.0)])\n"
+            "pt = ContactPoint('circle', (math.pi / 4,), 1.0, (1.0,))\n"
+            "integrate_flow(pm, 2.0, pt, (0.0, -2.0))\n"
+            "assert nelson_limit(flat_perturbation_case_1d()).converged\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_parser_built_once_per_process():

@@ -1,4 +1,5 @@
 import math
+import time
 import types
 
 import numpy as np
@@ -11,7 +12,8 @@ from scipy.optimize import brentq
 from radialscope.dynamics import (_DOP_A, _DOP_B, _DOP_E3, _DOP_E5, MAX_FLOW_STEPS,
                                   ContactPoint, FlowStepError, HeteroclinicDag,
                                   NotMorseError, PotentialModel, ThresholdEnergyError,
-                                  _critical_angles, _dop853, _dop853_step, _rhs, field_eval,
+                                  _critical_angles, _dop853, _dop853_step, _rhs,
+                                  _straight_line_step, field_eval,
                                   flow_jacobian, heteroclinic_dag, integrate_flow,
                                   locate_radial_points, lyapunov_check, lyapunov_gauge,
                                   morse_sequence, symbol_value)
@@ -130,6 +132,35 @@ def test_integrate_flow_conservation_and_monotonicity():
     assert traj.nu_min_increment >= -1e-9
 
 
+def test_integrate_flow_agrees_with_solve_ivp_both_ways():
+    pt = ContactPoint("circle", (math.pi / 4,), 1.0, (1.0,))
+    field = _rhs(COS2, 2.0)
+    for span in ((0.0, 3.0), (1.0, -2.0)):
+        traj = integrate_flow(COS2, 2.0, pt, span)
+        sol = solve_ivp(lambda _t, z: field(*z.tolist()), span, pt.state(), method="DOP853",
+                        rtol=1e-10, atol=1e-12)
+        assert traj.times[0] == span[0] and traj.times[-1] == span[1]
+        assert np.all(np.diff(traj.times) * (span[1] - span[0]) > 0)
+        assert traj.states[0].tolist() == pt.state().tolist()
+        assert np.max(np.abs(traj.states[-1] - sol.y[:, -1])) < 1e-8
+    # forward then backward returns to the start
+    end = integrate_flow(COS2, 2.0, pt, (0.0, 3.0)).states[-1]
+    back = integrate_flow(COS2, 2.0, ContactPoint("circle", (end[0],), end[1], (end[2],)),
+                          (3.0, 0.0))
+    assert back.times[-1] == 0.0
+    assert np.max(np.abs(back.states[-1] - pt.state())) < 1e-8
+
+
+def test_integrate_flow_step_budget_bounds_huge_span():
+    pt = ContactPoint("circle", (math.pi / 4,), 1.0, (1.0,))
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError) as info:
+        integrate_flow(COS2, 2.0, pt, (0.0, 1e9))
+    assert time.perf_counter() - start < 10.0
+    assert str(info.value) == "flow integration failed: attempted-step budget spent"
+    assert isinstance(info.value.__cause__, FlowStepError)
+
+
 def test_integrate_flow_rejects_off_shell():
     pt = ContactPoint("circle", (0.3,), 1.0, (1.0,))
     assert abs(symbol_value(COS2, 2.0, pt)) > 1e-3
@@ -180,7 +211,7 @@ def test_reverse_time_from_sink_approaches_saddle():
     entry = edge.trajectory.states[k0]
     pt = ContactPoint("circle", (entry[0],), entry[1], (entry[2],))
     total = float(edge.trajectory.times[k0])
-    traj = integrate_flow(COS2, 2.0, pt, (0.0, -total), max_step=0.05)
+    traj = integrate_flow(COS2, 2.0, pt, (0.0, -total))
     dists = [math.hypot(min(abs(s[0] - saddle.theta) % (2 * math.pi),
                             2 * math.pi - abs(s[0] - saddle.theta) % (2 * math.pi)),
                         s[1] - saddle.nu, s[2]) for s in traj.states]
@@ -427,28 +458,28 @@ def saddle_seed(pm, sigma, eps=1e-5):
 
 
 def reference_dop853_step(field, y, f0, h):
-    """One DOP853 step as a loop over scipy's tableau, nonzero entries in
-    index order, sums left to right."""
-    n = dop.N_STAGES
+    """One DOP853 step on len(y) components as a loop over scipy's tableau,
+    nonzero entries in index order, sums left to right."""
+    n, m = dop.N_STAGES, len(y)
     k = [f0]
     for s in range(1, n):
-        d = [0.0, 0.0, 0.0]
+        d = [0.0] * m
         for j in range(s):
             if dop.A[s, j]:
-                for i in range(3):
+                for i in range(m):
                     d[i] += float(dop.A[s, j]) * k[j][i]
-        k.append(field(*(y[i] + d[i] * h for i in range(3))))
+        k.append(field(*(y[i] + d[i] * h for i in range(m))))
 
     def combo(weights):
-        out = [0.0, 0.0, 0.0]
+        out = [0.0] * m
         for j in range(n):
             if weights[j]:
-                for i in range(3):
+                for i in range(m):
                     out[i] += float(weights[j]) * k[j][i]
         return tuple(out)
 
     b = combo(dop.B)
-    return (tuple(y[i] + h * b[i] for i in range(3)), combo(dop.E5), combo(dop.E3))
+    return (tuple(y[i] + h * b[i] for i in range(m)), combo(dop.E5), combo(dop.E3))
 
 
 def test_dop853_tableau_literals_equal_scipy():
@@ -461,13 +492,20 @@ def test_dop853_tableau_literals_equal_scipy():
 
 def test_straight_line_step_equals_loop_bitwise():
     rng = np.random.default_rng(41)
-    for pm in random_potentials(9, 3) + [COS2]:
-        field = _rhs(pm, float(rng.uniform(0.0, 3.0)))
+    a, b = (float(v) for v in rng.normal(size=2))
+    fields = [lambda x: (a * math.sin(x) + b * x * x,),             # n = 1
+              lambda x, v: (v, -math.sin(x) + a * v)]               # n = 2, a pendulum
+    fields += [_rhs(pm, float(rng.uniform(0.0, 3.0)))               # n = 3
+               for pm in random_potentials(9, 3) + [COS2]]
+    assert _straight_line_step(3) is _dop853_step
+    for field in fields:
+        n = field.__code__.co_argcount
+        step = _straight_line_step(n)
         for _ in range(200):
-            y = (float(rng.uniform(-7.0, 7.0)), float(rng.normal()), float(rng.normal()))
+            y = (float(rng.uniform(-7.0, 7.0)), *rng.normal(size=n - 1).tolist())
             h = float(10.0 ** rng.uniform(-6.0, 0.0))
-            got, want = _dop853_step(field, y, field(*y), h), \
-                reference_dop853_step(field, y, field(*y), h)
+            got, want = step(field, y, field(*y), h), reference_dop853_step(field, y, field(*y), h)
+            assert [len(part) for part in got] == [n, n, n]
             assert [[v.hex() for v in part] for part in got] == \
                 [[v.hex() for v in part] for part in want]
 

@@ -1,4 +1,7 @@
+import dataclasses
+import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +13,8 @@ from radialscope.symalg import EXACT, ModelQuadratic, VariableLayout, WeightedPo
 from radialscope.normalform import (ForbiddenEnergyError, ModelMismatchError, NelsonCase,
                                     ThresholdModelError, family_normal_form,
                                     flat_perturbation_case_1d, linear_contraction_rate,
-                                    nelson_limit, reduce_to_normal_form, solve_homological)
+                                    _flow, nelson_limit, reduce_to_normal_form,
+                                    solve_homological)
 
 LAY1 = VariableLayout(n=2, s=1, m=2)
 
@@ -200,6 +204,28 @@ def test_linear_contraction_rate_matches_eigenvalue():
     assert abs(rate - 1.0) < 1e-6
     rate2 = linear_contraction_rate(lambda z: -2.5 * z, np.array([0.3]), [0.5, 1.0, 1.5, 2.0])
     assert abs(rate2 - 2.5) < 1e-6
+
+
+def test_flow_on_two_components_matches_closed_form():
+    # X0 z = A z with A = [[-1, 2], [-2, -1]]: U0(t) x = e^{-t} R(-2t) x
+    a = np.array([[-1.0, 2.0], [-2.0, -1.0]])
+    x = np.array([0.6, -0.3])
+    for t in (0.5, 3.0):
+        c, s = math.cos(2.0 * t), math.sin(2.0 * t)
+        exact = math.exp(-t) * np.array([c * x[0] + s * x[1], -s * x[0] + c * x[1]])
+        assert np.max(np.abs(_flow(lambda z: a @ z, x, t, 1e-12) - exact)) < 1e-10
+
+
+def test_nelson_step_budget_bounds_huge_t_max():
+    # below atol the model flow steps at its stability limit, about 6 time
+    # units a step, so a flow to t = 1e8 would take some 1.6e7 steps; it
+    # spends MAX_FLOW_STEPS and raises instead
+    case = dataclasses.replace(flat_perturbation_case_1d(), t_max=1e9, dt=1e8)
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError) as info:
+        nelson_limit(case)
+    assert time.perf_counter() - start < 10.0
+    assert str(info.value) == "flow integration failed: attempted-step budget spent"
 
 
 def test_nelson_nonconvergence_diagnostic():
