@@ -102,7 +102,11 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_NUMERICAL
 
     formats = [f.strip() for f in args.format.split(",") if f.strip()]
-    paths = emit(report, formats, args.out)
+    try:
+        paths = emit(report, formats, args.out)
+    except ValueError as exc:   # a non-finite float has no JSON form
+        print(f"numerical failure: report not written: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     for p in paths:
         print(p)
     if report.stage_errors:

@@ -18,8 +18,9 @@ Every flow here, and the Nelson limit in normalform, runs on _dop853, a
 DOP853 stepper on n Python floats with solve_ivp's step control (Hairer,
 Norsett and Wanner, Solving ODEs I, Sec. II.4 and II.10) and a literal
 copy of solve_ivp's tableau, under a budget of MAX_FLOW_STEPS attempted
-steps per trajectory.  The module-level solve_ivp is only the name that
-bench/tracing.py patches; nothing here calls it.
+steps per run.  A heteroclinic trace is one run whose accepted steps are
+tested as the stepper yields them.  The module-level solve_ivp is only
+the name that bench/tracing.py patches; nothing here calls it.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ DEFAULT_W_STOP = 1e-6
 DEFAULT_HOLD_TIME = 5.0
 DEFAULT_SEED_EPS = 1e-5
 DEFAULT_T_MAX = 60.0
-# attempted DOP853 steps per heteroclinic trace (chunks and hold together)
-# and per integrate_flow or Nelson flow; a workload trajectory takes about 170
+# attempted DOP853 steps per _dop853 run: one heteroclinic trace (hold
+# included), one integrate_flow or one Nelson flow
 MAX_FLOW_STEPS = 10_000
 
 
@@ -247,15 +248,13 @@ def _dop853(field, y, t_bound: float, rtol: float, atol: float, max_steps: int):
     left to right in Python floats, where scipy uses BLAS dot products,
     so results agree with solve_ivp's to roundoff, not bit for bit.
 
-    Returns (times, states, attempted): the time and state at the end of
-    each accepted step (t = 0 excluded) and the number of attempted
-    steps.  Raises FlowStepError when the step falls below its floor or
-    max_steps attempts are spent.
+    A generator: yields (t, state, field(*state)) at the end of each
+    accepted step (t = 0 excluded), so a caller can stop the run or test
+    the state at every step.  Raises FlowStepError when the step falls
+    below its floor or max_steps attempts are spent.
     """
-    times: list[float] = []
-    states: list[tuple] = []
     if t_bound <= 0.0:
-        return times, states, 0
+        return
     y = tuple(y)
     n, step = len(y), _straight_line_step(len(y))
     f = field(*y)
@@ -303,9 +302,7 @@ def _dop853(field, y, t_bound: float, rtol: float, atol: float, max_steps: int):
             rejected = True
         t, y = t_new, y_new
         f = field(*y)
-        times.append(t)
-        states.append(y)
-    return times, states, attempted
+        yield t, y, f
 
 
 def tangency_identity() -> bool:
@@ -380,11 +377,11 @@ def integrate_flow(pm: PotentialModel, sigma: float, pt0: ContactPoint,
     y0, forward = tuple(pt0.state().tolist()), _rhs(pm, sigma)
     field = forward if t1 >= t0 else (lambda *z: tuple(-w for w in forward(*z)))
     try:
-        times, states, _ = _dop853(field, y0, abs(t1 - t0), tol, tol * 1e-2, MAX_FLOW_STEPS)
+        run = list(_dop853(field, y0, abs(t1 - t0), tol, tol * 1e-2, MAX_FLOW_STEPS))
     except FlowStepError as exc:
         raise RuntimeError(f"flow integration failed: {exc}") from exc
-    times = [t0, *(t0 + math.copysign(t, t1 - t0) for t in times)]
-    return _make_trajectory(pm, sigma, times, [y0, *states], p_ref=p_init)
+    times = [t0, *(t0 + math.copysign(t, t1 - t0) for t, _, _ in run)]
+    return _make_trajectory(pm, sigma, times, [y0, *(y for _, y, _ in run)], p_ref=p_init)
 
 
 @dataclass(frozen=True)
@@ -520,9 +517,10 @@ class HeteroclinicDag:
                 "settings": self.settings}
 
 
-def _circle_dist(a: float, b: float) -> float:
-    d = abs(a - b) % (2.0 * math.pi)
-    return min(d, 2.0 * math.pi - d)
+def _ball_distance(state, node) -> float:
+    """Distance from state (theta, nu, mu) to node's radial point, theta taken on the circle."""
+    d = abs(state[0] - node.theta) % (2.0 * math.pi)
+    return math.hypot(min(d, 2.0 * math.pi - d), state[1] - node.nu, state[2])
 
 
 def heteroclinic_dag(pm: PotentialModel, sigma: float, eps: float = DEFAULT_SEED_EPS,
@@ -537,12 +535,12 @@ def heteroclinic_dag(pm: PotentialModel, sigma: float, eps: float = DEFAULT_SEED
     Every non-minimal outgoing radial point is seeded at +-eps along each
     unstable direction of W restricted to the shell; a trajectory records
     an edge when it enters the ball_radius-ball of another radial point
-    with |W| < w_stop and stays for hold_time.  Trajectories that do
-    neither within t_max, or whose integration fails (a step below its
-    floor, or MAX_FLOW_STEPS attempted steps spent), are reported as
-    undecided with a one-line reason, never dropped.  Each seed runs on
-    the _dop853 stepper in 1-unit chunks; seeds are traced one after the
-    other, in node order.
+    with |W| < w_stop and stays in it at every step for hold_time.
+    Trajectories that do neither within t_max, or whose integration fails
+    (a step below its floor, or MAX_FLOW_STEPS attempted steps spent), are
+    reported as undecided with a one-line reason, never dropped.  Each
+    seed is one _dop853 run, tested after every accepted step; seeds are
+    traced one after the other, in node order.
     """
     nodes = nodes if nodes is not None else locate_radial_points(pm, sigma)
     edges: list[FlowoutRecord] = []
@@ -584,59 +582,43 @@ def heteroclinic_dag(pm: PotentialModel, sigma: float, eps: float = DEFAULT_SEED
 
 def _trace_to_radial_point(pm, sigma, field, seed, nodes, source, seed_offset,
                            seed_direction, tol, ball_radius, w_stop, hold_time, t_max):
-    """Trace one seed in 1-unit chunks, each a fresh _dop853 run, until it
-    holds in another node's ball; MAX_FLOW_STEPS bounds the attempted
-    steps of all chunks and the hold together."""
-    chunk = 1.0
-    t_done = 0.0
-    state = tuple(seed)
-    times_all = [0.0]
-    states_all = [state]
-    steps_left = MAX_FLOW_STEPS
+    """Trace one seed in one _dop853 run over (0, t_max + hold_time].
 
-    def failure(exc, t0):
+    After each accepted step up to t_max the trace enters another node's
+    ball if |W| < w_stop there.  The edge is recorded once every accepted
+    step for hold_time after entry has stayed in that ball, and its
+    trajectory ends at the entry step; a trace that leaves the ball goes
+    on in the same run, which stops at the first step past t_max with no
+    hold under way.
+    """
+    others = [n for n in nodes if n.node_id != source.node_id]
+    times, states = [0.0], [tuple(seed)]
+    target, entry = None, 0     # the ball held since times[entry]
+    try:
+        for t, state, w in _dop853(field, seed, t_max + hold_time, tol, tol * 1e-2,
+                                   MAX_FLOW_STEPS):
+            if target is not None and _ball_distance(state, target) >= ball_radius:
+                target = None
+            if target is not None and t >= times[entry] + hold_time:
+                traj = _make_trajectory(pm, sigma, times[:entry + 1], states[:entry + 1])
+                return FlowoutRecord(source=source.node_id, target=target.node_id,
+                                     seed_offset=seed_offset, seed_direction=seed_direction,
+                                     trajectory=traj, hold_time=hold_time)
+            times.append(t)
+            states.append(state)
+            if target is None and t > t_max:
+                break       # no entry can follow, so no hold to finish
+            if target is None and math.hypot(*w) < w_stop:
+                target = next((n for n in others if _ball_distance(state, n) < ball_radius), None)
+                entry = len(times) - 1
+    except FlowStepError as exc:
         return {"from": source.node_id,
-                "reason": f"integration failure at t = {t0 + exc.t!r}: {exc}",
+                "reason": f"integration failure at t = {exc.t!r}: {exc}",
                 "direction": math.copysign(1.0, seed_offset),
                 "final_state": list(exc.state)}
-
-    while t_done < t_max:
-        try:
-            times, states, used = _dop853(field, state, chunk, tol, tol * 1e-2, steps_left)
-        except FlowStepError as exc:
-            return failure(exc, t_done)
-        steps_left -= used
-        state = states[-1]
-        t_done += chunk
-        times_all.extend(t_done - chunk + t for t in times)
-        states_all.extend(states)
-        for target in nodes:
-            if target.node_id == source.node_id:
-                continue
-            d = math.hypot(_circle_dist(state[0], target.theta),
-                           state[1] - target.nu, state[2])
-            if d < ball_radius:
-                pt = ContactPoint("circle", (state[0],), state[1], (state[2],))
-                wnorm = np.linalg.norm(field_eval(pm, sigma, pt))
-                if wnorm < w_stop:
-                    try:
-                        _, held, used = _dop853(field, state, hold_time, tol, tol * 1e-2,
-                                                steps_left)
-                    except FlowStepError as exc:
-                        return failure(exc, t_done)
-                    steps_left -= used
-                    end = held[-1] if held else state
-                    d_end = math.hypot(_circle_dist(end[0], target.theta),
-                                       end[1] - target.nu, end[2])
-                    if d_end < ball_radius:
-                        traj = _make_trajectory(pm, sigma, times_all, states_all)
-                        return FlowoutRecord(source=source.node_id, target=target.node_id,
-                                             seed_offset=seed_offset,
-                                             seed_direction=seed_direction,
-                                             trajectory=traj, hold_time=hold_time)
     return {"from": source.node_id, "reason": "no convergence within t_max",
             "direction": math.copysign(1.0, seed_offset),
-            "final_state": list(state)}
+            "final_state": list(states[-1])}
 
 
 @dataclass

@@ -66,7 +66,10 @@ def oscillator_spectrum(spec: OscillatorSpec, k_max: int) -> tuple[float, ...]:
         raise DegenerateOscillatorError(
             f"pc - q~^2 = {disc} <= 0; no oscillator spectrum")
     base = math.sqrt(disc)
-    return tuple((2 * k + 1) * base for k in range(k_max + 1))
+    kappas = tuple((2 * k + 1) * base for k in range(k_max + 1))
+    if not all(map(math.isfinite, kappas)):
+        raise OverflowError(f"pc - q~^2 = {disc}: the kappas are not finite")
+    return kappas
 
 
 # 8th-order central stencils, offsets +1..+4 (first derivative is odd,

@@ -356,14 +356,14 @@ class NelsonResult:
 
 def _flow(field: Callable, x: np.ndarray, t: float, tol: float) -> np.ndarray:
     """U(t) x, t >= 0, on _dop853 with rtol = atol = tol under MAX_FLOW_STEPS."""
-    if t == 0:
-        return np.asarray(x, dtype=float)
+    state = np.asarray(x, dtype=float).tolist()
     try:
-        _, states, _ = _dop853(lambda *z: field(np.array(z)).tolist(),
-                               np.asarray(x, dtype=float).tolist(), t, tol, tol, MAX_FLOW_STEPS)
+        for _, state, _ in _dop853(lambda *z: field(np.array(z)).tolist(), state, t, tol, tol,
+                                   MAX_FLOW_STEPS):
+            pass
     except FlowStepError as exc:
         raise RuntimeError(f"flow integration failed: {exc}") from exc
-    return np.array(states[-1])
+    return np.array(state)
 
 
 def nelson_limit(case: NelsonCase) -> NelsonResult:
@@ -371,7 +371,9 @@ def nelson_limit(case: NelsonCase) -> NelsonResult:
 
     Returns the limit per sample together with the fitted exponential
     decay rate of successive Cauchy differences.  Non-convergence within
-    t_max produces converged=False with partial data rather than an
+    t_max, or a flow that fails (its step budget or step floor, or an
+    OverflowError from the field), produces converged=False with partial
+    data and the reason in that sample's diagnostics rather than an
     exception.
     """
     times = np.arange(case.dt, case.t_max + case.dt / 2, case.dt)
@@ -380,8 +382,13 @@ def nelson_limit(case: NelsonCase) -> NelsonResult:
         x = np.asarray(x, dtype=float)
         vals = []
         for t in times:
-            z = _flow(case.x0_field, x, float(t), case.ode_tol)
-            w = _flow(lambda y: -case.full_field(y), z, float(t), case.ode_tol)
+            try:
+                z = _flow(case.x0_field, x, float(t), case.ode_tol)
+                w = _flow(lambda y: -case.full_field(y), z, float(t), case.ode_tol)
+            except (RuntimeError, OverflowError) as exc:
+                return (vals[-1] if vals else x), float("nan"), {
+                    "converged": False, "stop_time": float(t),
+                    "reason": f"{type(exc).__name__}: {exc}"}
             vals.append(w)
         diffs = np.array([np.linalg.norm(b - a) for a, b in zip(vals, vals[1:])])
         if np.all(diffs == 0.0):
@@ -458,6 +465,8 @@ def flat_perturbation_case_1d(coeff: float = 0.1, power: int = 5,
 
     def x1(z: np.ndarray) -> np.ndarray:
         v = float(z[0])
+        if abs(v) >= cutoff:    # v ** power would overflow on a growing backward flow
+            return np.array([0.0])
         return np.array([coeff * v ** power * flat(v) * bump(v)])
 
     if not samples:

@@ -281,35 +281,66 @@ def test_canonical_json_rejects_non_finite_floats(tmp_path):
     assert not (tmp_path / "report.json").exists()
 
 
-# runs (subcommand, config, out) triples given as argv in a fresh interpreter;
-# the last stdout line lists the exit codes and the unused dependencies loaded
+def test_oscillator_with_overflowing_kappas_is_an_expansion_stage_error(tmp_path, capsys):
+    # pc = 1e400 overflows: finite, elliptic input whose kappas are infinite
+    cfg = write_config(tmp_path, dict(ABSTRACT_Y3, options={
+        "oscillator": {"p": 1e200, "q": 0.1, "c": 1e200}}))
+    assert main(["expansion", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err == "stage error [z:expansion]: OverflowError: pc - q~^2 = inf: " \
+        "the kappas are not finite\n"
+    rep = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert list(rep["stageErrors"]) == ["z:expansion"]
+
+
+def test_report_that_cannot_be_written_exits_4(tmp_path, capsys, monkeypatch):
+    # the backstop for a non-finite value that no stage caught
+    report = cli_reports.AnalysisReport(config=None, per_energy={}, stage_errors={},
+                                        global_results={"x": float("inf")}, provenance={})
+    monkeypatch.setattr("radialscope.cli.run_analysis", lambda config: report)
+    cfg = write_config(tmp_path, ABSTRACT_Z)
+    assert main(["expansion", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("numerical failure: report not written: Out of range float values")
+    assert not (tmp_path / "o" / "report.json").exists()
+
+
+# runs (subcommand, config, out, format) quadruples given as argv in a fresh
+# interpreter; the last stdout line lists the exit codes and the unused
+# dependencies loaded
 COLD_RUN = """
 import json, sys
 import radialscope.cli as cli
 args = sys.argv[1:]
-codes = [cli.main([args[i], "--config", args[i + 1], "--out", args[i + 2]])
-         for i in range(0, len(args), 3)]
+codes = [cli.main([args[i], "--config", args[i + 1], "--out", args[i + 2],
+                   "--format", args[i + 3]])
+         for i in range(0, len(args), 4)]
 unused = ("networkx", "scipy.optimize", "scipy.integrate", "scipy.sparse", "scipy.special")
 print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith(unused))]))
 """
 
 
 def test_cold_cli_run_imports_no_unused_dependency(tmp_path):
-    # scan-energies and an abstract expansion need none of scipy; the root
-    # finder and the DOP853 tableau live in the package
+    # scan-energies, an abstract expansion and an explicit analyze (flow
+    # and Morse included) need none of scipy; the root finder, the DOP853
+    # tableau and stepper live in the package
     scan = write_config(tmp_path, {
         "mode": "abstract",
         "criticalPoints": [{"label": "z", "value": 0, "hessian": [-12, -4]}],
         "energy": [0.5, 2.0], "options": {"scanGridPoints": 2000},
     }, "scan.json")
     expansion = write_config(tmp_path, ABSTRACT_Z, "expansion.json")
+    analyze = write_config(tmp_path, COS2_CONFIG, "analyze.json")
     proc = subprocess.run(
         [sys.executable, "-c", COLD_RUN,
-         "scan-energies", scan, str(tmp_path / "scan"),
-         "expansion", expansion, str(tmp_path / "expansion")],
+         "scan-energies", scan, str(tmp_path / "scan"), "json",
+         "expansion", expansion, str(tmp_path / "expansion"), "json",
+         "analyze", analyze, str(tmp_path / "analyze"), "json,csv"],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == [[EXIT_OK, EXIT_OK], []]
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[EXIT_OK, EXIT_OK, EXIT_OK], []]
+    assert len(list((tmp_path / "analyze").glob("trajectory_*.csv"))) == 4
 
 
 def test_flows_import_no_scipy_integrate():

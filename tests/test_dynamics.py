@@ -9,10 +9,10 @@ from scipy.integrate import solve_ivp
 from scipy.integrate._ivp import dop853_coefficients as dop
 from scipy.optimize import brentq
 
-from radialscope.dynamics import (_DOP_A, _DOP_B, _DOP_E3, _DOP_E5, MAX_FLOW_STEPS,
-                                  ContactPoint, FlowStepError, HeteroclinicDag,
+from radialscope.dynamics import (_DOP_A, _DOP_B, _DOP_E3, _DOP_E5, DEFAULT_BALL_RADIUS,
+                                  DEFAULT_W_STOP, MAX_FLOW_STEPS, ContactPoint, FlowStepError, HeteroclinicDag,
                                   NotMorseError, PotentialModel, ThresholdEnergyError,
-                                  _critical_angles, _dop853, _dop853_step, _rhs,
+                                  _ball_distance, _critical_angles, _dop853, _dop853_step, _rhs,
                                   _straight_line_step, field_eval,
                                   flow_jacobian, heteroclinic_dag, integrate_flow,
                                   locate_radial_points, lyapunov_check, lyapunov_gauge,
@@ -510,6 +510,24 @@ def test_straight_line_step_equals_loop_bitwise():
                 [[v.hex() for v in part] for part in want]
 
 
+def run_dop853(field, y0, t_bound, rtol, atol, max_steps=MAX_FLOW_STEPS):
+    """_dop853's accepted times and states and its attempted steps, counted
+    from the field calls: two to start, 11 stages per attempt and one per
+    accepted step.  Checks that each yielded field value is W at its state."""
+    calls = 0
+
+    def counting(*z):
+        nonlocal calls
+        calls += 1
+        return field(*z)
+
+    steps = list(_dop853(counting, y0, t_bound, rtol, atol, max_steps))
+    assert all(w == field(*y) for _, y, w in steps)
+    attempted, rest = divmod(calls - 2 - len(steps), 11) if steps else (0, calls)
+    assert rest == 0
+    return [t for t, _, _ in steps], [y for _, y, _ in steps], attempted
+
+
 def test_dop853_stepper_follows_solve_ivp():
     # the same tableau and control as solve_ivp's DOP853: roundoff in the
     # BLAS stage sums may move a step size, never the step count by more
@@ -524,7 +542,7 @@ def test_dop853_stepper_follows_solve_ivp():
         # at a loose tolerance roundoff barely moves the error estimate, so
         # every step of the control (growth capped after a rejection too)
         # shows in the step times
-        times, _, _ = _dop853(field, y0, 12.0, 1e-4, 1e-6, MAX_FLOW_STEPS)
+        times, _, _ = run_dop853(field, y0, 12.0, 1e-4, 1e-6)
         sol = solve_ivp(lambda _t, z: field(*z.tolist()), (0.0, 12.0), y0,
                         method="DOP853", rtol=1e-4, atol=1e-6)
         assert times == pytest.approx(sol.t[1:].tolist(), rel=1e-4, abs=0.0)
@@ -533,7 +551,7 @@ def test_dop853_stepper_follows_solve_ivp():
         y0 = saddle_seed(pm, sigma)
         field = _rhs(pm, sigma)
         for t_end in (1.0, 12.0):
-            times, states, attempted = _dop853(field, y0, t_end, tol, tol * 1e-2, MAX_FLOW_STEPS)
+            times, states, attempted = run_dop853(field, y0, t_end, tol, tol * 1e-2)
             sol = solve_ivp(lambda _t, z: field(*z.tolist()), (0.0, t_end), y0,
                             method="DOP853", rtol=tol, atol=tol * 1e-2)
             assert sol.success
@@ -563,7 +581,7 @@ def test_dop853_stepper_matches_closed_form_on_constant_potential():
         x = 2.0 * R * (t - t0)
         return (theta0 + gd(x) - gd(-2.0 * R * t0), R * math.tanh(x), R / math.cosh(x))
 
-    times, states, _ = _dop853(_rhs(pm, sigma), exact(0.0), 6.0, 1e-10, 1e-12, MAX_FLOW_STEPS)
+    times, states, _ = run_dop853(_rhs(pm, sigma), exact(0.0), 6.0, 1e-10, 1e-12)
     assert len(times) > 10 and times[-1] == 6.0
     for t, state in zip(times, states):
         assert max(abs(a - b) for a, b in zip(state, exact(t))) < 1e-8
@@ -574,7 +592,7 @@ def test_dop853_stepper_reports_step_floor_and_budget():
     # there, where solve_ivp stops with the same message
     blowup = lambda a, b, c: (a * a, 0.0, 0.0)   # noqa: E731
     with pytest.raises(FlowStepError, match="less than spacing") as info:
-        _dop853(blowup, (1.0, 0.0, 0.0), 2.0, 1e-10, 1e-12, MAX_FLOW_STEPS)
+        list(_dop853(blowup, (1.0, 0.0, 0.0), 2.0, 1e-10, 1e-12, MAX_FLOW_STEPS))
     sol = solve_ivp(lambda _t, z: blowup(*z.tolist()), (0.0, 2.0), [1.0, 0.0, 0.0],
                     method="DOP853", rtol=1e-10, atol=1e-12)
     assert sol.status == -1 and str(info.value) == sol.message
@@ -582,9 +600,9 @@ def test_dop853_stepper_reports_step_floor_and_budget():
     field = _rhs(COS2, 2.0)
     y0 = saddle_seed(COS2, 2.0)
     with pytest.raises(FlowStepError, match="budget") as info:
-        _dop853(field, y0, 12.0, 1e-10, 1e-12, 5)
+        list(_dop853(field, y0, 12.0, 1e-10, 1e-12, 5))
     assert 0.0 < info.value.t < 12.0
-    assert _dop853(field, y0, 0.0, 1e-10, 1e-12, 5) == ([], [], 0)
+    assert run_dop853(field, y0, 0.0, 1e-10, 1e-12, 5) == ([], [], 0)
 
 
 def test_heteroclinic_dag_step_budget_bounds_huge_t_max():
@@ -598,22 +616,22 @@ def test_heteroclinic_dag_step_budget_bounds_huge_t_max():
 
 
 def test_trace_budget_counts_a_hold_that_leaves_the_ball(monkeypatch):
-    # a decoy node where the trace sits at t = 2 (mu is 4e-4 there), with
-    # |W| always below w_stop: a hold starts there, leaves the ball, and
-    # the trace goes on with the hold's steps taken off its budget
+    # a decoy node where the trace passes at t = 2, with |W| always below
+    # w_stop: a hold starts there and leaves the ball, and the trace goes on
+    # in the same run, on the same budget, to its target
     import radialscope.dynamics as dyn
     edge = heteroclinic_dag(COS2, 2.0).edges[0]
     nodes = locate_radial_points(COS2, 2.0)
     source = next(n for n in nodes if n.node_id == edge.source)
-    k = int(np.flatnonzero(edge.trajectory.times == 2.0)[0])
+    target = next(n for n in nodes if n.node_id == edge.target)
+    k = int(np.searchsorted(edge.trajectory.times, 2.0))
     th, nu, _ = edge.trajectory.states[k].tolist()
     decoy = types.SimpleNamespace(node_id="decoy", theta=th, nu=nu)
     calls = []
 
-    def spy(field, y, t_bound, rtol, atol, max_steps):
-        out = dyn_dop853(field, y, t_bound, rtol, atol, max_steps)
-        calls.append((t_bound, max_steps, out[2]))
-        return out
+    def spy(*args):
+        calls.append(args)
+        return dyn_dop853(*args)
 
     dyn_dop853 = dyn._dop853
     monkeypatch.setattr(dyn, "_dop853", spy)
@@ -622,8 +640,44 @@ def test_trace_budget_counts_a_hold_that_leaves_the_ball(monkeypatch):
                                      edge.seed_offset, edge.seed_direction, 1e-10, 1e-3,
                                      1e9, 2.5, 60.0)
     assert rec.target == edge.target
-    holds = [i for i, c in enumerate(calls) if c[0] == 2.5]
-    assert len(holds) >= 2                        # the decoy's holds, then the target's
-    assert calls[0][1] == MAX_FLOW_STEPS
-    for (_, left, used), (_, nxt, _) in zip(calls, calls[1:]):
-        assert nxt == left - used
+    assert [(c[2], c[5]) for c in calls] == [(62.5, MAX_FLOW_STEPS)]    # one run per seed
+    states, times = rec.trajectory.states, rec.trajectory.times
+    in_decoy = [_ball_distance(s, decoy) < 1e-3 for s in states.tolist()]
+    first = in_decoy.index(True)
+    last = len(in_decoy) - 1 - in_decoy[::-1].index(True)
+    assert times[last] - times[first] < 2.5 and not any(in_decoy[last + 1:])
+    assert _ball_distance(states[-1], target) < 1e-3
+
+
+def test_trace_stops_past_t_max_without_a_hold(monkeypatch):
+    # no ball is reached: each run ends at its first accepted step past t_max
+    import radialscope.dynamics as dyn
+    runs = []
+
+    def spy(*args):
+        runs.append([])
+        for step in dyn_dop853(*args):
+            runs[-1].append(step[0])
+            yield step
+
+    dyn_dop853 = dyn._dop853
+    monkeypatch.setattr(dyn, "_dop853", spy)
+    dag = heteroclinic_dag(COS2, 2.0, ball_radius=1e-300, t_max=10.0)
+    assert [rec["reason"] for rec in dag.undecided] == ["no convergence within t_max"] * 4
+    assert len(runs) == 4
+    for times in runs:
+        assert times[-2] <= 10.0 < times[-1] < 15.0
+
+
+def test_edges_end_at_entry_into_the_target_ball():
+    dag = heteroclinic_dag(COS2, 2.0)
+    by_id = {n.node_id: n for n in dag.nodes}
+    field = _rhs(COS2, 2.0)
+    assert len(dag.edges) == 4
+    for e in dag.edges:
+        states = e.trajectory.states.tolist()
+        target = by_id[e.target]
+        near = [math.hypot(*field(*s)) < DEFAULT_W_STOP
+                and _ball_distance(s, target) < DEFAULT_BALL_RADIUS for s in states]
+        # the last state is the first that meets the entry condition
+        assert near[-1] and not any(near[:-1])

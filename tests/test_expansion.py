@@ -33,6 +33,14 @@ def test_oscillator_degenerate_boundary():
         OscillatorSpec(1.0, 1.0, 0.5)             # not elliptic
 
 
+def test_oscillator_kappas_must_be_finite():
+    with pytest.raises(OverflowError, match="not finite"):
+        oscillator_spectrum(OscillatorSpec(1e200, 0.1, 1e200), 2)   # pc overflows to inf
+    base = math.sqrt(1e300)
+    assert oscillator_spectrum(OscillatorSpec(1e150, 0.25, 1e150), 2) == (base, 3 * base,
+                                                                          5 * base)
+
+
 def test_oscillator_grid_oracle_agrees():
     for spec in (OscillatorSpec(1.0, 0.0, 1.0), OscillatorSpec(1.0, 0.25, 1.0),
                  OscillatorSpec(0.7, -0.2, 1.4)):

@@ -219,13 +219,39 @@ def test_flow_on_two_components_matches_closed_form():
 def test_nelson_step_budget_bounds_huge_t_max():
     # below atol the model flow steps at its stability limit, about 6 time
     # units a step, so a flow to t = 1e8 would take some 1.6e7 steps; it
-    # spends MAX_FLOW_STEPS and raises instead
+    # spends MAX_FLOW_STEPS, and each sample reports the failure
     case = dataclasses.replace(flat_perturbation_case_1d(), t_max=1e9, dt=1e8)
     start = time.perf_counter()
-    with pytest.raises(RuntimeError) as info:
-        nelson_limit(case)
+    out = nelson_limit(case)
     assert time.perf_counter() - start < 10.0
-    assert str(info.value) == "flow integration failed: attempted-step budget spent"
+    assert not out.converged
+    for diag in out.diagnostics.values():
+        assert diag["reason"] == "RuntimeError: flow integration failed: attempted-step budget spent"
+
+
+def test_flat_case_x1_is_zero_past_the_cutoff():
+    # the backward flow amplifies roundoff by e^t, to about 7e73 at t = 200;
+    # X1 must not form v ** 5 out there, where it would overflow
+    case = flat_perturbation_case_1d(samples=[0.9], t_max=200.0)
+    assert case.x1_field(np.array([1e70])).tolist() == [0.0]
+    out = nelson_limit(dataclasses.replace(case, dt=100.0))
+    assert "reason" not in out.diagnostics[0]
+
+
+@pytest.mark.parametrize("x1, x, t_max, dt, reason", [
+    # X1 = 0, formed as 0 * v ** 5: the roundoff-driven backward flow overflows it
+    (lambda z: np.array([0.0 * float(z[0]) ** 5]), 0.9, 200.0, 100.0,
+     "OverflowError: "),
+    # z' = z + z^5 from 2 e^{-1} blows up before t = 1: the step falls below its floor
+    (lambda z: -z ** 5, 2.0, 3.0, 1.0,
+     "RuntimeError: flow integration failed: Required step size is less than spacing"),
+])
+def test_nelson_flow_failure_gives_converged_false(x1, x, t_max, dt, reason):
+    case = NelsonCase(dim=1, x0_field=lambda z: -z, x1_field=x1, samples=(np.array([x]),),
+                      t_max=t_max, dt=dt)
+    out = nelson_limit(case)
+    assert not out.converged and 0 in out.w_minus
+    assert out.diagnostics[0]["reason"].startswith(reason)
 
 
 def test_nelson_nonconvergence_diagnostic():
