@@ -723,21 +723,18 @@ class LyapunovGauge:
     """The local gauge rho = |xi_unstable|^2 - |xi_stable|^2 near a radial point.
 
     xi are eigenframe coordinates of the shell linearization (model
-    coordinates to linear order), with the sign flipped for incoming
-    points so that W rho > 0 off the point.
+    coordinates to linear order), so that W rho > 0 off the point to
+    second order, at incoming and outgoing points alike.
     """
 
     node: LocatedRadialPoint
     frame_inv: np.ndarray       # maps (dtheta, dmu) to eigen coordinates
     signs: np.ndarray           # +1 unstable, -1 stable
 
-    def rho(self, theta: np.ndarray, mu: np.ndarray) -> np.ndarray:
-        """rho at the points (theta, mu), elementwise over arrays."""
-        dth = theta - self.node.theta
-        (f00, f01), (f10, f11) = self.frame_inv
-        val = self.signs[0] * (f00 * dth + f01 * mu) ** 2 \
-            + self.signs[1] * (f10 * dth + f11 * mu) ** 2
-        return val if self.node.outgoing else -val
+    @property
+    def matrix(self) -> np.ndarray:
+        """S with rho = x^T S x at x = (dtheta, mu)."""
+        return self.frame_inv.T @ np.diag(self.signs) @ self.frame_inv
 
 
 def lyapunov_gauge(pm: PotentialModel, sigma: float, node: LocatedRadialPoint) -> LyapunovGauge:
@@ -756,51 +753,36 @@ def lyapunov_gauge(pm: PotentialModel, sigma: float, node: LocatedRadialPoint) -
     return LyapunovGauge(node=node, frame_inv=np.linalg.inv(frame), signs=signs)
 
 
-def lyapunov_check(pm: PotentialModel, sigma: float, node: LocatedRadialPoint,
-                   radius: float = 1e-2, samples: int = 200,
-                   rng: np.random.Generator | None = None) -> dict:
-    """Spot check W rho >= c (|y|^2 + |mu|^2) / 2 on shell samples near node.
+def _derivative_bound(pm: PotentialModel, j: int) -> float:
+    """M_j = sum |k|^j (|a_k| + |b_k|), a bound on |V0^(j)| over the circle."""
+    return sum(abs(k) ** j * (abs(a) + abs(b)) for k, a, b in pm.v0_coeffs)
 
-    Returns the empirical constant c and the validated radius (halved
-    until the positivity holds on all samples, if needed).  Each pass
-    draws 2 * samples uniforms at once, angle 2 pi u[0::2] and radius
-    r sqrt(0.05 + 0.95 u[1::2]), and evaluates every sample as arrays.
-    A pass that fails at sample i leaves the stream 2 (i + 1) draws past
-    its start, as a sample-by-sample loop that stops there would, so the
-    next pass draws the same values.  Samples off the shell are skipped
-    but still consume their draws.
+
+def lyapunov_check(pm: PotentialModel, sigma: float, node: LocatedRadialPoint) -> dict:
+    """A closed-form radius within which W rho >= c |x|^2 / 2 on node's nu branch.
+
+    In shell coordinates x = (dtheta, mu), dtheta taken on the circle,
+    rho = x^T S x (S = lyapunov_gauge's matrix) and the flow reads
+    x' = J_s x + r(x) with J_s the shell Jacobian.  Only the mu row of r
+    is nonzero, and V0'(theta_c) = 0 and |nu + nu0| >= |nu0| give
+
+        |r_2| <= M_3 dtheta^2 / 2 + (M_2 + 2) |x|^3 / |nu0|,
+
+    M_j as in _derivative_bound.  So W rho = x^T (S J_s + J_s^T S) x
+    + 2 x^T S r >= c |x|^2 / 2 with c = lambda_min(S J_s + J_s^T S)
+    wherever ||S e_2|| (M_3 |x| + 2 (M_2 + 2) |x|^2 / |nu0|) <= c / 2.
+    validatedRadius is the positive root of that equality, capped at
+    |nu0| / sqrt(1 + M_2 / 2) so that nu keeps its sign on the open disk;
+    ok is c > 0.
     """
-    rng = rng or np.random.default_rng(20260810)
-    gauge = lyapunov_gauge(pm, sigma, node)
-    h = 1e-7
-    r = radius
-    for _ in range(12):
-        start = rng.bit_generator.state
-        u = rng.random(2 * samples)
-        ang = 2.0 * math.pi * u[0::2]
-        rad = r * np.sqrt(0.05 + 0.95 * u[1::2])
-        dth, dmu = rad * np.cos(ang), rad * np.sin(ang)
-        th = node.theta + dth
-        shell = sigma - pm.v0_array(th) - dmu * dmu
-        kept = np.flatnonzero(shell > 0)
-        th, mu, dth, shell = th[kept], dmu[kept], dth[kept], shell[kept]
-        nu = np.copysign(np.sqrt(shell), node.nu)
-        # W's theta and mu components as field_eval forms them; rho is
-        # nu-independent
-        w_th = 2.0 * mu
-        w_mu = -2.0 * nu * mu - pm.v0_prime_array(th)
-        # W rho via the chain rule, with forward differences of rho
-        rho = gauge.rho(th, mu)
-        drho_th = (gauge.rho(th + h, mu) - rho) / h
-        drho_mu = (gauge.rho(th, mu + h) - rho) / h
-        wrho = drho_th * w_th + drho_mu * w_mu
-        failed = np.flatnonzero(wrho <= 0)
-        if failed.size:
-            rng.bit_generator.state = start
-            rng.random(2 * (int(kept[failed[0]]) + 1))
-        elif kept.size:
-            quad = dth * dth + mu * mu
-            c_best = float(np.min(2.0 * wrho / quad))
-            return {"nodeId": node.node_id, "validatedRadius": r, "c": c_best, "ok": True}
-        r /= 2.0
-    return {"nodeId": node.node_id, "validatedRadius": 0.0, "c": 0.0, "ok": False}
+    s = lyapunov_gauge(pm, sigma, node).matrix
+    js = flow_jacobian(pm, sigma, node)[np.ix_([0, 2], [0, 2])]
+    c = float(np.linalg.eigvalsh(s @ js + js.T @ s)[0])
+    if c <= 0.0:
+        return {"nodeId": node.node_id, "validatedRadius": 0.0, "c": c, "ok": False}
+    m2, nu0, se2 = _derivative_bound(pm, 2), abs(node.nu), math.hypot(s[0, 1], s[1, 1])
+    # quad r^2 + lin r = c / 2, its positive root in the form free of cancellation
+    quad, lin = 2.0 * (m2 + 2.0) * se2 / nu0, _derivative_bound(pm, 3) * se2
+    radius = min(c / (lin + math.sqrt(lin * lin + 2.0 * quad * c)),
+                 nu0 / math.sqrt(1.0 + m2 / 2.0))
+    return {"nodeId": node.node_id, "validatedRadius": radius, "c": c, "ok": True}
