@@ -12,8 +12,7 @@ sequence lists the outgoing points by descending nu.
 import math
 
 from radialscope import (ContactPoint, PotentialModel, field_eval, heteroclinic_dag,
-                         integrate_flow, locate_radial_points, lyapunov_check,
-                         morse_sequence)
+                         integrate_flow, locate_radial_points, morse_sequence)
 
 pm = PotentialModel(n=2, v0_coeffs=[(2, 1.0, 0.0)])
 sigma = 2.0
@@ -44,10 +43,9 @@ print("Morse order (descending nu, minima first here):", ms.order)
 print("filtration verified:", ms.verified)
 
 # the local gauge rho increases along the flow near every outgoing point,
-# certified in closed form on a disk of the validated radius
-for n in nodes:
-    if n.outgoing:
-        check = lyapunov_check(pm, sigma, n)
-        print(f"Lyapunov bound {n.node_id}: W rho >= c|z|^2/2 with "
-              f"c = {check['c']:.2f} inside the certified radius "
-              f"{check['validatedRadius']:.4f}")
+# certified in closed form on a disk of the validated radius; the DAG's
+# traces stop on entry into the ellipses these radii give at the minima
+for check in dag.lyapunov:
+    print(f"Lyapunov bound {check['nodeId']}: W rho >= c|z|^2/2 with "
+          f"c = {check['c']:.2f} inside the certified radius "
+          f"{check['validatedRadius']:.4f}")

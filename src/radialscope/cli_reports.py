@@ -29,10 +29,9 @@ from .resonance import (DEFAULT_BISECT_TOL, DEFAULT_FLOAT_TOL, DEFAULT_GRID,
 from .normalform import reduce_to_normal_form
 from .expansion import (OscillatorSpec, exponent_data, expansion_template,
                         log_variable_recursion)
-from .dynamics import (DEFAULT_BALL_RADIUS, DEFAULT_FLOW_TOL, DEFAULT_HOLD_TIME,
-                       DEFAULT_SEED_EPS, DEFAULT_T_MAX, DEFAULT_W_STOP, PotentialModel,
+from .dynamics import (DEFAULT_FLOW_TOL, DEFAULT_SEED_EPS, DEFAULT_T_MAX, PotentialModel,
                        critical_points, heteroclinic_dag, locate_radial_points,
-                       lyapunov_check, morse_sequence)
+                       morse_sequence)
 from .oscverify import (StationaryPhaseCase, gaussian_amplitude,
                         stationary_phase_check)
 
@@ -55,9 +54,6 @@ DEFAULTS = {
     "bisectTol": DEFAULT_BISECT_TOL,
     "flowTol": DEFAULT_FLOW_TOL,
     "seedEps": DEFAULT_SEED_EPS,
-    "ballRadius": DEFAULT_BALL_RADIUS,
-    "wStop": DEFAULT_W_STOP,
-    "holdTime": DEFAULT_HOLD_TIME,
     "tMax": DEFAULT_T_MAX,
     "sign": 1,
     "stationaryPhase": {
@@ -113,8 +109,8 @@ CONFIG_SCHEMA = {
         "options": {"type": "object", "additionalProperties": False, "properties": {
             **{key: {"$comment": f"an integer {_integer_range(key)}, checked at load"}
                for key in INTEGER_OPTIONS},
-            **{key: _POSITIVE for key in ("tol", "bisectTol", "flowTol", "wStop", "seedEps",
-                                          "ballRadius", "holdTime", "tMax", "floatResonanceTol")},
+            **{key: _POSITIVE for key in ("tol", "bisectTol", "flowTol", "seedEps", "tMax",
+                                          "floatResonanceTol")},
             "sign": {"enum": [1, -1]},
             "reB": {"type": "number"},
             "perturbation": {"type": ["object", "null"]},
@@ -444,14 +440,11 @@ def run_analysis(config: AnalysisConfig) -> AnalysisReport:
     elif flow_stages and located is not None:
         sigma = float(config.energy)
         try:
-            dag = heteroclinic_dag(
-                config.potential, sigma, eps=options["seedEps"], tol=options["flowTol"],
-                ball_radius=options["ballRadius"], w_stop=options["wStop"],
-                hold_time=options["holdTime"], t_max=options["tMax"], nodes=located)
+            dag = heteroclinic_dag(config.potential, sigma, eps=options["seedEps"],
+                                   tol=options["flowTol"], t_max=options["tMax"], nodes=located)
             global_results["dag"] = dag.to_json_dict()
             artifacts["dag"] = dag
-            global_results["lyapunov"] = [lyapunov_check(config.potential, sigma, n)
-                                          for n in dag.nodes if n.outgoing]
+            global_results["lyapunov"] = list(dag.lyapunov)
             if "morse" in flow_stages:
                 ms = morse_sequence(dag)
                 global_results["morse"] = ms.to_json_dict()

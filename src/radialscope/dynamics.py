@@ -10,6 +10,11 @@ sit over critical points of V0 at nu = +-sqrt(sigma - V0); forward
 trajectories seeded along unstable directions of saddles witness the
 heteroclinic partial order, aggregated into a DAG and totally ordered by
 the microlocal Morse construction (descending nu, minima last on ties).
+An edge ends at a minimum: lyapunov_check bounds in closed form a disk
+around each radial point on which the local gauge rho is a strict
+Lyapunov function, and a trace stops at its first accepted step inside
+the largest rho-sublevel ellipse in a minimum's disk, which it can no
+longer leave.
 
 Trigonometric potentials are given as coefficient rows (k, a_k, b_k)
 meaning V0(theta) = sum a_k cos(k theta) + b_k sin(k theta).
@@ -37,13 +42,10 @@ from .radial import (DEFAULT_TOL, CriticalPointSpec, NoRealRadialPointError, Rad
 from .roots import brentq
 
 DEFAULT_FLOW_TOL = 1e-10
-DEFAULT_BALL_RADIUS = 1e-3
-DEFAULT_W_STOP = 1e-6
-DEFAULT_HOLD_TIME = 5.0
 DEFAULT_SEED_EPS = 1e-5
 DEFAULT_T_MAX = 60.0
-# attempted DOP853 steps per _dop853 run: one heteroclinic trace (hold
-# included), one integrate_flow or one Nelson flow
+# attempted DOP853 steps per _dop853 run: one heteroclinic trace, one
+# integrate_flow or one Nelson flow
 MAX_FLOW_STEPS = 10_000
 
 
@@ -492,15 +494,13 @@ class FlowoutRecord:
     seed_offset: float
     seed_direction: tuple[float, float, float]
     trajectory: Trajectory
-    hold_time: float
 
     def to_json_dict(self) -> dict:
         return {"from": self.source, "to": self.target,
                 "seedOffset": self.seed_offset,
                 "seedDirection": list(self.seed_direction),
                 "pDrift": self.trajectory.p_drift,
-                "nuMinIncrement": self.trajectory.nu_min_increment,
-                "holdTime": self.hold_time}
+                "nuMinIncrement": self.trajectory.nu_min_increment}
 
 
 @dataclass
@@ -509,6 +509,7 @@ class HeteroclinicDag:
     edges: list[FlowoutRecord]
     undecided: list[dict]
     settings: dict
+    lyapunov: tuple = ()        # lyapunov_check of each outgoing node, in node order
 
     def to_json_dict(self) -> dict:
         return {"nodes": [n.to_json_dict() for n in self.nodes],
@@ -517,35 +518,36 @@ class HeteroclinicDag:
                 "settings": self.settings}
 
 
-def _ball_distance(state, node) -> float:
-    """Distance from state (theta, nu, mu) to node's radial point, theta taken on the circle."""
-    d = abs(state[0] - node.theta) % (2.0 * math.pi)
-    return math.hypot(min(d, 2.0 * math.pi - d), state[1] - node.nu, state[2])
-
-
 def heteroclinic_dag(pm: PotentialModel, sigma: float, eps: float = DEFAULT_SEED_EPS,
-                     tol: float = DEFAULT_FLOW_TOL,
-                     ball_radius: float = DEFAULT_BALL_RADIUS,
-                     w_stop: float = DEFAULT_W_STOP,
-                     hold_time: float = DEFAULT_HOLD_TIME,
-                     t_max: float = DEFAULT_T_MAX,
+                     tol: float = DEFAULT_FLOW_TOL, t_max: float = DEFAULT_T_MAX,
                      nodes: list[LocatedRadialPoint] | None = None) -> HeteroclinicDag:
     """Edges of the flowout order, witnessed by forward trajectories.
 
     Every non-minimal outgoing radial point is seeded at +-eps along each
-    unstable direction of W restricted to the shell; a trajectory records
-    an edge when it enters the ball_radius-ball of another radial point
-    with |W| < w_stop and stays in it at every step for hold_time.
-    Trajectories that do neither within t_max, or whose integration fails
-    (a step below its floor, or MAX_FLOW_STEPS attempted steps spent), are
-    reported as undecided with a one-line reason, never dropped.  Each
-    seed is one _dop853 run, tested after every accepted step; seeds are
-    traced one after the other, in node order.
+    unstable direction of W restricted to the shell.  Each outgoing
+    minimum with a positive lyapunov_check is a certified sink: on its
+    nu branch, with x = (dtheta, mu) and P = F^-T F^-1 for F^-1 the
+    gauge's frame_inv, the ellipse x^T P x < r^2 lambda_min(P) lies in
+    the disk of the validated radius r, where W (x^T P x) < 0 off the
+    point, so a trajectory that enters it stays and tends to the node.
+    A trajectory records an edge at its first accepted step inside such
+    an ellipse, and ends there.  Saddles are never targets: reaching one
+    needs the stable manifold, which a generic seed misses.
+    Trajectories that enter no ellipse within t_max, or whose integration
+    fails (a step below its floor, or MAX_FLOW_STEPS attempted steps
+    spent), are reported as undecided with a one-line reason, never
+    dropped.  Each seed is one _dop853 run over (0, t_max], tested after
+    every accepted step; seeds are traced one after the other, in node
+    order.  Each outgoing node's lyapunov_check runs once, and the result
+    keeps them, in node order, as its lyapunov.
     """
     nodes = nodes if nodes is not None else locate_radial_points(pm, sigma)
     edges: list[FlowoutRecord] = []
     undecided: list[dict] = []
     field = _rhs(pm, sigma)
+    checks = [(node, lyapunov_check(pm, sigma, node)) for node in nodes if node.outgoing]
+    sinks = [_sink_region(pm, sigma, node, check["validatedRadius"])
+             for node, check in checks if node.is_min and check["ok"]]
 
     for node in nodes:
         if not node.outgoing or node.is_min:
@@ -567,50 +569,53 @@ def heteroclinic_dag(pm: PotentialModel, sigma: float, eps: float = DEFAULT_SEED
                                       "direction": direction})
                     continue
                 seed[1] = math.copysign(math.sqrt(rad), node.nu)
-                rec = _trace_to_radial_point(pm, sigma, field, seed.tolist(), nodes, node,
-                                             direction * eps, tuple(v.tolist()), tol,
-                                             ball_radius, w_stop, hold_time, t_max)
+                rec = _trace_to_sink(pm, sigma, field, seed.tolist(), sinks, node,
+                                     direction * eps, tuple(v.tolist()), tol, t_max)
                 if isinstance(rec, FlowoutRecord):
                     edges.append(rec)
                 else:
                     undecided.append(rec)
 
-    settings = {"eps": eps, "tol": tol, "ballRadius": ball_radius,
-                "wStop": w_stop, "holdTime": hold_time, "tMax": t_max}
-    return HeteroclinicDag(nodes=nodes, edges=edges, undecided=undecided, settings=settings)
+    settings = {"eps": eps, "tol": tol, "tMax": t_max}
+    return HeteroclinicDag(nodes=nodes, edges=edges, undecided=undecided, settings=settings,
+                           lyapunov=tuple(check for _, check in checks))
 
 
-def _trace_to_radial_point(pm, sigma, field, seed, nodes, source, seed_offset,
-                           seed_direction, tol, ball_radius, w_stop, hold_time, t_max):
-    """Trace one seed in one _dop853 run over (0, t_max + hold_time].
+def _sink_region(pm, sigma, node, radius):
+    """(node, theta_c, nu sign, P00, 2 P01, P11, radius^2 lambda_min(P)) of the
+    certified ellipse x^T P x < radius^2 lambda_min(P) around an outgoing minimum."""
+    frame_inv = lyapunov_gauge(pm, sigma, node).frame_inv
+    p = frame_inv.T @ frame_inv
+    bound = radius * radius * float(np.linalg.eigvalsh(p)[0])
+    return (node, node.theta, math.copysign(1.0, node.nu),
+            float(p[0, 0]), 2.0 * float(p[0, 1]), float(p[1, 1]), bound)
 
-    After each accepted step up to t_max the trace enters another node's
-    ball if |W| < w_stop there.  The edge is recorded once every accepted
-    step for hold_time after entry has stayed in that ball, and its
-    trajectory ends at the entry step; a trace that leaves the ball goes
-    on in the same run, which stops at the first step past t_max with no
-    hold under way.
-    """
-    others = [n for n in nodes if n.node_id != source.node_id]
+
+def _entered_sink(state, sinks):
+    """The node of the first sink region that holds state (theta, nu, mu), or None."""
+    theta, nu, mu = state
+    for node, theta_c, sign, p00, p01, p11, bound in sinks:
+        if nu * sign > 0.0:
+            d = (theta - theta_c + math.pi) % (2.0 * math.pi) - math.pi
+            if (p00 * d + p01 * mu) * d + p11 * mu * mu < bound:
+                return node
+    return None
+
+
+def _trace_to_sink(pm, sigma, field, seed, sinks, source, seed_offset, seed_direction,
+                   tol, t_max):
+    """Trace one seed in one _dop853 run over (0, t_max], up to the first
+    accepted step inside a sink region; the trajectory ends at that step."""
     times, states = [0.0], [tuple(seed)]
-    target, entry = None, 0     # the ball held since times[entry]
     try:
-        for t, state, w in _dop853(field, seed, t_max + hold_time, tol, tol * 1e-2,
-                                   MAX_FLOW_STEPS):
-            if target is not None and _ball_distance(state, target) >= ball_radius:
-                target = None
-            if target is not None and t >= times[entry] + hold_time:
-                traj = _make_trajectory(pm, sigma, times[:entry + 1], states[:entry + 1])
-                return FlowoutRecord(source=source.node_id, target=target.node_id,
-                                     seed_offset=seed_offset, seed_direction=seed_direction,
-                                     trajectory=traj, hold_time=hold_time)
+        for t, state, _ in _dop853(field, seed, t_max, tol, tol * 1e-2, MAX_FLOW_STEPS):
             times.append(t)
             states.append(state)
-            if target is None and t > t_max:
-                break       # no entry can follow, so no hold to finish
-            if target is None and math.hypot(*w) < w_stop:
-                target = next((n for n in others if _ball_distance(state, n) < ball_radius), None)
-                entry = len(times) - 1
+            target = _entered_sink(state, sinks)
+            if target is not None:
+                return FlowoutRecord(source=source.node_id, target=target.node_id,
+                                     seed_offset=seed_offset, seed_direction=seed_direction,
+                                     trajectory=_make_trajectory(pm, sigma, times, states))
     except FlowStepError as exc:
         return {"from": source.node_id,
                 "reason": f"integration failure at t = {exc.t!r}: {exc}",

@@ -462,16 +462,25 @@ def test_stationary_phase_options_checked_at_load(tmp_path, capsys, sp, message)
 
 @pytest.mark.parametrize("key, value, message", [
     ("flowTol", "x", "at options.flowTol: 'x' is not of type 'number'"),
-    ("ballRadius", "a", "at options.ballRadius: 'a' is not of type 'number'"),
-    ("holdTime", None, "at options.holdTime: None is not of type 'number'"),
+    ("tol", "a", "at options.tol: 'a' is not of type 'number'"),
+    ("tMax", None, "at options.tMax: None is not of type 'number'"),
     ("tMax", -1, "at options.tMax: -1 is less than or equal to the minimum of 0"),
     ("seedEps", 0, "at options.seedEps: 0 is less than or equal to the minimum of 0"),
-    ("wStop", "1e-6", "at options.wStop: '1e-6' is not of type 'number'"),
+    ("seedEps", "1e-6", "at options.seedEps: '1e-6' is not of type 'number'"),
     ("tol", 0, "at options.tol: 0 is less than or equal to the minimum of 0"),
     ("bisectTol", -1e-10, "at options.bisectTol: -1e-10 is less than or equal to the minimum of 0"),
 ])
 def test_flow_and_tolerance_options_checked_at_load(tmp_path, capsys, key, value, message):
     assert_config_exit(tmp_path, capsys, dict(COS2_CONFIG, options={key: value}), message,
+                       command="morse")
+
+
+@pytest.mark.parametrize("key", ["wStop", "holdTime", "ballRadius"])
+def test_removed_flow_options_exit_2(tmp_path, capsys, key):
+    # heteroclinic traces stop on entry into a certified sink region, so
+    # the old detection ball, |W| threshold and hold are no longer options
+    assert_config_exit(tmp_path, capsys, dict(COS2_CONFIG, options={key: 1e-3}),
+                       f"Additional properties are not allowed ('{key}' was unexpected)",
                        command="morse")
 
 

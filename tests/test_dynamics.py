@@ -12,10 +12,10 @@ from scipy.integrate import solve_ivp
 from scipy.integrate._ivp import dop853_coefficients as dop
 from scipy.optimize import brentq
 
-from radialscope.dynamics import (_DOP_A, _DOP_B, _DOP_E3, _DOP_E5, DEFAULT_BALL_RADIUS,
-                                  DEFAULT_W_STOP, MAX_FLOW_STEPS, ContactPoint, FlowStepError, HeteroclinicDag,
+from radialscope.dynamics import (_DOP_A, _DOP_B, _DOP_E3, _DOP_E5, MAX_FLOW_STEPS, ContactPoint,
+                                  FlowStepError, HeteroclinicDag,
                                   NotMorseError, PotentialModel, ThresholdEnergyError,
-                                  _ball_distance, _critical_angles, _dop853, _dop853_step, _rhs,
+                                  _critical_angles, _dop853, _dop853_step, _rhs,
                                   _straight_line_step, field_eval,
                                   flow_jacobian, heteroclinic_dag, integrate_flow,
                                   locate_radial_points, lyapunov_check, lyapunov_gauge,
@@ -202,18 +202,15 @@ def test_single_well_dag_isolated_minimum():
 
 def test_reverse_time_from_sink_approaches_saddle():
     # reversing time along a witnessed heteroclinic, starting where the
-    # forward trajectory entered the sink ball, passes back by the saddle
+    # forward trajectory entered the sink region (its last state), passes
+    # back by the saddle
     dag = heteroclinic_dag(COS2, 2.0)
     edge = dag.edges[0]
     by_id = {n.node_id: n for n in dag.nodes}
-    saddle, sink = by_id[edge.source], by_id[edge.target]
-    # first sample within 1e-2 of the sink (before the contraction erases
-    # the transverse history needed for the backward retrace)
-    k0 = next(i for i, s in enumerate(edge.trajectory.states)
-              if math.hypot(s[0] - sink.theta, s[1] - sink.nu, s[2]) < 1e-2)
-    entry = edge.trajectory.states[k0]
+    saddle = by_id[edge.source]
+    entry = edge.trajectory.states[-1]
     pt = ContactPoint("circle", (entry[0],), entry[1], (entry[2],))
-    total = float(edge.trajectory.times[k0])
+    total = float(edge.trajectory.times[-1])
     traj = integrate_flow(COS2, 2.0, pt, (0.0, -total))
     dists = [math.hypot(min(abs(s[0] - saddle.theta) % (2 * math.pi),
                             2 * math.pi - abs(s[0] - saddle.theta) % (2 * math.pi)),
@@ -597,8 +594,10 @@ def test_dop853_stepper_reports_step_floor_and_budget():
 
 
 def test_heteroclinic_dag_step_budget_bounds_huge_t_max():
-    # no ball is ever reached, so without a budget t_max = 1e9 would run for days
-    dag = heteroclinic_dag(COS2, 2.0, ball_radius=1e-300, t_max=1e9)
+    # with no minimum among the nodes no trace can end, so without a budget
+    # t_max = 1e9 would run for days
+    nodes = [n for n in locate_radial_points(COS2, 2.0) if not n.is_min]
+    dag = heteroclinic_dag(COS2, 2.0, t_max=1e9, nodes=nodes)
     assert not dag.edges
     assert len(dag.undecided) == 4
     for rec in dag.undecided:
@@ -606,69 +605,56 @@ def test_heteroclinic_dag_step_budget_bounds_huge_t_max():
         assert len(rec["final_state"]) == 3
 
 
-def test_trace_budget_counts_a_hold_that_leaves_the_ball(monkeypatch):
-    # a decoy node where the trace passes at t = 2, with |W| always below
-    # w_stop: a hold starts there and leaves the ball, and the trace goes on
-    # in the same run, on the same budget, to its target
+def spy_dop853(monkeypatch):
+    """Record each _dop853 run's arguments and the times of its accepted steps."""
     import radialscope.dynamics as dyn
-    edge = heteroclinic_dag(COS2, 2.0).edges[0]
-    nodes = locate_radial_points(COS2, 2.0)
-    source = next(n for n in nodes if n.node_id == edge.source)
-    target = next(n for n in nodes if n.node_id == edge.target)
-    k = int(np.searchsorted(edge.trajectory.times, 2.0))
-    th, nu, _ = edge.trajectory.states[k].tolist()
-    decoy = types.SimpleNamespace(node_id="decoy", theta=th, nu=nu)
-    calls = []
+    runs = []
+    original = dyn._dop853
 
     def spy(*args):
-        calls.append(args)
-        return dyn_dop853(*args)
+        runs.append((args, []))
+        for step in original(*args):
+            runs[-1][1].append(step[0])
+            yield step
 
-    dyn_dop853 = dyn._dop853
     monkeypatch.setattr(dyn, "_dop853", spy)
-    seed = edge.trajectory.states[0].tolist()
-    rec = dyn._trace_to_radial_point(COS2, 2.0, _rhs(COS2, 2.0), seed, nodes + [decoy], source,
-                                     edge.seed_offset, edge.seed_direction, 1e-10, 1e-3,
-                                     1e9, 2.5, 60.0)
-    assert rec.target == edge.target
-    assert [(c[2], c[5]) for c in calls] == [(62.5, MAX_FLOW_STEPS)]    # one run per seed
-    states, times = rec.trajectory.states, rec.trajectory.times
-    in_decoy = [_ball_distance(s, decoy) < 1e-3 for s in states.tolist()]
-    first = in_decoy.index(True)
-    last = len(in_decoy) - 1 - in_decoy[::-1].index(True)
-    assert times[last] - times[first] < 2.5 and not any(in_decoy[last + 1:])
-    assert _ball_distance(states[-1], target) < 1e-3
+    return runs
 
 
 def test_trace_stops_past_t_max_without_a_hold(monkeypatch):
-    # no ball is reached: each run ends at its first accepted step past t_max
-    import radialscope.dynamics as dyn
-    runs = []
-
-    def spy(*args):
-        runs.append([])
-        for step in dyn_dop853(*args):
-            runs[-1].append(step[0])
-            yield step
-
-    dyn_dop853 = dyn._dop853
-    monkeypatch.setattr(dyn, "_dop853", spy)
-    dag = heteroclinic_dag(COS2, 2.0, ball_radius=1e-300, t_max=10.0)
+    # no sink region among the nodes: each run ends at t_max, its last step
+    runs = spy_dop853(monkeypatch)
+    nodes = [n for n in locate_radial_points(COS2, 2.0) if not n.is_min]
+    dag = heteroclinic_dag(COS2, 2.0, t_max=10.0, nodes=nodes)
     assert [rec["reason"] for rec in dag.undecided] == ["no convergence within t_max"] * 4
     assert len(runs) == 4
-    for times in runs:
-        assert times[-2] <= 10.0 < times[-1] < 15.0
+    for _, times in runs:
+        assert times[-2] < 10.0 == times[-1]
 
 
-def test_edges_end_at_entry_into_the_target_ball():
+def in_sink_region(state, node, check):
+    """Whether state lies in node's certified ellipse x^T P x < r^2 lambda_min(P)."""
+    frame_inv = lyapunov_gauge(COS2, 2.0, node).frame_inv
+    p = frame_inv.T @ frame_inv
+    d = (state[0] - node.theta + math.pi) % (2.0 * math.pi) - math.pi
+    x = np.array([d, state[2]])
+    return state[1] * node.nu > 0 and \
+        x @ p @ x < check["validatedRadius"] ** 2 * np.linalg.eigvalsh(p)[0]
+
+
+def test_edges_end_at_entry_into_the_target_region(monkeypatch):
+    runs = spy_dop853(monkeypatch)
     dag = heteroclinic_dag(COS2, 2.0)
-    by_id = {n.node_id: n for n in dag.nodes}
-    field = _rhs(COS2, 2.0)
-    assert len(dag.edges) == 4
-    for e in dag.edges:
+    outgoing = [n for n in dag.nodes if n.outgoing]
+    assert list(dag.lyapunov) == [lyapunov_check(COS2, 2.0, n) for n in outgoing]
+    sinks = [(n, check) for n, check in zip(outgoing, dag.lyapunov) if n.is_min]
+    assert len(dag.edges) == 4 and len(sinks) == 2
+    # one run per seed, over (0, t_max] under the step budget
+    assert [(args[2], args[5]) for args, _ in runs] == [(60.0, MAX_FLOW_STEPS)] * 4
+    for e, (_, times) in zip(dag.edges, runs):
         states = e.trajectory.states.tolist()
-        target = by_id[e.target]
-        near = [math.hypot(*field(*s)) < DEFAULT_W_STOP
-                and _ball_distance(s, target) < DEFAULT_BALL_RADIUS for s in states]
-        # the last state is the first that meets the entry condition
-        assert near[-1] and not any(near[:-1])
+        assert e.trajectory.times.tolist() == [0.0, *times]
+        inside = [[in_sink_region(s, n, check) for n, check in sinks] for s in states]
+        # the last state is the first inside any region, and inside the target's
+        assert not any(map(any, inside[:-1]))
+        assert [n.node_id for (n, _), hit in zip(sinks, inside[-1]) if hit] == [e.target]
