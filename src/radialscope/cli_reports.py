@@ -240,7 +240,7 @@ class AnalysisConfig:
             pot = data["potential"]
             try:
                 potential = PotentialModel(n=pot["n"], v0_coeffs=pot["v0"])
-            except NotImplementedError as exc:
+            except (NotImplementedError, ValueError) as exc:
                 raise ConfigError(str(exc)) from exc
         elif not cps:
             raise ConfigError("abstract mode requires a nonempty criticalPoints list")

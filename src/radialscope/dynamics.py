@@ -70,6 +70,10 @@ class PotentialModel:
                 "explicit flows are implemented for n = 2 (S^1); use the abstract "
                 "critical-point pipeline for other dimensions")
         object.__setattr__(self, "v0_coeffs", tuple(tuple(row) for row in self.v0_coeffs))
+        for k, _, _ in self.v0_coeffs:
+            if k != round(k):
+                raise ValueError(f"Fourier mode k = {k!r} is not an integer, so V0 is not "
+                                 f"a function on S^1")
 
     # Each form adds its rows left to right from 0, so the scalar, array and
     # right-hand-side (_rhs) values agree bit for bit where np.cos/np.sin

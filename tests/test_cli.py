@@ -475,6 +475,14 @@ def test_flow_and_tolerance_options_checked_at_load(tmp_path, capsys, key, value
                        command="morse")
 
 
+def test_non_integer_fourier_mode_exits_2(tmp_path, capsys):
+    # cos(2.5 theta) is not a function on the circle; it used to give five
+    # "critical points" and an undecided trace
+    assert_config_exit(tmp_path, capsys, {
+        "mode": "explicit", "potential": {"n": 2, "v0": [[2.5, 1, 0]]}, "energy": 2.0,
+    }, "Fourier mode k = 2.5 is not an integer, so V0 is not a function on S^1")
+
+
 @pytest.mark.parametrize("key", ["wStop", "holdTime", "ballRadius"])
 def test_removed_flow_options_exit_2(tmp_path, capsys, key):
     # heteroclinic traces stop on entry into a certified sink region, so
