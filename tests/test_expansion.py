@@ -8,10 +8,12 @@ import pytest
 from radialscope.expansion import (DegenerateOscillatorError, InvalidInputError,
                                    OscillatorSpec, eff_r_polynomials, exponent_data,
                                    expansion_template, log_variable_recursion,
-                                   oscillator_spectrum, oscillator_spectrum_grid)
+                                   oscillator_spectrum)
 from radialscope.multipoly import MultiPoly
 from radialscope.radial import radial_point_from_spectrum
 from radialscope.symalg import WeightedPolynomial
+
+from oscillator_oracle import oscillator_spectrum_grid
 
 
 def test_oscillator_closed_form_examples():
