@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from radialscope.normalform import reduce_to_normal_form
 from radialscope.radial import radial_point_from_spectrum
@@ -26,6 +27,20 @@ def rand_poly(lay, rng, nterms=5, max_exp=2):
                                  Fraction(rng.randint(-2, 2)))
         terms[(a, alpha, beta)] = coeff
     return WeightedPolynomial(lay, EXACT, terms)
+
+
+def exact_polys(lay, max_terms=5, grade=None):
+    """Strategy: rand_poly's exact polynomials (exponents up to 2), or
+    polynomials homogeneous of the given grade, drawn by hypothesis."""
+    if grade is None:
+        exps = st.tuples(*[st.integers(0, 2)] * lay.nvars)
+        keys = st.tuples(st.integers(0, 1), exps, exps)
+    else:
+        keys = st.sampled_from(list(iter_monomials(lay.nvars, grade + 2, grade + 2)))
+    coeffs = st.builds(GaussianRational, st.fractions(-5, 5, max_denominator=4),
+                       st.integers(-2, 2).map(Fraction))
+    return st.dictionaries(keys, coeffs, max_size=max_terms).map(
+        lambda t: WeightedPolynomial(lay, EXACT, t))
 
 
 def model_quarter():
@@ -77,20 +92,15 @@ def test_bracket_mode_mismatch():
         bracket(a, b)
 
 
-def test_bracket_antisymmetry_and_grading():
-    rng = random.Random(11)
-    for _ in range(40):
-        a, b = rand_poly(LAY2, rng), rand_poly(LAY2, rng)
-        assert (bracket(a, b) + bracket(b, a)).is_zero()
+@settings(max_examples=40, deadline=None)
+@given(exact_polys(LAY2), exact_polys(LAY2), exact_polys(LAY2, 3, grade=1),
+       exact_polys(LAY2, 3, grade=2))
+def test_bracket_antisymmetry_and_grading(a, b, a1, b2):
+    assert (bracket(a, b) + bracket(b, a)).is_zero()
     # grade additivity on homogeneous inputs
-    for _ in range(20):
-        a = rand_poly(LAY2, rng).grade_part(1)
-        b = rand_poly(LAY2, rng).grade_part(2)
-        if a.is_zero() or b.is_zero():
-            continue
-        br = bracket(a, b)
-        if not br.is_zero():
-            assert br.homogeneous_grade() == 3
+    br = bracket(a1, b2)
+    if not br.is_zero():
+        assert br.homogeneous_grade() == 3
 
 
 def _term_map(p, rule):
@@ -158,16 +168,19 @@ def test_floating_bracket_matches_product_formula():
             assert abs(got.coefficient(*key) - ref.coefficient(*key)) <= 1e-12
 
 
-def test_reduction_round_trip_random_real_block():
+ROUND_TRIP_POINT = radial_point_from_spectrum(Fraction(1), (Fraction(-1, 3), Fraction(1, 5)))
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.dictionaries(st.sampled_from(list(iter_monomials(2, 7, 3))),
+                       st.fractions(-6, 6, max_denominator=5).filter(bool),
+                       min_size=31, max_size=40))
+def test_reduction_round_trip_random_real_block(terms):
     # n = 3, G = 5: exact reversibility apply_inverse(reduce(p)) == p on a
     # random real-coefficient perturbation of grades 1..5
-    rng = random.Random(43)
-    rp = radial_point_from_spectrum(Fraction(1), (Fraction(-1, 3), Fraction(1, 5)))
+    rp = ROUND_TRIP_POINT
     assert rp.layout.nvars == 2 and rp.layout.is_real_block
-    support = list(iter_monomials(2, 7, 3))
-    pert = WeightedPolynomial(rp.layout, EXACT, {
-        key: Fraction(rng.randint(-6, 6), rng.randint(1, 5))
-        for key in rng.sample(support, 40)})
+    pert = WeightedPolynomial(rp.layout, EXACT, terms)
     p = rp.model_quadratic().p0() + pert
     res = reduce_to_normal_form(p, rp, 5)
     assert len(pert) > 30 and any(not b.is_zero() for b in res.generators)
@@ -204,12 +217,12 @@ def test_gaussian_real_fast_path_agrees_with_general_formula():
     assert type(GaussianRational(3, 1).im) is Fraction
 
 
-def test_jacobi_identity():
-    rng = random.Random(23)
-    for _ in range(25):
-        a, b, c = (rand_poly(LAY2, rng, nterms=4) for _ in range(3))
-        acc = bracket(a, bracket(b, c)) + bracket(b, bracket(c, a)) + bracket(c, bracket(a, b))
-        assert acc.is_zero()
+@settings(max_examples=25, deadline=None)
+@given(exact_polys(LAY2, max_terms=4), exact_polys(LAY2, max_terms=4),
+       exact_polys(LAY2, max_terms=4))
+def test_jacobi_identity(a, b, c):
+    acc = bracket(a, bracket(b, c)) + bracket(b, bracket(c, a)) + bracket(c, bracket(a, b))
+    assert acc.is_zero()
 
 
 def test_leibniz_defect():
