@@ -736,7 +736,6 @@ class LyapunovGauge:
     second order, at incoming and outgoing points alike.
     """
 
-    node: LocatedRadialPoint
     frame_inv: np.ndarray       # maps (dtheta, dmu) to eigen coordinates
     signs: np.ndarray           # +1 unstable, -1 stable
 
@@ -759,7 +758,7 @@ def lyapunov_gauge(pm: PotentialModel, sigma: float, node: LocatedRadialPoint) -
     else:
         frame = np.real(eigvecs)
         signs = np.sign(np.real(eigvals))
-    return LyapunovGauge(node=node, frame_inv=np.linalg.inv(frame), signs=signs)
+    return LyapunovGauge(frame_inv=np.linalg.inv(frame), signs=signs)
 
 
 def _derivative_bound(pm: PotentialModel, j: int) -> float:
