@@ -513,7 +513,7 @@ class HeteroclinicDag:
     edges: list[FlowoutRecord]
     undecided: list[dict]
     settings: dict
-    lyapunov: tuple = ()        # lyapunov_check of each outgoing node, in node order
+    lyapunov: tuple[dict, ...] = ()     # lyapunov_check of each outgoing node, in node order
 
     def to_json_dict(self) -> dict:
         return {"nodes": [n.to_json_dict() for n in self.nodes],

@@ -632,9 +632,9 @@ def test_trace_stops_past_t_max_without_a_hold(monkeypatch):
         assert times[-2] < 10.0 == times[-1]
 
 
-def in_sink_region(state, node, check):
+def in_sink_region(pm, sigma, state, node, check):
     """Whether state lies in node's certified ellipse x^T P x < r^2 lambda_min(P)."""
-    frame_inv = lyapunov_gauge(COS2, 2.0, node).frame_inv
+    frame_inv = lyapunov_gauge(pm, sigma, node).frame_inv
     p = frame_inv.T @ frame_inv
     d = (state[0] - node.theta + math.pi) % (2.0 * math.pi) - math.pi
     x = np.array([d, state[2]])
@@ -654,7 +654,7 @@ def test_edges_end_at_entry_into_the_target_region(monkeypatch):
     for e, (_, times) in zip(dag.edges, runs):
         states = e.trajectory.states.tolist()
         assert e.trajectory.times.tolist() == [0.0, *times]
-        inside = [[in_sink_region(s, n, check) for n, check in sinks] for s in states]
+        inside = [[in_sink_region(COS2, 2.0, s, n, check) for n, check in sinks] for s in states]
         # the last state is the first inside any region, and inside the target's
         assert not any(map(any, inside[:-1]))
         assert [n.node_id for (n, _), hit in zip(sinks, inside[-1]) if hit] == [e.target]
