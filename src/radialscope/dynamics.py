@@ -426,9 +426,17 @@ def _critical_angles(pm: PotentialModel, grid: int = 4096, tol: float = 1e-12) -
     nxt = np.roll(vals, -1)
     roots = thetas[vals == 0.0].tolist()
     for i in np.flatnonzero((vals != 0.0) & (vals * nxt < 0.0)).tolist():
-        a, b = thetas[i], thetas[(i + 1) % grid]
-        bb = b if b > a else b + 2.0 * math.pi
-        roots.append(float(brentq(pm.v0_prime, a, bb, xtol=1e-14)) % (2.0 * math.pi))
+        a, f = thetas[i], pm.v0_prime
+        if i + 1 < grid:
+            b = thetas[i + 1]
+        else:
+            b = 2.0 * math.pi
+            # sin(2 pi k) is not exactly 0, so when V0'(0) is within roundoff of 0
+            # the scalar V0' at 2 pi can lose the grid's sign: end on the grid value
+            if f(b) * vals[i] > 0.0:
+                end_value = float(vals[0])
+                f = lambda t: end_value if t >= b else pm.v0_prime(t)
+        roots.append(float(brentq(f, a, b, xtol=1e-14)) % (2.0 * math.pi))
     dedup: list[float] = []
     for r in sorted(roots):
         if not dedup or abs(r - dedup[-1]) > 1e-9:

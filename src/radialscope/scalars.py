@@ -1,8 +1,11 @@
 """Exact Gaussian-rational scalars and rational square roots.
 
 The normal-form cancellations in this package are tested to equality, so
-the default coefficient field is Q(i) with Fraction components.  Floating
-complex is used only where eigenvalue data is irrational.
+the default coefficient field is Q(i).  A Gaussian rational is stored as
+machine integers, a numerator pair over one reduced denominator (as in
+FLINT's fmpq), so the hot products and sums of the bracket work on Python
+ints and never build a Fraction.  Floating complex is used only where
+eigenvalue data is irrational.
 """
 
 from __future__ import annotations
@@ -13,26 +16,46 @@ from typing import Union
 
 Rat = Union[int, Fraction]
 
-_FRACTION_ZERO = Fraction(0)
+_gcd = math.gcd
 
 
 class GaussianRational:
-    """A complex number with exact rational real/imaginary parts.
+    """A complex number (r + i*I)/d with exact rational parts.
 
-    Sums and products of two real values (both imaginary parts 0) take one
-    Fraction operation; real-block exact models produce only such values.
+    The three slots are ints with d > 0 and gcd(r, i, d) = 1, so every
+    value has one stored form and `==` compares slots.  Each result takes
+    at most one gcd.  Fast paths: a plain int operand (the bracket's
+    integer multipliers), a Fraction operand taken as (p, 0, q), sums over
+    equal denominators and products of two real values.  `re` and `im`
+    build a Fraction only when read.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_r", "_i", "_d")
 
-    def __init__(self, re: Rat = 0, im: Rat = _FRACTION_ZERO):
-        self.re = re if type(re) is Fraction else Fraction(re)
-        self.im = im if type(im) is Fraction else Fraction(im)
+    def __init__(self, re: Rat = 0, im: Rat = 0):
+        if type(re) is int and type(im) is int:
+            self._r, self._i, self._d = re, im, 1
+            return
+        re, im = Fraction(re), Fraction(im)
+        qr, qi = re.denominator, im.denominator
+        # the lcm of two reduced denominators leaves no factor common to all three
+        d = qr // _gcd(qr, qi) * qi
+        self._r, self._i, self._d = re.numerator * (d // qr), im.numerator * (d // qi), d
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._r, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._i, self._d)
 
     @classmethod
     def coerce(cls, value) -> "GaussianRational":
         if isinstance(value, GaussianRational):
             return value
+        if type(value) is Fraction:
+            return _triple(value.numerator, 0, value.denominator)
         if isinstance(value, (int, Fraction)):
             return cls(value)
         if isinstance(value, complex):
@@ -40,15 +63,28 @@ class GaussianRational:
         raise TypeError(f"cannot coerce {type(value).__name__} into GaussianRational")
 
     def __add__(self, other):
-        other = GaussianRational.coerce(other)
-        if not self.im and not other.im:
-            return GaussianRational(self.re + other.re, _FRACTION_ZERO)
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        t = type(other)
+        if t is GaussianRational:
+            r2, i2, d2 = other._r, other._i, other._d
+        elif t is int:
+            # gcd(r + k d, i, d) = gcd(r, i, d) = 1
+            return _triple(self._r + other * self._d, self._i, self._d)
+        else:
+            r2, i2, d2 = _parts(other)
+        d = self._d
+        if d == d2:
+            r, i = self._r + r2, self._i + i2
+            if d == 1:
+                return _triple(r, i, 1)
+        else:
+            r, i = self._r * d2 + r2 * d, self._i * d2 + i2 * d
+            d *= d2
+        return _reduced(r, i, d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _triple(-self._r, -self._i, self._d)
 
     def __sub__(self, other):
         return self + (-GaussianRational.coerce(other))
@@ -57,55 +93,106 @@ class GaussianRational:
         return GaussianRational.coerce(other) + (-self)
 
     def __mul__(self, other):
-        other = GaussianRational.coerce(other)
-        if not self.im and not other.im:
-            return GaussianRational(self.re * other.re, _FRACTION_ZERO)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        t = type(other)
+        if t is GaussianRational:
+            r2, i2, d2 = other._r, other._i, other._d
+        elif t is int:
+            if not other:
+                return _triple(0, 0, 1)
+            # k/g and d/g are coprime, and gcd(r, i, d) = 1 carries over
+            g = _gcd(other, self._d)
+            if g != 1:
+                other //= g
+                return _triple(self._r * other, self._i * other, self._d // g)
+            return _triple(self._r * other, self._i * other, self._d)
+        else:
+            r2, i2, d2 = _parts(other)
+        r1, i1 = self._r, self._i
+        d = self._d * d2
+        if not i1 and not i2:
+            r = r1 * r2
+            if d == 1:
+                return _triple(r, 0, 1)
+            g = _gcd(r, d)
+            return _triple(r // g, 0, d // g)
+        return _reduced(r1 * r2 - i1 * i2, r1 * i2 + i1 * r2, d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = GaussianRational.coerce(other)
-        d = other.re * other.re + other.im * other.im
-        if d == 0:
-            raise ZeroDivisionError("division by zero GaussianRational")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / d,
-            (self.im * other.re - self.re * other.im) / d,
-        )
+        if type(other) is int:
+            r2, i2, d2 = other, 0, 1
+        else:
+            r2, i2, d2 = _parts(other)
+        r1, i1 = self._r, self._i
+        if not i2:
+            if not r2:
+                raise ZeroDivisionError("division by zero GaussianRational")
+            if r2 < 0:
+                r2, d2 = -r2, -d2
+            return _reduced(r1 * d2, i1 * d2, self._d * r2)
+        # (r1 + i1 I)(r2 - i2 I) d2 / (d1 |r2 + i2 I|^2)
+        return _reduced((r1 * r2 + i1 * i2) * d2, (i1 * r2 - r1 * i2) * d2,
+                        self._d * (r2 * r2 + i2 * i2))
 
     def __rtruediv__(self, other):
         return GaussianRational.coerce(other) / self
 
     def __eq__(self, other):
+        if type(other) is int:
+            return not self._i and self._d == 1 and self._r == other
         try:
-            other = GaussianRational.coerce(other)
+            return (self._r, self._i, self._d) == _parts(other)
         except TypeError:
             return NotImplemented
-        return self.re == other.re and self.im == other.im
 
     def __hash__(self):
         return hash((self.re, self.im))
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return bool(self._r or self._i)
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _triple(self._r, -self._i, self._d)
 
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        # int / int rounds the exact quotient, as float(Fraction) does
+        return complex(self._r / self._d, self._i / self._d)
 
     def __repr__(self):
-        if self.im == 0:
-            return f"{self.re}"
-        if self.re == 0:
-            return f"{self.im}*i"
-        sign = "+" if self.im > 0 else "-"
-        return f"({self.re}{sign}{abs(self.im)}*i)"
+        re, im = self.re, self.im
+        if im == 0:
+            return f"{re}"
+        if re == 0:
+            return f"{im}*i"
+        sign = "+" if im > 0 else "-"
+        return f"({re}{sign}{abs(im)}*i)"
+
+
+_new = object.__new__
+
+
+def _parts(value) -> tuple[int, int, int]:
+    """The stored triple of an exact scalar; a Fraction p/q gives (p, 0, q)."""
+    if type(value) is Fraction:
+        return value.numerator, 0, value.denominator
+    value = GaussianRational.coerce(value)
+    return value._r, value._i, value._d
+
+
+def _triple(r: int, i: int, d: int) -> GaussianRational:
+    """The value (r + i*I)/d from a triple that is already canonical."""
+    z = _new(GaussianRational)
+    z._r, z._i, z._d = r, i, d
+    return z
+
+
+def _reduced(r: int, i: int, d: int) -> GaussianRational:
+    """The value (r + i*I)/d for d > 0, divided by gcd(r, i, d)."""
+    g = _gcd(r, i, d)
+    if g != 1:
+        r, i, d = r // g, i // g, d // g
+    return _triple(r, i, d)
 
 
 def rational_sqrt(value: Fraction) -> Fraction | None:

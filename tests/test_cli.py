@@ -742,6 +742,18 @@ def test_explicit_analyze_locates_radial_points_once(tmp_path, monkeypatch):
     assert calls == {"locate": 1, "angles": 1}
 
 
+def test_critical_angle_at_zero_with_roundoff_size_derivative(tmp_path):
+    # V0'(0) = -1.5e-233, while the scalar V0' at 2 pi reads sin(2 pi) = -2.4e-16
+    # and the last grid cell's ends lost their sign change (exit 4 before)
+    cfg = write_config(tmp_path, {"mode": "explicit", "energy": 2.0,
+                                  "potential": {"n": 2, "v0": [[1, 1.0, -1.5e-233]]}})
+    assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_OK
+    rep = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert not rep["stageErrors"]
+    thetas = {v["radial"]["label"]: v["radial"]["theta"] for v in rep["perEnergy"]["2.0"].values()}
+    assert thetas == {"cp0": 0.0, "cp1": pytest.approx(math.pi)}
+
+
 @pytest.mark.parametrize("command", ["analyze", "flow", "normal-form", "expansion"])
 def test_explicit_hessian_threshold_exits_3(tmp_path, capsys, command):
     # the minima of cos 2 theta (V0 = -1, V0'' = 4) have their threshold at -1 + 2 * 4
@@ -788,3 +800,17 @@ def test_mixed_exact_and_irrational_ratios_run(tmp_path):
     rep = json.loads((tmp_path / "o" / "report.json").read_text())
     assert rep["stageErrors"] == {}
     assert rep["perEnergy"]["0.5"]["z"]["expansion"]
+
+
+EXACT_REPORTS = pathlib.Path(__file__).resolve().parent / "data" / "exact_reports"
+
+
+@pytest.mark.parametrize("name", ["nf_real_block_n3", "complex_ratio", "complex_coefficients"])
+def test_exact_report_bytes_are_pinned(tmp_path, name):
+    # report.json of three exact expansion jobs, byte for byte: an n = 3 real-block
+    # nf-exact job, complex ratios r = 1/2 + i/2 and 1/2 + i, and complex exact
+    # perturbation coefficients through the normal form
+    case = EXACT_REPORTS / name
+    assert main(["expansion", "--config", str(case / "config.json"),
+                 "--out", str(tmp_path)]) == EXIT_OK
+    assert (tmp_path / "report.json").read_bytes() == (case / "report.json").read_bytes()

@@ -6,7 +6,7 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from scipy.integrate import solve_ivp
 from scipy.integrate._ivp import dop853_coefficients as dop
@@ -308,8 +308,8 @@ def test_validated_radius_certifies_w_rho_on_circle_analyze_potentials(case, poi
     assert_validated_radius_certifies(*CIRCLE_ANALYZE_SEED1[case], points)
 
 
-# coefficients 0 or at least 1e-6 in size: below about 1e-16, V0' at 0 and
-# at 2 pi can differ in sign, and the critical-angle search fails there
+# coefficients 0 or at least 1e-6 in size; the example's two k = 2 rows cancel
+# to V0'(0) = -4e-22, below the roundoff of sin(2 pi k) in V0' at 2 pi
 trig_coeffs = st.just(0.0) | st.floats(1e-6, 2.0) | st.floats(-2.0, -1e-6)
 trig_rows = st.lists(st.tuples(st.integers(0, 4), trig_coeffs, trig_coeffs),
                      min_size=1, max_size=3)
@@ -317,6 +317,8 @@ trig_rows = st.lists(st.tuples(st.integers(0, 4), trig_coeffs, trig_coeffs),
 
 @settings(max_examples=60, deadline=None)
 @given(rows=trig_rows, sigma=st.floats(-3.0, 6.0), points=disk_points)
+@example(rows=[(2, 0.0, 1e-06), (2, 1.0, -1.0000000000000002e-06)], sigma=2.0,
+         points=[(0.5, 1.0), (0.999, 4.0)])
 def test_validated_radius_certifies_w_rho_on_trig_rows(rows, sigma, points):
     pm = PotentialModel(n=2, v0_coeffs=rows)
     try:

@@ -1,5 +1,6 @@
 """Property tests: the sparse-polynomial kernel's ring laws, WeightedPolynomial
-as a view of it, the config loader's totality, the CLI's forbidden-energy
+as a view of it, GaussianRational against a Fraction-pair reference, the
+config loader's totality, the CLI's forbidden-energy
 exit, and the Morse sequence's order checks against a brute-force
 reachability matrix."""
 
@@ -7,6 +8,8 @@ import ast
 import contextlib
 import io
 import json
+import math
+import operator
 import os
 import tempfile
 from fractions import Fraction
@@ -93,6 +96,67 @@ def test_weighted_polynomial_arithmetic_is_the_kernels(case):
     assert as_flat(a.scale(s)) == ka.scale(s).terms
     assert as_flat(a.diff_nu()) == ka.diff(0).terms
     assert (a == b) == (ka == kb)
+
+
+# -- GaussianRational against a reference built from Fraction pairs ----------------
+
+ring_fractions = st.fractions(min_value=-30, max_value=30, max_denominator=40)
+
+
+@st.composite
+def exact_scalars(draw, gaussian=None):
+    """(operand, reference (re, im) Fraction pair): an int, a Fraction or a
+    GaussianRational, zero often enough to reach division by zero."""
+    kind = "gaussian" if gaussian else draw(st.sampled_from(["int", "fraction", "gaussian"]))
+    if kind == "int":
+        value = draw(st.integers(-30, 30) | st.just(0))
+        return value, (Fraction(value), Fraction(0))
+    re = draw(ring_fractions | st.just(Fraction(0)))
+    if kind == "fraction":
+        return re, (re, Fraction(0))
+    im = draw(ring_fractions | st.just(Fraction(0)))
+    return GaussianRational(re, im), (re, im)
+
+
+def ref_op(op, x, y):
+    (a, b), (c, d) = x, y
+    if op is operator.add:
+        return a + c, b + d
+    if op is operator.sub:
+        return a - c, b - d
+    if op is operator.mul:
+        return a * c - b * d, a * d + b * c
+    norm = c * c + d * d
+    return (a * c + b * d) / norm, (b * c - a * d) / norm
+
+
+def assert_matches(z, ref):
+    assert type(z) is GaussianRational
+    assert type(z.re) is Fraction and type(z.im) is Fraction
+    assert (z.re, z.im) == ref
+    r, i, d = (getattr(z, slot) for slot in GaussianRational.__slots__)
+    assert (type(r), type(i), type(d)) == (int, int, int)
+    assert d > 0 and math.gcd(r, i, d) == 1
+    assert hash(z) == hash(ref) and bool(z) == any(ref)
+
+
+@settings(max_examples=300, deadline=None)
+@given(exact_scalars(gaussian=True), exact_scalars(),
+       st.sampled_from([operator.add, operator.sub, operator.mul, operator.truediv]))
+def test_gaussian_rational_matches_fraction_pairs(x, y, op):
+    (gx, rx), (vy, ry) = x, y
+    assert_matches(gx, rx)
+    assert_matches(-gx, (-rx[0], -rx[1]))
+    assert_matches(gx.conjugate(), (rx[0], -rx[1]))
+    assert (gx == vy) == (vy == gx) == (rx == ry)
+    for left, right, rl, rr in ((gx, vy, rx, ry), (vy, gx, ry, rx)):
+        if op is operator.truediv and not any(rr):
+            try:
+                op(left, right)
+            except ZeroDivisionError:
+                continue
+            raise AssertionError("division by zero did not raise ZeroDivisionError")
+        assert_matches(op(left, right), ref_op(op, rl, rr))
 
 
 # -- the loader is total: any JSON value gives a config or a ConfigError -----------

@@ -1,3 +1,5 @@
+import pathlib
+import runpy
 from fractions import Fraction
 
 import pytest
@@ -22,6 +24,15 @@ def test_gaussian_rational_field_ops():
         a / GaussianRational(0)
     with pytest.raises(TypeError):
         GaussianRational.coerce(0.5)   # binary floats never enter exact mode
+
+
+def test_traced_gaussian_ops_are_defined_on_the_class():
+    # bench/tracing.py patches GaussianRational.__dict__[op] for each of these
+    tracing = runpy.run_path(str(pathlib.Path(__file__).resolve().parents[1] / "bench"
+                                 / "tracing.py"))
+    ops = tracing["GAUSSIAN_OPS"]
+    assert len(ops) == 9
+    assert all(callable(GaussianRational.__dict__.get(op)) for op in ops)
 
 
 def test_rational_sqrt():
