@@ -30,9 +30,7 @@ def test_traced_gaussian_ops_are_defined_on_the_class():
     # bench/tracing.py patches GaussianRational.__dict__[op] for each of these
     tracing = runpy.run_path(str(pathlib.Path(__file__).resolve().parents[1] / "bench"
                                  / "tracing.py"))
-    ops = tracing["GAUSSIAN_OPS"]
-    assert len(ops) == 9
-    assert all(callable(GaussianRational.__dict__.get(op)) for op in ops)
+    assert all(callable(GaussianRational.__dict__.get(op)) for op in tracing["GAUSSIAN_OPS"])
 
 
 def test_rational_sqrt():
