@@ -21,7 +21,11 @@ the phase is exactly quadratic, phi = Psi - tau (u - 1/(2 tau))^2, and
 d sigma = 2u du.  A composite Filon rule interpolates the amplitude
 2u a(V0 + u^2) at degree 7 on each panel and integrates the interpolant
 exactly against that phase (Fresnel/erf moments), so its panels resolve
-the amplitude and its cost does not grow as x -> 0.  Adaptive
+the amplitude and its cost does not grow as x -> 0.  Its passes are
+batched over beta = -tau/x: one pass samples the amplitude once and
+computes the moments of every x's panels together, while each x keeps its
+own pass sequence and stopping rule, so it gets the floats of a run of its
+own.  Adaptive
 Gauss-Kronrod 15(7) (`oscillatory_quadrature`) remains for arbitrary
 phases.
 """
@@ -108,66 +112,119 @@ _CHEB = np.cos((2.0 * np.arange(_NODES) + 1.0) * np.pi / (2.0 * _NODES))
 _TO_MONOMIAL = np.array([np.poly(np.delete(_CHEB, i))[::-1] / np.prod(t - np.delete(_CHEB, i))
                          for i, t in enumerate(_CHEB)]).T
 _SWEEP_DEPTH = 48    # start of the backward sweep for panels far from the stationary point
+_MILLER_MARGIN = 60  # _linear_moments starts its backward sweep at most this far past kmax
+_MAX_ROWS = 256      # rows per moments call, the size of one 256-panel pass
 
 
 def _linear_moments(a: np.ndarray, kmax: int) -> np.ndarray:
     """L[:, k] = integral_{-1}^{1} s^k e^{i a s} ds for k = 0..kmax.
 
-    Forward recursion in 1/(ia) is stable while k < |a|; above that the
-    backward recursion, started at 0 well above kmax, is used instead.
+    Column k takes the forward recursion in 1/(ia) where k + 1 <= |a|, where
+    it is stable, and elsewhere the backward recursion started at L_N = 0
+    (Miller's algorithm).  That start is damped by prod_{k=kmax+2}^{N} A/k at
+    column kmax, A the largest |a| below kmax + 1 (Gautschi 1967), so N is the
+    first index that makes the product at most 2^-64, and at most
+    kmax + _MILLER_MARGIN.
     """
+    abs_a = np.abs(a)
     ea, ema = np.exp(1j * a), np.exp(-1j * a)
     ends = (ea - ema, ea + ema)          # [s^k e^{ias}] from -1 to 1, by parity of k
-    ia = 1j * np.where(np.abs(a) < 1.0, 1.0, a)     # rows with |a| < 1 use no forward value
-    fwd = np.empty((a.size, kmax + 1), dtype=complex)
-    bwd = np.empty_like(fwd)
-    fwd[:, 0] = ends[0] / ia
-    for k in range(1, kmax + 1):
-        fwd[:, k] = (ends[k % 2] - k * fwd[:, k - 1]) / ia
-    back = np.zeros(a.size, dtype=complex)
-    for k in range(kmax + 60, 0, -1):
-        back = (ends[k % 2] - 1j * a * back) / k      # L_{k-1}
-        if k <= kmax + 1:
-            bwd[:, k - 1] = back
-    return np.where(np.arange(1, kmax + 2) > np.abs(a)[:, None], bwd, fwd)
+    out = np.empty((a.size, kmax + 1), dtype=complex)
+    slow = abs_a[abs_a < kmax + 1]
+    if slow.size:
+        big, start, damp = float(slow.max()), kmax + 1, 1.0
+        while damp > 2.0 ** -64 and start < kmax + _MILLER_MARGIN:
+            start += 1
+            damp *= big / start
+        ia = 1j * a
+        back = np.zeros(a.size, dtype=complex)
+        for k in range(start, 0, -1):
+            back = (ends[k % 2] - ia * back) / k      # L_{k-1}
+            if k <= kmax + 1:
+                out[:, k - 1] = back
+    reach = abs_a.max()
+    ia = 1j * np.where(abs_a < 1.0, 1.0, a)     # rows with |a| < 1 use no forward value
+    fwd = ends[0] / ia
+    for k in range(int(reach) if reach < kmax + 1 else kmax + 1):   # NaN takes all
+        if k:
+            fwd = (ends[k % 2] - k * fwd) / ia
+        np.copyto(out[:, k], fwd, where=abs_a >= k + 1)
+    return out
 
 
-def _quadratic_moments(a: np.ndarray, b: float) -> np.ndarray:
+def _quadratic_moments(a: np.ndarray, b) -> np.ndarray:
     """mu[:, j] = integral_{-1}^{1} s^j e^{i(a s + b s^2)} ds for j < _NODES.
 
-    One row per entry of a.  For |b| <= 1 the chirp e^{i b s^2} is summed as
-    a series over linear moments.  Otherwise mu_0 is a difference of complex
-    error functions and the rest follow from the recurrence
+    One row per entry of a; b is a scalar or one value per row.  Where
+    |b| <= 1 the chirp e^{i b s^2} is summed as a series over linear moments.
+    Elsewhere mu_0 is a difference of complex error functions and the rest
+    follow from the recurrence
         2b mu_{j+1} + a mu_j - i j mu_{j-1} = -i (e^{i(b+a)} - (-1)^j e^{i(b-a)}):
     forward where the stationary point -a/(2b) lies within 2 of the panel
     centre, and elsewhere, where forward recursion grows like |a/(2b)|^j, by
     a backward sweep from mu_{_SWEEP_DEPTH+1} = 0 (Olver's algorithm).
     """
-    if abs(b) <= 1.0:
+    b = np.broadcast_to(np.asarray(b, dtype=float), a.shape)
+    series = np.abs(b) <= 1.0
+    mu = np.empty((a.size, _NODES), dtype=complex)
+    if series.any():
+        mu[series] = _chirp_series_moments(a[series], b[series])
+    if not series.all():
+        mu[~series] = _erf_moments(a[~series], b[~series])
+    return mu
+
+
+def _distinct(b: np.ndarray) -> tuple[list[float], np.ndarray]:
+    """The distinct values of b as Python floats, and each row's index into
+    them; runs of equal rows are found without a sort."""
+    starts = np.flatnonzero(np.concatenate(([True], b[1:] != b[:-1])))
+    index: dict[float, int] = {}
+    runs = [index.setdefault(v, len(index)) for v in b[starts].tolist()]
+    return list(index), np.repeat(runs, np.diff(np.append(starts, b.size)))
+
+
+def _chirp_series_moments(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # each distinct b's coefficients (i b)^n / n! in Python complex scalars,
+    # padded with zeros to the longest series
+    distinct, rows = _distinct(b)
+    series = []
+    for bv in distinct:
         coefs = [1.0 + 0.0j]
         while abs(coefs[-1]) > 1e-17:
-            coefs.append(coefs[-1] * 1j * b / len(coefs))
-        lin = _linear_moments(a, _NODES - 1 + 2 * (len(coefs) - 1))
-        return sum(coef * lin[:, 2 * n:2 * n + _NODES] for n, coef in enumerate(coefs))
+            coefs.append(coefs[-1] * 1j * bv / len(coefs))
+        series.append(coefs)
+    terms = max(map(len, series))
+    coefs = np.array([c + [0j] * (terms - len(c)) for c in series])[rows]
+    lin = _linear_moments(a, _NODES - 1 + 2 * (terms - 1))
+    return sum(coefs[:, n, None] * lin[:, 2 * n:2 * n + _NODES] for n in range(terms))
+
+
+def _erf_moments(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     from scipy.special import erf
 
+    # sqrt(-ib) and the mu_0 prefactor per distinct b in scalar arithmetic,
+    # which gives each row the floats of a call with b alone
+    distinct, rows = _distinct(b)
+    roots = [np.sqrt(-1j * bv) for bv in distinct]
+    root = np.array(roots)[rows]
+    scale = np.array([0.5 * math.sqrt(math.pi) / r for r in roots])[rows]
     ep, em = np.exp(1j * (b + a)), np.exp(1j * (b - a))
     rhs = (-1j * (ep - em), -1j * (ep + em))       # by parity of j
-    root, c = np.sqrt(-1j * b), a / (2.0 * b)
+    c = a / (2.0 * b)
     mu = np.empty((a.size, _NODES), dtype=complex)
-    mu[:, 0] = (0.5 * math.sqrt(math.pi) / root) * np.exp(-0.5j * a * c) \
-        * (erf(root * (c + 1.0)) - erf(root * (c - 1.0)))
+    mu[:, 0] = scale * np.exp(-0.5j * a * c) * (erf(root * (c + 1.0)) - erf(root * (c - 1.0)))
     near, far = np.abs(c) <= 2.0, ~(np.abs(c) <= 2.0)
+    an, bn = a[near], b[near]
     for j in range(_NODES - 1):
         prev = 1j * j * mu[near, j - 1] if j else 0.0
-        mu[near, j + 1] = (rhs[j % 2][near] + prev - a[near] * mu[near, j]) / (2.0 * b)
+        mu[near, j + 1] = (rhs[j % 2][near] + prev - an * mu[near, j]) / (2.0 * bn)
     # far rows: mu_{j+1} = e_j mu_j + f_j, eliminated upwards from row _SWEEP_DEPTH
-    af, rf = a[far], (rhs[0][far], rhs[1][far])
+    af, bf, rf = a[far], b[far], (rhs[0][far], rhs[1][far])
     e = f = np.zeros(af.size, dtype=complex)
     steps = [None] * (_NODES - 1)
     for j in range(_SWEEP_DEPTH, 0, -1):
-        den = af + 2.0 * b * e
-        e, f = 1j * j / den, (rf[j % 2] - 2.0 * b * f) / den
+        den = af + 2.0 * bf * e
+        e, f = 1j * j / den, (rf[j % 2] - 2.0 * bf * f) / den
         if j < _NODES:
             steps[j - 1] = (e, f)
     for j, (e, f) in enumerate(steps):
@@ -175,35 +232,55 @@ def _quadratic_moments(a: np.ndarray, b: float) -> np.ndarray:
     return mu
 
 
-def quadratic_phase_filon(g: Callable[[np.ndarray], np.ndarray], beta: float, u0: float,
+def quadratic_phase_filon(g: Callable[[np.ndarray], np.ndarray], betas: np.ndarray, u0: float,
                           lo: float, hi: float, tol: float,
-                          max_panels: int = 4096) -> tuple[complex, int]:
-    """integral_lo^hi g(u) e^{i beta (u - u0)^2} du and the final panel count.
+                          max_panels: int = 4096) -> tuple[np.ndarray, np.ndarray]:
+    """integral_lo^hi g(u) e^{i beta (u - u0)^2} du for each beta of betas,
+    and the final panel counts.
 
     Composite Filon rule with an exact phase (Iserles and Norsett, 2005): on
     each panel g, which takes an array, is interpolated at _NODES Chebyshev
     points and the interpolant is integrated exactly against the phase, so
-    panels resolve the amplitude, not the oscillation.  Panels are halved,
-    from 8, until two successive halvings each change the value by at most
-    tol: a single agreement can be a coincidence before the asymptotic rate
-    sets in.  Raises QuadratureError when a pass is not finite or the passes
-    have not agreed within max_panels.
+    panels resolve the amplitude, not the oscillation.  Each beta halves its
+    panels, from 8, until two successive halvings each change its value by
+    at most tol: a single agreement can be a coincidence before the
+    asymptotic rate sets in.  A pass is batched over the betas still open:
+    g is evaluated once, and each moments call takes the panels of as many
+    betas as fit in _MAX_ROWS rows; each beta gets the floats a pass of its
+    own would give.  Raises QuadratureError when a pass is not finite or
+    some beta's passes have not agreed within max_panels.
     """
-    prev, agreed, n = None, 0, 8
-    while n <= max_panels:
+    betas = np.asarray(betas, dtype=float)
+    values = np.zeros(betas.size, dtype=complex)
+    panels = np.zeros(betas.size, dtype=int)
+    prev, agreed = [None] * betas.size, [0] * betas.size
+    open_, n = list(range(betas.size)), 8
+    while open_ and n <= max_panels:
         r = 0.5 * (hi - lo) / n
         mid = lo + r * (2.0 * np.arange(n) + 1.0)
         w = mid - u0
-        moments = _quadratic_moments(2.0 * beta * r * w, beta * r * r)
-        panels = np.einsum("pj,ji,pi->p", moments, _TO_MONOMIAL, g(mid[:, None] + r * _CHEB))
-        cur = complex(r * np.sum(np.exp(1j * beta * w * w) * panels))
-        if not cmath.isfinite(cur):
-            raise QuadratureError(f"Filon pass with {n} panels is not finite")
-        agreed = agreed + 1 if prev is not None and abs(cur - prev) <= tol else 0
-        if agreed == 2:
-            return cur, n
-        prev, n = cur, 2 * n
-    raise QuadratureError(f"Filon passes did not agree to {tol} within {max_panels} panels")
+        amp = g(mid[:, None] + r * _CHEB)
+        per_call = max(1, _MAX_ROWS // n)
+        for group in (open_[i:i + per_call] for i in range(0, len(open_), per_call)):
+            a = (2.0 * betas[group, None] * r * w).ravel()
+            b = np.repeat(betas[group] * r * r, n)
+            moments = np.concatenate([_quadratic_moments(a[i:i + _MAX_ROWS], b[i:i + _MAX_ROWS])
+                                      for i in range(0, a.size, _MAX_ROWS)])
+            for row, k in enumerate(group):
+                sums = np.einsum("pj,ji,pi->p", moments[row * n:(row + 1) * n],
+                                 _TO_MONOMIAL, amp)
+                cur = complex(r * np.sum(np.exp(1j * float(betas[k]) * w * w) * sums))
+                if not cmath.isfinite(cur):
+                    raise QuadratureError(f"Filon pass with {n} panels is not finite")
+                close = prev[k] is not None and abs(cur - prev[k]) <= tol
+                agreed[k] = agreed[k] + 1 if close else 0
+                prev[k] = cur
+                if agreed[k] == 2:
+                    values[k], panels[k] = cur, n
+        open_, n = [k for k in open_ if agreed[k] < 2], 2 * n
+    if open_:
+        raise QuadratureError(f"Filon passes did not agree to {tol} within {max_panels} panels")
+    return values, panels
 
 
 def _abs_tolerance(f: Callable[[float], complex], a: float, b: float, rel_tol: float) -> float:
@@ -383,14 +460,15 @@ def stationary_phase_check(case: StationaryPhaseCase,
     peak = locate_phase_peak(case)
     a_c = case.amplitude(sc)
     tol = _abs_tolerance(case.amplitude, lo, hi, rel_tol)
+    values, panels = quadratic_phase_filon(case.u_amplitude,
+                                           np.array([-case.tau / x for x in case.x_list]),
+                                           0.5 / case.tau, *case.u_support(), tol)
     rows = []
-    for x in case.x_list:
-        val, panels = quadratic_phase_filon(case.u_amplitude, -case.tau / x, 0.5 / case.tau,
-                                            *case.u_support(), tol)
+    for x, val, n in zip(case.x_list, values.tolist(), panels.tolist()):
         integral = val * cmath.exp(1j * case.psi / x) / (2j * math.pi)
         ref = math.sqrt(x) * case.tau ** (-1.5) * a_c * cmath.exp(1j * case.psi / x)
         pref = integral / ref
-        rows.append({"x": x, "integral": integral, "panels": panels,
+        rows.append({"x": x, "integral": integral, "panels": n,
                      "prefactorMod": abs(pref),
                      "prefactorPhase": cmath.phase(pref),
                      "prefactor": pref})

@@ -4,13 +4,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from radialscope import oscverify
 from radialscope.oscverify import (STATIONARY_PHASE_CONSTANT, NoStationaryPointError,
                                    QuadratureError, StationaryPhaseCase,
                                    gaussian_amplitude, locate_phase_peak,
                                    measure_phase_hessian, oscillatory_quadrature,
                                    psi_of_tau, quadratic_phase_filon,
-                                   stationary_phase_check, _quadratic_moments)
+                                   stationary_phase_check, _linear_moments,
+                                   _quadratic_moments)
 
 AMP = gaussian_amplitude(1.0, 0.05)
 
@@ -23,9 +26,9 @@ def acceptance_case(x_list=(1e-2, 1e-3, 1e-4)):
 
 def filon_integral(case, x, tol=1e-13, **kwargs):
     """integral a(sigma) e^{i phi(sigma)/x} d sigma by the Filon rule in u, and its panels."""
-    val, panels = quadratic_phase_filon(case.u_amplitude, -case.tau / x, 0.5 / case.tau,
-                                        *case.u_support(), tol, **kwargs)
-    return val * cmath.exp(1j * case.psi / x), panels
+    vals, panels = quadratic_phase_filon(case.u_amplitude, np.array([-case.tau / x]),
+                                         0.5 / case.tau, *case.u_support(), tol, **kwargs)
+    return complex(vals[0]) * cmath.exp(1j * case.psi / x), int(panels[0])
 
 
 def test_zero_phase_reduces_to_plain_integral():
@@ -92,26 +95,94 @@ def test_filon_against_mpmath_oracle():
         return 2.0 * s * case.amplitude(s * s) * mp.expj(beta * (u - u0) ** 2)
 
     oracle = complex(mp.quad(f, mp.linspace(lo, hi, 41), maxdegree=6))
-    ours, _ = quadratic_phase_filon(case.u_amplitude, beta, u0, lo, hi, 1e-13)
+    (ours, mirror), _ = quadratic_phase_filon(case.u_amplitude, np.array([beta, -beta]),
+                                              u0, lo, hi, 1e-13)
     assert abs(oracle - ours) < 1e-12
-    mirror, _ = quadratic_phase_filon(case.u_amplitude, -beta, u0, lo, hi, 1e-13)
     assert abs(mirror - oracle.conjugate()) < 1e-12
 
 
-@pytest.mark.parametrize("b", [1e-9, -0.3, 1.0, -1.01, 5.0, -40.0, 600.0])
+MOMENT_BS = [1e-9, -0.3, 1.0, -1.01, 5.0, -40.0, 600.0]
+S_STAR = np.array([0.0, 0.4, 1.0, 1.99, 2.01, 3.0, 12.0, 40.0])
+
+
+def assert_moments_match_gauss_legendre(mu, a, b):
+    t, w = np.polynomial.legendre.leggauss(40)
+    for row, ai, bi in zip(mu, a, np.broadcast_to(b, a.shape)):
+        edges = np.linspace(-1.0, 1.0, int(abs(ai) + 2 * abs(bi)) // 8 + 5)
+        s = (0.5 * (edges[1:] + edges[:-1])[:, None] + 0.5 * np.diff(edges)[:, None] * t).ravel()
+        ws = (0.5 * np.diff(edges)[:, None] * w).ravel() * np.exp(1j * (ai * s + bi * s * s))
+        ref = np.array([np.sum(ws * s ** j) for j in range(len(row))])
+        assert np.max(np.abs(row - ref)) < 1e-12
+
+
+@pytest.mark.parametrize("b", MOMENT_BS)
 def test_quadratic_moments_against_gauss_legendre(b):
     # every branch: chirp series (|b| <= 1), forward recurrence near the
     # stationary point, backward sweep far from it
-    s_star = np.array([0.0, 0.4, 1.0, 1.99, 2.01, 3.0, 12.0, 40.0])
-    a = -2.0 * b * s_star if abs(b) > 1e-3 else 3.0 * s_star
-    mu = _quadratic_moments(a, b)
-    t, w = np.polynomial.legendre.leggauss(40)
-    for row, ai in zip(mu, a):
-        edges = np.linspace(-1.0, 1.0, int(abs(ai) + 2 * abs(b)) // 8 + 5)
-        s = (0.5 * (edges[1:] + edges[:-1])[:, None] + 0.5 * np.diff(edges)[:, None] * t).ravel()
-        ws = (0.5 * np.diff(edges)[:, None] * w).ravel() * np.exp(1j * (ai * s + b * s * s))
-        ref = np.array([np.sum(ws * s ** j) for j in range(len(row))])
-        assert np.max(np.abs(row - ref)) < 1e-12
+    a = -2.0 * b * S_STAR if abs(b) > 1e-3 else 3.0 * S_STAR
+    assert_moments_match_gauss_legendre(_quadratic_moments(a, b), a, b)
+
+
+def test_quadratic_moments_rows_with_several_b():
+    # one call whose rows carry every b above, series and erf branches mixed,
+    # with the rows shuffled so that neither branch is a contiguous block
+    b = np.repeat(MOMENT_BS, S_STAR.size)
+    a = np.where(np.abs(b) > 1e-3, -2.0 * b * np.tile(S_STAR, len(MOMENT_BS)),
+                 3.0 * np.tile(S_STAR, len(MOMENT_BS)))
+    order = np.random.default_rng(5).permutation(b.size)
+    assert_moments_match_gauss_legendre(_quadratic_moments(a[order], b[order]),
+                                        a[order], b[order])
+
+
+def fixed_start_linear_moments(a, kmax):
+    """_linear_moments with its backward sweep started at kmax + 60 for every row."""
+    ea, ema = np.exp(1j * a), np.exp(-1j * a)
+    ends = (ea - ema, ea + ema)
+    ia = 1j * np.where(np.abs(a) < 1.0, 1.0, a)
+    fwd = np.empty((a.size, kmax + 1), dtype=complex)
+    bwd = np.empty_like(fwd)
+    fwd[:, 0] = ends[0] / ia
+    for k in range(1, kmax + 1):
+        fwd[:, k] = (ends[k % 2] - k * fwd[:, k - 1]) / ia
+    back = np.zeros(a.size, dtype=complex)
+    for k in range(kmax + 60, 0, -1):
+        back = (ends[k % 2] - 1j * a * back) / k
+        if k <= kmax + 1:
+            bwd[:, k - 1] = back
+    return np.where(np.arange(1, kmax + 2) > np.abs(a)[:, None], bwd, fwd)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-150.0, 150.0), min_size=1, max_size=12), st.integers(7, 47))
+def test_linear_moments_shorter_start_matches_fixed_start(a, kmax):
+    # the backward sweep starts where its start error is damped below 2^-64
+    a = np.array(a)
+    ours, ref = _linear_moments(a, kmax), fixed_start_linear_moments(a, kmax)
+    scale = np.spacing(np.max(np.abs(ref), axis=0))
+    assert np.all(np.abs(ours - ref) <= 4 * scale)
+
+
+def test_batched_check_equals_one_x_checks(monkeypatch):
+    # one batched pass sequence for the whole x list gives every x the floats
+    # of a check of its own; each moments call stays within the row cap
+    rows_seen = []
+
+    def spy(a, b):
+        rows_seen.append(a.size)
+        return _quadratic_moments(a, b)
+
+    monkeypatch.setattr(oscverify, "_quadratic_moments", spy)
+    xs = (1e-2, 10 ** -2.5, 1e-3, 10 ** -3.5, 1e-4, 5e-5, 3e-5)
+    for tau in (0.5, 0.6):      # 0.6 clips the support at V0(z) = 0
+        amp = gaussian_amplitude(0.25 / tau ** 2, 0.3, cut=3.0)
+        batched = stationary_phase_check(StationaryPhaseCase(v0z=0.0, tau=tau, amplitude=amp,
+                                                             x_list=xs))
+        for row in batched.rows:
+            alone = stationary_phase_check(StationaryPhaseCase(
+                v0z=0.0, tau=tau, amplitude=amp, x_list=(row["x"],))).rows[0]
+            for key in ("x", "integral", "panels", "prefactorMod", "prefactorPhase"):
+                assert row[key] == alone[key]
+    assert max(rows_seen) == oscverify._MAX_ROWS
 
 
 def test_filon_panels_do_not_grow_as_x_shrinks():
@@ -258,7 +329,8 @@ def test_filon_unconverged_is_a_quadrature_error():
 
 def test_filon_nan_is_a_quadrature_error():
     with pytest.raises(QuadratureError, match="with 8 panels is not finite"):
-        quadratic_phase_filon(lambda u: np.full(u.shape, np.nan), -500.0, 1.0, 0.3, 1.4, 1e-10)
+        quadratic_phase_filon(lambda u: np.full(u.shape, np.nan), np.array([-500.0]),
+                              1.0, 0.3, 1.4, 1e-10)
 
 
 def test_gaussian_amplitude_array_matches_scalar():

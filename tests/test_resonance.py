@@ -3,6 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 from radialscope.radial import CriticalPointSpec, linearization_spectrum, radial_point_from_spectrum
@@ -12,7 +13,7 @@ from radialscope.resonance import (EFF_NONRES, EFF_R1, EFF_R2, InvalidInputError
                                    module_multiindex, module_order, near_resonances,
                                    s_alpha,
                                    scan_effectively_resonant_energies, second_index_set)
-from radialscope.symalg import compositions
+from radialscope.symalg import compositions, normalized_eigenvalue
 
 
 def brute_force_resonances(r_list, max_degree):
@@ -403,3 +404,33 @@ def test_scan_finds_every_exact_effective_resonance(rs, lo_rel, hi_rel):
     assert planted
     near = {idx for s, idx, _ in res.eff_res_energies if abs(s - float(sigma_star)) <= bisect_tol}
     assert planted <= near
+
+
+# -- witness soundness: every reported root is a sign change of its witness's R/lam ----
+
+PLANT_RS = [Fraction(-2), Fraction(-1), Fraction(-1, 2), Fraction(-1, 3), Fraction(1, 6),
+            Fraction(1, 5), Fraction(1, 4), Fraction(1, 3), Fraction(2, 5)]
+
+
+@st.composite
+def planted_scans(draw):
+    """A rational Hessian 2 w r (1 - r) per drawn r, so that sigma = V0 + w is
+    effectively resonant whenever some r is, and an interval about it."""
+    rs = draw(st.lists(st.sampled_from(PLANT_RS), min_size=1, max_size=3, unique=True))
+    v0 = Fraction(draw(st.integers(-12, 12)), 4)
+    w = Fraction(draw(st.integers(2, 12)), 8)
+    lo, hi = (Fraction(draw(st.integers(12, 19)), 20), Fraction(draw(st.integers(21, 30)), 20))
+    cp = CriticalPointSpec("z", v0, tuple(2 * w * r * (1 - r) for r in rs))
+    return cp, (float(v0 + w * lo), float(v0 + w * hi))
+
+
+@settings(max_examples=30, deadline=None)
+@given(planted_scans())
+def test_scan_roots_are_sign_changes_of_their_witness(scan):
+    cp, interval = scan
+    res = scan_effectively_resonant_energies(cp, interval, grid_points=1000)
+    tol = res.settings["bisectTol"]
+    for sigma, idx, _ in res.eff_res_energies:
+        below, above = (normalized_eigenvalue(idx, linearization_spectrum(cp, s, +1).r_list)
+                        for s in (sigma - tol, sigma + tol))
+        assert below * above <= 0.0, (sigma, idx, below, above)
