@@ -94,9 +94,6 @@ def main(argv: list[str] | None = None) -> int:
     except ForbiddenEnergyError as exc:
         print(f"forbidden energy: {exc}", file=sys.stderr)
         return EXIT_FORBIDDEN_ENERGY
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except Exception as exc:  # noqa: BLE001 - numerical stage failure
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -76,6 +76,8 @@ def _integer_range(key: str) -> str:
 
 STAGES = ["radial", "resonance", "normalform", "expansion", "scan", "flow", "morse",
           "stationaryPhase"]
+POINT_STAGES = {"radial", "resonance", "normalform", "expansion"}   # need a single energy
+FLOW_STAGES = {"flow", "morse"}              # need a single energy and explicit mode
 CONFIG_SCHEMA = {
     "type": "object",
     "required": ["mode"],
@@ -181,6 +183,18 @@ def _oscillator_spec(data: dict, where: str) -> OscillatorSpec:
         raise ConfigError(f"options.oscillator{where}: {exc}") from exc
 
 
+def _check_stages(stages: list[str], mode: str, energy) -> None:
+    """Refuse the first stage that the mode or the energy of the config cannot run."""
+    single = energy is not None and not isinstance(energy, tuple)
+    for stage in stages:
+        if stage == "scan" and not isinstance(energy, tuple):
+            raise ConfigError("stage scan needs an interval energy [lo, hi]")
+        if stage in FLOW_STAGES and mode != "explicit":
+            raise ConfigError(f"stage {stage} needs explicit mode")
+        if stage in POINT_STAGES | FLOW_STAGES and not single:
+            raise ConfigError(f"stage {stage} needs a single energy")
+
+
 @dataclass
 class AnalysisConfig:
     mode: str
@@ -195,6 +209,7 @@ class AnalysisConfig:
     oscillator: OscillatorSpec | dict[int, OscillatorSpec] | None = field(init=False)
 
     def __post_init__(self):
+        _check_stages(self.stages, self.mode, self.energy)
         data = self.options.get("perturbation")
         try:
             self.perturbation = None if data is None else WeightedPolynomial.from_json_dict(data)
@@ -325,7 +340,8 @@ def _point_stages(rp: RadialPoint, config: AnalysisConfig, errors, tag):
                 if perturbation.mode != mode:
                     raise ConfigError("perturbation mode must match the radial point data")
                 p = p + perturbation
-            nf = reduce_to_normal_form(p, rp, options["maxDegree"])
+            nf = reduce_to_normal_form(p, rp, options["maxDegree"],
+                                       tol=options["floatResonanceTol"])
             out["normalForm"] = nf.to_json_dict()
         except Exception as exc:  # noqa: BLE001
             errors[f"{tag}:normalform"] = _stage_error(exc)
@@ -371,8 +387,6 @@ def run_analysis(config: AnalysisConfig) -> AnalysisReport:
     stages = config.stages
 
     if "scan" in stages:
-        if not isinstance(config.energy, tuple):
-            raise ConfigError("scan stage requires an interval energy [lo, hi]")
         try:
             cps = config.critical_points if config.potential is None else \
                 [cp for _, cp in critical_points(config.potential)]
@@ -396,11 +410,10 @@ def run_analysis(config: AnalysisConfig) -> AnalysisReport:
                     errors[f"scan:{cp.label}"] = _stage_error(exc)
             global_results["energyScan"] = scans
 
-    scalar_energy = config.energy is not None and not isinstance(config.energy, tuple)
-    point_stages = {"radial", "resonance", "normalform", "expansion"} & set(stages)
-    flow_stages = {"flow", "morse"} & set(stages) if config.mode == "explicit" else set()
+    point_stages = POINT_STAGES & set(stages)
+    flow_stages = FLOW_STAGES & set(stages)
     located = None
-    if config.mode == "explicit" and scalar_energy and (point_stages or flow_stages):
+    if config.mode == "explicit" and (point_stages or flow_stages):
         # the one locate of the run; a forbidden energy propagates (exit 3)
         try:
             located = locate_radial_points(config.potential, float(config.energy),
@@ -410,7 +423,7 @@ def run_analysis(config: AnalysisConfig) -> AnalysisReport:
         except Exception as exc:  # noqa: BLE001
             errors["radial"] = _stage_error(exc)
 
-    if point_stages and scalar_energy and (config.mode == "abstract" or located is not None):
+    if point_stages and (config.mode == "abstract" or located is not None):
         sigma = config.energy
         entry: dict = {}
         if config.mode == "abstract":
@@ -435,9 +448,7 @@ def run_analysis(config: AnalysisConfig) -> AnalysisReport:
                 entry[node.node_id] = data
         per_energy[repr(float(sigma))] = entry
 
-    if flow_stages and not scalar_energy:
-        errors["flow"] = "flow/morse stages need a single energy"
-    elif flow_stages and located is not None:
+    if flow_stages and located is not None:
         sigma = float(config.energy)
         try:
             dag = heteroclinic_dag(config.potential, sigma, eps=options["seedEps"],

@@ -419,7 +419,7 @@ class LocatedRadialPoint:
         return d
 
 
-def _critical_angles(pm: PotentialModel, grid: int = 4096, tol: float = 1e-12) -> list[float]:
+def _critical_angles(pm: PotentialModel, grid: int = 4096) -> list[float]:
     """Zeros of V0' on [0, 2 pi): grid zeros as they are, brentq on sign changes."""
     thetas = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
     vals = pm.v0_prime_array(thetas)

@@ -190,8 +190,7 @@ class LogVariableSet:
 
     def max_log_power(self) -> int:
         deg = 0
-        for store, positions in ((self.sec_psharp, self.sec_positions),
-                                 (self.pr_psharp, self.pr_positions)):
+        for store in (self.sec_psharp, self.pr_psharp):
             for ps in store.values():
                 deg = max(deg, ps.degree_in(ps.nvars - 1))
         if self.psharp0 is not None:

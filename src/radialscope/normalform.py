@@ -20,11 +20,18 @@ import numpy as np
 from .dynamics import MAX_FLOW_STEPS, FlowStepError, _dop853
 from .parallel import parallel_map
 from .symalg import (EXACT, FLOATING, ModelQuadratic, MonomialKey,
-                     WeightedPolynomial, ad_exponential, iter_monomials)
+                     WeightedPolynomial, ad_exponential, iter_monomials, normalized_eigenvalue)
 from .radial import (CriticalPointSpec, ForbiddenEnergyError,
                      RadialPoint, linearization_spectrum)
-from .resonance import (DEFAULT_FLOAT_TOL, EFF_NONRES, EFF_R1, EFF_R2, classify_resonance,
-                        is_resonant, scan_effectively_resonant_energies)
+from .resonance import (DEFAULT_FLOAT_TOL, EFF_NONRES, block_class, is_resonant,
+                        scan_effectively_resonant_energies, vanishes)
+
+
+# floating tolerances that decide no resonance and do not follow the resonance
+# tol: grade <= 0 differences from the model up to _MODEL_TOL pass the model
+# check, and coefficients up to _CHOP_TOL are dropped after each stage
+_MODEL_TOL = 100 * DEFAULT_FLOAT_TOL
+_CHOP_TOL = DEFAULT_FLOAT_TOL * 1e-2
 
 
 class ModelMismatchError(ValueError):
@@ -49,12 +56,14 @@ def solve_homological(model: ModelQuadratic, e: WeightedPolynomial,
     Requires a real-block model (where nu^a y^alpha mu^beta is an exact
     eigenbasis) and e homogeneous of grade >= 1.  The generator b has no
     component on resonant monomials (minimal-norm convention); the
-    residual is exactly the resonant part of e.  A keep set replaces the
-    resonance test: exactly its monomials go to the residual.
+    residual is exactly the resonant part of e, by resonance.vanishes at
+    tol.  A keep set replaces the resonance test: exactly its monomials go
+    to the residual.
     """
     if not model.layout.is_real_block:
         raise ValueError("homological solve requires a real-block model")
-    if any(r == Fraction(1, 2) or (not isinstance(r, Fraction) and abs(float(r) - 0.5) < tol)
+    if any(r == Fraction(1, 2) or (not isinstance(r, Fraction)
+                                   and abs(float(r) - 0.5) < DEFAULT_FLOAT_TOL)
            for r in model.r_list):
         raise ThresholdModelError("model has r_j = 1/2; homological equation degenerates")
     if e.is_zero():
@@ -63,20 +72,17 @@ def solve_homological(model: ModelQuadratic, e: WeightedPolynomial,
     l = e.homogeneous_grade()
     if l < 1:
         raise ValueError(f"homological input must have grade >= 1, got {l}")
-    exact = e.mode == EXACT and model.is_exact
+    mode = model.mode
     b_terms = {}
     resid_terms = {}
     for term in e.terms():
         key = (term.a, term.alpha, term.beta)
-        R = model.eigenvalue(key)
-        if keep is not None:
-            resonant = key in keep
-        else:
-            resonant = (R == 0) if exact else abs(complex(R)) <= tol * abs(complex(model.lam))
+        rho = normalized_eigenvalue(key, model.r_list)
+        resonant = key in keep if keep is not None else vanishes(rho, mode, tol)
         if resonant:
             resid_terms[key] = term.coeff
         else:
-            b_terms[key] = term.coeff / R if exact else term.coeff / complex(R)
+            b_terms[key] = term.coeff / (model.lam * rho)
     return HomologicalSolution(WeightedPolynomial(e.layout, e.mode, b_terms),
                                WeightedPolynomial(e.layout, e.mode, resid_terms))
 
@@ -91,7 +97,6 @@ class NormalFormResult:
     """
 
     p_norm: WeightedPolynomial
-    p0: WeightedPolynomial
     generators: tuple[WeightedPolynomial, ...]
     r_eff_r: WeightedPolynomial
     r_eff_nr: WeightedPolynomial
@@ -123,7 +128,9 @@ def reduce_to_normal_form(p: WeightedPolynomial, rp: RadialPoint, max_grade: int
     rp (raises ModelMismatchError otherwise).  Grade-0 terms are never
     modified; in exact mode every nonresonant monomial of the output
     vanishes identically.  keep, if given, is passed to every
-    solve_homological call in place of its resonance test.
+    solve_homological call in place of its resonance test.  In floating
+    mode tol decides resonance in the solve and in the remainder split
+    alike.
     """
     if max_grade < 1:
         raise ValueError("max_grade must be >= 1")
@@ -132,8 +139,9 @@ def reduce_to_normal_form(p: WeightedPolynomial, rp: RadialPoint, max_grade: int
                          "(the nu-monomial eigenbasis is exact only there)")
     model = rp.model_quadratic()
     p0 = model.p0(p.mode)
-    low = p.truncate_grade(0)
-    if not _same_poly(low, p0, p.mode, tol):
+    # exact: no difference at all; floating: none above _MODEL_TOL
+    if any(p.mode == EXACT or abs(t.coeff) > _MODEL_TOL
+           for t in (p.truncate_grade(0) - p0).terms()):
         raise ModelMismatchError(
             "grade <= 0 part of p must equal the model quadratic of the radial point")
 
@@ -146,9 +154,7 @@ def reduce_to_normal_form(p: WeightedPolynomial, rp: RadialPoint, max_grade: int
             generators.append(WeightedPolynomial.zero(p.layout, p.mode))
             continue
         generators.append(sol.b)
-        current = ad_exponential(sol.b, current, max_grade)
-        if p.mode == FLOATING:
-            current = current.chop(tol * 1e-2)
+        current = ad_exponential(sol.b, current, max_grade).chop(_CHOP_TOL)
 
     # grade <= 0 noise that passed the model check is no remainder term
     effr_terms, effnr_terms = {}, {}
@@ -156,27 +162,17 @@ def reduce_to_normal_form(p: WeightedPolynomial, rp: RadialPoint, max_grade: int
         if term.grade < 1:
             continue
         key = (term.a, term.alpha, term.beta)
-        klass = classify_resonance(key, rp, tol=math.sqrt(tol)) \
-            if is_resonant(key, rp, math.sqrt(tol)) else EFF_NONRES
-        if klass in (EFF_R1, EFF_R2):
+        if is_resonant(key, rp, tol) and block_class(key, rp.layout) != EFF_NONRES:
             effr_terms[key] = term.coeff
         else:
             effnr_terms[key] = term.coeff
     return NormalFormResult(
         p_norm=current,
-        p0=p0,
         generators=tuple(generators),
         r_eff_r=WeightedPolynomial(p.layout, p.mode, effr_terms),
         r_eff_nr=WeightedPolynomial(p.layout, p.mode, effnr_terms),
         residual_grade=max_grade,
     )
-
-
-def _same_poly(a: WeightedPolynomial, b: WeightedPolynomial, mode: str, tol: float) -> bool:
-    diff = a - b
-    if mode == EXACT:
-        return diff.is_zero()
-    return all(abs(complex(t.coeff)) <= 100 * tol for t in diff.terms())
 
 
 # -- parameter families ---------------------------------------------------------------

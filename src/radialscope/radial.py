@@ -139,8 +139,8 @@ class RadialPoint:
         return {
             "label": self.cp.label,
             "sign": self.sign,
-            "nu": _num(self.nu) if is_exact(self.nu) else self.nu,
-            "lambda": _num(self.lam) if is_exact(self.lam) else self.lam,
+            "nu": _num(self.nu),
+            "lambda": _num(self.lam),
             "rList": [{"re": complex(r).real, "im": complex(r).imag} for r in self.r_list],
             "partition": [self.layout.s, self.layout.m],
             "outgoing": self.outgoing,
@@ -380,7 +380,7 @@ def numerical_jacobian(rp: RadialPoint, sigma: float, step: float = 1e-5) -> np.
     nv = rp.n - 1
     p = local_symbol(rp)
     W = legendre_field_numeric(p, sigma, nv)
-    nu0 = float(rp.nu) if not isinstance(rp.nu, Fraction) else float(rp.nu)
+    nu0 = float(rp.nu)
 
     def field(z):
         y, mu = z[:nv], z[nv:]

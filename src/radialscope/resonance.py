@@ -24,9 +24,9 @@ from typing import Sequence
 import numpy as np
 
 from .roots import brentq
-from .scalars import GaussianRational
-from .symalg import (EXACT, MonomialKey, WeightedPolynomial, bracket, compositions,
-                     iter_monomials, normalized_eigenvalue, weighted_degree)
+from .symalg import (EXACT, FLOATING, MonomialKey, VariableLayout, WeightedPolynomial,
+                     bracket, compositions, iter_monomials, normalized_eigenvalue,
+                     weighted_degree)
 from .radial import CriticalPointSpec, RadialPoint
 
 EFF_R1 = "effR1"
@@ -63,13 +63,28 @@ class ResonanceRecord:
                 "eigenvalue": {"re": ev.real, "im": ev.imag}, "class": self.klass}
 
 
+def vanishes(rho, mode: str, tol: float) -> bool:
+    """The one test of R / lam = 0 for rho = R / lam: exactly zero in exact
+    mode, |rho| <= tol in floating mode."""
+    return rho == 0 if mode == EXACT else abs(rho) <= tol
+
+
 def is_resonant(idx: MonomialKey, rp: RadialPoint, tol: float = DEFAULT_FLOAT_TOL) -> bool:
-    if weighted_degree(idx) < 3:
-        return False
-    rho = normalized_eigenvalue(idx, rp.r_list)
-    if rp.mode == EXACT:
-        return rho == 0
-    return abs(complex(rho)) <= tol
+    return weighted_degree(idx) >= 3 and vanishes(normalized_eigenvalue(idx, rp.r_list),
+                                                  rp.mode, tol)
+
+
+def block_class(idx: MonomialKey, layout: VariableLayout) -> str:
+    """effR1 (I'), effR2 (I'') or effNonres of a resonant index, by its blocks."""
+    a, alpha, beta = idx
+    ap, asec, athird = layout.split(alpha)
+    bp, bsec, bthird = layout.split(beta)
+    if a == 0 and not any(athird) and not any(bthird):
+        if not any(asec) and not any(bsec) and sum(bp) == 1:
+            return EFF_R1
+        if not any(ap) and not any(bp):
+            return EFF_R2
+    return EFF_NONRES
 
 
 def classify_resonance(idx: MonomialKey, rp: RadialPoint,
@@ -77,15 +92,7 @@ def classify_resonance(idx: MonomialKey, rp: RadialPoint,
     """Classify a resonant index as effR1 (I'), effR2 (I'') or effNonres."""
     if not is_resonant(idx, rp, tol):
         raise InvalidInputError(f"index {idx} is not resonant for this radial point")
-    a, alpha, beta = idx
-    ap, asec, athird = rp.layout.split(alpha)
-    bp, bsec, bthird = rp.layout.split(beta)
-    if a == 0 and not any(athird) and not any(bthird):
-        if not any(asec) and not any(bsec) and sum(bp) == 1:
-            return EFF_R1
-        if not any(ap) and not any(bp):
-            return EFF_R2
-    return EFF_NONRES
+    return block_class(idx, rp.layout)
 
 
 def enumerate_resonances(rp: RadialPoint, max_degree: int,
@@ -99,12 +106,13 @@ def enumerate_resonances(rp: RadialPoint, max_degree: int,
     """
     if max_degree < 3:
         raise InvalidInputError("max_degree must be >= 3")
+    mode = rp.mode
     out = []
     for idx in iter_monomials(rp.n - 1, max_degree, min_weighted_degree=3):
-        if is_resonant(idx, rp, tol):
-            out.append(ResonanceRecord(idx=idx,
-                                       eigenvalue=rp.lam * normalized_eigenvalue(idx, rp.r_list),
-                                       klass=classify_resonance(idx, rp, tol)))
+        rho = normalized_eigenvalue(idx, rp.r_list)
+        if vanishes(rho, mode, tol):
+            out.append(ResonanceRecord(idx=idx, eigenvalue=rp.lam * rho,
+                                       klass=block_class(idx, rp.layout)))
     out.sort(key=lambda rec: (rec.degree, rec.idx))
     return out
 
@@ -116,8 +124,8 @@ def near_resonances(rp: RadialPoint, max_degree: int,
         return []
     out = []
     for idx in iter_monomials(rp.n - 1, max_degree, min_weighted_degree=3):
-        rho = abs(complex(normalized_eigenvalue(idx, rp.r_list)))
-        if tol < rho <= 10 * tol:
+        rho = normalized_eigenvalue(idx, rp.r_list)
+        if vanishes(rho, FLOATING, 10 * tol) and not vanishes(rho, FLOATING, tol):
             out.append(idx)
     return out
 
@@ -338,12 +346,7 @@ def second_index_set(rp: RadialPoint) -> list[tuple[tuple[int, ...], tuple[int, 
                         continue
                     val = sum(av[i] * rp.r_list[j] + bv[i] * (1 - rp.r_list[j])
                               for i, j in enumerate(sec))
-                    fval = float(val) if not isinstance(val, GaussianRational) else float(val.re)
-                    if rp.mode == EXACT:
-                        inside = Fraction(1) < val < Fraction(2)
-                    else:
-                        inside = 1.0 < fval < 2.0
-                    if inside:
+                    if 1 < val < 2:
                         out.append((av, bv))
     out.sort()
     return out
@@ -354,6 +357,7 @@ class ModuleGenerator:
     symbol_id: str
     eigenvalue: object      # normalized eigenvalue sigma_i (real part for y''')
     order: object           # s_i = min(1, sigma_i)
+    slot: int               # the flat-key position it counts: 0 nu, 1 + j y_j, n + j mu_j
 
 
 @dataclass(frozen=True)
@@ -365,14 +369,7 @@ class ModuleOrderRecord:
     s_i = min(1, sigma_i) where sigma_i is the normalized eigenvalue.
     """
 
-    rp: RadialPoint
     generators: tuple[ModuleGenerator, ...]
-
-    def index_of(self, symbol_id: str) -> int:
-        for i, g in enumerate(self.generators):
-            if g.symbol_id == symbol_id:
-                return i
-        raise KeyError(symbol_id)
 
     def s_sum(self, alpha: Sequence[int]):
         if len(alpha) != len(self.generators):
@@ -388,24 +385,23 @@ def module_order(rp: RadialPoint) -> ModuleOrderRecord:
     gens = []
     lay = rp.layout
     for j in lay.yprime_indices:
-        gens.append(ModuleGenerator(f"f'_{j + 1}", 1 - rp.r_list[j], 1))
+        gens.append(ModuleGenerator(f"f'_{j + 1}", 1 - rp.r_list[j], 1, lay.n + j))
     for j in lay.ysecond_indices:
-        gens.append(ModuleGenerator(f"e''_{j + 1}", rp.r_list[j], rp.r_list[j]))
-        gens.append(ModuleGenerator(f"f''_{j + 1}", 1 - rp.r_list[j], 1 - rp.r_list[j]))
+        gens.append(ModuleGenerator(f"e''_{j + 1}", rp.r_list[j], rp.r_list[j], 1 + j))
+        gens.append(ModuleGenerator(f"f''_{j + 1}", 1 - rp.r_list[j], 1 - rp.r_list[j],
+                                    lay.n + j))
+    half = Fraction(1, 2)
     for j in lay.ythird_indices:
-        half = Fraction(1, 2) if rp.mode == EXACT else 0.5
-        gens.append(ModuleGenerator(f"e'''_{j + 1}", half, half))
-        gens.append(ModuleGenerator(f"f'''_{j + 1}", half, half))
-    one = Fraction(1) if rp.mode == EXACT else 1.0
-    gens.append(ModuleGenerator("p0", one, one))
-    return ModuleOrderRecord(rp=rp, generators=tuple(gens))
+        gens.append(ModuleGenerator(f"e'''_{j + 1}", half, half, 1 + j))
+        gens.append(ModuleGenerator(f"f'''_{j + 1}", half, half, lay.n + j))
+    gens.append(ModuleGenerator("p0", 1, 1, 0))
+    return ModuleOrderRecord(generators=tuple(gens))
 
 
 def s_alpha(rec: ModuleOrderRecord, alpha: Sequence[int]):
     """(s(alpha), s~(alpha)) = (min(sum s_i alpha_i, 1), remainder)."""
     total = rec.s_sum(alpha)
-    one = Fraction(1) if rec.rp.mode == EXACT else 1.0
-    s = total if total < one else one
+    s = total if total < 1 else 1
     return s, total - s
 
 
@@ -417,25 +413,8 @@ def module_multiindex(idx: MonomialKey, rec: ModuleOrderRecord) -> tuple[int, ..
     not contribute.
     """
     a, alpha, beta = idx
-    lay = rec.rp.layout
-    counts = [0] * len(rec.generators)
-    counts[rec.index_of("p0")] = a
-    for j in range(lay.nvars):
-        blk = lay.block_of(j)
-        if blk == "yprime":
-            if beta[j]:
-                counts[rec.index_of(f"f'_{j + 1}")] += beta[j]
-        elif blk == "ysecond":
-            if alpha[j]:
-                counts[rec.index_of(f"e''_{j + 1}")] += alpha[j]
-            if beta[j]:
-                counts[rec.index_of(f"f''_{j + 1}")] += beta[j]
-        else:
-            if alpha[j]:
-                counts[rec.index_of(f"e'''_{j + 1}")] += alpha[j]
-            if beta[j]:
-                counts[rec.index_of(f"f'''_{j + 1}")] += beta[j]
-    return tuple(counts)
+    flat = (a, *alpha, *beta)
+    return tuple(flat[g.slot] for g in rec.generators)
 
 
 @dataclass
@@ -466,17 +445,10 @@ def module_closure_check(rp: RadialPoint, max_degree: int = 3) -> ModuleClosureR
     model = rp.model_quadratic()
     p0 = model.p0(mode)
 
-    symbols: list[WeightedPolynomial] = []
-    for g in rec.generators:
-        if g.symbol_id == "p0":
-            symbols.append(p0)
-        else:
-            kind, _, num = g.symbol_id.partition("_")
-            j = int(num) - 1
-            if kind.startswith("e"):
-                symbols.append(WeightedPolynomial.y(lay, j, mode))
-            else:
-                symbols.append(WeightedPolynomial.mu(lay, j, mode))
+    symbols = [p0 if g.slot == 0
+               else WeightedPolynomial.y(lay, g.slot - 1, mode) if g.slot < lay.n
+               else WeightedPolynomial.mu(lay, g.slot - lay.n, mode)
+               for g in rec.generators]
 
     ngen = len(symbols)
     violations = []
@@ -496,7 +468,7 @@ def module_closure_check(rp: RadialPoint, max_degree: int = 3) -> ModuleClosureR
     # eigen relations {{p0, gen}} = R * gen for single generators
     eigen_ok = True
     for g, sym in zip(rec.generators, symbols):
-        if g.symbol_id == "p0":
+        if g.slot == 0:
             continue
         got = bracket(p0, sym)
         key = next(iter(sym.terms()))

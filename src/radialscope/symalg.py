@@ -99,16 +99,6 @@ class VariableLayout:
     def is_real_block(self) -> bool:
         return self.m == self.n
 
-    def block_of(self, j: int) -> str:
-        """Block name ('yprime' | 'ysecond' | 'ythird') of 0-based index j."""
-        if j in self.yprime_indices:
-            return "yprime"
-        if j in self.ysecond_indices:
-            return "ysecond"
-        if j in self.ythird_indices:
-            return "ythird"
-        raise IndexError(f"index {j} outside 0..{self.nvars - 1}")
-
     def split(self, exps: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
         """Split an exponent tuple into (prime, second, third) parts."""
         return (
@@ -442,11 +432,7 @@ def ad_exponential(b: WeightedPolynomial, p: WeightedPolynomial, max_grade: int)
     k = 0
     while not term.is_zero():
         k += 1
-        term = bracket(term, b, max_grade)
-        if b.mode == EXACT:
-            term = term.scale(Fraction(1, k))
-        else:
-            term = term.scale(1.0 / k)
+        term = bracket(term, b, max_grade).scale(Fraction(1, k))
         result = result + term
     return result
 
@@ -479,12 +465,8 @@ class ModelQuadratic:
                 raise ValueError(f"quadratic block {j} is not elliptic")
 
     @property
-    def is_exact(self) -> bool:
-        return is_exact(self.lam) and all(is_exact(r) for r in self.r_list)
-
-    @property
     def mode(self) -> str:
-        return EXACT if self.is_exact else FLOATING
+        return EXACT if is_exact(self.lam) and all(is_exact(r) for r in self.r_list) else FLOATING
 
     def p0(self, mode: str | None = None) -> WeightedPolynomial:
         mode = mode or self.mode

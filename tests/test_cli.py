@@ -520,6 +520,35 @@ def test_stage_names_are_closed(tmp_path, capsys, stage):
                        f"at stages.1: '{stage}' is not one of ['radial', ")
 
 
+ABSTRACT_NO_ENERGY = {k: v for k, v in ABSTRACT_CONFIG.items() if k != "energy"}
+EXPLICIT_NO_ENERGY = {k: v for k, v in COS2_CONFIG.items() if k != "energy"}
+
+
+@pytest.mark.parametrize("command, data, message", [
+    ("scan-energies", ABSTRACT_CONFIG, "stage scan needs an interval energy [lo, hi]"),
+    ("scan-energies", ABSTRACT_NO_ENERGY, "stage scan needs an interval energy [lo, hi]"),
+    ("normal-form", dict(ABSTRACT_CONFIG, energy=[1.0, 2.0]),
+     "stage radial needs a single energy"),
+    ("expansion", ABSTRACT_NO_ENERGY, "stage radial needs a single energy"),
+    ("analyze", ABSTRACT_NO_ENERGY, "stage radial needs a single energy"),
+    ("analyze", dict(ABSTRACT_CONFIG, stages=["resonance", "expansion"], energy=[1.0, 2.0]),
+     "stage resonance needs a single energy"),
+    ("flow", ABSTRACT_CONFIG, "stage flow needs explicit mode"),
+    ("morse", ABSTRACT_NO_ENERGY, "stage flow needs explicit mode"),
+    ("analyze", dict(ABSTRACT_CONFIG, stages=["radial", "morse"]),
+     "stage morse needs explicit mode"),
+    ("flow", dict(COS2_CONFIG, energy=[2.0, 3.0]), "stage flow needs a single energy"),
+    ("morse", EXPLICIT_NO_ENERGY, "stage flow needs a single energy"),
+    ("analyze", EXPLICIT_NO_ENERGY, "stage radial needs a single energy"),
+    ("analyze", dict(EXPLICIT_NO_ENERGY, stages=["morse"]), "stage morse needs a single energy"),
+])
+def test_stages_the_config_cannot_run_exit_2_at_load(tmp_path, capsys, command, data,
+                                                     message):
+    # scan needs an interval energy, the point and flow stages a single one, and
+    # flow/morse explicit mode; no report is written
+    assert_config_exit(tmp_path, capsys, data, message, command=command)
+
+
 @pytest.mark.parametrize("energy, message", [
     ([1, "2"], "at energy.1: '2' is not of type 'number'"),
     (["1", 2], "at energy.0: '1' is not of type 'number'"),
@@ -591,6 +620,34 @@ def test_floating_normal_form_keeps_grade0_noise_in_p_norm_only(tmp_path):
     assert abs(noisy["pNorm"][ymu] - clean["pNorm"][ymu] - 1e-11) < 1e-16
     assert ymu not in noisy["rEffR"] and ymu not in noisy["rEffNR"]
     assert noisy["rEffR"] == clean["rEffR"] == {}
+
+
+def test_float_resonance_tol_reaches_the_normal_form(tmp_path):
+    # r = 1/3 + delta puts y^3 at |R / lam| = 3 delta = 1e-9: resonant at
+    # floatResonanceTol 1e-8, nonresonant at the default 1e-12, in the
+    # resonance records and the normal form of one report alike
+    r = 1 / 3 + 1e-9 / 3
+    y3 = (0, (3,), (0,))
+
+    def run(name, **options):
+        cfg = write_config(tmp_path, {
+            "mode": "abstract",
+            "criticalPoints": [{"label": "z", "value": 0.0, "hessian": [2 * r * (1 - r)]}],
+            "energy": 1.0,
+            "options": {"perturbation": floating_perturbation((0, [3], [0], 0.25)), **options},
+        }, name=name + ".json")
+        assert main(["normal-form", "--config", cfg, "--out", str(tmp_path / name)]) == EXIT_OK
+        point = json.loads((tmp_path / name / "report.json").read_text())["perEnergy"]["1.0"]["z"]
+        records = {(t["a"], tuple(t["alpha"]), tuple(t["beta"])): t["class"]
+                   for t in point["resonance"]["records"]}
+        eff_r = {(t["a"], tuple(t["alpha"]), tuple(t["beta"])): t["re"]
+                 for t in point["normalForm"]["rEffR"]["terms"]}
+        return records, eff_r
+
+    records, eff_r = run("loose", floatResonanceTol=1e-8)
+    assert records[y3] == "effR2" and eff_r == {y3: 0.25}
+    records, eff_r = run("default")
+    assert y3 not in records and y3 not in eff_r
 
 
 def test_tol_override_checked_at_load(tmp_path, capsys):
@@ -814,3 +871,25 @@ def test_exact_report_bytes_are_pinned(tmp_path, name):
     assert main(["expansion", "--config", str(case / "config.json"),
                  "--out", str(tmp_path)]) == EXIT_OK
     assert (tmp_path / "report.json").read_bytes() == (case / "report.json").read_bytes()
+
+
+FLOAT_REPORTS = pathlib.Path(__file__).resolve().parent / "data" / "float_reports"
+# the floating reports were written under these versions; another numpy or
+# scipy may move their last digits
+FLOAT_REPORTS_PINNED_WITH = {"numpy": "2.4.6", "scipy": "1.17.1"}
+
+
+@pytest.mark.parametrize("name, command", [("circle_analyze", "analyze"),
+                                           ("stationary_phase", "stationary-phase")])
+def test_float_report_bytes_are_pinned(tmp_path, name, command):
+    # circle_analyze: an explicit cos 2θ-type circle with a floating perturbation,
+    # whose report has e'''/f''' module orders and "d":-0.0; stationary_phase: the
+    # shape of the benchmark's stationary-phase jobs
+    import numpy
+    import scipy
+    case = FLOAT_REPORTS / name
+    assert main([command, "--config", str(case / "config.json"),
+                 "--out", str(tmp_path)]) == EXIT_OK
+    versions = {"numpy": numpy.__version__, "scipy": scipy.__version__}
+    assert (tmp_path / "report.json").read_bytes() == (case / "report.json").read_bytes(), \
+        f"pinned with {FLOAT_REPORTS_PINNED_WITH}, running {versions}"

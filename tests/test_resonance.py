@@ -175,24 +175,23 @@ def test_second_index_set_empty_without_block():
     assert second_index_set(rp) == []
 
 
+def generator_power(rec, symbol_id, power):
+    """The generator multiindex of A^power for the generator named symbol_id."""
+    return [power if g.symbol_id == symbol_id else 0 for g in rec.generators]
+
+
 def test_module_order_examples():
     rp = radial_point_from_spectrum(Fraction(1), (Fraction(1, 3),))
     rec = module_order(rp)
-    alpha = [0] * len(rec.generators)
-    alpha[rec.index_of("e''_1")] = 3
-    assert s_alpha(rec, alpha) == (1, 0)
+    assert s_alpha(rec, generator_power(rec, "e''_1", 3)) == (1, 0)
 
     rp2 = radial_point_from_spectrum(Fraction(1), (Fraction(-1),))
     rec2 = module_order(rp2)
-    a2 = [0] * len(rec2.generators)
-    a2[rec2.index_of("f'_1")] = 2
-    assert s_alpha(rec2, a2) == (1, 1)
+    assert s_alpha(rec2, generator_power(rec2, "f'_1", 2)) == (1, 1)
 
     rp3 = radial_point_from_spectrum(-2.0, (complex(0.5, 0.5),))
     rec3 = module_order(rp3)
-    a3 = [0] * len(rec3.generators)
-    a3[rec3.index_of("e'''_1")] = 1
-    s, st = s_alpha(rec3, a3)
+    s, st = s_alpha(rec3, generator_power(rec3, "e'''_1", 1))
     assert s == 0.5 and st == 0.0
 
 

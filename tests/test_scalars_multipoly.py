@@ -1,3 +1,4 @@
+import importlib
 import pathlib
 import runpy
 from fractions import Fraction
@@ -31,6 +32,25 @@ def test_traced_gaussian_ops_are_defined_on_the_class():
     tracing = runpy.run_path(str(pathlib.Path(__file__).resolve().parents[1] / "bench"
                                  / "tracing.py"))
     assert all(callable(GaussianRational.__dict__.get(op)) for op in tracing["GAUSSIAN_OPS"])
+
+
+def test_traced_names_resolve_in_the_package():
+    # every function and method bench/tracing.py patches is where it looks for
+    # it, so a rename in the package cannot break a traced benchmark run
+    tracing = runpy.run_path(str(pathlib.Path(__file__).resolve().parents[1] / "bench"
+                                 / "tracing.py"))
+    targets = [(module, attr) for _, module, attr
+               in tracing["SPAN_TARGETS"] + tracing["CALL_COUNTERS"]]
+    targets += [("radialscope.symalg", "ad_exponential"), ("radialscope.dynamics", "solve_ivp")]
+    targets += [("radialscope.symalg", f"WeightedPolynomial.{name}")
+                for name in ("__mul__", "__rmul__", "truncate_grade")]
+    for module, attr in targets:
+        owner = importlib.import_module(module)
+        if "." in attr:     # a method, patched in its class's __dict__
+            cls_name, name = attr.split(".")
+            assert name in vars(getattr(owner, cls_name)), (module, attr)
+        else:
+            assert callable(getattr(owner, attr, None)), (module, attr)
 
 
 def test_rational_sqrt():

@@ -52,7 +52,6 @@ def test_layout_blocks():
     assert list(lay.yprime_indices) == [0]
     assert list(lay.ysecond_indices) == [1]
     assert list(lay.ythird_indices) == [2]
-    assert lay.block_of(0) == "yprime"
     with pytest.raises(ValueError):
         VariableLayout(n=3, s=3, m=2)
 
