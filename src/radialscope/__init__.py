@@ -16,9 +16,9 @@ from .symalg import (EXACT, FLOATING, ModelQuadratic, VariableLayout,  # noqa: F
 from .radial import (CriticalPointSpec, RadialPoint, classify_radial,  # noqa: F401
                      hessian_thresholds, linearization_eigenvectors,
                      linearization_spectrum, radial_point_from_spectrum)
-from .resonance import (ResonanceRecord, classify_resonance,  # noqa: F401
-                        enumerate_resonances, module_closure_check, module_order,
-                        s_alpha, scan_effectively_resonant_energies, second_index_set)
+from .resonance import (ResonanceRecord, enumerate_resonances,  # noqa: F401
+                        module_closure_check, module_order, s_alpha,
+                        scan_effectively_resonant_energies, second_index_set)
 from .normalform import (FamilyCoefficients, NelsonCase, NormalFormResult,  # noqa: F401
                          family_normal_form, flat_perturbation_case_1d, nelson_limit,
                          reduce_to_normal_form, solve_homological)

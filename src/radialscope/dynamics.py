@@ -311,28 +311,6 @@ def _dop853(field, y, t_bound: float, rtol: float, atol: float, max_steps: int):
         yield t, y, f
 
 
-def tangency_identity() -> bool:
-    """Symbolic check that W(p) = -2 nu p identically for n = 2.
-
-    Works in the polynomial ring Q[nu, mu, V, V', s] with the boundary
-    potential and its derivative as opaque generators, so the identity
-    (hence tangency of W to every shell {p = 0}) holds for every V0 and
-    sigma, with no trigonometric input.
-    """
-    from fractions import Fraction
-
-    from .multipoly import MultiPoly
-
-    nu, mu, V, Vp, s = (MultiPoly.variable(5, j) for j in range(5))
-    p = nu * nu + mu * mu + V - s
-    dp_theta, dp_nu, dp_mu = Vp, nu.scale(2), mu.scale(2)
-    w_theta = mu.scale(2)
-    w_nu = mu * mu * Fraction(2) - p
-    w_mu = -(nu * mu).scale(2) - Vp
-    wp = w_theta * dp_theta + w_nu * dp_nu + w_mu * dp_mu
-    return (wp + (nu * p).scale(2)).is_zero()
-
-
 @dataclass
 class Trajectory:
     times: np.ndarray

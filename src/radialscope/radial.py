@@ -23,12 +23,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .scalars import GaussianRational, is_exact, rational_sqrt
-from .symalg import EXACT, FLOATING, ModelQuadratic, VariableLayout
+from .symalg import EXACT, FLOATING, EigenWeights, ModelQuadratic, VariableLayout
 
 # distance in energy under which sigma is refused; options.tol's default
 DEFAULT_TOL = 1e-10
@@ -124,6 +125,11 @@ class RadialPoint:
     @property
     def mode(self) -> str:
         return EXACT if (is_exact(self.lam) and all(is_exact(r) for r in self.r_list)) else FLOATING
+
+    @cached_property
+    def weights(self) -> EigenWeights | None:
+        """The integer weights of an exact point, built once (None when floating)."""
+        return EigenWeights.of(self.r_list) if self.mode == EXACT else None
 
     def model_quadratic(self, quad_blocks=None) -> ModelQuadratic:
         """The grade-0 model for this radial point.

@@ -10,21 +10,26 @@ Resonant indices split into the effectively resonant sets
     I'' : a = 0, alpha' = beta' = alpha''' = beta''' = 0,
 
 which alter leading asymptotics; everything else resonant is effectively
-nonresonant and absorbable.  Energies at which I' or I'' is nonempty form
-a discrete set, located here by a sign-change scan plus bisection over
-the finitely many defining functions.
+nonresonant and absorbable.  At an exact radial point d R / lam is a pair
+of integer linear forms in the exponents (symalg.EigenWeights), so the
+resonances are solved for as lattice points and J'' is cut out by integer
+bounds; at a floating point every monomial is scanned against a
+tolerance.  Energies at which I' or I'' is nonempty form a discrete set,
+located here by a sign-change scan plus bisection over the finitely many
+defining functions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from operator import mul
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .roots import brentq
-from .symalg import (EXACT, FLOATING, MonomialKey, VariableLayout, WeightedPolynomial,
+from .symalg import (EXACT, EigenWeights, MonomialKey, VariableLayout, WeightedPolynomial,
                      bracket, compositions, iter_monomials, normalized_eigenvalue,
                      weighted_degree)
 from .radial import CriticalPointSpec, RadialPoint
@@ -63,15 +68,22 @@ class ResonanceRecord:
                 "eigenvalue": {"re": ev.real, "im": ev.imag}, "class": self.klass}
 
 
-def vanishes(rho, mode: str, tol: float) -> bool:
-    """The one test of R / lam = 0 for rho = R / lam: exactly zero in exact
-    mode, |rho| <= tol in floating mode."""
-    return rho == 0 if mode == EXACT else abs(rho) <= tol
+def vanishes(rho, tol: float) -> bool:
+    """The floating test of R / lam = 0 for rho = R / lam: |rho| <= tol.
+
+    Exact points decide it on the two integer forms of their weights
+    (symalg.EigenWeights.forms), with no tolerance.
+    """
+    return abs(rho) <= tol
 
 
 def is_resonant(idx: MonomialKey, rp: RadialPoint, tol: float = DEFAULT_FLOAT_TOL) -> bool:
-    return weighted_degree(idx) >= 3 and vanishes(normalized_eigenvalue(idx, rp.r_list),
-                                                  rp.mode, tol)
+    if weighted_degree(idx) < 3:
+        return False
+    w = rp.weights
+    if w is not None:
+        return w.forms(idx) == (0, 0)
+    return vanishes(normalized_eigenvalue(idx, rp.r_list), tol)
 
 
 def block_class(idx: MonomialKey, layout: VariableLayout) -> str:
@@ -87,32 +99,71 @@ def block_class(idx: MonomialKey, layout: VariableLayout) -> str:
     return EFF_NONRES
 
 
-def classify_resonance(idx: MonomialKey, rp: RadialPoint,
-                       tol: float = DEFAULT_FLOAT_TOL) -> str:
-    """Classify a resonant index as effR1 (I'), effR2 (I'') or effNonres."""
-    if not is_resonant(idx, rp, tol):
-        raise InvalidInputError(f"index {idx} is not resonant for this radial point")
-    return block_class(idx, rp.layout)
+def _lattice_resonances(w: EigenWeights, max_degree: int) -> Iterator[MonomialKey]:
+    """Every key of weighted degree in [3, max_degree] on which both integer
+    forms of w vanish, each once.
+
+    Fixing the grade, a and every exponent but the last alpha and beta
+    leaves x = alpha_last and s - x = beta_last with s known.  The real
+    form is then (2 p_l - d) x + const and the imaginary one 2 q_l x + const,
+    so one integer division by the real coefficient decides x, or by the
+    imaginary one on a y''' block (Re r = 1/2); the other form checks it.
+    A real r_l = 1/2 is a Hessian threshold, which linearization_spectrum
+    refuses.
+    """
+    d, p, q = w.d, w.p, w.q
+    pl, ql = p[-1], q[-1]
+    k_re, k_im = 2 * pl - d, 2 * ql
+    k = k_re or k_im
+
+    def heads(re_w, im_w):
+        # per total, each exponent head with its partial real and imaginary form
+        return [[(h, sum(map(mul, h, re_w)), sum(map(mul, h, im_w)))
+                 for h in compositions(len(re_w), t)] for t in range(max_degree + 1)]
+
+    alpha_heads = heads(p[:-1], q[:-1])
+    beta_heads = heads([d - pj for pj in p[:-1]], [-qj for qj in q[:-1]])
+    for deg in range(3, max_degree + 1):
+        for a in range(deg // 2 + 1):
+            rem = deg - 2 * a
+            for ta in range(rem + 1):
+                for ah, ra, ia in alpha_heads[ta]:
+                    for tb in range(rem - ta + 1):
+                        s = rem - ta - tb
+                        # the forms are k_re x - t_re and k_im x - t_im
+                        c_re = d * (a - 1) + ra + s * (d - pl)
+                        c_im = ia - s * ql
+                        for bh, rb, ib in beta_heads[tb]:
+                            t_re, t_im = -(c_re + rb), -(c_im + ib)
+                            x, r = divmod(t_re if k_re else t_im, k)
+                            if not r and 0 <= x <= s and k_re * x == t_re and k_im * x == t_im:
+                                yield (a, ah + (x,), bh + (s - x,))
 
 
 def enumerate_resonances(rp: RadialPoint, max_degree: int,
                          tol: float = DEFAULT_FLOAT_TOL) -> list[ResonanceRecord]:
     """All resonant (a, alpha, beta) with weighted degree in [3, max_degree].
 
-    Exact-mode radial points use exact zero tests; floating mode accepts
-    |R / lam| <= tol.  Complete with respect to brute force by construction
-    (this *is* the brute-force scan; the finiteness bounds enter only in
-    the energy scan).
+    An exact point solves the integer forms of its weights for the
+    resonances, one integer division per fixed head of exponents.  A
+    floating point scans every monomial and accepts |R / lam| <= tol.
+    Both are complete; records come in (degree, idx) order.  The
+    finiteness bounds enter only in the energy scan.
     """
     if max_degree < 3:
         raise InvalidInputError("max_degree must be >= 3")
-    mode = rp.mode
-    out = []
-    for idx in iter_monomials(rp.n - 1, max_degree, min_weighted_degree=3):
-        rho = normalized_eigenvalue(idx, rp.r_list)
-        if vanishes(rho, mode, tol):
-            out.append(ResonanceRecord(idx=idx, eigenvalue=rp.lam * rho,
-                                       klass=block_class(idx, rp.layout)))
+    w = rp.weights
+    if w is not None:
+        zero = 0 * rp.lam
+        out = [ResonanceRecord(idx=idx, eigenvalue=zero, klass=block_class(idx, rp.layout))
+               for idx in _lattice_resonances(w, max_degree)]
+    else:
+        out = []
+        for idx in iter_monomials(rp.n - 1, max_degree, min_weighted_degree=3):
+            rho = normalized_eigenvalue(idx, rp.r_list)
+            if vanishes(rho, tol):
+                out.append(ResonanceRecord(idx=idx, eigenvalue=rp.lam * rho,
+                                           klass=block_class(idx, rp.layout)))
     out.sort(key=lambda rec: (rec.degree, rec.idx))
     return out
 
@@ -125,7 +176,7 @@ def near_resonances(rp: RadialPoint, max_degree: int,
     out = []
     for idx in iter_monomials(rp.n - 1, max_degree, min_weighted_degree=3):
         rho = normalized_eigenvalue(idx, rp.r_list)
-        if vanishes(rho, FLOATING, 10 * tol) and not vanishes(rho, FLOATING, tol):
+        if vanishes(rho, 10 * tol) and not vanishes(rho, tol):
             out.append(idx)
     return out
 
@@ -322,11 +373,16 @@ def scan_effectively_resonant_energies(cp: CriticalPointSpec,
 def second_index_set(rp: RadialPoint) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """The finite set J'' = {(alpha'', beta''): sum r'' a + (1-r'') b in (1,2)}.
 
-    Exponents are over the y'' block only, in sorted-block order.
+    Exponents are over the y'' block only, in sorted-block order.  An exact
+    point tests d < d val < 2d on its integer weights, and bounds the
+    totals exactly; a floating point keeps the float test and bounds.
     """
     sec = list(rp.layout.ysecond_indices)
     if not sec:
         return []
+    w = rp.weights
+    if w is not None:
+        return _exact_second_index_set(w, sec)
     rvals = [float(rp.r_list[j]) for j in sec]
     rmin = min(min(rvals), 0.5)
     bound = int(2.0 / rmin) + 1
@@ -347,6 +403,26 @@ def second_index_set(rp: RadialPoint) -> list[tuple[tuple[int, ...], tuple[int, 
                     val = sum(av[i] * rp.r_list[j] + bv[i] * (1 - rp.r_list[j])
                               for i, j in enumerate(sec))
                     if 1 < val < 2:
+                        out.append((av, bv))
+    out.sort()
+    return out
+
+
+def _exact_second_index_set(w: EigenWeights, sec: list[int]):
+    """J'' on the weights: d val = sum p_j alpha_j + (d - p_j) beta_j is an int."""
+    d = w.d
+    ps = [w.p[j] for j in sec]
+    qs = [d - pj for pj in ps]
+    # 0 < r_j < 1/2 on y'', so all weights are positive ints: a total t adds
+    # at least t pmin (alpha) or t qmin (beta), and d val < 2d caps both
+    pmin, qmin = min(ps), min(qs)
+    out = []
+    for atotal in range((2 * d - 1) // pmin + 1):
+        for av in compositions(len(sec), atotal):
+            va = sum(map(mul, av, ps))
+            for btotal in range((2 * d - 1 - va) // qmin + 1):
+                for bv in compositions(len(sec), btotal):
+                    if d < va + sum(map(mul, bv, qs)) < 2 * d:
                         out.append((av, bv))
     out.sort()
     return out

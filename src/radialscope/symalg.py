@@ -37,6 +37,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from operator import add
 from typing import Iterator, Mapping
 
@@ -468,6 +469,11 @@ class ModelQuadratic:
     def mode(self) -> str:
         return EXACT if is_exact(self.lam) and all(is_exact(r) for r in self.r_list) else FLOATING
 
+    @cached_property
+    def weights(self) -> EigenWeights | None:
+        """The integer weights of an exact model, built once (None when floating)."""
+        return EigenWeights.of(self.r_list) if self.mode == EXACT else None
+
     def p0(self, mode: str | None = None) -> WeightedPolynomial:
         mode = mode or self.mode
         layout = self.layout
@@ -486,11 +492,62 @@ class ModelQuadratic:
 
     def eigenvalue(self, key: MonomialKey):
         """R_{a,alpha,beta} = lam (a - 1 + sum alpha_j r_j + sum beta_j (1 - r_j))."""
-        return self.lam * normalized_eigenvalue(key, self.r_list)
+        w = self.weights
+        return self.lam * (w.value(key) if w is not None
+                           else normalized_eigenvalue(key, self.r_list))
+
+
+@dataclass(frozen=True)
+class EigenWeights:
+    """The integer weights of an exact point: r_j = (p_j + i q_j) / d, one d > 0.
+
+    For a key (a, alpha, beta), d R / lam has the integer real part
+
+        d (a - 1) + sum_j alpha_j p_j + sum_j beta_j (d - p_j)
+
+    and the integer imaginary part sum_j (alpha_j - beta_j) q_j, nonzero
+    only on y''' blocks.  Every exact test of R / lam is a test on these
+    two ints.
+    """
+
+    d: int
+    p: tuple[int, ...]
+    q: tuple[int, ...]
+
+    @classmethod
+    def of(cls, r_list) -> EigenWeights:
+        parts = [(g.re, g.im) for g in map(GaussianRational.coerce, r_list)]
+        d = math.lcm(*(x.denominator for pair in parts for x in pair))
+        return cls(d, tuple(re.numerator * (d // re.denominator) for re, _ in parts),
+                   tuple(im.numerator * (d // im.denominator) for _, im in parts))
+
+    def forms(self, key: MonomialKey) -> tuple[int, int]:
+        """(Re, Im) of d R / lam at key."""
+        a, alpha, beta = key
+        d = self.d
+        re, im = d * (a - 1), 0
+        for al, be, p, q in zip(alpha, beta, self.p, self.q):
+            re += al * p + be * (d - p)
+            im += (al - be) * q
+        return re, im
+
+    def value(self, key: MonomialKey):
+        """R / lam at key: a Fraction, or a GaussianRational off the real axis."""
+        re, im = self.forms(key)
+        if im:
+            return GaussianRational(Fraction(re, self.d), Fraction(im, self.d))
+        return Fraction(re, self.d)
 
 
 def normalized_eigenvalue(key: MonomialKey, r_list):
-    """R / lam = a - 1 + sum alpha_j r_j + sum beta_j (1 - r_j)."""
+    """R / lam = a - 1 + sum alpha_j r_j + sum beta_j (1 - r_j), in r_list order.
+
+    This is the floating evaluation; its summation order fixes floating
+    report bytes.  Exact points do not come here.  Their r_j are
+    (p_j + i q_j) / d over one common d, cached once per point as its
+    EigenWeights, so d R / lam is a pair of integer linear forms in the
+    exponents and every exact test of it runs on ints.
+    """
     a, alpha, beta = key
     acc = a - 1
     for j, r in enumerate(r_list):

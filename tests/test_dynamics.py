@@ -3,6 +3,7 @@ import pathlib
 import runpy
 import time
 import types
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -341,9 +342,18 @@ def test_trajectory_csv_rows():
 
 def test_tangency_identity_symbolic():
     # W(p) = -2 nu p as an exact polynomial identity in (nu, mu, V0, V0', sigma),
-    # so W is tangent to the shell for every potential and energy
-    from radialscope.dynamics import tangency_identity
-    assert tangency_identity()
+    # with V0 and V0' opaque generators, so W is tangent to the shell {p = 0}
+    # for every potential and energy
+    from radialscope.multipoly import MultiPoly
+
+    nu, mu, V, Vp, s = (MultiPoly.variable(5, j) for j in range(5))
+    p = nu * nu + mu * mu + V - s
+    dp_theta, dp_nu, dp_mu = Vp, nu.scale(2), mu.scale(2)
+    w_theta = mu.scale(2)
+    w_nu = mu * mu * Fraction(2) - p
+    w_mu = -(nu * mu).scale(2) - Vp
+    wp = w_theta * dp_theta + w_nu * dp_nu + w_mu * dp_mu
+    assert (wp + (nu * p).scale(2)).is_zero()
 
 
 def test_asymmetric_double_well_dag():

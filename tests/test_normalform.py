@@ -9,7 +9,7 @@ import pytest
 
 from radialscope.radial import CriticalPointSpec, radial_point_from_spectrum
 from radialscope.scalars import GaussianRational
-from radialscope.symalg import EXACT, ModelQuadratic, VariableLayout, WeightedPolynomial
+from radialscope.symalg import EXACT, FLOATING, ModelQuadratic, VariableLayout, WeightedPolynomial
 from radialscope.normalform import (ForbiddenEnergyError, ModelMismatchError, NelsonCase,
                                     ThresholdModelError, family_normal_form,
                                     flat_perturbation_case_1d, linear_contraction_rate,
@@ -42,11 +42,27 @@ def test_solve_homological_examples():
     assert sol3.b.is_zero() and sol3.residual.is_zero()
 
 
+THRESHOLD_MESSAGE = r"^model has r_j = 1/2; homological equation degenerates$"
+
+
 def test_solve_homological_refuses_threshold_model():
+    # exact: read from the integer weights, 2 p_j == d
     model = ModelQuadratic(lam=Fraction(1), r_list=(Fraction(1, 2),), layout=LAY1)
+    assert model.weights.d == 2 * model.weights.p[0]
     y = WeightedPolynomial.y(LAY1, 0)
-    with pytest.raises(ThresholdModelError):
+    with pytest.raises(ThresholdModelError, match=THRESHOLD_MESSAGE):
         solve_homological(model, y * y * y)
+
+
+def test_solve_homological_refuses_floating_threshold_model():
+    # floating: r_j within 1e-12 of 1/2 is refused, a farther one is solved
+    y = WeightedPolynomial.y(LAY1, 0, mode=FLOATING)
+    for r in (0.5 + 5e-13, 0.5 - 5e-13):
+        model = ModelQuadratic(lam=1.0, r_list=(r,), layout=LAY1)
+        with pytest.raises(ThresholdModelError, match=THRESHOLD_MESSAGE):
+            solve_homological(model, y * y * y)
+    model = ModelQuadratic(lam=1.0, r_list=(0.5 + 1e-11,), layout=LAY1)
+    assert not solve_homological(model, y * y * y).b.is_zero()
 
 
 def test_reduce_cubic_exact():

@@ -1,4 +1,3 @@
-import itertools
 import math
 from fractions import Fraction
 
@@ -6,36 +5,26 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
+import radialscope.normalform as normalform
+import radialscope.resonance as resonance
+from radialscope.normalform import reduce_to_normal_form, solve_homological
 from radialscope.radial import CriticalPointSpec, linearization_spectrum, radial_point_from_spectrum
-from radialscope.resonance import (EFF_NONRES, EFF_R1, EFF_R2, InvalidInputError,
-                                   InvalidIntervalError, classify_resonance,
+from radialscope.resonance import (DEFAULT_FLOAT_TOL, EFF_NONRES, EFF_R1, EFF_R2,
+                                   InvalidInputError, InvalidIntervalError, block_class,
                                    enumerate_resonances, is_resonant, module_closure_check,
                                    module_multiindex, module_order, near_resonances,
                                    s_alpha,
                                    scan_effectively_resonant_energies, second_index_set)
-from radialscope.symalg import compositions, normalized_eigenvalue
+from radialscope.scalars import GaussianRational
+from radialscope.symalg import WeightedPolynomial, compositions, normalized_eigenvalue
+from resonance_oracle import brute_force_resonances, brute_force_second_index_set
 
 
-def brute_force_resonances(r_list, max_degree):
-    """Independent exhaustive scan: direct loops over all exponent tuples."""
-    n = len(r_list)
-    found = set()
-    for w in range(3, max_degree + 1):
-        for a in range(w // 2 + 1):
-            rem = w - 2 * a
-            for alpha in itertools.product(range(rem + 1), repeat=n):
-                sa = sum(alpha)
-                if sa > rem:
-                    continue
-                for beta in itertools.product(range(rem - sa + 1), repeat=n):
-                    if sa + sum(beta) != rem:
-                        continue
-                    val = a - 1
-                    for j in range(n):
-                        val += alpha[j] * r_list[j] + beta[j] * (1 - r_list[j])
-                    if val == 0:
-                        found.add((a, alpha, beta))
-    return found
+def classify_resonance(idx, rp, tol=DEFAULT_FLOAT_TOL):
+    """effR1 (I'), effR2 (I'') or effNonres of an index that must be resonant."""
+    if not is_resonant(idx, rp, tol):
+        raise InvalidInputError(f"index {idx} is not resonant for this radial point")
+    return block_class(idx, rp.layout)
 
 
 R_CASES = [
@@ -49,8 +38,8 @@ R_CASES = [
 @pytest.mark.parametrize("r_list", R_CASES, ids=["-1", "1/4", "(-2,-1)", "(1/5,2/5)"])
 def test_enumeration_matches_brute_force(r_list):
     rp = radial_point_from_spectrum(Fraction(1), r_list)
-    got = {rec.idx for rec in enumerate_resonances(rp, 8)}
-    assert got == brute_force_resonances(r_list, 8)
+    got = [rec.idx for rec in enumerate_resonances(rp, 8)]
+    assert got == brute_force_resonances(rp.r_list, 8)
 
 
 def test_enumeration_examples():
@@ -433,3 +422,99 @@ def test_scan_roots_are_sign_changes_of_their_witness(scan):
         below, above = (normalized_eigenvalue(idx, linearization_spectrum(cp, s, +1).r_list)
                         for s in (sigma - tol, sigma + tol))
         assert below * above <= 0.0, (sigma, idx, below, above)
+
+
+# -- exact points: the integer-weight solvers against the Fraction oracles ----------
+
+
+@st.composite
+def exact_spectra(draw):
+    """An exact radial point with 1-3 blocks drawn from y' (r < 0), y''
+    (0 < r < 1/2) and y''' (r = 1/2 + i t), with small denominators so that
+    resonances are frequent."""
+    def frac(lo, hi, qmax):
+        q = draw(st.integers(1, qmax))
+        return Fraction(draw(st.integers(lo * q, hi * q)), q)
+
+    kinds = draw(st.lists(st.sampled_from(["prime", "second", "third"]), min_size=1, max_size=3))
+    r_list = []
+    for kind in kinds:
+        if kind == "prime":
+            r = frac(-3, 0, 4)
+            r_list.append(r if r < 0 else Fraction(-1, 4))
+        elif kind == "second":
+            q = draw(st.integers(3, 8))
+            r_list.append(Fraction(draw(st.integers(1, (q - 1) // 2)), q))
+        else:
+            r_list.append(GaussianRational(Fraction(1, 2), frac(0, 2, 4) or Fraction(1, 3)))
+    lam = draw(st.sampled_from([Fraction(1), Fraction(-2), Fraction(1, 2), Fraction(-3, 4)]))
+    return radial_point_from_spectrum(lam, r_list)
+
+
+@settings(max_examples=30, deadline=None)
+@given(exact_spectra(), st.integers(3, 8))
+def test_lattice_enumeration_matches_fraction_scan(rp, max_degree):
+    recs = enumerate_resonances(rp, max_degree)
+    assert [rec.idx for rec in recs] == brute_force_resonances(rp.r_list, max_degree)
+    for rec in recs:
+        assert rec.eigenvalue == 0 and rec.klass == block_class(rec.idx, rp.layout)
+
+
+def test_lattice_enumeration_solves_on_the_imaginary_form():
+    # the last block is y''' (Re r = 1/2), so x is fixed by the imaginary form
+    rp = radial_point_from_spectrum(Fraction(1), (Fraction(-1, 2), Fraction(1, 4),
+                                                  GaussianRational(Fraction(1, 2), Fraction(1, 3))))
+    assert not rp.layout.is_real_block
+    got = [rec.idx for rec in enumerate_resonances(rp, 7)]
+    assert got == brute_force_resonances(rp.r_list, 7)
+    assert any(rec[1][2] for rec in got)       # y''' exponents occur in some resonance
+
+
+@pytest.mark.parametrize("r_second", [(Fraction(1, 4),), (Fraction(1, 3),),
+                                      (Fraction(1, 4), Fraction(1, 3)),
+                                      (Fraction(1, 5), Fraction(2, 5))],
+                         ids=["1/4", "1/3", "1/4,1/3", "1/5,2/5"])
+def test_exact_second_index_set_matches_fraction_oracle(r_second):
+    rp = radial_point_from_spectrum(Fraction(1), (Fraction(-1),) + r_second)
+    sec = [rp.r_list[j] for j in rp.layout.ysecond_indices]
+    assert second_index_set(rp) == brute_force_second_index_set(sec)
+
+
+def test_exact_second_index_set_planted_boundaries():
+    rp = radial_point_from_spectrum(Fraction(1), (Fraction(1, 4),))
+    j2 = second_index_set(rp)
+    assert ((4,), (0,)) not in j2 and ((8,), (0,)) not in j2    # 1 and 2
+    assert ((1,), (1,)) not in j2 and ((0,), (1,)) not in j2    # 1 and 3/4
+    assert ((5,), (0,)) in j2 and ((7,), (0,)) in j2            # 5/4 and 7/4
+    rp3 = radial_point_from_spectrum(Fraction(1), (Fraction(1, 3),))
+    j3 = second_index_set(rp3)
+    assert ((3,), (0,)) not in j3 and ((6,), (0,)) not in j3 and ((0,), (3,)) not in j3
+    assert ((4,), (0,)) in j3 and ((1,), (2,)) in j3           # 4/3 and 5/3
+
+
+@settings(max_examples=30, deadline=None)
+@given(exact_spectra())
+def test_exact_second_index_set_matches_fraction_oracle_on_random_spectra(rp):
+    sec = [rp.r_list[j] for j in rp.layout.ysecond_indices]
+    assert second_index_set(rp) == brute_force_second_index_set(sec)
+
+
+def test_exact_points_decide_resonance_on_integer_weights(monkeypatch):
+    # the Fraction evaluator of R / lam is not reached on an exact point
+    def refuse(*args):
+        raise AssertionError("normalized_eigenvalue called on an exact point")
+
+    rp = radial_point_from_spectrum(Fraction(1), (Fraction(-1, 2), Fraction(1, 4), Fraction(1, 3)))
+    want = brute_force_resonances(rp.r_list, 6)
+    for module in (resonance, normalform):
+        monkeypatch.setattr(module, "normalized_eigenvalue", refuse)
+    assert [rec.idx for rec in enumerate_resonances(rp, 6)] == want
+    assert second_index_set(rp)
+    assert all(is_resonant(idx, rp) for idx in want)
+    model = rp.model_quadratic()
+    y = [WeightedPolynomial.y(rp.layout, j) for j in range(3)]
+    e = y[2] * y[2] * y[2] + y[0] * y[1] * y[2]
+    sol = solve_homological(model, e)
+    assert sol.residual == y[2] * y[2] * y[2]                       # r = 1/3: R = 0
+    assert sol.b == (y[0] * y[1] * y[2]).scale(Fraction(-12, 11))   # R / lam = -11/12
+    reduce_to_normal_form(model.p0() + e, rp, 3)
