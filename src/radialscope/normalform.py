@@ -56,22 +56,17 @@ def solve_homological(model: ModelQuadratic, e: WeightedPolynomial,
     Requires a real-block model (where nu^a y^alpha mu^beta is an exact
     eigenbasis) and e homogeneous of grade >= 1.  The generator b has no
     component on resonant monomials (minimal-norm convention); the
-    residual is exactly the resonant part of e.  An exact model decides
-    resonance and divides on its integer weights, v = d R / lam, with the
-    divisor lam v / d; a floating one tests resonance.vanishes at tol.  A
-    keep set replaces the resonance test: exactly its monomials go to the
-    residual.
+    residual is exactly the resonant part of e, and every other term is
+    divided by its R (ModelQuadratic.eigenvalue).  An exact model decides
+    resonance on its integer weights; a floating one tests
+    resonance.vanishes at tol.  A keep set replaces the resonance test:
+    exactly its monomials go to the residual.
     """
     if not model.layout.is_real_block:
         raise ValueError("homological solve requires a real-block model")
-    w = model.weights
-    if w is not None:
-        threshold = any(2 * p == w.d for p in w.p)
-    else:
-        threshold = any(r == Fraction(1, 2) or (not isinstance(r, Fraction)
-                                                and abs(float(r) - 0.5) < DEFAULT_FLOAT_TOL)
-                        for r in model.r_list)
-    if threshold:
+    if any(r == Fraction(1, 2) or (not isinstance(r, Fraction)
+                                   and abs(float(r) - 0.5) < DEFAULT_FLOAT_TOL)
+           for r in model.r_list):
         raise ThresholdModelError("model has r_j = 1/2; homological equation degenerates")
     if e.is_zero():
         zero = WeightedPolynomial.zero(e.layout, e.mode)
@@ -79,22 +74,21 @@ def solve_homological(model: ModelQuadratic, e: WeightedPolynomial,
     l = e.homogeneous_grade()
     if l < 1:
         raise ValueError(f"homological input must have grade >= 1, got {l}")
+    w = model.weights
     b_terms = {}
     resid_terms = {}
     for term in e.terms():
         key = (term.a, term.alpha, term.beta)
-        if w is not None:
-            v = w.forms(key)[0]
-            resonant = v == 0
-        else:
-            rho = normalized_eigenvalue(key, model.r_list)
-            resonant = vanishes(rho, tol)
         if keep is not None:
             resonant = key in keep
+        elif w is not None:
+            resonant = w.vanishes(key)
+        else:
+            resonant = vanishes(normalized_eigenvalue(key, model.r_list), tol)
         if resonant:
             resid_terms[key] = term.coeff
         else:
-            b_terms[key] = term.coeff / (model.lam * (Fraction(v, w.d) if w is not None else rho))
+            b_terms[key] = term.coeff / model.eigenvalue(key)
     return HomologicalSolution(WeightedPolynomial(e.layout, e.mode, b_terms),
                                WeightedPolynomial(e.layout, e.mode, resid_terms))
 

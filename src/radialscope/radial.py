@@ -139,7 +139,7 @@ class RadialPoint:
         supplied by the caller.
         """
         return ModelQuadratic(lam=self.lam, r_list=self.r_list, layout=self.layout,
-                              quad_blocks=quad_blocks or {})
+                              quad_blocks=quad_blocks or {}, weights=self.weights)
 
     def to_json_dict(self) -> dict:
         return {

@@ -10,13 +10,13 @@ Resonant indices split into the effectively resonant sets
     I'' : a = 0, alpha' = beta' = alpha''' = beta''' = 0,
 
 which alter leading asymptotics; everything else resonant is effectively
-nonresonant and absorbable.  At an exact radial point d R / lam is a pair
-of integer linear forms in the exponents (symalg.EigenWeights), so the
-resonances are solved for as lattice points and J'' is cut out by integer
-bounds; at a floating point every monomial is scanned against a
-tolerance.  Energies at which I' or I'' is nonempty form a discrete set,
-located here by a sign-change scan plus bisection over the finitely many
-defining functions.
+nonresonant and absorbable.  The enumerator scans every monomial.  At an
+exact radial point d R / lam is a pair of integer linear forms in the
+exponents (symalg.EigenWeights), so R = 0 and J'' are decided on ints
+with no tolerance; at a floating point R / lam is evaluated in floats
+and tested against a tolerance.  Energies at which I' or I'' is nonempty
+form a discrete set, located here by a sign-change scan plus bisection
+over the finitely many defining functions.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -71,8 +71,8 @@ class ResonanceRecord:
 def vanishes(rho, tol: float) -> bool:
     """The floating test of R / lam = 0 for rho = R / lam: |rho| <= tol.
 
-    Exact points decide it on the two integer forms of their weights
-    (symalg.EigenWeights.forms), with no tolerance.
+    Exact points decide it on the integer forms of their weights
+    (symalg.EigenWeights.vanishes), with no tolerance.
     """
     return abs(rho) <= tol
 
@@ -82,7 +82,7 @@ def is_resonant(idx: MonomialKey, rp: RadialPoint, tol: float = DEFAULT_FLOAT_TO
         return False
     w = rp.weights
     if w is not None:
-        return w.forms(idx) == (0, 0)
+        return w.vanishes(idx)
     return vanishes(normalized_eigenvalue(idx, rp.r_list), tol)
 
 
@@ -99,71 +99,31 @@ def block_class(idx: MonomialKey, layout: VariableLayout) -> str:
     return EFF_NONRES
 
 
-def _lattice_resonances(w: EigenWeights, max_degree: int) -> Iterator[MonomialKey]:
-    """Every key of weighted degree in [3, max_degree] on which both integer
-    forms of w vanish, each once.
-
-    Fixing the grade, a and every exponent but the last alpha and beta
-    leaves x = alpha_last and s - x = beta_last with s known.  The real
-    form is then (2 p_l - d) x + const and the imaginary one 2 q_l x + const,
-    so one integer division by the real coefficient decides x, or by the
-    imaginary one on a y''' block (Re r = 1/2); the other form checks it.
-    A real r_l = 1/2 is a Hessian threshold, which linearization_spectrum
-    refuses.
-    """
-    d, p, q = w.d, w.p, w.q
-    pl, ql = p[-1], q[-1]
-    k_re, k_im = 2 * pl - d, 2 * ql
-    k = k_re or k_im
-
-    def heads(re_w, im_w):
-        # per total, each exponent head with its partial real and imaginary form
-        return [[(h, sum(map(mul, h, re_w)), sum(map(mul, h, im_w)))
-                 for h in compositions(len(re_w), t)] for t in range(max_degree + 1)]
-
-    alpha_heads = heads(p[:-1], q[:-1])
-    beta_heads = heads([d - pj for pj in p[:-1]], [-qj for qj in q[:-1]])
-    for deg in range(3, max_degree + 1):
-        for a in range(deg // 2 + 1):
-            rem = deg - 2 * a
-            for ta in range(rem + 1):
-                for ah, ra, ia in alpha_heads[ta]:
-                    for tb in range(rem - ta + 1):
-                        s = rem - ta - tb
-                        # the forms are k_re x - t_re and k_im x - t_im
-                        c_re = d * (a - 1) + ra + s * (d - pl)
-                        c_im = ia - s * ql
-                        for bh, rb, ib in beta_heads[tb]:
-                            t_re, t_im = -(c_re + rb), -(c_im + ib)
-                            x, r = divmod(t_re if k_re else t_im, k)
-                            if not r and 0 <= x <= s and k_re * x == t_re and k_im * x == t_im:
-                                yield (a, ah + (x,), bh + (s - x,))
-
-
 def enumerate_resonances(rp: RadialPoint, max_degree: int,
                          tol: float = DEFAULT_FLOAT_TOL) -> list[ResonanceRecord]:
     """All resonant (a, alpha, beta) with weighted degree in [3, max_degree].
 
-    An exact point solves the integer forms of its weights for the
-    resonances, one integer division per fixed head of exponents.  A
-    floating point scans every monomial and accepts |R / lam| <= tol.
-    Both are complete; records come in (degree, idx) order.  The
+    Every monomial is scanned.  An exact point accepts the keys on which
+    both integer forms of its weights vanish; a floating point accepts
+    |R / lam| <= tol.  Records come in (degree, idx) order.  The
     finiteness bounds enter only in the energy scan.
     """
     if max_degree < 3:
         raise InvalidInputError("max_degree must be >= 3")
     w = rp.weights
-    if w is not None:
-        zero = 0 * rp.lam
-        out = [ResonanceRecord(idx=idx, eigenvalue=zero, klass=block_class(idx, rp.layout))
-               for idx in _lattice_resonances(w, max_degree)]
-    else:
-        out = []
-        for idx in iter_monomials(rp.n - 1, max_degree, min_weighted_degree=3):
+    zero = 0 * rp.lam
+    out = []
+    for idx in iter_monomials(rp.n - 1, max_degree, min_weighted_degree=3):
+        if w is not None:
+            if not w.vanishes(idx):
+                continue
+            ev = zero
+        else:
             rho = normalized_eigenvalue(idx, rp.r_list)
-            if vanishes(rho, tol):
-                out.append(ResonanceRecord(idx=idx, eigenvalue=rp.lam * rho,
-                                           klass=block_class(idx, rp.layout)))
+            if not vanishes(rho, tol):
+                continue
+            ev = rp.lam * rho
+        out.append(ResonanceRecord(idx=idx, eigenvalue=ev, klass=block_class(idx, rp.layout)))
     out.sort(key=lambda rec: (rec.degree, rec.idx))
     return out
 

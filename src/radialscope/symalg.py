@@ -37,7 +37,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from operator import add
 from typing import Iterator, Mapping
 
@@ -452,6 +451,9 @@ class ModelQuadratic:
     r_list: tuple
     layout: VariableLayout
     quad_blocks: Mapping[int, tuple] = field(default_factory=dict)
+    # the integer weights of an exact model (None when floating); a radial
+    # point passes its own, otherwise they are built here
+    weights: EigenWeights | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.lam == 0:
@@ -464,15 +466,12 @@ class ModelQuadratic:
             p, q, c = self.quad_blocks[j]
             if not p * c - q * q > 0:
                 raise ValueError(f"quadratic block {j} is not elliptic")
+        if self.weights is None and self.mode == EXACT:
+            object.__setattr__(self, "weights", EigenWeights.of(self.r_list))
 
     @property
     def mode(self) -> str:
         return EXACT if is_exact(self.lam) and all(is_exact(r) for r in self.r_list) else FLOATING
-
-    @cached_property
-    def weights(self) -> EigenWeights | None:
-        """The integer weights of an exact model, built once (None when floating)."""
-        return EigenWeights.of(self.r_list) if self.mode == EXACT else None
 
     def p0(self, mode: str | None = None) -> WeightedPolynomial:
         mode = mode or self.mode
@@ -531,6 +530,10 @@ class EigenWeights:
             im += (al - be) * q
         return re, im
 
+    def vanishes(self, key: MonomialKey) -> bool:
+        """R / lam = 0 at key: both integer forms are 0."""
+        return self.forms(key) == (0, 0)
+
     def value(self, key: MonomialKey):
         """R / lam at key: a Fraction, or a GaussianRational off the real axis."""
         re, im = self.forms(key)
@@ -542,11 +545,11 @@ class EigenWeights:
 def normalized_eigenvalue(key: MonomialKey, r_list):
     """R / lam = a - 1 + sum alpha_j r_j + sum beta_j (1 - r_j), in r_list order.
 
-    This is the floating evaluation; its summation order fixes floating
-    report bytes.  Exact points do not come here.  Their r_j are
-    (p_j + i q_j) / d over one common d, cached once per point as its
-    EigenWeights, so d R / lam is a pair of integer linear forms in the
-    exponents and every exact test of it runs on ints.
+    Evaluates any r_list, exact or floating; on floats its summation order
+    fixes floating report bytes.  Exact-mode points and models do not
+    decide resonance here: their r_j are (p_j + i q_j) / d over one common
+    d, built once per point as its EigenWeights, so d R / lam is a pair of
+    integer linear forms in the exponents, tested by EigenWeights.vanishes.
     """
     a, alpha, beta = key
     acc = a - 1

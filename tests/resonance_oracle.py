@@ -1,10 +1,10 @@
 """Brute-force Fraction oracles for the exact resonance code.
 
-At an exact radial point, resonance.enumerate_resonances solves the
-integer forms of the point's weights for the resonances, and
+At an exact radial point, resonance.enumerate_resonances tests every
+monomial on the integer forms of the point's weights, and
 resonance.second_index_set cuts J'' out with integer bounds.  These
-oracles instead scan every candidate and evaluate R / lam or the J''
-value in Fraction (or GaussianRational) arithmetic.  test_resonance
+oracles instead evaluate R / lam or the J'' value of every candidate in
+Fraction (or GaussianRational) arithmetic.  test_resonance
 compares the two.  The oracles live with the tests because no stage of
 the program uses them.
 """

@@ -46,9 +46,8 @@ THRESHOLD_MESSAGE = r"^model has r_j = 1/2; homological equation degenerates$"
 
 
 def test_solve_homological_refuses_threshold_model():
-    # exact: read from the integer weights, 2 p_j == d
+    # exact: r_j == 1/2 exactly
     model = ModelQuadratic(lam=Fraction(1), r_list=(Fraction(1, 2),), layout=LAY1)
-    assert model.weights.d == 2 * model.weights.p[0]
     y = WeightedPolynomial.y(LAY1, 0)
     with pytest.raises(ThresholdModelError, match=THRESHOLD_MESSAGE):
         solve_homological(model, y * y * y)

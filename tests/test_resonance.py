@@ -424,7 +424,7 @@ def test_scan_roots_are_sign_changes_of_their_witness(scan):
         assert below * above <= 0.0, (sigma, idx, below, above)
 
 
-# -- exact points: the integer-weight solvers against the Fraction oracles ----------
+# -- exact points: the integer-weight tests against the Fraction oracles ------------
 
 
 @st.composite
@@ -453,21 +453,11 @@ def exact_spectra(draw):
 
 @settings(max_examples=30, deadline=None)
 @given(exact_spectra(), st.integers(3, 8))
-def test_lattice_enumeration_matches_fraction_scan(rp, max_degree):
+def test_exact_enumeration_matches_fraction_scan(rp, max_degree):
     recs = enumerate_resonances(rp, max_degree)
     assert [rec.idx for rec in recs] == brute_force_resonances(rp.r_list, max_degree)
     for rec in recs:
         assert rec.eigenvalue == 0 and rec.klass == block_class(rec.idx, rp.layout)
-
-
-def test_lattice_enumeration_solves_on_the_imaginary_form():
-    # the last block is y''' (Re r = 1/2), so x is fixed by the imaginary form
-    rp = radial_point_from_spectrum(Fraction(1), (Fraction(-1, 2), Fraction(1, 4),
-                                                  GaussianRational(Fraction(1, 2), Fraction(1, 3))))
-    assert not rp.layout.is_real_block
-    got = [rec.idx for rec in enumerate_resonances(rp, 7)]
-    assert got == brute_force_resonances(rp.r_list, 7)
-    assert any(rec[1][2] for rec in got)       # y''' exponents occur in some resonance
 
 
 @pytest.mark.parametrize("r_second", [(Fraction(1, 4),), (Fraction(1, 3),),
