@@ -20,11 +20,11 @@ import numpy as np
 from .dynamics import MAX_FLOW_STEPS, FlowStepError, _dop853
 from .parallel import parallel_map
 from .symalg import (EXACT, FLOATING, ModelQuadratic, MonomialKey,
-                     WeightedPolynomial, ad_exponential, iter_monomials, normalized_eigenvalue)
+                     WeightedPolynomial, ad_exponential, iter_monomials)
 from .radial import (CriticalPointSpec, ForbiddenEnergyError,
                      RadialPoint, linearization_spectrum)
 from .resonance import (DEFAULT_FLOAT_TOL, EFF_NONRES, block_class, is_resonant,
-                        scan_effectively_resonant_energies, vanishes)
+                        scan_effectively_resonant_energies)
 
 
 # floating tolerances that decide no resonance and do not follow the resonance
@@ -57,9 +57,9 @@ def solve_homological(model: ModelQuadratic, e: WeightedPolynomial,
     eigenbasis) and e homogeneous of grade >= 1.  The generator b has no
     component on resonant monomials (minimal-norm convention); the
     residual is exactly the resonant part of e, and every other term is
-    divided by its R (ModelQuadratic.eigenvalue).  An exact model decides
-    resonance on its integer weights; a floating one tests
-    resonance.vanishes at tol.  A keep set replaces the resonance test:
+    divided by its R (ModelQuadratic.eigenvalue).  Resonance is the model's
+    weights' vanishes test: on integer forms at an exact model, |R / lam|
+    <= tol at a floating one.  A keep set replaces the resonance test:
     exactly its monomials go to the residual.
     """
     if not model.layout.is_real_block:
@@ -79,12 +79,7 @@ def solve_homological(model: ModelQuadratic, e: WeightedPolynomial,
     resid_terms = {}
     for term in e.terms():
         key = (term.a, term.alpha, term.beta)
-        if keep is not None:
-            resonant = key in keep
-        elif w is not None:
-            resonant = w.vanishes(key)
-        else:
-            resonant = vanishes(normalized_eigenvalue(key, model.r_list), tol)
+        resonant = key in keep if keep is not None else w.vanishes(key, tol)
         if resonant:
             resid_terms[key] = term.coeff
         else:

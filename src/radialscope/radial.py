@@ -29,7 +29,8 @@ from typing import Sequence
 import numpy as np
 
 from .scalars import GaussianRational, is_exact, rational_sqrt
-from .symalg import EXACT, FLOATING, EigenWeights, ModelQuadratic, VariableLayout
+from .symalg import (EXACT, EigenWeights, FloatWeights, ModelQuadratic, VariableLayout,
+                     point_weights)
 
 # distance in energy under which sigma is refused; options.tol's default
 DEFAULT_TOL = 1e-10
@@ -124,12 +125,12 @@ class RadialPoint:
 
     @property
     def mode(self) -> str:
-        return EXACT if (is_exact(self.lam) and all(is_exact(r) for r in self.r_list)) else FLOATING
+        return self.weights.mode
 
     @cached_property
-    def weights(self) -> EigenWeights | None:
-        """The integer weights of an exact point, built once (None when floating)."""
-        return EigenWeights.of(self.r_list) if self.mode == EXACT else None
+    def weights(self) -> EigenWeights | FloatWeights:
+        """The weights of R / lam at this point, built once."""
+        return point_weights(self.lam, self.r_list)
 
     def model_quadratic(self, quad_blocks=None) -> ModelQuadratic:
         """The grade-0 model for this radial point.
@@ -139,7 +140,7 @@ class RadialPoint:
         supplied by the caller.
         """
         return ModelQuadratic(lam=self.lam, r_list=self.r_list, layout=self.layout,
-                              quad_blocks=quad_blocks or {}, weights=self.weights)
+                              quad_blocks=quad_blocks or {})
 
     def to_json_dict(self) -> dict:
         return {
@@ -224,8 +225,7 @@ def radial_point_from_spectrum(lam, r_list: Sequence, label: str = "abstract",
     runs it through linearization_spectrum, so all derived structure is
     consistent.  Exact inputs stay exact.
     """
-    exact = is_exact(lam) and all(is_exact(r) for r in r_list)
-    if exact:
+    if point_weights(lam, r_list).mode == EXACT:
         lam = Fraction(lam)
         w = lam * lam / 4
         hess = []

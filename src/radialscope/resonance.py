@@ -10,13 +10,13 @@ Resonant indices split into the effectively resonant sets
     I'' : a = 0, alpha' = beta' = alpha''' = beta''' = 0,
 
 which alter leading asymptotics; everything else resonant is effectively
-nonresonant and absorbable.  The enumerator scans every monomial.  At an
-exact radial point d R / lam is a pair of integer linear forms in the
-exponents (symalg.EigenWeights), so R = 0 and J'' are decided on ints
-with no tolerance; at a floating point R / lam is evaluated in floats
-and tested against a tolerance.  Energies at which I' or I'' is nonempty
-form a discrete set, located here by a sign-change scan plus bisection
-over the finitely many defining functions.
+nonresonant and absorbable.  The enumerator scans every monomial and asks
+the point's weights (symalg.point_weights) whether R / lam vanishes: on
+two integer forms with no tolerance at an exact point, as |R / lam| <= tol
+at a floating one.  J'' has an integer and a float algorithm, chosen by
+the point's mode.  Energies at which I' or I'' is nonempty form a
+discrete set, located here by a sign-change scan plus bisection over the
+finitely many defining functions.
 """
 
 from __future__ import annotations
@@ -30,8 +30,7 @@ import numpy as np
 
 from .roots import brentq
 from .symalg import (EXACT, EigenWeights, MonomialKey, VariableLayout, WeightedPolynomial,
-                     bracket, compositions, iter_monomials, normalized_eigenvalue,
-                     weighted_degree)
+                     bracket, compositions, iter_monomials, weighted_degree)
 from .radial import CriticalPointSpec, RadialPoint
 
 EFF_R1 = "effR1"
@@ -68,22 +67,8 @@ class ResonanceRecord:
                 "eigenvalue": {"re": ev.real, "im": ev.imag}, "class": self.klass}
 
 
-def vanishes(rho, tol: float) -> bool:
-    """The floating test of R / lam = 0 for rho = R / lam: |rho| <= tol.
-
-    Exact points decide it on the integer forms of their weights
-    (symalg.EigenWeights.vanishes), with no tolerance.
-    """
-    return abs(rho) <= tol
-
-
 def is_resonant(idx: MonomialKey, rp: RadialPoint, tol: float = DEFAULT_FLOAT_TOL) -> bool:
-    if weighted_degree(idx) < 3:
-        return False
-    w = rp.weights
-    if w is not None:
-        return w.vanishes(idx)
-    return vanishes(normalized_eigenvalue(idx, rp.r_list), tol)
+    return weighted_degree(idx) >= 3 and rp.weights.vanishes(idx, tol)
 
 
 def block_class(idx: MonomialKey, layout: VariableLayout) -> str:
@@ -103,42 +88,26 @@ def enumerate_resonances(rp: RadialPoint, max_degree: int,
                          tol: float = DEFAULT_FLOAT_TOL) -> list[ResonanceRecord]:
     """All resonant (a, alpha, beta) with weighted degree in [3, max_degree].
 
-    Every monomial is scanned.  An exact point accepts the keys on which
-    both integer forms of its weights vanish; a floating point accepts
-    |R / lam| <= tol.  Records come in (degree, idx) order.  The
-    finiteness bounds enter only in the energy scan.
+    Every monomial is scanned and kept when the point's weights say
+    R / lam vanishes (tol is ignored at an exact point); below degree 3
+    there is none.  Records come in (degree, idx) order.  The finiteness
+    bounds enter only in the energy scan.
     """
-    if max_degree < 3:
-        raise InvalidInputError("max_degree must be >= 3")
     w = rp.weights
-    zero = 0 * rp.lam
-    out = []
-    for idx in iter_monomials(rp.n - 1, max_degree, min_weighted_degree=3):
-        if w is not None:
-            if not w.vanishes(idx):
-                continue
-            ev = zero
-        else:
-            rho = normalized_eigenvalue(idx, rp.r_list)
-            if not vanishes(rho, tol):
-                continue
-            ev = rp.lam * rho
-        out.append(ResonanceRecord(idx=idx, eigenvalue=ev, klass=block_class(idx, rp.layout)))
+    out = [ResonanceRecord(idx=idx, eigenvalue=rp.lam * w.value(idx),
+                           klass=block_class(idx, rp.layout))
+           for idx in iter_monomials(rp.n - 1, max_degree, min_weighted_degree=3)
+           if w.vanishes(idx, tol)]
     out.sort(key=lambda rec: (rec.degree, rec.idx))
     return out
 
 
 def near_resonances(rp: RadialPoint, max_degree: int,
                     tol: float = DEFAULT_FLOAT_TOL) -> list[MonomialKey]:
-    """Floating-mode indices with tol < |R / lam| <= 10 tol, reported separately."""
-    if rp.mode == EXACT:
-        return []
-    out = []
-    for idx in iter_monomials(rp.n - 1, max_degree, min_weighted_degree=3):
-        rho = normalized_eigenvalue(idx, rp.r_list)
-        if vanishes(rho, 10 * tol) and not vanishes(rho, tol):
-            out.append(idx)
-    return out
+    """Indices with tol < |R / lam| <= 10 tol; none at an exact point, whose weights ignore tol."""
+    w = rp.weights
+    return [idx for idx in iter_monomials(rp.n - 1, max_degree, min_weighted_degree=3)
+            if w.vanishes(idx, 10 * tol) and not w.vanishes(idx, tol)]
 
 
 # -- energy scan ------------------------------------------------------------------
@@ -340,9 +309,8 @@ def second_index_set(rp: RadialPoint) -> list[tuple[tuple[int, ...], tuple[int, 
     sec = list(rp.layout.ysecond_indices)
     if not sec:
         return []
-    w = rp.weights
-    if w is not None:
-        return _exact_second_index_set(w, sec)
+    if rp.mode == EXACT:
+        return _exact_second_index_set(rp.weights, sec)
     rvals = [float(rp.r_list[j]) for j in sec]
     rmin = min(min(rvals), 0.5)
     bound = int(2.0 / rmin) + 1

@@ -51,6 +51,11 @@ class GaussianRational:
         return Fraction(self._i, self._d)
 
     @classmethod
+    def from_ints(cls, re: int, im: int, d: int) -> "GaussianRational":
+        """The value (re + im*I)/d of three ints with d > 0, in one gcd."""
+        return _reduced(re, im, d)
+
+    @classmethod
     def coerce(cls, value) -> "GaussianRational":
         if isinstance(value, GaussianRational):
             return value

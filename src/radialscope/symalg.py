@@ -451,9 +451,7 @@ class ModelQuadratic:
     r_list: tuple
     layout: VariableLayout
     quad_blocks: Mapping[int, tuple] = field(default_factory=dict)
-    # the integer weights of an exact model (None when floating); a radial
-    # point passes its own, otherwise they are built here
-    weights: EigenWeights | None = field(default=None, compare=False, repr=False)
+    weights: EigenWeights | FloatWeights = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.lam == 0:
@@ -466,12 +464,11 @@ class ModelQuadratic:
             p, q, c = self.quad_blocks[j]
             if not p * c - q * q > 0:
                 raise ValueError(f"quadratic block {j} is not elliptic")
-        if self.weights is None and self.mode == EXACT:
-            object.__setattr__(self, "weights", EigenWeights.of(self.r_list))
+        object.__setattr__(self, "weights", point_weights(self.lam, self.r_list))
 
     @property
     def mode(self) -> str:
-        return EXACT if is_exact(self.lam) and all(is_exact(r) for r in self.r_list) else FLOATING
+        return self.weights.mode
 
     def p0(self, mode: str | None = None) -> WeightedPolynomial:
         mode = mode or self.mode
@@ -491,9 +488,19 @@ class ModelQuadratic:
 
     def eigenvalue(self, key: MonomialKey):
         """R_{a,alpha,beta} = lam (a - 1 + sum alpha_j r_j + sum beta_j (1 - r_j))."""
-        w = self.weights
-        return self.lam * (w.value(key) if w is not None
-                           else normalized_eigenvalue(key, self.r_list))
+        return self.lam * self.weights.value(key)
+
+
+def point_weights(lam, r_list) -> EigenWeights | FloatWeights:
+    """The weights of R / lam at the point (lam, r_list), exact or floating.
+
+    A spectrum is exact when lam and every r_j are exact scalars; it gets
+    integer weights (EigenWeights), and any other spectrum evaluates its
+    r_list in floats (FloatWeights).  This is the one place that decides.
+    """
+    if is_exact(lam) and all(is_exact(r) for r in r_list):
+        return EigenWeights.of(r_list)
+    return FloatWeights(tuple(r_list))
 
 
 @dataclass(frozen=True)
@@ -506,8 +513,10 @@ class EigenWeights:
 
     and the integer imaginary part sum_j (alpha_j - beta_j) q_j, nonzero
     only on y''' blocks.  Every exact test of R / lam is a test on these
-    two ints.
+    two ints, with no tolerance.  FloatWeights has the same interface.
     """
+
+    mode = EXACT
 
     d: int
     p: tuple[int, ...]
@@ -530,26 +539,37 @@ class EigenWeights:
             im += (al - be) * q
         return re, im
 
-    def vanishes(self, key: MonomialKey) -> bool:
-        """R / lam = 0 at key: both integer forms are 0."""
+    def vanishes(self, key: MonomialKey, tol: float) -> bool:
+        """R / lam = 0 at key: both integer forms are 0; tol is ignored."""
         return self.forms(key) == (0, 0)
 
+    def value(self, key: MonomialKey) -> GaussianRational:
+        """R / lam at key, from the two forms with one gcd."""
+        return GaussianRational.from_ints(*self.forms(key), self.d)
+
+
+@dataclass(frozen=True)
+class FloatWeights:
+    """The weights of a floating point: R / lam evaluated on its r_list."""
+
+    mode = FLOATING
+
+    r_list: tuple
+
+    def vanishes(self, key: MonomialKey, tol: float) -> bool:
+        """|R / lam| <= tol at key."""
+        return abs(self.value(key)) <= tol
+
     def value(self, key: MonomialKey):
-        """R / lam at key: a Fraction, or a GaussianRational off the real axis."""
-        re, im = self.forms(key)
-        if im:
-            return GaussianRational(Fraction(re, self.d), Fraction(im, self.d))
-        return Fraction(re, self.d)
+        return normalized_eigenvalue(key, self.r_list)
 
 
 def normalized_eigenvalue(key: MonomialKey, r_list):
     """R / lam = a - 1 + sum alpha_j r_j + sum beta_j (1 - r_j), in r_list order.
 
-    Evaluates any r_list, exact or floating; on floats its summation order
-    fixes floating report bytes.  Exact-mode points and models do not
-    decide resonance here: their r_j are (p_j + i q_j) / d over one common
-    d, built once per point as its EigenWeights, so d R / lam is a pair of
-    integer linear forms in the exponents, tested by EigenWeights.vanishes.
+    FloatWeights.value is this sum, and its order fixes floating report
+    bytes.  Exact points do not reach it: their EigenWeights test and
+    evaluate R / lam on integer forms.
     """
     a, alpha, beta = key
     acc = a - 1

@@ -1,10 +1,12 @@
-"""Brute-force Fraction oracles for the exact resonance code.
+"""Brute-force oracles for the resonance code, exact and floating.
 
 At an exact radial point, resonance.enumerate_resonances tests every
 monomial on the integer forms of the point's weights, and
-resonance.second_index_set cuts J'' out with integer bounds.  These
-oracles instead evaluate R / lam or the J'' value of every candidate in
-Fraction (or GaussianRational) arithmetic.  test_resonance
+resonance.second_index_set cuts J'' out with integer bounds.  The
+Fraction oracles instead evaluate R / lam or the J'' value of every
+candidate in Fraction (or GaussianRational) arithmetic.  At a floating
+point the resonance code asks the point's weights; the float oracle
+tests |R / lam| <= tol on every candidate directly.  test_resonance
 compares the two.  The oracles live with the tests because no stage of
 the program uses them.
 """
@@ -40,3 +42,16 @@ def brute_force_second_index_set(r_second) -> list:
             if 1 < val < 2:
                 out.append((av, bv))
     return sorted(out)
+
+
+def float_resonant(idx, r_list, tol: float) -> bool:
+    """|R / lam| <= tol at idx, evaluated in r_list's own arithmetic."""
+    return abs(normalized_eigenvalue(idx, r_list)) <= tol
+
+
+def float_resonances(r_list, max_degree: int, tol: float) -> list:
+    """Every (a, alpha, beta) of weighted degree in [3, max_degree] with
+    |R / lam| <= tol, in (degree, idx) order."""
+    found = [idx for idx in iter_monomials(len(r_list), max_degree, min_weighted_degree=3)
+             if float_resonant(idx, r_list, tol)]
+    return sorted(found, key=lambda idx: (weighted_degree(idx), idx))

@@ -150,6 +150,22 @@ def test_max_degree_must_be_integer_at_least_1(tmp_path, capsys, degree):
     }, "option maxDegree must be an integer >= 1")
 
 
+@pytest.mark.parametrize("degree", [1, 2])
+def test_max_degree_below_3_has_no_resonances(tmp_path, degree):
+    # no monomial has weighted degree in [3, maxDegree]: the resonance stage
+    # reports no records instead of failing
+    cfg = write_config(tmp_path, {
+        "mode": "abstract",
+        "criticalPoints": [{"label": "z", "value": 0, "hessian": ["3/8"]}],
+        "energy": 1,
+    })
+    assert main(["expansion", "--config", cfg, "--max-degree", str(degree),
+                 "--out", str(tmp_path / "o")]) == EXIT_OK
+    rep = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert rep["stageErrors"] == {}
+    assert rep["perEnergy"]["1.0"]["z"]["resonance"]["records"] == []
+
+
 def test_scan_grid_points_ceiling(tmp_path, capsys):
     # checked at load: the ceiling passes on a run that never scans, and one
     # more exits 2 before the scan allocates its grid
@@ -880,11 +896,14 @@ FLOAT_REPORTS_PINNED_WITH = {"numpy": "2.4.6", "scipy": "1.17.1"}
 
 
 @pytest.mark.parametrize("name, command", [("circle_analyze", "analyze"),
-                                           ("stationary_phase", "stationary-phase")])
+                                           ("stationary_phase", "stationary-phase"),
+                                           ("rational_r_irrational_nu", "expansion")])
 def test_float_report_bytes_are_pinned(tmp_path, name, command):
     # circle_analyze: an explicit cos 2θ-type circle with a floating perturbation,
     # whose report has e'''/f''' module orders and "d":-0.0; stationary_phase: the
-    # shape of the benchmark's stationary-phase jobs
+    # shape of the benchmark's stationary-phase jobs; rational_r_irrational_nu: a
+    # floating point (ν = √2) whose r_j = -1, 1/4 stay Fractions, so R / λ is a
+    # Fraction and its products with λ are floats
     import numpy
     import scipy
     case = FLOAT_REPORTS / name

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
-import radialscope.normalform as normalform
-import radialscope.resonance as resonance
+import radialscope.symalg as symalg
 from radialscope.normalform import reduce_to_normal_form, solve_homological
 from radialscope.radial import CriticalPointSpec, linearization_spectrum, radial_point_from_spectrum
 from radialscope.resonance import (DEFAULT_FLOAT_TOL, EFF_NONRES, EFF_R1, EFF_R2,
@@ -16,8 +15,10 @@ from radialscope.resonance import (DEFAULT_FLOAT_TOL, EFF_NONRES, EFF_R1, EFF_R2
                                    s_alpha,
                                    scan_effectively_resonant_energies, second_index_set)
 from radialscope.scalars import GaussianRational
-from radialscope.symalg import WeightedPolynomial, compositions, normalized_eigenvalue
-from resonance_oracle import brute_force_resonances, brute_force_second_index_set
+from radialscope.symalg import (FLOATING, WeightedPolynomial, compositions, iter_monomials,
+                                normalized_eigenvalue, weighted_degree)
+from resonance_oracle import (brute_force_resonances, brute_force_second_index_set,
+                              float_resonant, float_resonances)
 
 
 def classify_resonance(idx, rp, tol=DEFAULT_FLOAT_TOL):
@@ -490,21 +491,98 @@ def test_exact_second_index_set_matches_fraction_oracle_on_random_spectra(rp):
 
 
 def test_exact_points_decide_resonance_on_integer_weights(monkeypatch):
-    # the Fraction evaluator of R / lam is not reached on an exact point
+    # the Fraction evaluator of R / lam is not reached on an exact point:
+    # every floating caller reaches it through symalg, where it is patched
     def refuse(*args):
         raise AssertionError("normalized_eigenvalue called on an exact point")
 
     rp = radial_point_from_spectrum(Fraction(1), (Fraction(-1, 2), Fraction(1, 4), Fraction(1, 3)))
     want = brute_force_resonances(rp.r_list, 6)
-    for module in (resonance, normalform):
-        monkeypatch.setattr(module, "normalized_eigenvalue", refuse)
+    monkeypatch.setattr(symalg, "normalized_eigenvalue", refuse)
     assert [rec.idx for rec in enumerate_resonances(rp, 6)] == want
+    assert near_resonances(rp, 6) == []
     assert second_index_set(rp)
     assert all(is_resonant(idx, rp) for idx in want)
     model = rp.model_quadratic()
+    assert model.eigenvalue((0, (1, 1, 1), (0, 0, 0))) == Fraction(-11, 12)
     y = [WeightedPolynomial.y(rp.layout, j) for j in range(3)]
     e = y[2] * y[2] * y[2] + y[0] * y[1] * y[2]
     sol = solve_homological(model, e)
     assert sol.residual == y[2] * y[2] * y[2]                       # r = 1/3: R = 0
     assert sol.b == (y[0] * y[1] * y[2]).scale(Fraction(-12, 11))   # R / lam = -11/12
     reduce_to_normal_form(model.p0() + e, rp, 3)
+
+
+# -- floating points: the weights against the float oracle --------------------------
+
+
+THIRD = 1 / 3
+# offsets of r from 1/3, where y''^3 has R / lam = 3 eps: +-1e-13 and +-5e-12
+# straddle tol = 1e-12 and 1e-10; 3.2e-12 (3 eps = 9.6e-12) and -1e-10 fall in the
+# near band (tol, 10 tol] at tol = 1e-12 and 1e-10, the first just below its top
+PLANTED_EPS = [1e-13, -1e-13, 5e-12, -5e-12, 3.2e-12, -1e-10]
+
+
+def rational_r_irrational_nu():
+    """A floating point whose r_j stay Fractions: r = (-1, 1/4), nu = sqrt 2."""
+    return linearization_spectrum(CriticalPointSpec("z", 0, (Fraction(3, 4), Fraction(-8))),
+                                  2, +1)
+
+
+def assert_floating_resonance_matches_oracle(rp, max_degree, tol):
+    r_list = rp.r_list
+    assert rp.mode == rp.model_quadratic().mode == rp.weights.mode == FLOATING
+    recs = enumerate_resonances(rp, max_degree, tol)
+    assert [rec.idx for rec in recs] == float_resonances(r_list, max_degree, tol)
+    for rec in recs:
+        assert rec.eigenvalue == rp.lam * normalized_eigenvalue(rec.idx, r_list)
+    keys = list(iter_monomials(rp.n - 1, max_degree))
+    for idx in keys:
+        assert is_resonant(idx, rp, tol) == (weighted_degree(idx) >= 3
+                                             and float_resonant(idx, r_list, tol))
+    assert near_resonances(rp, max_degree, tol) == [
+        idx for idx in iter_monomials(rp.n - 1, max_degree, min_weighted_degree=3)
+        if float_resonant(idx, r_list, 10 * tol) and not float_resonant(idx, r_list, tol)]
+    # the homological residual is the resonant part of e at tol
+    top = [idx for idx in keys if weighted_degree(idx) == max_degree]
+    e = WeightedPolynomial(rp.layout, FLOATING, {idx: 1.0 for idx in top})
+    sol = solve_homological(rp.model_quadratic(), e, tol)
+    assert sorted((t.a, t.alpha, t.beta) for t in sol.residual.terms()) == \
+        sorted(idx for idx in top if float_resonant(idx, r_list, tol))
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-10])
+@pytest.mark.parametrize("eps", PLANTED_EPS)
+def test_planted_near_third_matches_float_oracle(eps, tol):
+    rp = radial_point_from_spectrum(-2.0, (-1.0, THIRD + eps))
+    assert_floating_resonance_matches_oracle(rp, 6, tol)
+    # y''^3 sits at R / lam = 3 eps
+    cube = (0, (0, 3), (0, 0))
+    assert is_resonant(cube, rp, tol) == (3 * abs(eps) <= tol)
+    assert (cube in near_resonances(rp, 6, tol)) == (tol < 3 * abs(eps) <= 10 * tol)
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-10])
+def test_rational_r_irrational_nu_matches_float_oracle(tol):
+    rp = rational_r_irrational_nu()
+    assert rp.r_list == (Fraction(-1), Fraction(1, 4)) and isinstance(rp.lam, float)
+    assert_floating_resonance_matches_oracle(rp, 6, tol)
+
+
+@st.composite
+def float_spectra(draw):
+    """A floating real-block point with 1-3 ratios: a planted 1/3 + eps, a
+    resonance-prone float (-1, -1/2, 1/4, 1/5) or a random one, away from
+    r = 0 and r = 1/2."""
+    pool = st.one_of(st.sampled_from([THIRD + eps for eps in PLANTED_EPS]
+                                     + [-1.0, -0.5, 0.25, 0.2]),
+                     st.floats(-3.0, -0.05), st.floats(0.05, 0.45))
+    r_list = draw(st.lists(pool, min_size=1, max_size=3))
+    lam = draw(st.sampled_from([-2.0, 1.0, 0.75, -math.sqrt(2)]))
+    return radial_point_from_spectrum(lam, r_list)
+
+
+@settings(max_examples=30, deadline=None)
+@given(float_spectra(), st.sampled_from([1e-12, 1e-10]), st.integers(3, 6))
+def test_floating_resonance_matches_float_oracle_on_random_spectra(rp, tol, max_degree):
+    assert_floating_resonance_matches_oracle(rp, max_degree, tol)
