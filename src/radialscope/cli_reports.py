@@ -10,14 +10,12 @@ no timestamps).
 
 from __future__ import annotations
 
-import functools
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import jsonschema
 
 from . import __version__
 from .symalg import EXACT, WeightedPolynomial
@@ -139,17 +137,85 @@ def _stage_error(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-@functools.cache
-def _config_validator():
-    """CONFIG_SCHEMA's validator, checked against its meta-schema once per process.
+def _is_number(x) -> bool:
+    return isinstance(x, numbers.Number) and not isinstance(x, bool)
 
-    A single CLI run builds it once, as jsonschema.validate did; a process that
-    calls from_dict for many configs (library use, in-process batches) no
-    longer repeats the meta-schema check for each.
+
+# Draft 2020-12's types: bool is not a number, and a float such as 3.0 is an integer
+_JSON_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "null": lambda x: x is None,
+    "number": _is_number,
+    "integer": lambda x: (isinstance(x, int) and not isinstance(x, bool)
+                          or isinstance(x, float) and x.is_integer()),
+}
+
+
+# The exit-2 text must not change: the order, the choice and the wording of
+# errors follow jsonschema 4.26's best_match, the tests' reference.
+def _schema_errors(instance, schema: dict, path: tuple = ()):
+    """Yield (path, message) for each violation of `schema` by `instance`.
+
+    Covers the keywords CONFIG_SCHEMA uses and raises ValueError on any other.
+    Errors come in schema keyword order, `properties` in schema order.
     """
-    cls = jsonschema.validators.validator_for(CONFIG_SCHEMA)
-    cls.check_schema(CONFIG_SCHEMA)
-    return cls(CONFIG_SCHEMA)
+    is_list, is_dict = isinstance(instance, list), isinstance(instance, dict)
+    for key, value in schema.items():
+        match key:
+            case "type":
+                kinds = [value] if isinstance(value, str) else value
+                if not any(_JSON_TYPES[kind](instance) for kind in kinds):
+                    yield path, f"{instance!r} is not of type {', '.join(map(repr, kinds))}"
+            case "enum":
+                # bool equals no number: true is not in [1, -1], while 1.0 is
+                if not any(isinstance(each, bool) == isinstance(instance, bool)
+                           and each == instance for each in value):
+                    yield path, f"{instance!r} is not one of {value!r}"
+            case "exclusiveMinimum":
+                if _is_number(instance) and instance <= value:
+                    yield path, f"{instance!r} is less than or equal to the minimum of {value!r}"
+            case "minItems":
+                if is_list and len(instance) < value:
+                    yield path, f"{instance!r} " + (
+                        "should be non-empty" if value == 1 else "is too short")
+            case "maxItems":
+                if is_list and len(instance) > value:
+                    yield path, f"{instance!r} " + (
+                        "is expected to be empty" if value == 0 else "is too long")
+            case "items":
+                for index, item in enumerate(instance if is_list else ()):
+                    yield from _schema_errors(item, value, path + (index,))
+            case "required":
+                for name in value if is_dict else ():
+                    if name not in instance:
+                        yield path, f"{name!r} is a required property"
+            case "properties":
+                for name, subschema in value.items() if is_dict else ():
+                    if name in instance:
+                        yield from _schema_errors(instance[name], subschema, path + (name,))
+            case "additionalProperties" if value is False:
+                known = schema.get("properties", {})
+                extras = sorted((name for name in instance if name not in known) if is_dict
+                                else (), key=str)
+                if extras:
+                    verb = "was" if len(extras) == 1 else "were"
+                    yield path, (f"Additional properties are not allowed "
+                                 f"({', '.join(map(repr, extras))} {verb} unexpected)")
+            case "$comment":
+                pass
+            case _:
+                raise ValueError(f"schema keyword {key!r}: {value!r} is not implemented")
+
+
+def schema_violation(data) -> tuple[tuple, str] | None:
+    """The (path, message) of the most relevant CONFIG_SCHEMA violation, or None.
+
+    The shallowest error wins, then the greatest path; on a tie, the first.
+    """
+    return max(_schema_errors(data, CONFIG_SCHEMA), key=lambda error: (-len(error[0]), error[0]),
+               default=None)
 
 
 def _check_finite(obj, path: list) -> None:
@@ -231,11 +297,11 @@ class AnalysisConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "AnalysisConfig":
-        error = jsonschema.exceptions.best_match(_config_validator().iter_errors(data))
+        error = schema_violation(data)
         if error is not None:
-            path = ".".join(map(str, error.absolute_path))
-            where = f" at {path}" if path else ""
-            raise ConfigError(f"config schema violation{where}: {error.message}")
+            path, message = error
+            where = f" at {'.'.join(map(str, path))}" if path else ""
+            raise ConfigError(f"config schema violation{where}: {message}")
         _check_finite(data, [])
         mode = data["mode"]
         cps = []

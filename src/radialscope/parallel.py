@@ -7,7 +7,6 @@ in input order, so parallel and sequential runs are byte-identical.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 THREADS_ENV = "RADIALSCOPE_THREADS"
 
@@ -24,5 +23,7 @@ def parallel_map(fn, items):
     n = thread_cap()
     if n <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    # imported here: concurrent.futures (and logging) would cost every cold start
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=n) as pool:
         return list(pool.map(fn, items))

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -5,9 +6,11 @@ import pathlib
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from radialscope import cli_reports
 from radialscope.cli import build_parser, main
@@ -332,7 +335,7 @@ args = sys.argv[1:]
 codes = [cli.main([args[i], "--config", args[i + 1], "--out", args[i + 2],
                    "--format", args[i + 3]])
          for i in range(0, len(args), 4)]
-unused = ("networkx", "scipy.optimize", "scipy.integrate", "scipy.sparse", "scipy.special")
+unused = ("jsonschema", "networkx", "scipy")
 print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith(unused))]))
 """
 
@@ -357,6 +360,28 @@ def test_cold_cli_run_imports_no_unused_dependency(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == [[EXIT_OK, EXIT_OK, EXIT_OK], []]
     assert len(list((tmp_path / "analyze").glob("trajectory_*.csv"))) == 4
+
+
+def test_no_subcommand_loads_jsonschema_or_scipy(tmp_path):
+    # each subcommand in its own interpreter; only the stationary-phase stage
+    # needs scipy (scipy.special.erf)
+    scan = dict(ABSTRACT_Z, energy=[0.5, 2.0], options={"scanGridPoints": 200})
+    stationary = dict(ABSTRACT_Y3, options={"stationaryPhase": {"xList": [1e-2]}})
+    runs = {"analyze": COS2_CONFIG, "scan-energies": scan, "normal-form": ABSTRACT_Z,
+            "flow": COS2_CONFIG, "morse": COS2_CONFIG, "expansion": ABSTRACT_Z,
+            "stationary-phase": stationary}
+    procs = {command: subprocess.Popen(
+        [sys.executable, "-c", COLD_RUN, command,
+         write_config(tmp_path, config, f"{command}.json"), str(tmp_path / command), "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        for command, config in runs.items()}
+    for command, proc in procs.items():
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        codes, loaded = json.loads(out.splitlines()[-1])
+        if command == "stationary-phase":
+            loaded = [m for m in loaded if not m.startswith("scipy")]
+        assert (codes, loaded) == ([EXIT_OK], []), command
 
 
 def test_flows_import_no_scipy_integrate():
@@ -689,6 +714,123 @@ def test_schema_violation_message_is_best_match():
         jsonschema.validate(bad, CONFIG_SCHEMA)
     with pytest.raises(ConfigError, match=re.escape(ref.value.message)):
         AnalysisConfig.from_dict(bad)
+
+
+def test_config_schema_is_valid_draft_2020_12():
+    jsonschema.Draft202012Validator.check_schema(CONFIG_SCHEMA)
+
+
+def subschemas(schema):
+    """A schema and every schema nested in it through items and properties."""
+    yield schema
+    nested = list(schema.get("properties", {}).values())
+    if "items" in schema:
+        nested.append(schema["items"])
+    for sub in nested:
+        yield from subschemas(sub)
+
+
+def test_config_schema_uses_only_implemented_keywords():
+    for schema in subschemas(CONFIG_SCHEMA):
+        for key, value in schema.items():
+            # raises ValueError on a keyword, or an additionalProperties value, it lacks
+            list(cli_reports._schema_errors(None, {key: value}))
+        kinds = schema.get("type", [])
+        assert set([kinds] if isinstance(kinds, str) else kinds) <= set(cli_reports._JSON_TYPES)
+        # the enum test compares scalars; JSON arrays and objects would need recursion
+        assert all(type(each) in (str, int) for each in schema.get("enum", []))
+
+
+# -- the built-in validator against jsonschema: valid configs, then faults ----------
+
+fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5))
+numbers = st.integers(-5, 5) | st.floats(-10, 10) | fractions
+positives = st.floats(1e-9, 10) | st.integers(1, 5) | fractions.filter(lambda q: q > 0)
+rationals = st.sampled_from(["1/2", "-3/8", "2"])
+lists = functools.partial(st.lists, max_size=3)
+options = st.fixed_dictionaries({}, optional={
+    **{key: st.integers(0, 8) for key in cli_reports.INTEGER_OPTIONS},
+    **{key: positives
+       for key in ("tol", "bisectTol", "flowTol", "seedEps", "tMax", "floatResonanceTol")},
+    "sign": st.sampled_from([1, -1, 1.0]), "reB": numbers,
+    "perturbation": st.none() | st.just({}),
+    "oscillator": st.none() | st.just({"p": 1, "q": 0, "c": 1}),
+    "stationaryPhase": st.fixed_dictionaries({}, optional={
+        "v0z": numbers, "tau": positives, "center": numbers | st.none(),
+        "width": positives, "cut": positives, "xList": lists(positives, min_size=1)}),
+})
+valid_configs = st.fixed_dictionaries(
+    {"mode": st.sampled_from(["abstract", "explicit"])},
+    optional={
+        "criticalPoints": lists(st.fixed_dictionaries({
+            "label": st.sampled_from(["z", "m"]), "value": numbers | rationals,
+            "hessian": lists(numbers | rationals, min_size=1)})),
+        "potential": st.fixed_dictionaries({
+            "n": st.integers(1, 4) | st.just(3.0),
+            "v0": lists(lists(numbers, min_size=3, max_size=3))}),
+        "energy": numbers | rationals | lists(numbers, min_size=2, max_size=2),
+        "stages": lists(st.sampled_from(cli_reports.STAGES)),
+        "options": options,
+    })
+
+
+def locations(value, path=()):
+    """(path, value) for the root of a JSON tree and for each object entry and array item."""
+    yield path, value
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        yield from locations(item, path + (key,))
+
+
+def replaced(tree, path, new):
+    if not path:
+        return new
+    copy = dict(tree) if isinstance(tree, dict) else list(tree)
+    copy[path[0]] = replaced(tree[path[0]], path[1:], new)
+    return copy
+
+
+@st.composite
+def faulty_configs(draw):
+    """A valid config with up to three faults, each at a location drawn from the whole
+    tree: a wrong type, a bool, a non-positive number, an array one item short or long,
+    an object with a key missing or an unknown key."""
+    data = draw(valid_configs)
+    rng = draw(st.randoms(use_true_random=True))   # uniform: hypothesis favours simple draws
+    for _ in range(rng.randint(0, 3)):
+        path, value = rng.choice(list(locations(data)))
+        faults = [None, True, False, "x", [], {}, 0, -1e-9]
+        if isinstance(value, list) and value:
+            faults += [value[:-1], value + value[-1:]]
+        if isinstance(value, dict):
+            faults.append({**value, rng.choice(["bogus", "Tol", "xlist"]): 1})
+            faults += [{k: v for k, v in value.items() if k != gone} for gone in value]
+        if cli_reports._is_number(value):
+            faults.append(-value)
+        data = replaced(data, path, rng.choice(faults))
+    return data
+
+
+REFERENCE = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+
+
+@settings(max_examples=400, deadline=None)
+@given(faulty_configs())
+# the rules a generated config may miss: bool is not a number, 3.0 is an integer,
+# a Fraction is a number, true is not in [1, -1] while 1.0 is, minItems 1 has its own
+# wording, unexpected keys are listed sorted, and a v0 row holds at most three numbers
+@example({"mode": "abstract", "energy": False})
+@example({"mode": "abstract", "options": {"sign": True}})
+@example({"mode": "explicit", "potential": {"n": 3.0, "v0": [[1, 0.5, True]]}})
+@example({"mode": "abstract", "options": {"sign": 1.0, "tol": Fraction(1, 2)}})
+@example({"mode": "abstract", "criticalPoints": [{"label": "z", "value": 0, "hessian": []}]})
+@example({"mode": "abstract", "options": {"zeta": 1, "Tol": 2, "alpha": 3}})
+@example({"mode": "explicit", "potential": {"n": 2, "v0": [[2, 1.0, 0.0, 0.0]]}})
+def test_schema_violation_matches_jsonschema(data):
+    ref = jsonschema.exceptions.best_match(REFERENCE.iter_errors(data))
+    expected = None if ref is None else (tuple(ref.absolute_path), ref.message)
+    assert cli_reports.schema_violation(data) == expected
 
 
 def test_threads_env_cap(tmp_path, monkeypatch):
