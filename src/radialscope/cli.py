@@ -85,6 +85,9 @@ def main(argv: list[str] | None = None) -> int:
         if stages is not None:
             raw["stages"] = stages
         config = AnalysisConfig.from_dict(raw)
+        formats = [f.strip() for f in args.format.split(",") if f.strip()]
+        if not formats or not set(formats) <= {"json", "csv"}:
+            raise ConfigError(f"--format must list json and/or csv, got {args.format!r}")
     except (OSError, json.JSONDecodeError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -98,7 +101,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
-    formats = [f.strip() for f in args.format.split(",") if f.strip()]
     try:
         paths = emit(report, formats, args.out)
     except ValueError as exc:   # a non-finite float has no JSON form

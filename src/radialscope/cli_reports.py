@@ -400,10 +400,9 @@ def _point_stages(rp: RadialPoint, config: AnalysisConfig, errors, tag):
     nf = None
     if "normalform" in stages and rp.layout.is_real_block:
         try:
-            mode = rp.mode
-            p = rp.model_quadratic().p0(mode)
+            p = rp.model_quadratic().p0()
             if perturbation is not None:
-                if perturbation.mode != mode:
+                if perturbation.mode != p.mode:
                     raise ConfigError("perturbation mode must match the radial point data")
                 p = p + perturbation
             nf = reduce_to_normal_form(p, rp, options["maxDegree"],

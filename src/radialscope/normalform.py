@@ -19,8 +19,8 @@ import numpy as np
 
 from .dynamics import MAX_FLOW_STEPS, FlowStepError, _dop853
 from .parallel import parallel_map
-from .symalg import (EXACT, FLOATING, ModelQuadratic, MonomialKey,
-                     WeightedPolynomial, ad_exponential, iter_monomials)
+from .symalg import (FLOATING, ModelQuadratic, MonomialKey, WeightedPolynomial,
+                     ad_exponential, iter_monomials)
 from .radial import (CriticalPointSpec, ForbiddenEnergyError,
                      RadialPoint, linearization_spectrum)
 from .resonance import (DEFAULT_FLOAT_TOL, EFF_NONRES, block_class, is_resonant,
@@ -125,8 +125,9 @@ def reduce_to_normal_form(p: WeightedPolynomial, rp: RadialPoint, max_grade: int
                           keep: set[MonomialKey] | None = None) -> NormalFormResult:
     """Iterated homological reduction of p to grades <= max_grade.
 
-    Precondition: the grade <= 0 part of p equals the model quadratic of
-    rp (raises ModelMismatchError otherwise).  Grade-0 terms are never
+    Precondition: p has rp's mode (raises ModeMismatchError otherwise)
+    and its grade <= 0 part equals the model quadratic of rp (raises
+    ModelMismatchError otherwise).  Grade-0 terms are never
     modified; in exact mode every nonresonant monomial of the output
     vanishes identically.  keep, if given, is passed to every
     solve_homological call in place of its resonance test.  In floating
@@ -139,10 +140,9 @@ def reduce_to_normal_form(p: WeightedPolynomial, rp: RadialPoint, max_grade: int
         raise ValueError("reduction requires a real-block radial point "
                          "(the nu-monomial eigenbasis is exact only there)")
     model = rp.model_quadratic()
-    p0 = model.p0(p.mode)
-    # exact: no difference at all; floating: none above _MODEL_TOL
-    if any(p.mode == EXACT or abs(t.coeff) > _MODEL_TOL
-           for t in (p.truncate_grade(0) - p0).terms()):
+    p0 = model.p0()
+    # exact: no difference at all (chop is a no-op); floating: none above _MODEL_TOL
+    if not (p.truncate_grade(0) - p0).chop(_MODEL_TOL).is_zero():
         raise ModelMismatchError(
             "grade <= 0 part of p must equal the model quadratic of the radial point")
 
@@ -274,7 +274,7 @@ def family_normal_form(cp: CriticalPointSpec, interval: tuple[float, float],
     keep = set(index_set)
 
     def reduce_at(rp: RadialPoint) -> dict:
-        p = rp.model_quadratic().p0(FLOATING)
+        p = rp.model_quadratic().p0()
         if perturbation is not None:
             p = p + perturbation.to_mode(FLOATING)
         nf = reduce_to_normal_form(p, rp, max_grade, keep=keep)

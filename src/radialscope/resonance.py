@@ -13,8 +13,8 @@ which alter leading asymptotics; everything else resonant is effectively
 nonresonant and absorbable.  The enumerator scans every monomial and asks
 the point's weights (symalg.point_weights) whether R / lam vanishes: on
 two integer forms with no tolerance at an exact point, as |R / lam| <= tol
-at a floating one.  J'' has an integer and a float algorithm, chosen by
-the point's mode.  Energies at which I' or I'' is nonempty form a
+at a floating one.  J'' runs one algorithm on the same weights, as
+integers at an exact point.  Energies at which I' or I'' is nonempty form a
 discrete set, located here by a sign-change scan plus bisection over the
 finitely many defining functions.
 """
@@ -23,14 +23,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 from typing import Sequence
 
 import numpy as np
 
 from .roots import brentq
-from .symalg import (EXACT, EigenWeights, MonomialKey, VariableLayout, WeightedPolynomial,
-                     bracket, compositions, iter_monomials, weighted_degree)
+from .symalg import (EXACT, MonomialKey, VariableLayout, WeightedPolynomial, bracket,
+                     compositions, iter_monomials, weighted_degree)
 from .radial import CriticalPointSpec, RadialPoint
 
 EFF_R1 = "effR1"
@@ -100,14 +100,6 @@ def enumerate_resonances(rp: RadialPoint, max_degree: int,
            if w.vanishes(idx, tol)]
     out.sort(key=lambda rec: (rec.degree, rec.idx))
     return out
-
-
-def near_resonances(rp: RadialPoint, max_degree: int,
-                    tol: float = DEFAULT_FLOAT_TOL) -> list[MonomialKey]:
-    """Indices with tol < |R / lam| <= 10 tol; none at an exact point, whose weights ignore tol."""
-    w = rp.weights
-    return [idx for idx in iter_monomials(rp.n - 1, max_degree, min_weighted_degree=3)
-            if w.vanishes(idx, 10 * tol) and not w.vanishes(idx, tol)]
 
 
 # -- energy scan ------------------------------------------------------------------
@@ -302,56 +294,36 @@ def scan_effectively_resonant_energies(cp: CriticalPointSpec,
 def second_index_set(rp: RadialPoint) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """The finite set J'' = {(alpha'', beta''): sum r'' a + (1-r'') b in (1,2)}.
 
-    Exponents are over the y'' block only, in sorted-block order.  An exact
-    point tests d < d val < 2d on its integer weights, and bounds the
-    totals exactly; a floating point keeps the float test and bounds.
+    Exponents are over the y'' block only, in sorted-block order.  With
+    r_j = p_j / d from the point's weights, the test is
+    d < sum_j p_j alpha_j + (d - p_j) beta_j < 2d: on ints at an exact
+    point, and at a floating point (d = 1) on floats summed in block order.
     """
     sec = list(rp.layout.ysecond_indices)
     if not sec:
         return []
-    if rp.mode == EXACT:
-        return _exact_second_index_set(rp.weights, sec)
-    rvals = [float(rp.r_list[j]) for j in sec]
-    rmin = min(min(rvals), 0.5)
-    bound = int(2.0 / rmin) + 1
-    # atotal * min r + btotal * min(1 - r) bounds the value from below, so
-    # once it passes 2 (with slack for the float r) no larger total is inside
-    amin, bmin = min(rvals), 1.0 - max(rvals)
-    out = []
-    for atotal in range(0, bound + 1):
-        if atotal * amin > 2.0 + 1e-9:
-            break
-        for av in compositions(len(sec), atotal):
-            for btotal in range(0, bound + 1):
-                if atotal * amin + btotal * bmin > 2.0 + 1e-9:
-                    break
-                for bv in compositions(len(sec), btotal):
-                    if sum(av) + sum(bv) == 0:
-                        continue
-                    val = sum(av[i] * rp.r_list[j] + bv[i] * (1 - rp.r_list[j])
-                              for i, j in enumerate(sec))
-                    if 1 < val < 2:
-                        out.append((av, bv))
-    out.sort()
-    return out
-
-
-def _exact_second_index_set(w: EigenWeights, sec: list[int]):
-    """J'' on the weights: d val = sum p_j alpha_j + (d - p_j) beta_j is an int."""
+    w = rp.weights
     d = w.d
     ps = [w.p[j] for j in sec]
     qs = [d - pj for pj in ps]
-    # 0 < r_j < 1/2 on y'', so all weights are positive ints: a total t adds
-    # at least t pmin (alpha) or t qmin (beta), and d val < 2d caps both
+    # 0 < r_j < 1/2 on y'', so all weights are positive: a total t adds at
+    # least t pmin (alpha) or t qmin (beta), and the value stays below 2d.
+    # The slack keeps every float candidate that rounds inside; on ints it
+    # only adds totals that reach 2d, which the test rejects.
     pmin, qmin = min(ps), min(qs)
     out = []
-    for atotal in range((2 * d - 1) // pmin + 1):
+    atotal = 0
+    while atotal * pmin - 2 * d <= 1e-9:
         for av in compositions(len(sec), atotal):
-            va = sum(map(mul, av, ps))
-            for btotal in range((2 * d - 1 - va) // qmin + 1):
+            ap = list(map(mul, av, ps))
+            va = sum(ap)
+            btotal = 0
+            while va + btotal * qmin - 2 * d <= 1e-9:
                 for bv in compositions(len(sec), btotal):
-                    if d < va + sum(map(mul, bv, qs)) < 2 * d:
+                    if d < sum(map(add, ap, map(mul, bv, qs))) < 2 * d:
                         out.append((av, bv))
+                btotal += 1
+        atotal += 1
     out.sort()
     return out
 
@@ -447,7 +419,7 @@ def module_closure_check(rp: RadialPoint, max_degree: int = 3) -> ModuleClosureR
     mode = rp.mode
     lay = rp.layout
     model = rp.model_quadratic()
-    p0 = model.p0(mode)
+    p0 = model.p0()
 
     symbols = [p0 if g.slot == 0
                else WeightedPolynomial.y(lay, g.slot - 1, mode) if g.slot < lay.n
@@ -477,10 +449,7 @@ def module_closure_check(rp: RadialPoint, max_degree: int = 3) -> ModuleClosureR
         got = bracket(p0, sym)
         key = next(iter(sym.terms()))
         expect = sym.scale(model.eigenvalue((key.a, key.alpha, key.beta)))
-        if mode == EXACT:
-            eigen_ok = eigen_ok and (got - expect).is_zero()
-        else:
-            eigen_ok = eigen_ok and all(abs(t.coeff) < 1e-10 for t in (got - expect).terms())
+        eigen_ok = eigen_ok and (got - expect).chop(1e-10).is_zero()
 
     for ca in products(max_degree - 1):
         for cb in products(max_degree - sum(ca)):

@@ -152,7 +152,10 @@ class GaussianRational:
             return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value equals its int or Fraction, so it hashes as they do
+        if self._i:
+            return hash((self._r, self._i, self._d))
+        return hash(self._r) if self._d == 1 else hash(Fraction(self._r, self._d))
 
     def __bool__(self):
         return bool(self._r or self._i)

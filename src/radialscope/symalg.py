@@ -470,8 +470,8 @@ class ModelQuadratic:
     def mode(self) -> str:
         return self.weights.mode
 
-    def p0(self, mode: str | None = None) -> WeightedPolynomial:
-        mode = mode or self.mode
+    def p0(self) -> WeightedPolynomial:
+        mode = self.mode
         layout = self.layout
         poly = -WeightedPolynomial.nu(layout, mode)
         for j in range(layout.nvars):
@@ -550,11 +550,20 @@ class EigenWeights:
 
 @dataclass(frozen=True)
 class FloatWeights:
-    """The weights of a floating point: R / lam evaluated on its r_list."""
+    """The weights of a floating point: R / lam evaluated on its r_list.
+
+    Like EigenWeights it has r_j = p_j / d on real blocks, with d = 1 and
+    p = r_list, so J'' runs one algorithm on either.
+    """
 
     mode = FLOATING
+    d = 1
 
     r_list: tuple
+
+    @property
+    def p(self) -> tuple:
+        return self.r_list
 
     def vanishes(self, key: MonomialKey, tol: float) -> bool:
         """|R / lam| <= tol at key."""

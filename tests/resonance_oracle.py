@@ -1,20 +1,22 @@
 """Brute-force oracles for the resonance code, exact and floating.
 
-At an exact radial point, resonance.enumerate_resonances tests every
-monomial on the integer forms of the point's weights, and
-resonance.second_index_set cuts J'' out with integer bounds.  The
-Fraction oracles instead evaluate R / lam or the J'' value of every
-candidate in Fraction (or GaussianRational) arithmetic.  At a floating
-point the resonance code asks the point's weights; the float oracle
-tests |R / lam| <= tol on every candidate directly.  test_resonance
-compares the two.  The oracles live with the tests because no stage of
-the program uses them.
+The resonance code asks the point's weights: at an exact radial point
+resonance.enumerate_resonances tests every monomial on their integer
+forms, and resonance.second_index_set cuts J'' out with bounds on the
+weights r_j = p_j / d, ints at an exact point and floats (d = 1) at a
+floating one.  The Fraction oracles instead evaluate R / lam or the J''
+value of every candidate in Fraction (or GaussianRational) arithmetic;
+the float oracles test |R / lam| <= tol on every candidate directly, and
+scan a wide J'' window in floats.  test_resonance compares the two.
+near_resonances lists the near misses of a tolerance.  These live with
+the tests because no stage of the program uses them.
 """
 
 import itertools
 import math
 from fractions import Fraction
 
+from radialscope.resonance import DEFAULT_FLOAT_TOL
 from radialscope.symalg import iter_monomials, normalized_eigenvalue, weighted_degree
 
 
@@ -42,6 +44,34 @@ def brute_force_second_index_set(r_second) -> list:
             if 1 < val < 2:
                 out.append((av, bv))
     return sorted(out)
+
+
+def float_second_index_set(r_second) -> list:
+    """J'' at a floating point, sorted, by a scan of a wide exponent window.
+
+    Each alpha_j runs two past its bound 2 / r_j and each beta_j to 4
+    (its bound is 3).  An alpha part whose value already passes 2.5 is
+    skipped, since beta only adds.  The value is summed in floats in block
+    order, alpha_j r_j + beta_j (1 - r_j) per block, as second_index_set
+    sums it.
+    """
+    rs = list(r_second)
+    out = []
+    for av in itertools.product(*(range(int(2 / r) + 3) for r in rs)):
+        if sum(a * r for a, r in zip(av, rs)) > 2.5:
+            continue
+        for bv in itertools.product(range(5), repeat=len(rs)):
+            if 1 < sum(a * r + b * (1 - r) for a, b, r in zip(av, bv, rs)) < 2:
+                out.append((av, bv))
+    return sorted(out)
+
+
+def near_resonances(rp, max_degree: int, tol: float = DEFAULT_FLOAT_TOL) -> list:
+    """Indices of weighted degree in [3, max_degree] with tol < |R / lam| <= 10 tol;
+    none at an exact point, whose weights ignore tol."""
+    w = rp.weights
+    return [idx for idx in iter_monomials(rp.n - 1, max_degree, min_weighted_degree=3)
+            if w.vanishes(idx, 10 * tol) and not w.vanishes(idx, tol)]
 
 
 def float_resonant(idx, r_list, tol: float) -> bool:

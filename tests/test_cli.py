@@ -280,6 +280,14 @@ def test_non_finite_overrides_are_config_errors(tmp_path, capsys, flags, message
                        flags=flags)
 
 
+@pytest.mark.parametrize("fmt", ["xml", ",", "", "json,xml", "JSON"])
+def test_format_naming_no_known_format_is_config_error(tmp_path, capsys, fmt):
+    # such a list used to run the pipeline, write nothing and exit 0
+    assert_config_exit(tmp_path, capsys, ABSTRACT_Z,
+                       f"--format must list json and/or csv, got {fmt!r}",
+                       command="normal-form", flags=["--format", fmt])
+
+
 def test_loader_rejects_non_finite_floats_anywhere():
     with pytest.raises(ConfigError, match="non-finite number nan at criticalPoints.0.hessian.1"):
         AnalysisConfig.from_dict(dict(ABSTRACT_Z, criticalPoints=[

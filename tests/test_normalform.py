@@ -9,7 +9,8 @@ import pytest
 
 from radialscope.radial import CriticalPointSpec, radial_point_from_spectrum
 from radialscope.scalars import GaussianRational
-from radialscope.symalg import EXACT, FLOATING, ModelQuadratic, VariableLayout, WeightedPolynomial
+from radialscope.symalg import (EXACT, FLOATING, ModeMismatchError, ModelQuadratic, VariableLayout,
+                                WeightedPolynomial)
 from radialscope.normalform import (ForbiddenEnergyError, ModelMismatchError, NelsonCase,
                                     ThresholdModelError, family_normal_form,
                                     flat_perturbation_case_1d, linear_contraction_rate,
@@ -99,6 +100,21 @@ def test_reduce_model_mismatch():
         reduce_to_normal_form(p0 + y, rp, 4)   # grade -1 term
 
 
+def test_reduce_refuses_mode_mismatch():
+    # p in the other mode than its radial point: an exact point with its
+    # model in floats, with and without a nonresonant term, and a floating
+    # point with an exact p
+    rp, model, p0 = quarter_setup()
+    y = WeightedPolynomial.y(rp.layout, 0, FLOATING)
+    for p in (p0.to_mode(FLOATING), p0.to_mode(FLOATING) + y * y * y):
+        with pytest.raises(ModeMismatchError):
+            reduce_to_normal_form(p, rp, 4)
+    frp = radial_point_from_spectrum(1.0, (0.3,))
+    assert frp.mode == FLOATING
+    with pytest.raises(ModeMismatchError):
+        reduce_to_normal_form(-WeightedPolynomial.nu(frp.layout, EXACT), frp, 4)
+
+
 def rand_high_order(lay, rng, max_grade):
     terms = {}
     for _ in range(6):
@@ -166,9 +182,8 @@ def test_family_single_point_matches_pointwise_reduction():
                              scan_grid=500, perturbation=pert)
     sigma = fam.sigma_grid[0]
     from radialscope.radial import linearization_spectrum
-    from radialscope.symalg import FLOATING
     rp = linearization_spectrum(cp, sigma, +1)
-    p = rp.model_quadratic().p0(FLOATING) + pert
+    p = rp.model_quadratic().p0() + pert
     res = reduce_to_normal_form(p, rp, 5, tol=1e-9)
     for idx in fam.index_set:
         a = fam.coeffs[idx][0]

@@ -137,7 +137,9 @@ def assert_matches(z, ref):
     r, i, d = (getattr(z, slot) for slot in GaussianRational.__slots__)
     assert (type(r), type(i), type(d)) == (int, int, int)
     assert d > 0 and math.gcd(r, i, d) == 1
-    assert hash(z) == hash(ref) and bool(z) == any(ref)
+    assert hash(z) == hash(GaussianRational(*ref)) and bool(z) == any(ref)
+    if not ref[1]:
+        assert hash(z) == hash(ref[0])
 
 
 @settings(max_examples=300, deadline=None)
@@ -157,6 +159,27 @@ def test_gaussian_rational_matches_fraction_pairs(x, y, op):
                 continue
             raise AssertionError("division by zero did not raise ZeroDivisionError")
         assert_matches(op(left, right), ref_op(op, rl, rr))
+
+
+def equal_forms(ref):
+    """The GaussianRational of a Fraction pair, and its Fraction and int when real."""
+    re, im = ref
+    forms = [GaussianRational(re, im)]
+    if not im:
+        forms.append(re)
+        if re.denominator == 1:
+            forms.append(int(re))
+    return forms
+
+
+@settings(max_examples=300, deadline=None)
+@given(exact_scalars(), exact_scalars())
+def test_equal_exact_scalars_hash_equal(x, y):
+    forms = [x[0], y[0], *equal_forms(x[1]), *equal_forms(y[1])]
+    for a in forms:
+        for b in forms:
+            if a == b:
+                assert hash(a) == hash(b) and len({a, b}) == 1, (a, b)
 
 
 # -- the loader is total: any JSON value gives a config or a ConfigError -----------

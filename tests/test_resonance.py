@@ -11,14 +11,14 @@ from radialscope.radial import CriticalPointSpec, linearization_spectrum, radial
 from radialscope.resonance import (DEFAULT_FLOAT_TOL, EFF_NONRES, EFF_R1, EFF_R2,
                                    InvalidInputError, InvalidIntervalError, block_class,
                                    enumerate_resonances, is_resonant, module_closure_check,
-                                   module_multiindex, module_order, near_resonances,
-                                   s_alpha,
+                                   module_multiindex, module_order, s_alpha,
                                    scan_effectively_resonant_energies, second_index_set)
 from radialscope.scalars import GaussianRational
 from radialscope.symalg import (FLOATING, WeightedPolynomial, compositions, iter_monomials,
                                 normalized_eigenvalue, weighted_degree)
 from resonance_oracle import (brute_force_resonances, brute_force_second_index_set,
-                              float_resonant, float_resonances)
+                              float_resonant, float_resonances, float_second_index_set,
+                              near_resonances)
 
 
 def classify_resonance(idx, rp, tol=DEFAULT_FLOAT_TOL):
@@ -223,6 +223,24 @@ def test_second_index_set_complete_against_wide_enumeration():
             if a + b and 1.0 < 0.3 * a + 0.7 * b < 2.0:
                 wide.add(((a,), (b,)))
     assert got == wide
+
+
+@st.composite
+def floating_second_spectra(draw):
+    """A floating radial point with 1-3 y'' blocks, seeded with ratios
+    (0.125, 0.25, 0.3, 0.4) that put candidate values on 1 and 2 in floats."""
+    rs = draw(st.lists(st.sampled_from([0.125, 0.25, 0.3, 0.4])
+                       | st.floats(0.12, 0.49, allow_subnormal=False), min_size=1, max_size=3))
+    lam = draw(st.sampled_from([1.0, -2.0]))
+    return radial_point_from_spectrum(lam, tuple(rs))
+
+
+@settings(max_examples=40, deadline=None)
+@given(floating_second_spectra())
+def test_floating_second_index_set_matches_float_oracle(rp):
+    assert rp.mode == FLOATING
+    sec = [rp.r_list[j] for j in rp.layout.ysecond_indices]
+    assert second_index_set(rp) == float_second_index_set(sec)
 
 
 def test_scan_deterministic_under_thread_cap(monkeypatch):
@@ -463,9 +481,11 @@ def test_exact_enumeration_matches_fraction_scan(rp, max_degree):
 
 @pytest.mark.parametrize("r_second", [(Fraction(1, 4),), (Fraction(1, 3),),
                                       (Fraction(1, 4), Fraction(1, 3)),
-                                      (Fraction(1, 5), Fraction(2, 5))],
-                         ids=["1/4", "1/3", "1/4,1/3", "1/5,2/5"])
+                                      (Fraction(1, 5), Fraction(2, 5)),
+                                      (Fraction(1, 3) + Fraction(1, 10**400),)],
+                         ids=["1/4", "1/3", "1/4,1/3", "1/5,2/5", "1/3+1e-400"])
 def test_exact_second_index_set_matches_fraction_oracle(r_second):
+    # 1/3 + 1e-400 has a denominator no float can hold: the bounds stay in ints
     rp = radial_point_from_spectrum(Fraction(1), (Fraction(-1),) + r_second)
     sec = [rp.r_list[j] for j in rp.layout.ysecond_indices]
     assert second_index_set(rp) == brute_force_second_index_set(sec)
