@@ -106,6 +106,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:   # a non-finite float has no JSON form
         print(f"numerical failure: report not written: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except OSError as exc:      # --out names a file, or a directory we cannot write
+        print(f"config error: --out: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     for p in paths:
         print(p)
     if report.stage_errors:

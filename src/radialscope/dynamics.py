@@ -106,9 +106,6 @@ class PotentialModel:
         return sum(-a * k * k * math.cos(k * theta) - b * k * k * math.sin(k * theta)
                    for k, a, b in self.v0_coeffs)
 
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "v0": [list(row) for row in self.v0_coeffs]}
-
 
 @dataclass(frozen=True)
 class ContactPoint:

@@ -48,10 +48,6 @@ class OscillatorSpec:
     def q_tilde(self) -> float:
         return self.q - 0.25
 
-    @property
-    def spectrum_defined(self) -> bool:
-        return self.p * self.c - self.q_tilde ** 2 > 0
-
 
 def oscillator_spectrum(spec: OscillatorSpec, k_max: int) -> tuple[float, ...]:
     """kappa_k = (2k + 1) sqrt(pc - q~^2), k = 0..k_max.
@@ -183,10 +179,6 @@ class LogVariableSet:
     pr_psharp: dict
     psharp0: MultiPoly | None
     certificate: dict
-
-    @property
-    def all_certified(self) -> bool:
-        return all(self.certificate.values())
 
     def max_log_power(self) -> int:
         deg = 0

@@ -76,16 +76,8 @@ class CriticalPointSpec:
         return len(self.hessian) + 1
 
     @property
-    def morse_index(self) -> int:
-        return sum(1 for h in self.hessian if h < 0)
-
-    @property
     def is_exact(self) -> bool:
         return is_exact(self.value) and all(is_exact(h) for h in self.hessian)
-
-    def to_json_dict(self) -> dict:
-        return {"label": self.label, "value": _num(self.value),
-                "hessian": [_num(h) for h in self.hessian]}
 
 
 def _num(x):

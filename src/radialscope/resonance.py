@@ -16,7 +16,8 @@ two integer forms with no tolerance at an exact point, as |R / lam| <= tol
 at a floating one.  J'' runs one algorithm on the same weights, as
 integers at an exact point.  Energies at which I' or I'' is nonempty form a
 discrete set, located here by a sign-change scan plus bisection over the
-finitely many defining functions.
+finitely many defining functions.  The test module's orders s(alpha)
+serve the reports; its closure under the bracket is a test oracle.
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .roots import brentq
-from .symalg import (EXACT, MonomialKey, VariableLayout, WeightedPolynomial, bracket,
-                     compositions, iter_monomials, weighted_degree)
+from .symalg import MonomialKey, VariableLayout, compositions, iter_monomials, weighted_degree
 from .radial import CriticalPointSpec, RadialPoint
 
 EFF_R1 = "effR1"
@@ -391,79 +391,3 @@ def module_multiindex(idx: MonomialKey, rec: ModuleOrderRecord) -> tuple[int, ..
     a, alpha, beta = idx
     flat = (a, *alpha, *beta)
     return tuple(flat[g.slot] for g in rec.generators)
-
-
-@dataclass
-class ModuleClosureReport:
-    pairs_checked: int
-    violations: list
-    eigen_relations_ok: bool
-
-    @property
-    def closed(self) -> bool:
-        return not self.violations
-
-
-def module_closure_check(rp: RadialPoint, max_degree: int = 3) -> ModuleClosureReport:
-    """Symbolic closure check of the test module under the rescaled bracket.
-
-    For every pair of generator products A^alpha, A^beta with
-    |alpha| + |beta| <= max_degree, the bracket of their symbols is
-    re-expanded in monomials; each monomial's induced generator product
-    gamma must satisfy s~(gamma) <= s~(alpha) + s~(beta).  Real-block
-    radial points only.
-    """
-    if not rp.layout.is_real_block:
-        raise InvalidInputError("symbolic closure check requires a real-block model")
-    rec = module_order(rp)
-    mode = rp.mode
-    lay = rp.layout
-    model = rp.model_quadratic()
-    p0 = model.p0()
-
-    symbols = [p0 if g.slot == 0
-               else WeightedPolynomial.y(lay, g.slot - 1, mode) if g.slot < lay.n
-               else WeightedPolynomial.mu(lay, g.slot - lay.n, mode)
-               for g in rec.generators]
-
-    ngen = len(symbols)
-    violations = []
-    pairs = 0
-
-    def products(max_total: int):
-        for total in range(1, max_total + 1):
-            yield from compositions(ngen, total)
-
-    def symbol_power(counts):
-        poly = None
-        for sym, e in zip(symbols, counts):
-            for _ in range(e):
-                poly = sym if poly is None else poly * sym
-        return poly
-
-    # eigen relations {{p0, gen}} = R * gen for single generators
-    eigen_ok = True
-    for g, sym in zip(rec.generators, symbols):
-        if g.slot == 0:
-            continue
-        got = bracket(p0, sym)
-        key = next(iter(sym.terms()))
-        expect = sym.scale(model.eigenvalue((key.a, key.alpha, key.beta)))
-        eigen_ok = eigen_ok and (got - expect).chop(1e-10).is_zero()
-
-    for ca in products(max_degree - 1):
-        for cb in products(max_degree - sum(ca)):
-            pairs += 1
-            _, st_a = s_alpha(rec, ca)
-            _, st_b = s_alpha(rec, cb)
-            budget = st_a + st_b
-            br = bracket(symbol_power(ca), symbol_power(cb))
-            for term in br.terms():
-                gamma = module_multiindex((term.a, term.alpha, term.beta), rec)
-                _, st_g = s_alpha(rec, gamma)
-                if st_g > budget + (0 if mode == EXACT else 1e-12):
-                    violations.append({"alpha": ca, "beta": cb,
-                                       "monomial": (term.a, term.alpha, term.beta),
-                                       "s_tilde": float(st_g), "budget": float(budget)})
-    return ModuleClosureReport(pairs_checked=pairs, violations=violations,
-                               eigen_relations_ok=eigen_ok)

@@ -160,9 +160,6 @@ class GaussianRational:
     def __bool__(self):
         return bool(self._r or self._i)
 
-    def conjugate(self) -> "GaussianRational":
-        return _triple(self._r, -self._i, self._d)
-
     def __complex__(self) -> complex:
         # int / int rounds the exact quotient, as float(Fraction) does
         return complex(self._r / self._d, self._i / self._d)

@@ -33,7 +33,6 @@ eigenvalue table of the quadratic model, which fixes the convention.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -162,9 +161,12 @@ class WeightedPolynomial:
         for (a, alpha, beta), coeff in (terms or {}).items():
             if len(alpha) != nvars or len(beta) != nvars:
                 raise ValueError("exponent tuple length does not match layout")
-            if a < 0 or any(e < 0 for e in alpha) or any(e < 0 for e in beta):
+            key = (a, *alpha, *beta)
+            if any(isinstance(e, bool) or not isinstance(e, int) for e in key):
+                raise ValueError(f"exponents must be integers, got {(a, alpha, beta)!r}")
+            if any(e < 0 for e in key):
                 raise ValueError("negative exponent")
-            flat[(a, *alpha, *beta)] = coerce(coeff)
+            flat[key] = coerce(coeff)
         self.layout = layout
         self.mode = mode
         self.poly = MultiPoly(2 * nvars + 1, flat)
@@ -237,9 +239,6 @@ class WeightedPolynomial:
 
     def grades(self) -> list[int]:
         return sorted({_flat_grade(key) for key in self.poly.terms})
-
-    def is_homogeneous(self) -> bool:
-        return len(self.grades()) <= 1
 
     def homogeneous_grade(self) -> int | None:
         """The single grade of a homogeneous polynomial (None for 0)."""
@@ -317,9 +316,6 @@ class WeightedPolynomial:
             return self
         return self._from_terms({k: c for k, c in self.poly.terms.items() if abs(c) > tol})
 
-    def diff_nu(self) -> "WeightedPolynomial":
-        return self._of(self.poly.diff(0))
-
     # -- grading -------------------------------------------------------------------
 
     def grade_part(self, l: int) -> "WeightedPolynomial":
@@ -346,9 +342,6 @@ class WeightedPolynomial:
         return {"mode": self.mode, "n": self.layout.n,
                 "blocks": [self.layout.s, self.layout.m], "terms": terms}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "WeightedPolynomial":
         layout = VariableLayout(n=data["n"], s=data["blocks"][0], m=data["blocks"][1])
@@ -362,10 +355,6 @@ class WeightedPolynomial:
                 coeff = complex(entry["re"], entry["im"])
             terms[key] = coeff
         return cls(layout, mode, terms)
-
-    @classmethod
-    def from_json(cls, text: str) -> "WeightedPolynomial":
-        return cls.from_json_dict(json.loads(text))
 
 
 def grade_components(p: WeightedPolynomial) -> dict[int, WeightedPolynomial]:

@@ -16,7 +16,7 @@ from radialscope import cli_reports
 from radialscope.cli import build_parser, main
 from radialscope.cli_reports import (CONFIG_SCHEMA, DEFAULTS, EXIT_CONFIG,
                                      EXIT_FORBIDDEN_ENERGY, EXIT_NUMERICAL, EXIT_OK,
-                                     AnalysisConfig, ConfigError, parallel_map)
+                                     AnalysisConfig, ConfigError)
 from radialscope.symalg import WeightedPolynomial
 
 COS2_CONFIG = {
@@ -621,6 +621,13 @@ def floating_perturbation(*terms):
      "ValueError: unknown mode 'exakt'"),
     ({"mode": "exact", "n": 2, "blocks": [1, 2],
       "terms": [{"a": 0, "beta": [0], "re": "1/2", "im": "0/1"}]}, "KeyError: 'alpha'"),
+    # exponents are integers: a float or a bool used to run and print it in the report
+    ({"mode": "exact", "n": 3, "blocks": [2, 3],
+      "terms": [{"a": 0.5, "alpha": [1, 0], "beta": [0, 1.5], "re": "1/1", "im": "0/1"}]},
+     "ValueError: exponents must be integers, got (0.5, (1, 0), (0, 1.5))"),
+    ({"mode": "exact", "n": 3, "blocks": [2, 3],
+      "terms": [{"a": True, "alpha": [1, 0], "beta": [0, 1], "re": "1/1", "im": "0/1"}]},
+     "ValueError: exponents must be integers, got (True, (1, 0), (0, 1))"),
 ])
 def test_malformed_perturbation_is_config_error(tmp_path, capsys, perturbation, message):
     assert_config_exit(tmp_path, capsys,
@@ -841,14 +848,6 @@ def test_schema_violation_matches_jsonschema(data):
     assert cli_reports.schema_violation(data) == expected
 
 
-def test_threads_env_cap(tmp_path, monkeypatch):
-    monkeypatch.setenv("RADIALSCOPE_THREADS", "2")
-    out = parallel_map(lambda v: v * v, [1, 2, 3, 4])
-    assert out == [1, 4, 9, 16]
-    monkeypatch.setenv("RADIALSCOPE_THREADS", "not-a-number")
-    assert parallel_map(lambda v: v + 1, [1, 2]) == [2, 3]
-
-
 def test_console_script_runs(tmp_path):
     cfg = write_config(tmp_path, {
         "mode": "abstract",
@@ -894,6 +893,18 @@ def test_no_real_radial_point_is_informational(tmp_path):
     rep = json.loads((tmp_path / "o" / "report.json").read_text())
     assert "error" in rep["perEnergy"]["1.0"]["hi"]
     assert rep["perEnergy"]["1.0"]["lo"]["radial"]["class"] == "saddle"
+
+
+def test_out_naming_a_file_is_config_error(tmp_path, capsys):
+    # emit cannot make the directory: exit 2 with one line, the file untouched
+    cfg = write_config(tmp_path, ABSTRACT_CONFIG)
+    out = tmp_path / "o"
+    out.write_text("keep")
+    assert main(["normal-form", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert captured.err.startswith("config error: --out: ") and not captured.out
+    assert out.read_text() == "keep"
 
 
 def assert_forbidden_exit(tmp_path, capsys, data, command, flags=()):

@@ -10,12 +10,13 @@ from radialscope.normalform import reduce_to_normal_form, solve_homological
 from radialscope.radial import CriticalPointSpec, linearization_spectrum, radial_point_from_spectrum
 from radialscope.resonance import (DEFAULT_FLOAT_TOL, EFF_NONRES, EFF_R1, EFF_R2,
                                    InvalidInputError, InvalidIntervalError, block_class,
-                                   enumerate_resonances, is_resonant, module_closure_check,
-                                   module_multiindex, module_order, s_alpha,
-                                   scan_effectively_resonant_energies, second_index_set)
+                                   enumerate_resonances, is_resonant, module_multiindex,
+                                   module_order, s_alpha, scan_effectively_resonant_energies,
+                                   second_index_set)
 from radialscope.scalars import GaussianRational
 from radialscope.symalg import (FLOATING, WeightedPolynomial, compositions, iter_monomials,
                                 normalized_eigenvalue, weighted_degree)
+from module_oracle import module_closure_check
 from resonance_oracle import (brute_force_resonances, brute_force_second_index_set,
                               float_resonant, float_resonances, float_second_index_set,
                               near_resonances)
@@ -243,12 +244,11 @@ def test_floating_second_index_set_matches_float_oracle(rp):
     assert second_index_set(rp) == float_second_index_set(sec)
 
 
-def test_scan_deterministic_under_thread_cap(monkeypatch):
+def test_scan_deterministic():
     cp = CriticalPointSpec("z", Fraction(0), (Fraction(-12), Fraction(-4)))
     base = scan_effectively_resonant_energies(cp, (0.5, 2.0), grid_points=2000)
-    monkeypatch.setenv("RADIALSCOPE_THREADS", "4")
-    par = scan_effectively_resonant_energies(cp, (0.5, 2.0), grid_points=2000)
-    assert base.eff_res_energies == par.eff_res_energies
+    again = scan_effectively_resonant_energies(cp, (0.5, 2.0), grid_points=2000)
+    assert base.eff_res_energies == again.eff_res_energies
 
 
 def test_scan_grid_points_contract():

@@ -17,6 +17,12 @@ LAY1 = VariableLayout(n=2, s=1, m=2)
 LAY2 = VariableLayout(n=3)
 
 
+def diff_nu(p):
+    """d p / d nu, term by term through the public constructor."""
+    return WeightedPolynomial(p.layout, p.mode, {(t.a - 1, t.alpha, t.beta): t.coeff * t.a
+                                                 for t in p.terms() if t.a})
+
+
 def rand_poly(lay, rng, nterms=5, max_exp=2):
     terms = {}
     for _ in range(nterms):
@@ -72,7 +78,7 @@ def test_grade_components_examples():
     mixed = nu + y * y * mu * nu
     comps = grade_components(mixed)
     assert sum(comps.values(), WeightedPolynomial.zero(LAY1)) == mixed
-    assert all(c.is_homogeneous() for c in comps.values())
+    assert all(len(c.grades()) == 1 for c in comps.values())
 
 
 def test_bracket_examples():
@@ -229,7 +235,7 @@ def test_leibniz_defect():
     for _ in range(25):
         a, b, c = (rand_poly(LAY2, rng, nterms=4) for _ in range(3))
         lhs = bracket(c, a * b)
-        rhs = bracket(c, a) * b + a * bracket(c, b) - c.diff_nu() * a * b
+        rhs = bracket(c, a) * b + a * bracket(c, b) - diff_nu(c) * a * b
         assert (lhs - rhs).is_zero()
 
 
@@ -298,9 +304,9 @@ def test_serialization_bit_exact_round_trip():
     rng = random.Random(99)
     for _ in range(10):
         p = rand_poly(LAY2, rng)
-        q = WeightedPolynomial.from_json(p.to_json())
+        q = WeightedPolynomial.from_json_dict(p.to_json_dict())
         assert q == p
-        assert q.to_json() == p.to_json()
+        assert q.to_json_dict() == p.to_json_dict()
 
 
 def test_serialization_format():
