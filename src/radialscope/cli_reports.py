@@ -384,13 +384,13 @@ def _point_stages(rp: RadialPoint, config: AnalysisConfig, errors, tag):
 
     if "resonance" in stages:
         try:
-            recs = enumerate_resonances(rp, options["maxDegree"],
-                                        tol=options["floatResonanceTol"])
+            tol = options["floatResonanceTol"]
+            recs = enumerate_resonances(rp, options["maxDegree"], tol=tol)
             rec_mod = module_order(rp)
             out["resonance"] = {
                 "maxDegree": options["maxDegree"],
                 "records": [r.to_json_dict() for r in recs],
-                "secondIndexSet": [[list(a), list(b)] for a, b in second_index_set(rp)],
+                "secondIndexSet": [[list(a), list(b)] for a, b in second_index_set(rp, tol=tol)],
                 "moduleOrders": [{"id": g.symbol_id, "sigma": float(g.eigenvalue),
                                   "s": float(g.order)} for g in rec_mod.generators],
             }

@@ -16,8 +16,10 @@ two integer forms with no tolerance at an exact point, as |R / lam| <= tol
 at a floating one.  J'' runs one algorithm on the same weights, as
 integers at an exact point.  Energies at which I' or I'' is nonempty form a
 discrete set, located here by a sign-change scan plus bisection over the
-finitely many defining functions.  The test module's orders s(alpha)
-serve the reports; its closure under the bracket is a test oracle.
+finitely many defining functions; a function whose range bound on a
+threshold-free subinterval (from the end values of the monotone r_j)
+excludes zero is not evaluated on the grid.  The test module's orders
+s(alpha) serve the reports; its closure under the bracket is a test oracle.
 """
 
 from __future__ import annotations
@@ -138,6 +140,87 @@ def _r_real(h: float, w: float) -> float:
     return 0.5 - disc ** 0.5
 
 
+def _families(hsorted: Sequence[float], neg_pos: Sequence[int], sec_pos: Sequence[int],
+              wa: float, wb: float) -> list:
+    """The I' and I'' families of a threshold-free subinterval V0 + [wa, wb].
+
+    Each family is (idx, f, weight): f maps r = {block: r_j} to the
+    family's value R / lam at its witness idx = (0, alpha, beta), and weight
+    counts its r terms with multiplicity.
+    """
+    nvars = len(hsorted)
+
+    def embed(positions: Sequence[int], values: Sequence[int]) -> tuple[int, ...]:
+        out = [0] * nvars
+        for p, v in zip(positions, values):
+            out[p] = v
+        return tuple(out)
+
+    families = []
+    if neg_pos:
+        rp_lo = {j: _r_real(hsorted[j], wa) for j in neg_pos}
+        rp_hi = {j: _r_real(hsorted[j], wb) for j in neg_pos}
+        min_abs = min(min(abs(rp_lo[j]), abs(rp_hi[j])) for j in neg_pos)
+        for k in neg_pos:
+            max_abs_k = max(abs(rp_lo[k]), abs(rp_hi[k]))
+            # On y' every r_j < 0 and |r_j| is monotone, so a family of
+            # total |alpha'| is at most max_abs_k - total * min_abs.  Past
+            # bound, total >= bound + 1 > max_abs_k / min_abs + 1e-9, which
+            # keeps it below -1e-9 min_abs (less the quotient's rounding,
+            # relative 1e-16): no zero there.  The slack only raises bound,
+            # by one where the float quotient falls within 1e-9 below an
+            # integer, so it adds families and drops none.
+            bound = int(max_abs_k / min_abs + 1e-9)
+            for total in range(2, bound + 1):
+                for av in compositions(len(neg_pos), total):
+                    idx = (0, embed(neg_pos, av), embed([k], [1]))
+
+                    def f(r, av=av, k=k):
+                        return sum(av[i] * r[j] for i, j in enumerate(neg_pos)) - r[k]
+
+                    families.append((idx, f, total + 1))
+    if sec_pos:
+        rs_lo = {j: _r_real(hsorted[j], wa) for j in sec_pos}
+        rs_hi = {j: _r_real(hsorted[j], wb) for j in sec_pos}
+        min_r = min(min(rs_lo[j], rs_hi[j]) for j in sec_pos)
+        # On y'' 0 < r_j < 1/2, so |beta''| >= 2 already puts the beta part
+        # above 1, and with atotal >= amax + 1 > 1 / min_r + 1e-9 the alpha
+        # part alone exceeds 1 + 1e-9 min_r: no zero past amax.  As with
+        # bound, the slack only adds families.
+        amax = int(1.0 / min_r + 1e-9)
+        for btotal in (0, 1):
+            for bv in compositions(len(sec_pos), btotal):
+                for atotal in range(max(0, 3 - btotal), amax + 1):
+                    for av in compositions(len(sec_pos), atotal):
+                        idx = (0, embed(sec_pos, av), embed(sec_pos, bv))
+
+                        def f(r, av=av, bv=bv):
+                            return sum(av[i] * r[j] + bv[i] * (1.0 - r[j])
+                                       for i, j in enumerate(sec_pos)) - 1.0
+
+                        families.append((idx, f, atotal + btotal + 1))
+    return families
+
+
+def _range_bound(idx: MonomialKey, ends: dict) -> tuple[float, float]:
+    """[lo, hi] enclosing a family's value where each r_j runs monotonically
+    between its end values ends[j]: the range-enclosure step of interval
+    analysis, in plain floats.
+
+    At a witness (0, alpha, beta) the value R / lam is c0 + sum_j c_j r_j
+    with c_j = alpha_j - beta_j and c0 = |beta| - 1; lo and hi add the
+    smaller and the larger end value of each c_j r_j.
+    """
+    _, alpha, beta = idx
+    lo = hi = float(sum(beta) - 1)
+    for j, (ra, rb) in ends.items():
+        c = alpha[j] - beta[j]
+        u, v = c * ra, c * rb
+        lo += min(u, v)
+        hi += max(u, v)
+    return lo, hi
+
+
 def scan_effectively_resonant_energies(cp: CriticalPointSpec,
                                        interval: tuple[float, float],
                                        sign: int = +1,
@@ -156,13 +239,19 @@ def scan_effectively_resonant_energies(cp: CriticalPointSpec,
     thresholds, across which the y''/y''' block structure changes.
 
     On each threshold-free subinterval the grid of grid_points + 1 energies
-    and every block's r_j on it are numpy arrays built once, and each family
-    is evaluated on the whole grid as array arithmetic.  Grid points where
-    a family's array value is near zero are re-decided with its scalar
-    function, so zeros and signs agree bit for bit with a point-by-point
-    scalar scan.  brentq runs on the scalar function, and only on cells
-    whose end values change sign; tangential zeros are not found.
-    grid_points must be an integer >= 2.
+    and every block's r_j on it are numpy arrays built once.  Each family
+    is c0 + sum_j c_j r_j (its R / lam), and every r_j array is monotone
+    (each of its float operations rounds monotonically), so the family's
+    array values lie within a roundoff margin of [lo, hi], the sums of the
+    smaller and of the larger end values of c_j r_j.  A family whose
+    [lo, hi] keeps twice the near-zero margin away from 0 has no grid value
+    near zero and no sign change, so it is excluded without evaluating it on
+    the grid.  Every other family is evaluated on the whole grid as array
+    arithmetic.  Grid points where a family's array value is near zero are
+    re-decided with its scalar function, so zeros and signs agree bit for
+    bit with a point-by-point scalar scan.  brentq runs on the scalar
+    function, and only on cells whose end values change sign; tangential
+    zeros are not found.  grid_points must be an integer >= 2.
     """
     if isinstance(grid_points, bool) or not isinstance(grid_points, int) or grid_points < 2:
         raise InvalidInputError(f"grid_points must be an integer >= 2, got {grid_points!r}")
@@ -195,54 +284,11 @@ def scan_effectively_resonant_energies(cp: CriticalPointSpec,
             subintervals.append((aa, bb))
 
     roots: list[tuple[float, MonomialKey, float]] = []
-    nvars = len(hvals)
-
-    def embed(positions: Sequence[int], values: Sequence[int]) -> tuple[int, ...]:
-        out = [0] * nvars
-        for p, v in zip(positions, values):
-            out[p] = v
-        return tuple(out)
-
     for (a_end, b_end) in subintervals:
         wa, wb = a_end - v0, b_end - v0
         # y'' membership is constant on a threshold-free subinterval
         sec_pos = [j for j, h in enumerate(hsorted) if h > 0 and wa > 2.0 * h and wb > 2.0 * h]
-
-        # each family is (idx, f, weight): f maps r = {block: r_j} to the
-        # family's value, weight counts its r terms with multiplicity
-        families = []
-        if neg_pos:
-            rp_lo = {j: _r_real(hsorted[j], wa) for j in neg_pos}
-            rp_hi = {j: _r_real(hsorted[j], wb) for j in neg_pos}
-            min_abs = min(min(abs(rp_lo[j]), abs(rp_hi[j])) for j in neg_pos)
-            for k in neg_pos:
-                max_abs_k = max(abs(rp_lo[k]), abs(rp_hi[k]))
-                bound = int(max_abs_k / min_abs + 1e-9)
-                for total in range(2, bound + 1):
-                    for av in compositions(len(neg_pos), total):
-                        idx = (0, embed(neg_pos, av), embed([k], [1]))
-
-                        def f(r, av=av, k=k):
-                            return sum(av[i] * r[j] for i, j in enumerate(neg_pos)) - r[k]
-
-                        families.append((idx, f, total + 1))
-        if sec_pos:
-            rs_lo = {j: _r_real(hsorted[j], wa) for j in sec_pos}
-            rs_hi = {j: _r_real(hsorted[j], wb) for j in sec_pos}
-            min_r = min(min(rs_lo[j], rs_hi[j]) for j in sec_pos)
-            amax = int(1.0 / min_r + 1e-9)
-            for btotal in (0, 1):
-                for bv in compositions(len(sec_pos), btotal):
-                    for atotal in range(max(0, 3 - btotal), amax + 1):
-                        for av in compositions(len(sec_pos), atotal):
-                            idx = (0, embed(sec_pos, av), embed(sec_pos, bv))
-
-                            def f(r, av=av, bv=bv):
-                                return sum(av[i] * r[j] + bv[i] * (1.0 - r[j])
-                                           for i, j in enumerate(sec_pos)) - 1.0
-
-                            families.append((idx, f, atotal + btotal + 1))
-
+        families = _families(hsorted, neg_pos, sec_pos, wa, wb)
         if not families:
             continue
         blocks = neg_pos + sec_pos
@@ -251,8 +297,16 @@ def scan_effectively_resonant_energies(cp: CriticalPointSpec,
         r_grid = {j: _r_real(hsorted[j], grid - v0) for j in blocks}
         # |r_j| is monotone in sigma, so its largest value sits at an end
         rmax = max([1.0] + [abs(r_grid[j][e]) for j in blocks for e in (0, -1)])
+        ends = {j: (float(r_grid[j][0]), float(r_grid[j][-1])) for j in blocks}
 
         for idx, f, weight in families:
+            margin = _NEAR_ZERO * weight * rmax
+            g_lo, g_hi = _range_bound(idx, ends)
+            # every array value lies in [g_lo - margin, g_hi + margin], so
+            # past 2 margin none is near zero and none changes sign
+            if g_lo > 2.0 * margin or g_hi < -2.0 * margin:
+                continue
+
             def g(sig, f=f):
                 return f({j: _r_real(hsorted[j], sig - v0) for j in blocks})
 
@@ -261,7 +315,7 @@ def scan_effectively_resonant_energies(cp: CriticalPointSpec,
             # moves vals by a few ulps of weight * rmax; re-decide every point
             # within a thousandfold margin of that with the scalar g, so
             # zeros and signs are the ones the scalar g gives
-            for i in np.flatnonzero(np.abs(vals) <= _NEAR_ZERO * weight * rmax):
+            for i in np.flatnonzero(np.abs(vals) <= margin):
                 vals[i] = g(float(grid[i]))
             for i in np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0)):
                 if vals[i] == 0.0:
@@ -291,13 +345,19 @@ def scan_effectively_resonant_energies(cp: CriticalPointSpec,
 # -- J'' and module order ------------------------------------------------------------
 
 
-def second_index_set(rp: RadialPoint) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+def second_index_set(rp: RadialPoint, tol: float = DEFAULT_FLOAT_TOL
+                     ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """The finite set J'' = {(alpha'', beta''): sum r'' a + (1-r'') b in (1,2)}.
 
     Exponents are over the y'' block only, in sorted-block order.  With
-    r_j = p_j / d from the point's weights, the test is
-    d < sum_j p_j alpha_j + (d - p_j) beta_j < 2d: on ints at an exact
-    point, and at a floating point (d = 1) on floats summed in block order.
+    r_j = p_j / d from the point's weights, the value is
+    s = sum_j p_j alpha_j + (d - p_j) beta_j and the test is
+    s - d > m and 2d - s > m, with m = slack(tol) from the weights: on ints
+    with m = 0 (d < s < 2d) at an exact point, and at a floating point
+    (d = 1) on floats summed in block order with m = tol.  So a floating
+    point drops every candidate with |s - 1| <= tol or |s - 2| <= tol: at
+    s = 1 that is the I'' resonance FloatWeights.vanishes finds at a = 0,
+    at the same tolerance.
     """
     sec = list(rp.layout.ysecond_indices)
     if not sec:
@@ -311,6 +371,7 @@ def second_index_set(rp: RadialPoint) -> list[tuple[tuple[int, ...], tuple[int, 
     # The slack keeps every float candidate that rounds inside; on ints it
     # only adds totals that reach 2d, which the test rejects.
     pmin, qmin = min(ps), min(qs)
+    m = w.slack(tol)
     out = []
     atotal = 0
     while atotal * pmin - 2 * d <= 1e-9:
@@ -320,7 +381,8 @@ def second_index_set(rp: RadialPoint) -> list[tuple[tuple[int, ...], tuple[int, 
             btotal = 0
             while va + btotal * qmin - 2 * d <= 1e-9:
                 for bv in compositions(len(sec), btotal):
-                    if d < sum(map(add, ap, map(mul, bv, qs))) < 2 * d:
+                    s = sum(map(add, ap, map(mul, bv, qs)))
+                    if s - d > m and 2 * d - s > m:
                         out.append((av, bv))
                 btotal += 1
         atotal += 1

@@ -532,6 +532,10 @@ class EigenWeights:
         """R / lam = 0 at key: both integer forms are 0; tol is ignored."""
         return self.forms(key) == (0, 0)
 
+    def slack(self, tol: float) -> int:
+        """How far from a value a sum may fall and still count as equal: 0."""
+        return 0
+
     def value(self, key: MonomialKey) -> GaussianRational:
         """R / lam at key, from the two forms with one gcd."""
         return GaussianRational.from_ints(*self.forms(key), self.d)
@@ -557,6 +561,10 @@ class FloatWeights:
     def vanishes(self, key: MonomialKey, tol: float) -> bool:
         """|R / lam| <= tol at key."""
         return abs(self.value(key)) <= tol
+
+    def slack(self, tol: float) -> float:
+        """How far from a value a sum may fall and still count as equal: tol."""
+        return tol
 
     def value(self, key: MonomialKey):
         return normalized_eigenvalue(key, self.r_list)

@@ -46,14 +46,15 @@ def brute_force_second_index_set(r_second) -> list:
     return sorted(out)
 
 
-def float_second_index_set(r_second) -> list:
+def float_second_index_set(r_second, tol: float = DEFAULT_FLOAT_TOL) -> list:
     """J'' at a floating point, sorted, by a scan of a wide exponent window.
 
     Each alpha_j runs two past its bound 2 / r_j and each beta_j to 4
     (its bound is 3).  An alpha part whose value already passes 2.5 is
-    skipped, since beta only adds.  The value is summed in floats in block
-    order, alpha_j r_j + beta_j (1 - r_j) per block, as second_index_set
-    sums it.
+    skipped, since beta only adds.  The value s is summed in floats in
+    block order, alpha_j r_j + beta_j (1 - r_j) per block, as
+    second_index_set sums it; it is kept when 1 < s < 2 and it lies more
+    than tol from both ends, where s = 1 is an I'' resonance at tol.
     """
     rs = list(r_second)
     out = []
@@ -61,7 +62,8 @@ def float_second_index_set(r_second) -> list:
         if sum(a * r for a, r in zip(av, rs)) > 2.5:
             continue
         for bv in itertools.product(range(5), repeat=len(rs)):
-            if 1 < sum(a * r + b * (1 - r) for a, b, r in zip(av, bv, rs)) < 2:
+            s = sum(a * r + b * (1 - r) for a, b, r in zip(av, bv, rs))
+            if 1 < s < 2 and abs(s - 1) > tol and abs(s - 2) > tol:
                 out.append((av, bv))
     return sorted(out)
 

@@ -635,6 +635,30 @@ def test_malformed_perturbation_is_config_error(tmp_path, capsys, perturbation, 
                        f"options.perturbation is not a polynomial: {message}")
 
 
+def test_perturbation_blocks_are_range_checked_and_the_point_partition_used(tmp_path, capsys):
+    # blocks [s, m] must satisfy 1 <= s <= m <= n (exit 2), but they are not
+    # compared with the radial point: hessian [0.3] at energy 1.3 is one y''
+    # block (the point's blocks [1, 2]), and a perturbation that declares
+    # [2, 2] (one y' block) runs in the point's partition as [1, 2] does
+    assert_config_exit(tmp_path, capsys, dict(ABSTRACT_CONFIG, options={
+        "perturbation": dict(floating_perturbation((0, [3], [0], 0.2)), blocks=[3, 2])}),
+        "options.perturbation is not a polynomial: ValueError: block boundaries must satisfy")
+
+    def normal_form(blocks):
+        name = "b" + "".join(map(str, blocks))
+        cfg = write_config(tmp_path, dict(
+            ABSTRACT_CONFIG, stages=["radial", "normalform"],
+            options={"perturbation": dict(floating_perturbation((0, [3], [0], 0.2)),
+                                          blocks=blocks)}), name=name + ".json")
+        assert main(["analyze", "--config", cfg, "--out", str(tmp_path / name)]) == EXIT_OK
+        point = json.loads((tmp_path / name / "report.json").read_text())["perEnergy"]["1.3"]["z"]
+        return point["normalForm"]
+
+    declared_own, declared_other = normal_form([1, 2]), normal_form([2, 2])
+    assert declared_other == declared_own
+    assert declared_own["pNorm"]["blocks"] == [1, 2]
+
+
 def test_perturbation_parsed_once_per_run(tmp_path, monkeypatch):
     calls = []
     parse = WeightedPolynomial.from_json_dict.__func__
@@ -681,7 +705,7 @@ def test_floating_normal_form_keeps_grade0_noise_in_p_norm_only(tmp_path):
 def test_float_resonance_tol_reaches_the_normal_form(tmp_path):
     # r = 1/3 + delta puts y^3 at |R / lam| = 3 delta = 1e-9: resonant at
     # floatResonanceTol 1e-8, nonresonant at the default 1e-12, in the
-    # resonance records and the normal form of one report alike
+    # resonance records, J'' and the normal form of one report alike
     r = 1 / 3 + 1e-9 / 3
     y3 = (0, (3,), (0,))
 
@@ -698,12 +722,14 @@ def test_float_resonance_tol_reaches_the_normal_form(tmp_path):
                    for t in point["resonance"]["records"]}
         eff_r = {(t["a"], tuple(t["alpha"]), tuple(t["beta"])): t["re"]
                  for t in point["normalForm"]["rEffR"]["terms"]}
-        return records, eff_r
+        return records, eff_r, point["resonance"]["secondIndexSet"]
 
-    records, eff_r = run("loose", floatResonanceTol=1e-8)
+    records, eff_r, second = run("loose", floatResonanceTol=1e-8)
     assert records[y3] == "effR2" and eff_r == {y3: 0.25}
-    records, eff_r = run("default")
+    assert [[3], [0]] not in second
+    records, eff_r, second = run("default")
     assert y3 not in records and y3 not in eff_r
+    assert [[3], [0]] in second
 
 
 def test_tol_override_checked_at_load(tmp_path, capsys):

@@ -6,11 +6,12 @@ square-root formula within a few ulps.  Both modes run the same code on
 different weights (symalg.point_weights), so the exact results are an
 oracle for the floating ones with no reference code of their own.
 
-Resonance is compared here.  J'' and the normal-form supports are not:
-they disagree by design until the floating J'' drops candidates within
-the resonance tolerance of the boundary sums 1 and 2, and the floating
-normal form chops relative to scale.  Both wait for that change, which
-brings their comparison with it.
+Resonance and J'' are compared here.  The floating J'' drops every
+candidate within the resonance tolerance of the boundary sums 1 and 2,
+where the exact sum is 1 or 2 and the twin's lands an ulp to either
+side, so both sets agree.  The normal-form supports are not compared:
+they disagree by design until the floating normal form chops relative to
+scale, which brings their comparison with it.
 """
 
 from fractions import Fraction
@@ -18,7 +19,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from radialscope.radial import radial_point_from_spectrum
-from radialscope.resonance import enumerate_resonances
+from radialscope.resonance import enumerate_resonances, second_index_set
 from radialscope.symalg import EXACT, FLOATING
 
 MAX_DEGREE = 7
@@ -47,3 +48,4 @@ def test_resonances_agree_with_the_floating_twin(spectrum):
     twin = radial_point_from_spectrum(float(lam), tuple(float(r) for r in rs))
     assert (exact.mode, twin.mode) == (EXACT, FLOATING)
     assert resonance_list(exact) == resonance_list(twin)
+    assert second_index_set(exact) == second_index_set(twin)

@@ -1,10 +1,12 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import brentq
 
+import radialscope.resonance as resonance
 import radialscope.symalg as symalg
 from radialscope.normalform import reduce_to_normal_form, solve_homological
 from radialscope.radial import CriticalPointSpec, linearization_spectrum, radial_point_from_spectrum
@@ -244,6 +246,19 @@ def test_floating_second_index_set_matches_float_oracle(rp):
     assert second_index_set(rp) == float_second_index_set(sec)
 
 
+def test_floating_second_index_set_drops_candidates_within_tol_of_1_and_2():
+    # at r = 1/3 +- 1e-13, 3 r = 1 + 3e-13 and 6 r = 2 - 6e-13 fall inside
+    # (1, 2) but within the default tol 1e-12 of its ends: at s = 1 that is
+    # the I'' resonance y^3, which enumerate_resonances also reports
+    for r, idx in ((1 / 3 + 1e-13, ((3,), (0,))), (1 / 3 - 1e-13, ((6,), (0,)))):
+        rp = radial_point_from_spectrum(1.0, (r,))
+        assert idx not in second_index_set(rp)
+        assert idx in second_index_set(rp, tol=1e-14)
+        assert second_index_set(rp, tol=1e-14) == float_second_index_set((r,), tol=1e-14)
+    rp = radial_point_from_spectrum(1.0, (1 / 3 + 1e-13,))
+    assert (0, (3,), (0,)) in {rec.idx for rec in enumerate_resonances(rp, 3)}
+
+
 def test_scan_deterministic():
     cp = CriticalPointSpec("z", Fraction(0), (Fraction(-12), Fraction(-4)))
     base = scan_effectively_resonant_energies(cp, (0.5, 2.0), grid_points=2000)
@@ -263,19 +278,10 @@ def test_scan_grid_points_contract():
 # -- the vectorised scan against a point-by-point scalar scan ------------------------
 
 
-def scalar_reference_scan(cp, interval, grid_points, bisect_tol=1e-10):
-    """One Python closure per family, called at every grid point; brentq on sign changes.
-
-    Returns (eff_res_energies, thresholds) as the scan reports them.
-    """
+def threshold_split(cp, interval):
+    """(thresholds, threshold-free subintervals) of an interval, as the scan cuts it."""
     lo, hi = float(interval[0]), float(interval[1])
     v0 = float(cp.value)
-    hsorted = sorted(float(h) for h in cp.hessian)
-    neg_pos = [j for j, h in enumerate(hsorted) if h < 0]
-
-    def r_of(h, w):
-        return 0.5 - (0.25 - (h / 2.0) / w) ** 0.5
-
     thresholds = sorted((v0 + 2.0 * float(h), h_idx) for h_idx, h in enumerate(cp.hessian)
                         if float(h) > 0 and lo <= v0 + 2.0 * float(h) <= hi)
     cuts = sorted({lo, hi} | {t for t, _ in thresholds})
@@ -286,6 +292,22 @@ def scalar_reference_scan(cp, interval, grid_points, bisect_tol=1e-10):
         bb = b - (pad if any(abs(b - t) < pad for t, _ in thresholds) else 0.0)
         if aa < bb:
             subintervals.append((aa, bb))
+    return thresholds, subintervals
+
+
+def scalar_reference_scan(cp, interval, grid_points, bisect_tol=1e-10):
+    """One Python closure per family, called at every grid point; brentq on sign changes.
+
+    Returns (eff_res_energies, thresholds) as the scan reports them.
+    """
+    v0 = float(cp.value)
+    hsorted = sorted(float(h) for h in cp.hessian)
+    neg_pos = [j for j, h in enumerate(hsorted) if h < 0]
+
+    def r_of(h, w):
+        return 0.5 - (0.25 - (h / 2.0) / w) ** 0.5
+
+    thresholds, subintervals = threshold_split(cp, interval)
 
     def embed(positions, values):
         out = [0] * len(hsorted)
@@ -441,6 +463,110 @@ def test_scan_roots_are_sign_changes_of_their_witness(scan):
         below, above = (normalized_eigenvalue(idx, linearization_spectrum(cp, s, +1).r_list)
                         for s in (sigma - tol, sigma + tol))
         assert below * above <= 0.0, (sigma, idx, below, above)
+
+
+# -- range exclusion: families skipped by their end-value bound ----------------------
+
+
+@st.composite
+def random_scans(draw):
+    """A float Hessian of 1-3 blocks of either sign, V0 and an interval, from
+    ratios r_j at a reference distance w* above V0 (h_j = 2 w* r_j (1 - r_j)).
+    Half the intervals straddle the threshold V0 + 2 h_j of a y'' ratio."""
+    rs = draw(st.lists(st.floats(-1.5, -0.3) | st.floats(0.22, 0.45), min_size=1, max_size=3))
+    v0 = draw(st.floats(-3.0, 3.0))
+    w = draw(st.floats(0.25, 2.0))
+    hessian = tuple(2.0 * w * r * (1.0 - r) for r in rs)
+    pos = [h for h in hessian if h > 0]
+    if pos and draw(st.booleans()):
+        t = 2.0 * draw(st.sampled_from(pos))
+        interval = (v0 + t * draw(st.floats(0.5, 0.95)), v0 + t * draw(st.floats(1.05, 1.4)))
+    else:
+        lo = w * draw(st.floats(0.6, 1.0))
+        interval = (v0 + lo, v0 + lo + w * draw(st.floats(0.05, 0.6)))
+    return CriticalPointSpec("z", v0, hessian), interval
+
+
+scans = random_scans() | planted_scans()
+# ratios landing exactly on an integer: |r'_k| / min |r'_j| = 1 / 0.5 and
+# 1 / min r'' = 1 / 0.25, where a bound without its slack would stop one short
+ON_THE_BOUND = [(CriticalPointSpec("z", 0, (-4.0, -3.0)), (1.0, 2.0)),
+                (CriticalPointSpec("z", 0, (0.375,)), (0.875, 1.0))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(scans, st.integers(200, 2000))
+@example(ON_THE_BOUND[0], 200)
+@example(ON_THE_BOUND[1], 200)
+def test_scan_equals_scalar_reference_on_random_scans(scan, grid):
+    cp, interval = scan
+    res = scan_effectively_resonant_energies(cp, interval, grid_points=grid)
+    eff, thresholds = scalar_reference_scan(cp, interval, grid)
+    assert res.eff_res_energies == eff
+    assert res.thresholds == thresholds
+
+
+def scan_pieces(cp, interval, grid_points):
+    """Per threshold-free subinterval, what the scan builds there:
+    (families, neg_pos, sec_pos, r_grid, rmax, ends)."""
+    v0 = float(cp.value)
+    hsorted = sorted(float(h) for h in cp.hessian)
+    neg_pos = [j for j, h in enumerate(hsorted) if h < 0]
+    for a_end, b_end in threshold_split(cp, interval)[1]:
+        wa, wb = a_end - v0, b_end - v0
+        sec_pos = [j for j, h in enumerate(hsorted) if h > 0 and wa > 2.0 * h and wb > 2.0 * h]
+        grid = a_end + np.arange(grid_points + 1) * ((b_end - a_end) / grid_points)
+        r_grid = {j: resonance._r_real(hsorted[j], grid - v0) for j in neg_pos + sec_pos}
+        rmax = max([1.0] + [abs(r[e]) for r in r_grid.values() for e in (0, -1)])
+        ends = {j: (float(r[0]), float(r[-1])) for j, r in r_grid.items()}
+        yield (resonance._families(hsorted, neg_pos, sec_pos, wa, wb), neg_pos, sec_pos,
+               r_grid, rmax, ends)
+
+
+@settings(max_examples=40, deadline=None)
+@given(scans, st.integers(200, 2000))
+def test_family_values_lie_in_their_range_bound(scan, grid):
+    cp, interval = scan
+    for families, _, _, r_grid, rmax, ends in scan_pieces(cp, interval, grid):
+        for idx, f, weight in families:
+            lo, hi = resonance._range_bound(idx, ends)
+            margin = resonance._NEAR_ZERO * weight * rmax
+            vals = f(r_grid)
+            assert np.all(vals >= lo - margin) and np.all(vals <= hi + margin), idx
+
+
+@settings(max_examples=60, deadline=None)
+@given(scans)
+@example(ON_THE_BOUND[0])
+@example(ON_THE_BOUND[1])
+def test_families_past_the_enumeration_bounds_exclude_zero(scan):
+    """The float bounds with their 1e-9 slack drop no family that can vanish:
+    every family of one total more than the enumeration reaches (for I'
+    per beta'_k, for I'' in |alpha''| at |beta''| <= 1) has a range bound
+    on its subinterval that excludes zero."""
+    cp, interval = scan
+    nvars = len(cp.hessian)
+
+    def embed(positions, values):
+        out = [0] * nvars
+        for p, v in zip(positions, values):
+            out[p] = v
+        return tuple(out)
+
+    for families, neg_pos, sec_pos, _, _, ends in scan_pieces(cp, interval, 200):
+        for k in neg_pos:
+            # totals run from 2, so a k with no family has bound <= 1
+            total = 1 + max((sum(idx[1]) for idx, *_ in families if idx[2][k]), default=1)
+            for av in compositions(len(neg_pos), total):
+                idx = (0, embed(neg_pos, av), embed([k], [1]))
+                assert resonance._range_bound(idx, ends)[1] < 0.0, idx
+        if sec_pos:
+            atotal = 1 + max(sum(idx[1]) for idx, *_ in families if any(idx[1][j] for j in sec_pos))
+            for btotal in (0, 1):
+                for bv in compositions(len(sec_pos), btotal):
+                    for av in compositions(len(sec_pos), atotal):
+                        idx = (0, embed(sec_pos, av), embed(sec_pos, bv))
+                        assert resonance._range_bound(idx, ends)[0] > 0.0, idx
 
 
 # -- exact points: the integer-weight tests against the Fraction oracles ------------
