@@ -16,24 +16,25 @@ import numbers
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .symalg import EXACT, WeightedPolynomial
-from .radial import (DEFAULT_TOL, CriticalPointSpec, ForbiddenEnergyError,
-                     NoRealRadialPointError, RadialPoint, linearization_spectrum)
+from .radial import (DEFAULT_FLOW_TOL, DEFAULT_SEED_EPS, DEFAULT_T_MAX, DEFAULT_TOL,
+                     CriticalPointSpec, ForbiddenEnergyError, NoRealRadialPointError,
+                     RadialPoint, linearization_spectrum)
 from .resonance import (DEFAULT_BISECT_TOL, DEFAULT_FLOAT_TOL, DEFAULT_GRID,
                         enumerate_resonances, module_order,
                         scan_effectively_resonant_energies, second_index_set)
 from .normalform import reduce_to_normal_form
 from .expansion import (OscillatorSpec, exponent_data, expansion_template,
                         log_variable_recursion)
-from .dynamics import (DEFAULT_FLOW_TOL, DEFAULT_SEED_EPS, DEFAULT_T_MAX, PotentialModel,
-                       critical_points, heteroclinic_dag, locate_radial_points,
-                       morse_sequence)
-from .oscverify import (StationaryPhaseCase, gaussian_amplitude,
-                        stationary_phase_check)
-
 from .parallel import parallel_map
+
+# dynamics (explicit mode) and oscverify (the stationary-phase stage) load with
+# numpy, so they are imported in the branch that runs them
+if TYPE_CHECKING:
+    from .dynamics import PotentialModel
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -319,8 +320,9 @@ class AnalysisConfig:
             if "potential" not in data:
                 raise ConfigError("explicit mode requires a potential")
             pot = data["potential"]
+            from . import dynamics
             try:
-                potential = PotentialModel(n=pot["n"], v0_coeffs=pot["v0"])
+                potential = dynamics.PotentialModel(n=pot["n"], v0_coeffs=pot["v0"])
             except (NotImplementedError, ValueError) as exc:
                 raise ConfigError(str(exc)) from exc
         elif not cps:
@@ -453,8 +455,11 @@ def run_analysis(config: AnalysisConfig) -> AnalysisReport:
 
     if "scan" in stages:
         try:
-            cps = config.critical_points if config.potential is None else \
-                [cp for _, cp in critical_points(config.potential)]
+            if config.potential is None:
+                cps = config.critical_points
+            else:
+                from . import dynamics
+                cps = [cp for _, cp in dynamics.critical_points(config.potential)]
         except Exception as exc:  # noqa: BLE001
             errors["scan"] = _stage_error(exc)
         else:
@@ -479,10 +484,11 @@ def run_analysis(config: AnalysisConfig) -> AnalysisReport:
     flow_stages = FLOW_STAGES & set(stages)
     located = None
     if config.mode == "explicit" and (point_stages or flow_stages):
+        from . import dynamics
         # the one locate of the run; a forbidden energy propagates (exit 3)
         try:
-            located = locate_radial_points(config.potential, float(config.energy),
-                                           tol=options["tol"])
+            located = dynamics.locate_radial_points(config.potential, float(config.energy),
+                                                    tol=options["tol"])
         except ForbiddenEnergyError:
             raise
         except Exception as exc:  # noqa: BLE001
@@ -516,13 +522,14 @@ def run_analysis(config: AnalysisConfig) -> AnalysisReport:
     if flow_stages and located is not None:
         sigma = float(config.energy)
         try:
-            dag = heteroclinic_dag(config.potential, sigma, eps=options["seedEps"],
-                                   tol=options["flowTol"], t_max=options["tMax"], nodes=located)
+            dag = dynamics.heteroclinic_dag(config.potential, sigma, eps=options["seedEps"],
+                                            tol=options["flowTol"], t_max=options["tMax"],
+                                            nodes=located)
             global_results["dag"] = dag.to_json_dict()
             artifacts["dag"] = dag
             global_results["lyapunov"] = list(dag.lyapunov)
             if "morse" in flow_stages:
-                ms = morse_sequence(dag)
+                ms = dynamics.morse_sequence(dag)
                 global_results["morse"] = ms.to_json_dict()
                 if not ms.verified:
                     errors["morse"] = "; ".join(ms.issues)
@@ -531,14 +538,15 @@ def run_analysis(config: AnalysisConfig) -> AnalysisReport:
 
     if "stationaryPhase" in stages:
         sp = options["stationaryPhase"]
+        from . import oscverify
         try:
             center = sp["center"]
             if center is None:
                 center = sp["v0z"] + 1.0 / (4.0 * sp["tau"] ** 2)
-            amp = gaussian_amplitude(center, sp["width"], cut=sp["cut"])
-            case = StationaryPhaseCase(v0z=sp["v0z"], tau=sp["tau"], amplitude=amp,
-                                       x_list=tuple(sp["xList"]))
-            res = stationary_phase_check(case)
+            amp = oscverify.gaussian_amplitude(center, sp["width"], cut=sp["cut"])
+            case = oscverify.StationaryPhaseCase(v0z=sp["v0z"], tau=sp["tau"], amplitude=amp,
+                                                 x_list=tuple(sp["xList"]))
+            res = oscverify.stationary_phase_check(case)
             global_results["stationaryPhase"] = res.to_json_dict()
             artifacts["stationaryPhase"] = res
         except Exception as exc:  # noqa: BLE001

@@ -36,14 +36,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .radial import (DEFAULT_TOL, CriticalPointSpec, NoRealRadialPointError, RadialPoint,
+from .radial import (DEFAULT_FLOW_TOL, DEFAULT_SEED_EPS, DEFAULT_T_MAX, DEFAULT_TOL,
+                     CriticalPointSpec, NoRealRadialPointError, RadialPoint,
                      ThresholdEnergyError,  # noqa: F401 - re-exported
                      classify_radial, linearization_spectrum)
 from .roots import brentq
 
-DEFAULT_FLOW_TOL = 1e-10
-DEFAULT_SEED_EPS = 1e-5
-DEFAULT_T_MAX = 60.0
 # attempted DOP853 steps per _dop853 run: one heteroclinic trace, one
 # integrate_flow or one Nelson flow
 MAX_FLOW_STEPS = 10_000

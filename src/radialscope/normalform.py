@@ -13,11 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-import numpy as np
-
-from .dynamics import MAX_FLOW_STEPS, FlowStepError, _dop853
 from .parallel import parallel_map
 from .symalg import (FLOATING, ModelQuadratic, MonomialKey, WeightedPolynomial,
                      ad_exponential, iter_monomials)
@@ -25,6 +22,11 @@ from .radial import (CriticalPointSpec, ForbiddenEnergyError,
                      RadialPoint, linearization_spectrum)
 from .resonance import (DEFAULT_FLOAT_TOL, EFF_NONRES, block_class, is_resonant,
                         scan_effectively_resonant_energies)
+
+# numpy is imported in the functions that use it: the family coefficients and
+# the Nelson limit, which no exact reduction needs
+if TYPE_CHECKING:
+    import numpy as np
 
 
 # floating tolerances that decide no resonance and do not follow the resonance
@@ -195,6 +197,7 @@ class FamilyCoefficients:
     divided_differences: dict
 
     def curve(self, idx: MonomialKey) -> np.ndarray:
+        import numpy as np
         return np.asarray(self.coeffs[idx])
 
 
@@ -251,6 +254,7 @@ def family_normal_form(cp: CriticalPointSpec, interval: tuple[float, float],
     the complement of the fixed set I', so coefficient curves are
     continuous across plain (non-effective) resonances.
     """
+    import numpy as np
     scan = scan_effectively_resonant_energies(cp, interval, sign, grid_points=scan_grid)
     if scan.eff_res_energies:
         s0 = scan.eff_res_energies[0][0]
@@ -321,6 +325,7 @@ class NelsonCase:
     ode_tol: float = 1e-12
 
     def __post_init__(self):
+        import numpy as np
         if self.e_basis is not None:
             basis = np.atleast_2d(np.asarray(self.e_basis, dtype=float))
             for x in self.samples:
@@ -335,6 +340,7 @@ class NelsonCase:
     def validate_flatness(self, order: int, radius: float = 1e-2,
                           scale: float = 10.0) -> bool:
         """|X1(x)| <= scale * |x|^order on a sample of small radii."""
+        import numpy as np
         for k in range(1, 9):
             r = radius / 2 ** k
             x = np.full(self.dim, r / math.sqrt(self.dim))
@@ -353,6 +359,9 @@ class NelsonResult:
 
 def _flow(field: Callable, x: np.ndarray, t: float, tol: float) -> np.ndarray:
     """U(t) x, t >= 0, on _dop853 with rtol = atol = tol under MAX_FLOW_STEPS."""
+    import numpy as np
+
+    from .dynamics import MAX_FLOW_STEPS, FlowStepError, _dop853
     state = np.asarray(x, dtype=float).tolist()
     try:
         for _, state, _ in _dop853(lambda *z: field(np.array(z)).tolist(), state, t, tol, tol,
@@ -373,6 +382,7 @@ def nelson_limit(case: NelsonCase) -> NelsonResult:
     data and the reason in that sample's diagnostics rather than an
     exception.
     """
+    import numpy as np
     times = np.arange(case.dt, case.t_max + case.dt / 2, case.dt)
 
     def converge_sample(x):
@@ -419,6 +429,7 @@ def nelson_limit(case: NelsonCase) -> NelsonResult:
 def linear_contraction_rate(x0_field: Callable, x: np.ndarray,
                             t_grid: Sequence[float], tol: float = 1e-12) -> float:
     """Fitted decay rate c of ||U0(t) x|| ~ e^{-c t} along the model flow."""
+    import numpy as np
     norms = []
     for t in t_grid:
         z = _flow(x0_field, np.asarray(x, dtype=float), float(t), tol)
@@ -438,6 +449,7 @@ def flat_perturbation_case_1d(coeff: float = 0.1, power: int = 5,
     |x| <= cutoff/2 and falls smoothly to 0 at |x| = cutoff, so
     X = X0 + X1 is linear outside a compact set.
     """
+    import numpy as np
 
     def bump(x: float) -> float:
         ax = abs(x)

@@ -24,16 +24,24 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .scalars import GaussianRational, is_exact, rational_sqrt
 from .symalg import (EXACT, EigenWeights, FloatWeights, ModelQuadratic, VariableLayout,
                      point_weights)
 
+# numpy is imported in the numerical helpers that use it; no CLI run calls them
+if TYPE_CHECKING:
+    import numpy as np
+
 # distance in energy under which sigma is refused; options.tol's default
 DEFAULT_TOL = 1e-10
+# the explicit-mode flow's defaults (dynamics), here so that a run that
+# never flows reads its option table without loading dynamics:
+# options.flowTol, options.seedEps and options.tMax
+DEFAULT_FLOW_TOL = 1e-10
+DEFAULT_SEED_EPS = 1e-5
+DEFAULT_T_MAX = 60.0
 
 
 class ForbiddenEnergyError(ValueError):
@@ -281,6 +289,7 @@ class LinearizationData:
 
     def form_vector(self, coeffs: tuple, j: int) -> np.ndarray:
         """Embed a per-block form (c_y, c_mu) as a full covector."""
+        import numpy as np
         nv = self.rp.n - 1
         vec = np.zeros(2 * nv, dtype=complex)
         vec[j] = coeffs[0]
@@ -299,6 +308,7 @@ def linearization_eigenvectors(rp: RadialPoint) -> LinearizationData:
     each verified against the Jacobian of W: the returned forms satisfy
     A^T v = eigenvalue v exactly for the quadratic local model.
     """
+    import numpy as np
     lam = complex(rp.lam)
     nv = rp.n - 1
     A = np.zeros((2 * nv, 2 * nv))
@@ -349,6 +359,7 @@ def legendre_field_numeric(p, sigma: float, nvars: int, step: float = 1e-6):
     Returns W(y, nu, mu) -> (dy, dnu, dmu) implementing
     W = -(d_nu p) mu.d_mu + (mu.d_mu p - p) d_nu + sum_j (d_mu_j p d_y_j - d_y_j p d_mu_j).
     """
+    import numpy as np
 
     def grad(y, nu, mu):
         dp_y = np.zeros(nvars)
@@ -375,6 +386,7 @@ def legendre_field_numeric(p, sigma: float, nvars: int, step: float = 1e-6):
 
 def numerical_jacobian(rp: RadialPoint, sigma: float, step: float = 1e-5) -> np.ndarray:
     """Finite-difference Jacobian of W at rp in (y, mu) coordinates on T Sigma."""
+    import numpy as np
     nv = rp.n - 1
     p = local_symbol(rp)
     W = legendre_field_numeric(p, sigma, nv)

@@ -29,8 +29,6 @@ from fractions import Fraction
 from operator import add, mul
 from typing import Sequence
 
-import numpy as np
-
 from .roots import brentq
 from .symalg import MonomialKey, VariableLayout, compositions, iter_monomials, weighted_degree
 from .radial import CriticalPointSpec, RadialPoint
@@ -253,6 +251,7 @@ def scan_effectively_resonant_energies(cp: CriticalPointSpec,
     function, and only on cells whose end values change sign; tangential
     zeros are not found.  grid_points must be an integer >= 2.
     """
+    import numpy as np
     if isinstance(grid_points, bool) or not isinstance(grid_points, int) or grid_points < 2:
         raise InvalidInputError(f"grid_points must be an integer >= 2, got {grid_points!r}")
     lo, hi = float(interval[0]), float(interval[1])

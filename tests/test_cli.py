@@ -1,4 +1,5 @@
 import functools
+import importlib
 import json
 import math
 import os
@@ -334,8 +335,9 @@ def test_report_that_cannot_be_written_exits_4(tmp_path, capsys, monkeypatch):
 
 
 # runs (subcommand, config, out, format) quadruples given as argv in a fresh
-# interpreter; the last stdout line lists the exit codes and the unused
-# dependencies loaded
+# interpreter (none: a bare import of the CLI); the last stdout line lists the
+# exit codes, the unused dependencies loaded and which of numpy and the
+# numpy-backed modules loaded
 COLD_RUN = """
 import json, sys
 import radialscope.cli as cli
@@ -344,14 +346,21 @@ codes = [cli.main([args[i], "--config", args[i + 1], "--out", args[i + 2],
                    "--format", args[i + 3]])
          for i in range(0, len(args), 4)]
 unused = ("jsonschema", "networkx", "scipy")
-print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith(unused))]))
+staged = ("numpy", "radialscope.dynamics", "radialscope.oscverify")
+print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith(unused)),
+                  [m for m in staged if m in sys.modules]]))
 """
+NUMPY, DYNAMICS, OSCVERIFY = "numpy", "radialscope.dynamics", "radialscope.oscverify"
 
 
 def test_cold_cli_run_imports_no_unused_dependency(tmp_path):
+    # a bare import of the CLI loads no numpy and none of the modules built on it
+    proc = subprocess.run([sys.executable, "-c", COLD_RUN], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[], [], []]
     # scan-energies, an abstract expansion and an explicit analyze (flow
     # and Morse included) need none of scipy; the root finder, the DOP853
-    # tableau and stepper live in the package
+    # tableau and stepper live in the package.  None reaches oscverify.
     scan = write_config(tmp_path, {
         "mode": "abstract",
         "criticalPoints": [{"label": "z", "value": 0, "hessian": [-12, -4]}],
@@ -366,18 +375,24 @@ def test_cold_cli_run_imports_no_unused_dependency(tmp_path):
          "analyze", analyze, str(tmp_path / "analyze"), "json,csv"],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == [[EXIT_OK, EXIT_OK, EXIT_OK], []]
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[EXIT_OK, EXIT_OK, EXIT_OK], [],
+                                                        [NUMPY, DYNAMICS]]
     assert len(list((tmp_path / "analyze").glob("trajectory_*.csv"))) == 4
 
 
 def test_no_subcommand_loads_jsonschema_or_scipy(tmp_path):
     # each subcommand in its own interpreter; only the stationary-phase stage
-    # needs scipy (scipy.special.erf)
+    # needs scipy (scipy.special.erf).  A run loads numpy, dynamics and
+    # oscverify only for the stages that use them: the exact normal-form and
+    # expansion runs load none of them, the scan loads numpy alone
     scan = dict(ABSTRACT_Z, energy=[0.5, 2.0], options={"scanGridPoints": 200})
     stationary = dict(ABSTRACT_Y3, options={"stationaryPhase": {"xList": [1e-2]}})
     runs = {"analyze": COS2_CONFIG, "scan-energies": scan, "normal-form": ABSTRACT_Z,
             "flow": COS2_CONFIG, "morse": COS2_CONFIG, "expansion": ABSTRACT_Z,
             "stationary-phase": stationary}
+    staged = {"analyze": [NUMPY, DYNAMICS], "scan-energies": [NUMPY], "normal-form": [],
+              "flow": [NUMPY, DYNAMICS], "morse": [NUMPY, DYNAMICS], "expansion": [],
+              "stationary-phase": [NUMPY, OSCVERIFY]}
     procs = {command: subprocess.Popen(
         [sys.executable, "-c", COLD_RUN, command,
          write_config(tmp_path, config, f"{command}.json"), str(tmp_path / command), "json"],
@@ -386,10 +401,24 @@ def test_no_subcommand_loads_jsonschema_or_scipy(tmp_path):
     for command, proc in procs.items():
         out, err = proc.communicate(timeout=120)
         assert proc.returncode == 0, err
-        codes, loaded = json.loads(out.splitlines()[-1])
+        codes, loaded, loaded_staged = json.loads(out.splitlines()[-1])
         if command == "stationary-phase":
             loaded = [m for m in loaded if not m.startswith("scipy")]
-        assert (codes, loaded) == ([EXIT_OK], []), command
+        assert (codes, loaded, loaded_staged) == ([EXIT_OK], [], staged[command]), command
+
+
+def test_lazy_exports_are_the_defining_modules_names():
+    # the package's name -> module table is its export list, and each name
+    # resolves (and is cached) as the object its module defines
+    import radialscope
+    for name, module in radialscope._EXPORTS.items():
+        value = getattr(radialscope, name)
+        assert value is getattr(importlib.import_module(f"radialscope.{module}"), name), name
+        assert vars(radialscope)[name] is value
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        radialscope.no_such_name  # noqa: B018
+    assert sorted(radialscope.__all__) == sorted(radialscope._EXPORTS)
+    assert set(radialscope._EXPORTS) <= set(dir(radialscope))
 
 
 def test_flows_import_no_scipy_integrate():
@@ -430,6 +459,7 @@ def test_stage_isolation_failing_stage_preserves_others(tmp_path):
 
 
 def test_stage_error_names_exception_type(tmp_path, monkeypatch):
+    from radialscope import dynamics
     cfg = write_config(tmp_path, {
         "mode": "abstract",
         "criticalPoints": [{"label": "min", "value": 0, "hessian": [0.375]}],
@@ -444,7 +474,7 @@ def test_stage_error_names_exception_type(tmp_path, monkeypatch):
     def fail(*args, **kwargs):
         raise FloatingPointError("forced")
 
-    monkeypatch.setattr(cli_reports, "heteroclinic_dag", fail)
+    monkeypatch.setattr(dynamics, "heteroclinic_dag", fail)
     cfg = write_config(tmp_path, COS2_CONFIG, name="flow.json")
     assert main(["flow", "--config", cfg, "--out", str(tmp_path / "flow")]) == EXIT_NUMERICAL
     errors = json.loads((tmp_path / "flow" / "report.json").read_text())["stageErrors"]
@@ -993,8 +1023,8 @@ def test_explicit_analyze_locates_radial_points_once(tmp_path, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(cli_reports, "locate_radial_points",
-                        counted("locate", cli_reports.locate_radial_points))
+    monkeypatch.setattr(dynamics, "locate_radial_points",
+                        counted("locate", dynamics.locate_radial_points))
     monkeypatch.setattr(dynamics, "_critical_angles",
                         counted("angles", dynamics._critical_angles))
     cfg = write_config(tmp_path, COS2_CONFIG)
