@@ -336,7 +336,8 @@ def _make_trajectory(pm: PotentialModel, sigma: float, times, states, p_ref: flo
 def solve_ivp(*args, **kwargs):
     """scipy.integrate.solve_ivp, imported on the first call.  No flow here
     calls it; it is kept only as the name bench/tracing.py patches, until
-    that tracer reads counters of its own (ROADMAP item 1)."""
+    that tracer reads counters of its own (ROADMAP item 1).  scipy is not a
+    run-time dependency: it comes with the test extra."""
     from scipy.integrate import solve_ivp as scipy_solve_ivp
     return scipy_solve_ivp(*args, **kwargs)
 

@@ -20,7 +20,8 @@ Quadrature: in u = sqrt(sigma - V0(z)), the radial-point coordinate nu,
 the phase is exactly quadratic, phi = Psi - tau (u - 1/(2 tau))^2, and
 d sigma = 2u du.  A composite Filon rule interpolates the amplitude
 2u a(V0 + u^2) at degree 7 on each panel and integrates the interpolant
-exactly against that phase (Fresnel/erf moments), so its panels resolve
+exactly against that phase (moments from erf on the lines arg z = -+pi/4,
+Fresnel integrals from a numpy port of Cephes fresnl), so its panels resolve
 the amplitude and its cost does not grow as x -> 0.  Its passes are
 batched over beta = -tau/x: one pass samples the amplitude once and
 computes the moments of every x's panels together, while each x keeps its
@@ -108,9 +109,10 @@ def _gk_adaptive(fn, a, b, tol, max_depth=28, max_panels=60_000):
 
 _NODES = 8        # amplitude interpolated at degree 7 on each panel
 _CHEB = np.cos((2.0 * np.arange(_NODES) + 1.0) * np.pi / (2.0 * _NODES))
-# column i: monomial coefficients of the Lagrange polynomial of node i (no LAPACK at import)
+# column i: monomial coefficients of the Lagrange polynomial of node i (no LAPACK at
+# import), complex like the moments: np.einsum casts a real operand through a buffer
 _TO_MONOMIAL = np.array([np.poly(np.delete(_CHEB, i))[::-1] / np.prod(t - np.delete(_CHEB, i))
-                         for i, t in enumerate(_CHEB)]).T
+                         for i, t in enumerate(_CHEB)]).T.astype(complex)
 _SWEEP_DEPTH = 48    # start of the backward sweep for panels far from the stationary point
 _MILLER_MARGIN = 60  # _linear_moments starts its backward sweep at most this far past kmax
 _MAX_ROWS = 256      # rows per moments call, the size of one 256-panel pass
@@ -157,8 +159,9 @@ def _quadratic_moments(a: np.ndarray, b) -> np.ndarray:
 
     One row per entry of a; b is a scalar or one value per row.  Where
     |b| <= 1 the chirp e^{i b s^2} is summed as a series over linear moments.
-    Elsewhere mu_0 is a difference of complex error functions and the rest
-    follow from the recurrence
+    Elsewhere mu_0 is a difference of error functions on the line
+    arg z = -sign(b) pi/4, where they are Fresnel integrals (_diagonal_erf),
+    and the rest follow from the recurrence
         2b mu_{j+1} + a mu_j - i j mu_{j-1} = -i (e^{i(b+a)} - (-1)^j e^{i(b-a)}):
     forward where the stationary point -a/(2b) lies within 2 of the panel
     centre, and elsewhere, where forward recursion grows like |a/(2b)|^j, by
@@ -199,20 +202,90 @@ def _chirp_series_moments(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return sum(coefs[:, n, None] * lin[:, 2 * n:2 * n + _NODES] for n in range(terms))
 
 
-def _erf_moments(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    from scipy.special import erf
+# erf on the lines arg z = -+pi/4, where it is a Fresnel integral, from Cephes
+# fresnl (S. Moshier), the routine behind scipy.special.fresnel: rational
+# approximations of C and S for x = t sqrt(2/pi) below 1.6, and of the
+# auxiliary functions f and g of u = 1/(pi x^2)^2 above.  Each row holds one
+# polynomial, highest degree first, zero-padded on the left, with the leading 1
+# of Cephes' p1evl written out.
+_FRESNEL_SMALL = np.array([
+    [0.0, -2.99181919401019853726E3, 7.08840045257738576863E5, -6.29741486205862506537E7,
+     2.54890880573376359104E9, -4.42979518059697779103E10, 3.18016297876567817986E11],
+    [1.0, 2.81376268889994315696E2, 4.55847810806532581675E4, 5.17343888770096400730E6,
+     4.19320245898111231129E8, 2.24411795645340920940E10, 6.07366389490084639049E11],
+    [0.0, -4.98843114573573548651E-8, 9.50428062829859605134E-6, -6.45191435683965050962E-4,
+     1.88843319396703850064E-2, -2.05525900955013891793E-1, 9.99999999999999998822E-1],
+    [3.99982968972495980367E-12, 9.15439215774657478799E-10, 1.25001862479598821474E-7,
+     1.22262789024179030997E-5, 8.68029542941784300606E-4, 4.12142090722199792936E-2,
+     1.00000000000000000118E0],
+])   # S numerator, S denominator, C numerator, C denominator, in x^4
+_FRESNEL_LARGE = np.array([
+    [0.0, 0.0, 4.21543555043677546506E-1, 1.43407919780758885261E-1,
+     1.15220955073585758835E-2, 3.45017939782574027900E-4, 4.63613749287867322088E-6,
+     3.05568983790257605827E-8, 1.02304514164907233465E-10, 1.72010743268161828879E-13,
+     1.34283276233062758925E-16, 3.76329711269987889006E-20],
+    [0.0, 1.0, 7.51586398353378947175E-1, 1.16888925859191382142E-1,
+     6.44051526508858611005E-3, 1.55934409164153020873E-4, 1.84627567348930545870E-6,
+     1.12699224763999035261E-8, 3.60140029589371370404E-11, 5.88754533621578410010E-14,
+     4.52001434074129701496E-17, 1.25443237090011264384E-20],
+    [0.0, 5.04442073643383265887E-1, 1.97102833525523411709E-1, 1.87648584092575249293E-2,
+     6.84079380915393090172E-4, 1.15138826111884280931E-5, 9.82852443688422223854E-8,
+     4.45344415861750144738E-10, 1.08268041139020870318E-12, 1.37555460633261799868E-15,
+     8.36354435630677421531E-19, 1.86958710162783235106E-22],
+    [1.0, 1.47495759925128324529E0, 3.37748989120019970451E-1, 2.53603741420338795122E-2,
+     8.14679107184306179049E-4, 1.27545075667729118702E-5, 1.04314589657571990585E-7,
+     4.60680728146520428211E-10, 1.10273215066240270757E-12, 1.38796531259578871258E-15,
+     8.39158816283118707363E-19, 1.86958710162783236342E-22],
+])   # f numerator, f denominator, g numerator, g denominator, in u
+_FRESNEL_SPLIT = 2.5625 * math.pi / 2.0     # Cephes' x^2 < 2.5625, in t^2
 
-    # sqrt(-ib) and the mu_0 prefactor per distinct b in scalar arithmetic,
-    # which gives each row the floats of a call with b alone
-    distinct, rows = _distinct(b)
-    roots = [np.sqrt(-1j * bv) for bv in distinct]
-    root = np.array(roots)[rows]
-    scale = np.array([0.5 * math.sqrt(math.pi) / r for r in roots])[rows]
+
+def _horner(coefs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Every row of coefs at x in one Horner loop; the zero padding adds no rounding."""
+    out = np.zeros((coefs.shape[0], x.size))
+    for col in coefs.T[:, :, None]:
+        out *= x
+        out += col
+    return out
+
+
+def _diagonal_erf(t: np.ndarray, line: np.ndarray) -> np.ndarray:
+    """erf(e^{-i pi/4} t) for real t, and its conjugate erf(e^{i pi/4} t)
+    where line < 0; line broadcasts against t.
+
+    erf(e^{-i pi/4} t) = (1 - i)(C(x) + i S(x)), x = t sqrt(2/pi).  Above
+    the split it is sign(t) - (1 + i)(f - i g) e^{i t^2} / (t sqrt(2 pi)),
+    whose phase is formed as t*t, not as pi x^2 / 2, which would add roundings
+    to a phase of order t^2.  +-inf, and |t| whose square overflows, give
+    +-1; NaN gives NaN.
+    """
+    t2 = t * t
+    out = np.sign(t).astype(complex)
+    small = t2 < _FRESNEL_SPLIT
+    large = ~small & np.isfinite(t2)
+    x = t[small] * math.sqrt(2.0 / math.pi)
+    x2 = x * x
+    sn, sd, cn, cd = _horner(_FRESNEL_SMALL, x2 * x2)
+    out[small] = (1.0 - 1.0j) * (x * cn / cd + 1j * (x * x2 * sn / sd))
+    q = 0.5 / t2[large]                         # 1 / (pi x^2)
+    fn, fd, gn, gd = _horner(_FRESNEL_LARGE, q * q)
+    f, g = 1.0 - q * q * fn / fd, q * gn / gd
+    out[large] -= ((1.0 + 1.0j) * (f - 1j * g) * np.exp(1j * t2[large])
+                   / (t[large] * math.sqrt(2.0 * math.pi)))
+    return np.where(line < 0, out.conj(), out)
+
+
+def _erf_moments(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # mu_0 = sqrt(pi) / (2 w) e^{-iac/2} (erf(w(c + 1)) - erf(w(c - 1))), c = a/(2b),
+    # with w = sqrt(-ib) = sqrt|b| e^{-+i pi/4} on the line that the sign of b picks
+    root = np.sqrt(np.abs(b))
+    scale = math.sqrt(math.pi / 8.0) * (1.0 + 1j * np.sign(b)) / root
     ep, em = np.exp(1j * (b + a)), np.exp(1j * (b - a))
     rhs = (-1j * (ep - em), -1j * (ep + em))       # by parity of j
     c = a / (2.0 * b)
+    ends = _diagonal_erf(root * np.stack((c + 1.0, c - 1.0)), b)
     mu = np.empty((a.size, _NODES), dtype=complex)
-    mu[:, 0] = scale * np.exp(-0.5j * a * c) * (erf(root * (c + 1.0)) - erf(root * (c - 1.0)))
+    mu[:, 0] = scale * np.exp(-0.5j * a * c) * (ends[0] - ends[1])
     near, far = np.abs(c) <= 2.0, ~(np.abs(c) <= 2.0)
     an, bn = a[near], b[near]
     for j in range(_NODES - 1):
@@ -259,7 +332,7 @@ def quadratic_phase_filon(g: Callable[[np.ndarray], np.ndarray], betas: np.ndarr
         r = 0.5 * (hi - lo) / n
         mid = lo + r * (2.0 * np.arange(n) + 1.0)
         w = mid - u0
-        amp = g(mid[:, None] + r * _CHEB)
+        amp = g(mid[:, None] + r * _CHEB).astype(complex)
         per_call = max(1, _MAX_ROWS // n)
         for group in (open_[i:i + per_call] for i in range(0, len(open_), per_call)):
             a = (2.0 * betas[group, None] * r * w).ravel()

@@ -24,6 +24,7 @@ s(alpha) serve the reports; its closure under the bracket is a test oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, mul
@@ -41,6 +42,11 @@ DEFAULT_FLOAT_TOL = 1e-12
 DEFAULT_GRID = 10_000
 DEFAULT_BISECT_TOL = 1e-10
 _NEAR_ZERO = 1e-12
+# families per threshold-free subinterval of an energy scan; a scan that
+# would enumerate more raises ScanBudgetError before building any.  At the
+# ceiling they take about 2.5 s and 100 MB (2-CPU VM); the benchmark's and
+# the tests' scans build at most a few hundred
+MAX_SCAN_FAMILIES = 100_000
 
 
 class InvalidInputError(ValueError):
@@ -49,6 +55,10 @@ class InvalidInputError(ValueError):
 
 class InvalidIntervalError(ValueError):
     pass
+
+
+class ScanBudgetError(RuntimeError):
+    """An energy scan whose family count exceeds MAX_SCAN_FAMILIES."""
 
 
 @dataclass(frozen=True)
@@ -138,15 +148,52 @@ def _r_real(h: float, w: float) -> float:
     return 0.5 - disc ** 0.5
 
 
+def _composition_count(parts: int, lo: int, hi: int) -> int:
+    """How many tuples of parts non-negative integers have a sum in lo..hi:
+    sum_{t <= T} C(t + parts - 1, parts - 1) = C(T + parts, parts)."""
+    if hi < lo:
+        return 0
+    below = math.comb(lo - 1 + parts, parts) if lo else 0
+    return math.comb(hi + parts, parts) - below
+
+
 def _families(hsorted: Sequence[float], neg_pos: Sequence[int], sec_pos: Sequence[int],
               wa: float, wb: float) -> list:
     """The I' and I'' families of a threshold-free subinterval V0 + [wa, wb].
 
     Each family is (idx, f, weight): f maps r = {block: r_j} to the
     family's value R / lam at its witness idx = (0, alpha, beta), and weight
-    counts its r terms with multiplicity.
+    counts its r terms with multiplicity.  Raises ScanBudgetError when the
+    families, counted in closed form first, are more than MAX_SCAN_FAMILIES.
     """
     nvars = len(hsorted)
+    bounds, amax = {}, 0
+    if neg_pos:
+        rp_lo = {j: _r_real(hsorted[j], wa) for j in neg_pos}
+        rp_hi = {j: _r_real(hsorted[j], wb) for j in neg_pos}
+        min_abs = min(min(abs(rp_lo[j]), abs(rp_hi[j])) for j in neg_pos)
+        # On y' every r_j < 0 and |r_j| is monotone, so a family of
+        # total |alpha'| is at most max_abs_k - total * min_abs.  Past
+        # bound, total >= bound + 1 > max_abs_k / min_abs + 1e-9, which
+        # keeps it below -1e-9 min_abs (less the quotient's rounding,
+        # relative 1e-16): no zero there.  The slack only raises bound,
+        # by one where the float quotient falls within 1e-9 below an
+        # integer, so it adds families and drops none.
+        bounds = {k: int(max(abs(rp_lo[k]), abs(rp_hi[k])) / min_abs + 1e-9) for k in neg_pos}
+    if sec_pos:
+        min_r = min(min(_r_real(hsorted[j], wa), _r_real(hsorted[j], wb)) for j in sec_pos)
+        # On y'' 0 < r_j < 1/2, so |beta''| >= 2 already puts the beta part
+        # above 1, and with atotal >= amax + 1 > 1 / min_r + 1e-9 the alpha
+        # part alone exceeds 1 + 1e-9 min_r: no zero past amax.  As with
+        # bound, the slack only adds families.
+        amax = int(1.0 / min_r + 1e-9)
+    m1, m2 = len(neg_pos), len(sec_pos)
+    count = (sum(_composition_count(m1, 2, bound) for bound in bounds.values())
+             + _composition_count(m2, 3, amax) + m2 * _composition_count(m2, 2, amax))
+    if count > MAX_SCAN_FAMILIES:
+        raise ScanBudgetError(
+            f"energy scan on sigma - V0 in [{wa}, {wb}] needs {count} families, over "
+            f"MAX_SCAN_FAMILIES = {MAX_SCAN_FAMILIES}")
 
     def embed(positions: Sequence[int], values: Sequence[int]) -> tuple[int, ...]:
         out = [0] * nvars
@@ -155,48 +202,26 @@ def _families(hsorted: Sequence[float], neg_pos: Sequence[int], sec_pos: Sequenc
         return tuple(out)
 
     families = []
-    if neg_pos:
-        rp_lo = {j: _r_real(hsorted[j], wa) for j in neg_pos}
-        rp_hi = {j: _r_real(hsorted[j], wb) for j in neg_pos}
-        min_abs = min(min(abs(rp_lo[j]), abs(rp_hi[j])) for j in neg_pos)
-        for k in neg_pos:
-            max_abs_k = max(abs(rp_lo[k]), abs(rp_hi[k]))
-            # On y' every r_j < 0 and |r_j| is monotone, so a family of
-            # total |alpha'| is at most max_abs_k - total * min_abs.  Past
-            # bound, total >= bound + 1 > max_abs_k / min_abs + 1e-9, which
-            # keeps it below -1e-9 min_abs (less the quotient's rounding,
-            # relative 1e-16): no zero there.  The slack only raises bound,
-            # by one where the float quotient falls within 1e-9 below an
-            # integer, so it adds families and drops none.
-            bound = int(max_abs_k / min_abs + 1e-9)
-            for total in range(2, bound + 1):
-                for av in compositions(len(neg_pos), total):
-                    idx = (0, embed(neg_pos, av), embed([k], [1]))
+    for k, bound in bounds.items():
+        for total in range(2, bound + 1):
+            for av in compositions(m1, total):
+                idx = (0, embed(neg_pos, av), embed([k], [1]))
 
-                    def f(r, av=av, k=k):
-                        return sum(av[i] * r[j] for i, j in enumerate(neg_pos)) - r[k]
+                def f(r, av=av, k=k):
+                    return sum(av[i] * r[j] for i, j in enumerate(neg_pos)) - r[k]
 
-                    families.append((idx, f, total + 1))
-    if sec_pos:
-        rs_lo = {j: _r_real(hsorted[j], wa) for j in sec_pos}
-        rs_hi = {j: _r_real(hsorted[j], wb) for j in sec_pos}
-        min_r = min(min(rs_lo[j], rs_hi[j]) for j in sec_pos)
-        # On y'' 0 < r_j < 1/2, so |beta''| >= 2 already puts the beta part
-        # above 1, and with atotal >= amax + 1 > 1 / min_r + 1e-9 the alpha
-        # part alone exceeds 1 + 1e-9 min_r: no zero past amax.  As with
-        # bound, the slack only adds families.
-        amax = int(1.0 / min_r + 1e-9)
-        for btotal in (0, 1):
-            for bv in compositions(len(sec_pos), btotal):
-                for atotal in range(max(0, 3 - btotal), amax + 1):
-                    for av in compositions(len(sec_pos), atotal):
-                        idx = (0, embed(sec_pos, av), embed(sec_pos, bv))
+                families.append((idx, f, total + 1))
+    for btotal in (0, 1):
+        for bv in compositions(m2, btotal):
+            for atotal in range(max(0, 3 - btotal), amax + 1):
+                for av in compositions(m2, atotal):
+                    idx = (0, embed(sec_pos, av), embed(sec_pos, bv))
 
-                        def f(r, av=av, bv=bv):
-                            return sum(av[i] * r[j] + bv[i] * (1.0 - r[j])
-                                       for i, j in enumerate(sec_pos)) - 1.0
+                    def f(r, av=av, bv=bv):
+                        return sum(av[i] * r[j] + bv[i] * (1.0 - r[j])
+                                   for i, j in enumerate(sec_pos)) - 1.0
 
-                        families.append((idx, f, atotal + btotal + 1))
+                    families.append((idx, f, atotal + btotal + 1))
     return families
 
 

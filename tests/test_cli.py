@@ -321,6 +321,20 @@ def test_oscillator_with_overflowing_kappas_is_an_expansion_stage_error(tmp_path
     assert list(rep["stageErrors"]) == ["z:expansion"]
 
 
+def test_scan_over_the_family_ceiling_is_a_stage_error(tmp_path, capsys):
+    # y' Hessian entries three orders apart would need over 10^9 families
+    cfg = write_config(tmp_path, {
+        "mode": "abstract",
+        "criticalPoints": [{"label": "z", "value": 0, "hessian": [-1, -1, -1e-3]}],
+        "energy": [1.0, 2.0]})
+    assert main(["scan-energies", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("stage error [scan:z]: ScanBudgetError: energy scan on sigma - V0 "
+                          "in [1.0, 2.0] needs ") and err.count("\n") == 1
+    rep = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert list(rep["stageErrors"]) == ["scan:z"]
+
+
 def test_report_that_cannot_be_written_exits_4(tmp_path, capsys, monkeypatch):
     # the backstop for a non-finite value that no stage caught
     report = cli_reports.AnalysisReport(config=None, per_energy={}, stage_errors={},
@@ -381,10 +395,10 @@ def test_cold_cli_run_imports_no_unused_dependency(tmp_path):
 
 
 def test_no_subcommand_loads_jsonschema_or_scipy(tmp_path):
-    # each subcommand in its own interpreter; only the stationary-phase stage
-    # needs scipy (scipy.special.erf).  A run loads numpy, dynamics and
-    # oscverify only for the stages that use them: the exact normal-form and
-    # expansion runs load none of them, the scan loads numpy alone
+    # each subcommand in its own interpreter; none needs scipy.  A run loads
+    # numpy, dynamics and oscverify only for the stages that use them: the
+    # exact normal-form and expansion runs load none of them, the scan loads
+    # numpy alone
     scan = dict(ABSTRACT_Z, energy=[0.5, 2.0], options={"scanGridPoints": 200})
     stationary = dict(ABSTRACT_Y3, options={"stationaryPhase": {"xList": [1e-2]}})
     runs = {"analyze": COS2_CONFIG, "scan-energies": scan, "normal-form": ABSTRACT_Z,
@@ -402,8 +416,6 @@ def test_no_subcommand_loads_jsonschema_or_scipy(tmp_path):
         out, err = proc.communicate(timeout=120)
         assert proc.returncode == 0, err
         codes, loaded, loaded_staged = json.loads(out.splitlines()[-1])
-        if command == "stationary-phase":
-            loaded = [m for m in loaded if not m.startswith("scipy")]
         assert (codes, loaded, loaded_staged) == ([EXIT_OK], [], staged[command]), command
 
 
@@ -1107,9 +1119,9 @@ def test_exact_report_bytes_are_pinned(tmp_path, name):
 
 
 FLOAT_REPORTS = pathlib.Path(__file__).resolve().parent / "data" / "float_reports"
-# the floating reports were written under these versions; another numpy or
-# scipy may move their last digits
-FLOAT_REPORTS_PINNED_WITH = {"numpy": "2.4.6", "scipy": "1.17.1"}
+# the floating reports were written under this version; another numpy may
+# move their last digits
+FLOAT_REPORTS_PINNED_WITH = {"numpy": "2.4.6"}
 
 
 @pytest.mark.parametrize("name, command", [("circle_analyze", "analyze"),
@@ -1122,10 +1134,9 @@ def test_float_report_bytes_are_pinned(tmp_path, name, command):
     # floating point (ν = √2) whose r_j = -1, 1/4 stay Fractions, so R / λ is a
     # Fraction and its products with λ are floats
     import numpy
-    import scipy
     case = FLOAT_REPORTS / name
     assert main([command, "--config", str(case / "config.json"),
                  "--out", str(tmp_path)]) == EXIT_OK
-    versions = {"numpy": numpy.__version__, "scipy": scipy.__version__}
+    versions = {"numpy": numpy.__version__}
     assert (tmp_path / "report.json").read_bytes() == (case / "report.json").read_bytes(), \
         f"pinned with {FLOAT_REPORTS_PINNED_WITH}, running {versions}"

@@ -1,4 +1,5 @@
 import math
+import unittest.mock
 from fractions import Fraction
 
 import numpy as np
@@ -567,6 +568,50 @@ def test_families_past_the_enumeration_bounds_exclude_zero(scan):
                     for av in compositions(len(sec_pos), atotal):
                         idx = (0, embed(sec_pos, av), embed(sec_pos, bv))
                         assert resonance._range_bound(idx, ends)[0] > 0.0, idx
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 12), st.integers(0, 12))
+def test_composition_count_is_the_number_of_compositions(parts, lo, hi):
+    assert resonance._composition_count(parts, lo, hi) == sum(
+        1 for total in range(lo, hi + 1) for _ in compositions(parts, total))
+
+
+@settings(max_examples=40, deadline=None)
+@given(scans)
+@example(ON_THE_BOUND[0])
+@example(ON_THE_BOUND[1])
+def test_family_ceiling_counts_the_families_it_builds(scan):
+    # a ceiling of exactly the families of a subinterval builds them all,
+    # one fewer raises before building any
+    cp, interval = scan
+    v0 = float(cp.value)
+    hsorted = sorted(float(h) for h in cp.hessian)
+    neg_pos = [j for j, h in enumerate(hsorted) if h < 0]
+    for a_end, b_end in threshold_split(cp, interval)[1]:
+        wa, wb = a_end - v0, b_end - v0
+        sec_pos = [j for j, h in enumerate(hsorted) if h > 0 and wa > 2.0 * h and wb > 2.0 * h]
+        count = len(resonance._families(hsorted, neg_pos, sec_pos, wa, wb))
+        with unittest.mock.patch.object(resonance, "MAX_SCAN_FAMILIES", count):
+            assert len(resonance._families(hsorted, neg_pos, sec_pos, wa, wb)) == count
+        if count:
+            with unittest.mock.patch.object(resonance, "MAX_SCAN_FAMILIES", count - 1), \
+                    pytest.raises(resonance.ScanBudgetError, match=f"needs {count} families"):
+                resonance._families(hsorted, neg_pos, sec_pos, wa, wb)
+
+
+def test_scan_over_the_family_ceiling_raises_without_enumerating(monkeypatch):
+    # y' entries three orders apart: |r'_k| / min |r'_j| is about 1,464 on
+    # [1, 2], over 10^9 families in all; the count alone decides
+    def no_enumeration(*args):
+        raise AssertionError("families enumerated")
+
+    monkeypatch.setattr(resonance, "compositions", no_enumeration)
+    cp = CriticalPointSpec("z", 0, (-1.0, -1.0, -1e-3))
+    with pytest.raises(resonance.ScanBudgetError,
+                       match=r"^energy scan on sigma - V0 in \[1\.0, 2\.0\] needs \d{10} families, "
+                             r"over MAX_SCAN_FAMILIES = 100000$"):
+        scan_effectively_resonant_energies(cp, (1.0, 2.0))
 
 
 # -- exact points: the integer-weight tests against the Fraction oracles ------------
