@@ -30,9 +30,10 @@ print("p0 =", p0)
 print("{{p0, y}} =", bracket(p0, y))
 print("{{p0, nu}} =", bracket(p0, nu), " (p0-multiples act trivially)")
 
-# the eigenvalue table drives the homological solves downstream
+# the eigenvalue table drives the homological solves downstream; a key
+# (a, alpha_1, beta_1) has weighted degree 2a + alpha_1 + beta_1
 table = eigen_action_table(model, lay, max_grade=2)
-for key in sorted(table, key=lambda k: (sum((2 * k[0], *k[1], *k[2])), k)):
+for key in sorted(table, key=lambda k: (k[0] + sum(k), k)):
     if table[key] == 0:
         print("resonant monomial (eigenvalue 0):", key)
 

@@ -15,8 +15,9 @@ from radialscope import (CriticalPointSpec, enumerate_resonances, module_order,
                          scan_effectively_resonant_energies, second_index_set)
 from radialscope.resonance import module_multiindex
 
-# a saddle with r' = (-2, -1): the index (0, (0,2), (1,0)) witnesses
-# 2 r'_2 = r'_1, an I'-type (effR1) resonance
+# a saddle with r' = (-2, -1): the key (0, 0, 2, 1, 0), that is a = 0,
+# alpha = (0, 2), beta = (1, 0), witnesses 2 r'_2 = r'_1, an I'-type
+# (effR1) resonance
 rp = radial_point_from_spectrum(Fraction(1), (Fraction(-2), Fraction(-1)))
 for rec in enumerate_resonances(rp, max_degree=5):
     print(f"degree {rec.degree}: {rec.idx} -> {rec.klass}")

@@ -39,18 +39,18 @@ res4 = reduce_to_normal_form(p0 + y * y * y * y, rp, max_grade=6)
 print("reduce(p0 + y^4): effR =", res4.r_eff_r)
 
 # a family across a plain (non-effective) resonance: at sigma = 1 the
-# index (1, (2,), (1,)) is resonant but harmless; the fixed index set
-# keeps it for the whole window and every kept coefficient curve crosses
-# sigma = 1 smoothly (removals feed sigma-dependent corrections into the
-# kept slot (0, (3,), (2,)) below)
+# monomial nu y^2 mu, key (a, alpha_1, beta_1) = (1, 2, 1), is resonant but
+# harmless; the fixed index set keeps it for the whole window and every
+# kept coefficient curve crosses sigma = 1 smoothly (removals feed
+# sigma-dependent corrections into the kept slot (0, 3, 2) below)
 cp = CriticalPointSpec("z", Fraction(0), (Fraction(-4),))
 lay = VariableLayout(n=2, s=1, m=2)
-pert = WeightedPolynomial(lay, "floating", {(1, (2,), (1,)): 0.3 + 0j,
-                                            (0, (3,), (0,)): 0.5 + 0j,
-                                            (0, (1,), (2,)): 0.4 + 0j})
+pert = WeightedPolynomial(lay, "floating", {(1, 2, 1): 0.3 + 0j,
+                                            (0, 3, 0): 0.5 + 0j,
+                                            (0, 1, 2): 0.4 + 0j})
 fam = family_normal_form(cp, (0.9, 1.1), max_grade=5, grid_size=9, perturbation=pert)
 print("sigma grid:", np.round(fam.sigma_grid, 3))
-for idx in ((1, (2,), (1,)), (0, (3,), (2,))):
+for idx in ((1, 2, 1), (0, 3, 2)):
     print(f"|c(sigma)| for {idx}:", np.round(np.abs(fam.curve(idx)), 5),
           " max first divided difference:",
           round(fam.divided_differences[idx]["max_first_dd"], 4))

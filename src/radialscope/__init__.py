@@ -23,9 +23,8 @@ __version__ = "0.1.0"
 
 # public name -> the module that defines it
 _EXPORTS = {name: module for module, names in {
-    "symalg": ("EXACT", "FLOATING", "ModelQuadratic", "VariableLayout", "WeightedMonomial",
-               "WeightedPolynomial", "ad_exponential", "bracket", "eigen_action_table",
-               "grade_components"),
+    "symalg": ("EXACT", "FLOATING", "ModelQuadratic", "VariableLayout", "WeightedPolynomial",
+               "ad_exponential", "bracket", "eigen_action_table", "grade_components"),
     "radial": ("CriticalPointSpec", "RadialPoint", "classify_radial", "hessian_thresholds",
                "linearization_eigenvectors", "linearization_spectrum",
                "radial_point_from_spectrum"),

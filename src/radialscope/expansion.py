@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 from .multipoly import MultiPoly
 from .radial import RadialPoint, classify_radial
 
-from .symalg import EXACT, WeightedPolynomial, compositions
+from .symalg import EXACT, WeightedPolynomial, compositions, key_parts
 
 
 class DegenerateOscillatorError(ValueError):
@@ -197,13 +197,14 @@ def eff_r_polynomials(rp: RadialPoint, r_eff_r: WeightedPolynomial):
     terms (0, alpha'', 0) with no mu factor feed the zeroth-order P_0.
     """
     parts: dict = {}                  # mu index j (None: no mu factor) -> {alpha: coeff}
-    for term in r_eff_r.terms():
-        if term.a != 0:
+    for key, coeff in r_eff_r.items():
+        a, alpha, beta = key_parts(key)
+        if a != 0:
             raise InvalidInputError("effectively resonant terms have a = 0")
-        if sum(term.beta) > 1:
+        if sum(beta) > 1:
             raise InvalidInputError("effectively resonant terms have |beta| <= 1")
-        j = term.beta.index(1) if any(term.beta) else None
-        parts.setdefault(j, {})[term.alpha] = term.coeff
+        j = beta.index(1) if any(beta) else None
+        parts.setdefault(j, {})[alpha] = coeff
     p_polys = {j: MultiPoly(rp.layout.nvars, t) for j, t in parts.items()}
     return p_polys, p_polys.pop(None, None)
 

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 from .parallel import parallel_map
 from .symalg import (FLOATING, ModelQuadratic, MonomialKey, WeightedPolynomial,
-                     ad_exponential, iter_monomials)
+                     ad_exponential, iter_monomials, key_parts, weighted_degree)
 from .radial import (CriticalPointSpec, ForbiddenEnergyError,
                      RadialPoint, linearization_spectrum)
 from .resonance import (DEFAULT_FLOAT_TOL, EFF_NONRES, block_class, is_resonant,
@@ -79,15 +79,15 @@ def solve_homological(model: ModelQuadratic, e: WeightedPolynomial,
     w = model.weights
     b_terms = {}
     resid_terms = {}
-    for term in e.terms():
-        key = (term.a, term.alpha, term.beta)
+    for key, coeff in e.items():
         resonant = key in keep if keep is not None else w.vanishes(key, tol)
         if resonant:
-            resid_terms[key] = term.coeff
+            resid_terms[key] = coeff
         else:
-            b_terms[key] = term.coeff / model.eigenvalue(key)
-    return HomologicalSolution(WeightedPolynomial(e.layout, e.mode, b_terms),
-                               WeightedPolynomial(e.layout, e.mode, resid_terms))
+            q = coeff / model.eigenvalue(key)
+            if q:       # a floating quotient can underflow to 0, which is not stored
+                b_terms[key] = q
+    return HomologicalSolution(e._from_terms(b_terms), e._from_terms(resid_terms))
 
 
 @dataclass(frozen=True)
@@ -161,19 +161,18 @@ def reduce_to_normal_form(p: WeightedPolynomial, rp: RadialPoint, max_grade: int
 
     # grade <= 0 noise that passed the model check is no remainder term
     effr_terms, effnr_terms = {}, {}
-    for term in (current - p0).terms():
-        if term.grade < 1:
+    for key, coeff in (current - p0).items():
+        if weighted_degree(key) < 3:
             continue
-        key = (term.a, term.alpha, term.beta)
         if is_resonant(key, rp, tol) and block_class(key, rp.layout) != EFF_NONRES:
-            effr_terms[key] = term.coeff
+            effr_terms[key] = coeff
         else:
-            effnr_terms[key] = term.coeff
+            effnr_terms[key] = coeff
     return NormalFormResult(
         p_norm=current,
         generators=tuple(generators),
-        r_eff_r=WeightedPolynomial(p.layout, p.mode, effr_terms),
-        r_eff_nr=WeightedPolynomial(p.layout, p.mode, effnr_terms),
+        r_eff_r=current._from_terms(effr_terms),
+        r_eff_nr=current._from_terms(effnr_terms),
         residual_grade=max_grade,
     )
 
@@ -217,7 +216,7 @@ def _fixed_index_set(rps: Sequence[RadialPoint], max_degree: int) -> list[Monomi
     nvars = lay.nvars
     out = []
     for idx in iter_monomials(nvars, max_degree + 2, min_weighted_degree=3):
-        a, alpha, beta = idx
+        a, alpha, beta = key_parts(idx)
         ap, asec, ath = lay.split(alpha)
         bp, bsec, bth = lay.split(beta)
         if a + sum(bp) == 1 and not any(asec) and not any(ath) and not any(bsec) and not any(bth):
@@ -282,7 +281,7 @@ def family_normal_form(cp: CriticalPointSpec, interval: tuple[float, float],
         if perturbation is not None:
             p = p + perturbation.to_mode(FLOATING)
         nf = reduce_to_normal_form(p, rp, max_grade, keep=keep)
-        return {idx: complex(nf.p_norm.coefficient(*idx)) for idx in index_set}
+        return {idx: complex(nf.p_norm.coefficient(idx)) for idx in index_set}
 
     per_sigma = parallel_map(reduce_at, rps)
     coeffs = {idx: [row[idx] for row in per_sigma] for idx in index_set}

@@ -31,7 +31,8 @@ from operator import add, mul
 from typing import Sequence
 
 from .roots import brentq
-from .symalg import MonomialKey, VariableLayout, compositions, iter_monomials, weighted_degree
+from .symalg import (MonomialKey, VariableLayout, compositions, iter_monomials, key_json,
+                     key_parts, monomial_key, weighted_degree)
 from .radial import CriticalPointSpec, RadialPoint
 
 EFF_R1 = "effR1"
@@ -47,6 +48,12 @@ _NEAR_ZERO = 1e-12
 # ceiling they take about 2.5 s and 100 MB (2-CPU VM); the benchmark's and
 # the tests' scans build at most a few hundred
 MAX_SCAN_FAMILIES = 100_000
+# monomials that enumerate_resonances scans, and (alpha'', beta'') candidates
+# that second_index_set visits; each is counted before the scan starts, and
+# a count over its ceiling raises ScanBudgetError.  At the ceilings each takes
+# about 1.5 s, J'' with some 150 MB for its result (2-CPU VM)
+MAX_RESONANCE_MONOMIALS = 1_000_000
+MAX_SECOND_INDEX_CANDIDATES = 500_000
 
 
 class InvalidInputError(ValueError):
@@ -58,7 +65,10 @@ class InvalidIntervalError(ValueError):
 
 
 class ScanBudgetError(RuntimeError):
-    """An energy scan whose family count exceeds MAX_SCAN_FAMILIES."""
+    """A scan whose size, counted before it starts, exceeds its ceiling: the
+    energy scan's families (MAX_SCAN_FAMILIES), the monomials of
+    enumerate_resonances (MAX_RESONANCE_MONOMIALS) or the candidates of
+    second_index_set (MAX_SECOND_INDEX_CANDIDATES)."""
 
 
 @dataclass(frozen=True)
@@ -73,8 +83,8 @@ class ResonanceRecord:
 
     def to_json_dict(self) -> dict:
         ev = complex(self.eigenvalue)
-        return {"a": self.idx[0], "alpha": list(self.idx[1]), "beta": list(self.idx[2]),
-                "eigenvalue": {"re": ev.real, "im": ev.imag}, "class": self.klass}
+        return {**key_json(self.idx), "eigenvalue": {"re": ev.real, "im": ev.imag},
+                "class": self.klass}
 
 
 def is_resonant(idx: MonomialKey, rp: RadialPoint, tol: float = DEFAULT_FLOAT_TOL) -> bool:
@@ -83,7 +93,7 @@ def is_resonant(idx: MonomialKey, rp: RadialPoint, tol: float = DEFAULT_FLOAT_TO
 
 def block_class(idx: MonomialKey, layout: VariableLayout) -> str:
     """effR1 (I'), effR2 (I'') or effNonres of a resonant index, by its blocks."""
-    a, alpha, beta = idx
+    a, alpha, beta = key_parts(idx)
     ap, asec, athird = layout.split(alpha)
     bp, bsec, bthird = layout.split(beta)
     if a == 0 and not any(athird) and not any(bthird):
@@ -101,8 +111,15 @@ def enumerate_resonances(rp: RadialPoint, max_degree: int,
     Every monomial is scanned and kept when the point's weights say
     R / lam vanishes (tol is ignored at an exact point); below degree 3
     there is none.  Records come in (degree, idx) order.  The finiteness
-    bounds enter only in the energy scan.
+    bounds enter only in the energy scan.  Raises ScanBudgetError when the
+    monomials, counted in closed form first, are more than
+    MAX_RESONANCE_MONOMIALS.
     """
+    count = _monomial_count(rp.n - 1, 3, max_degree)
+    if count > MAX_RESONANCE_MONOMIALS:
+        raise ScanBudgetError(
+            f"resonance enumeration to degree {max_degree} needs {count} monomials, over "
+            f"MAX_RESONANCE_MONOMIALS = {MAX_RESONANCE_MONOMIALS}")
     w = rp.weights
     out = [ResonanceRecord(idx=idx, eigenvalue=rp.lam * w.value(idx),
                            klass=block_class(idx, rp.layout))
@@ -131,7 +148,7 @@ class EnergyScanResult:
 
     def to_json_dict(self) -> dict:
         roots = [{"sigma": s, "kind": "effres",
-                  "witness": {"a": idx[0], "alpha": list(idx[1]), "beta": list(idx[2])},
+                  "witness": key_json(idx),
                   "residual": res}
                  for s, idx, res in self.eff_res_energies]
         roots += [{"sigma": s, "kind": "threshold", "witness": {"hessianIndex": j},
@@ -155,6 +172,13 @@ def _composition_count(parts: int, lo: int, hi: int) -> int:
         return 0
     below = math.comb(lo - 1 + parts, parts) if lo else 0
     return math.comb(hi + parts, parts) - below
+
+
+def _monomial_count(nvars: int, lo: int, hi: int) -> int:
+    """How many keys iter_monomials(nvars, hi, lo) yields: for each a, the
+    (alpha, beta) of 2 nvars parts whose sum is in lo - 2a..hi - 2a."""
+    return sum(_composition_count(2 * nvars, max(0, lo - 2 * a), hi - 2 * a)
+               for a in range(hi // 2 + 1))
 
 
 def _families(hsorted: Sequence[float], neg_pos: Sequence[int], sec_pos: Sequence[int],
@@ -205,7 +229,7 @@ def _families(hsorted: Sequence[float], neg_pos: Sequence[int], sec_pos: Sequenc
     for k, bound in bounds.items():
         for total in range(2, bound + 1):
             for av in compositions(m1, total):
-                idx = (0, embed(neg_pos, av), embed([k], [1]))
+                idx = monomial_key(0, embed(neg_pos, av), embed([k], [1]))
 
                 def f(r, av=av, k=k):
                     return sum(av[i] * r[j] for i, j in enumerate(neg_pos)) - r[k]
@@ -215,7 +239,7 @@ def _families(hsorted: Sequence[float], neg_pos: Sequence[int], sec_pos: Sequenc
         for bv in compositions(m2, btotal):
             for atotal in range(max(0, 3 - btotal), amax + 1):
                 for av in compositions(m2, atotal):
-                    idx = (0, embed(sec_pos, av), embed(sec_pos, bv))
+                    idx = monomial_key(0, embed(sec_pos, av), embed(sec_pos, bv))
 
                     def f(r, av=av, bv=bv):
                         return sum(av[i] * r[j] + bv[i] * (1.0 - r[j])
@@ -234,7 +258,7 @@ def _range_bound(idx: MonomialKey, ends: dict) -> tuple[float, float]:
     with c_j = alpha_j - beta_j and c0 = |beta| - 1; lo and hi add the
     smaller and the larger end value of each c_j r_j.
     """
-    _, alpha, beta = idx
+    _, alpha, beta = key_parts(idx)
     lo = hi = float(sum(beta) - 1)
     for j, (ra, rb) in ends.items():
         c = alpha[j] - beta[j]
@@ -381,7 +405,8 @@ def second_index_set(rp: RadialPoint, tol: float = DEFAULT_FLOAT_TOL
     (d = 1) on floats summed in block order with m = tol.  So a floating
     point drops every candidate with |s - 1| <= tol or |s - 2| <= tol: at
     s = 1 that is the I'' resonance FloatWeights.vanishes finds at a = 0,
-    at the same tolerance.
+    at the same tolerance.  Raises ScanBudgetError when the candidates,
+    counted in closed form first, are more than MAX_SECOND_INDEX_CANDIDATES.
     """
     sec = list(rp.layout.ysecond_indices)
     if not sec:
@@ -395,6 +420,17 @@ def second_index_set(rp: RadialPoint, tol: float = DEFAULT_FLOAT_TOL
     # The slack keeps every float candidate that rounds inside; on ints it
     # only adds totals that reach 2d, which the test rejects.
     pmin, qmin = min(ps), min(qs)
+    # Each beta total b (at most 3, as qmin > d / 2) pairs its compositions
+    # with every alpha of total at most tb, where tb pmin + b qmin stays in
+    # the bound (with the loops' float slack, 0 on ints): the loops below
+    # visit no more candidates than that
+    k, eps = len(sec), w.slack(1e-9)
+    count = sum(_composition_count(k, b, b)
+                * _composition_count(k, 0, int((2 * d - b * qmin + eps) // pmin))
+                for b in range(4))
+    if count > MAX_SECOND_INDEX_CANDIDATES:
+        raise ScanBudgetError(f"J'' needs {count} candidates, over "
+                              f"MAX_SECOND_INDEX_CANDIDATES = {MAX_SECOND_INDEX_CANDIDATES}")
     m = w.slack(tol)
     out = []
     atotal = 0
@@ -419,7 +455,7 @@ class ModuleGenerator:
     symbol_id: str
     eigenvalue: object      # normalized eigenvalue sigma_i (real part for y''')
     order: object           # s_i = min(1, sigma_i)
-    slot: int               # the flat-key position it counts: 0 nu, 1 + j y_j, n + j mu_j
+    slot: int               # the key position it counts: 0 nu, 1 + j y_j, n + j mu_j
 
 
 @dataclass(frozen=True)
@@ -474,6 +510,4 @@ def module_multiindex(idx: MonomialKey, rec: ModuleOrderRecord) -> tuple[int, ..
     generators, mu' to f'; y' factors are order-zero coefficients and do
     not contribute.
     """
-    a, alpha, beta = idx
-    flat = (a, *alpha, *beta)
-    return tuple(flat[g.slot] for g in rec.generators)
+    return tuple(idx[g.slot] for g in rec.generators)

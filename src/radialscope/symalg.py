@@ -5,12 +5,13 @@ nu carries weight 2 and y, mu carry weight 1.  The grade of a monomial
 nu^a y^alpha mu^beta is 2a + |alpha| + |beta| - 2, so the quadratic model
 sits at grade 0 and the rescaled bracket is grade-additive.
 
-The terms are stored in the package's one sparse-polynomial kernel
-(multipoly.MultiPoly) under flat keys (a, *alpha, *beta) over 2n - 1
-variables, and the ring arithmetic is the kernel's.  The nested
-MonomialKey (a, alpha, beta) stays the public key of terms(),
-coefficient(), resonance and reports.  This module adds the layout, the
-coefficient mode, the grading, the canonical term order and the bracket.
+A monomial's one key is the flat exponent tuple (a, alpha_1..alpha_m,
+beta_1..beta_m), m = n - 1, under which the terms live in the package's
+sparse-polynomial kernel (multipoly.MultiPoly) and its ring arithmetic.
+Only this module knows its layout: monomial_key and key_parts build and
+split it, key_json and from_json_dict write and read its report shape.
+This module adds the layout, the coefficient mode, the grading, the
+canonical term order and the bracket.
 
 The rescaled bracket is {{a, b}} = W_a(b) + (d_nu a) b, with W_a the
 Legendre field of a,
@@ -42,7 +43,7 @@ from typing import Iterator, Mapping
 from .multipoly import MultiPoly
 from .scalars import GaussianRational, format_fraction, is_exact, parse_fraction
 
-MonomialKey = tuple[int, tuple[int, ...], tuple[int, ...]]
+MonomialKey = tuple[int, ...]
 
 EXACT = "exact"
 FLOATING = "floating"
@@ -108,31 +109,39 @@ class VariableLayout:
 
 
 def weighted_degree(key: MonomialKey) -> int:
-    a, alpha, beta = key
-    return 2 * a + sum(alpha) + sum(beta)
+    """2a + |alpha| + |beta| of a key; its grade is this minus 2."""
+    return key[0] + sum(key)
 
 
-def _flat_grade(key: tuple[int, ...]) -> int:
-    """Grade 2a + |alpha| + |beta| - 2 of a flat key (a, *alpha, *beta)."""
-    return key[0] + sum(key) - 2
+def monomial_key(a: int, alpha, beta) -> MonomialKey:
+    """The key of nu^a y^alpha mu^beta.  alpha and beta must have one length:
+    a short alpha with a long beta has the flat length of a valid key."""
+    if len(alpha) != len(beta):
+        raise ValueError("exponent tuple length does not match layout")
+    return (a, *alpha, *beta)
 
 
-@dataclass(frozen=True)
-class WeightedMonomial:
-    """One term of a WeightedPolynomial, in the (a, alpha, beta) basis."""
+def key_parts(key: MonomialKey) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """(a, alpha, beta) of a key."""
+    m = len(key) // 2
+    return key[0], key[1:m + 1], key[m + 1:]
 
-    coeff: object
-    a: int
-    alpha: tuple[int, ...]
-    beta: tuple[int, ...]
 
-    @property
-    def weighted_degree(self) -> int:
-        return weighted_degree((self.a, self.alpha, self.beta))
+def key_json(key: MonomialKey) -> dict:
+    """A key in the report's shape {"a", "alpha", "beta"}; from_json_dict reads it."""
+    a, alpha, beta = key_parts(key)
+    return {"a": a, "alpha": list(alpha), "beta": list(beta)}
 
-    @property
-    def grade(self) -> int:
-        return self.weighted_degree - 2
+
+def _checked_key(key: MonomialKey, width: int) -> MonomialKey:
+    """key, if it has width non-negative int exponents (bool is no int here)."""
+    if len(key) != width:
+        raise ValueError("exponent tuple length does not match layout")
+    if any(isinstance(e, bool) or not isinstance(e, int) for e in key):
+        raise ValueError(f"exponents must be integers, got {key_parts(key)!r}")
+    if any(e < 0 for e in key):
+        raise ValueError("negative exponent")
+    return key
 
 
 # coefficient type of each mode
@@ -142,10 +151,8 @@ _COERCE = {EXACT: GaussianRational.coerce, FLOATING: complex}
 class WeightedPolynomial:
     """Sparse polynomial in (nu, y, mu) with the weight-2 grading on nu.
 
-    The terms live in `poly`, a kernel MultiPoly over the 2n - 1 flat
-    exponents (a, *alpha, *beta); the ring arithmetic is the kernel's.  The
-    nested MonomialKey (a, alpha, beta) is the key of the public interface:
-    the constructor, terms(), coefficient() and JSON.  Immutable by
+    The terms live in `poly`, a kernel MultiPoly over the 2n - 1 exponents
+    of a key; the ring arithmetic is the kernel's.  Immutable by
     convention: all operations return new instances.  Terms with zero
     coefficient are never stored.
     """
@@ -156,20 +163,11 @@ class WeightedPolynomial:
                  terms: Mapping[MonomialKey, object] | None = None):
         if mode not in (EXACT, FLOATING):
             raise ValueError(f"unknown mode {mode!r}")
-        coerce, nvars = _COERCE[mode], layout.nvars
-        flat = {}
-        for (a, alpha, beta), coeff in (terms or {}).items():
-            if len(alpha) != nvars or len(beta) != nvars:
-                raise ValueError("exponent tuple length does not match layout")
-            key = (a, *alpha, *beta)
-            if any(isinstance(e, bool) or not isinstance(e, int) for e in key):
-                raise ValueError(f"exponents must be integers, got {(a, alpha, beta)!r}")
-            if any(e < 0 for e in key):
-                raise ValueError("negative exponent")
-            flat[key] = coerce(coeff)
+        coerce, width = _COERCE[mode], 2 * layout.nvars + 1
         self.layout = layout
         self.mode = mode
-        self.poly = MultiPoly(2 * nvars + 1, flat)
+        self.poly = MultiPoly(width, {_checked_key(key, width): coerce(coeff)
+                                      for key, coeff in (terms or {}).items()})
 
     # -- construction helpers -------------------------------------------------
 
@@ -195,7 +193,7 @@ class WeightedPolynomial:
                  mode: str = EXACT) -> "WeightedPolynomial":
         alpha = tuple(alpha) if alpha is not None else (0,) * layout.nvars
         beta = tuple(beta) if beta is not None else (0,) * layout.nvars
-        return cls(layout, mode, {(a, alpha, beta): coeff})
+        return cls(layout, mode, {monomial_key(a, alpha, beta): coeff})
 
     @classmethod
     def nu(cls, layout: VariableLayout, mode: str = EXACT) -> "WeightedPolynomial":
@@ -219,17 +217,12 @@ class WeightedPolynomial:
 
     # -- inspection ------------------------------------------------------------
 
-    def terms(self) -> Iterator[WeightedMonomial]:
-        """Terms in the canonical (grade, a, alpha, beta) order."""
-        n, terms = self.layout.n, self.poly.terms
-        for key in sorted(terms, key=lambda k: (_flat_grade(k), k)):
-            yield WeightedMonomial(terms[key], key[0], key[1:n], key[n:])
+    def items(self) -> list[tuple[MonomialKey, object]]:
+        """(key, coeff) pairs in the canonical (grade, key) order."""
+        return sorted(self.poly.terms.items(), key=lambda kc: (weighted_degree(kc[0]), kc[0]))
 
-    def coefficient(self, a: int, alpha, beta):
-        c = self.poly.terms.get((a, *alpha, *beta))
-        if c is not None:
-            return c
-        return GaussianRational(0) if self.mode == EXACT else 0j
+    def coefficient(self, key: MonomialKey):
+        return self.poly.terms.get(key, GaussianRational(0) if self.mode == EXACT else 0j)
 
     def is_zero(self) -> bool:
         return not self.poly.terms
@@ -238,7 +231,7 @@ class WeightedPolynomial:
         return len(self.poly.terms)
 
     def grades(self) -> list[int]:
-        return sorted({_flat_grade(key) for key in self.poly.terms})
+        return sorted({weighted_degree(key) - 2 for key in self.poly.terms})
 
     def homogeneous_grade(self) -> int | None:
         """The single grade of a homogeneous polynomial (None for 0)."""
@@ -260,19 +253,12 @@ class WeightedPolynomial:
     def __str__(self):
         if not self.poly.terms:
             return "0"
+        m = self.layout.nvars
+        names = ["nu"] + [f"y{j + 1}" for j in range(m)] + [f"mu{j + 1}" for j in range(m)]
         parts = []
-        for t in self.terms():
-            factors = []
-            if t.a:
-                factors.append("nu" + (f"^{t.a}" if t.a > 1 else ""))
-            for j, e in enumerate(t.alpha):
-                if e:
-                    factors.append(f"y{j + 1}" + (f"^{e}" if e > 1 else ""))
-            for j, e in enumerate(t.beta):
-                if e:
-                    factors.append(f"mu{j + 1}" + (f"^{e}" if e > 1 else ""))
-            body = "*".join(factors) if factors else "1"
-            parts.append(f"({t.coeff})*{body}")
+        for key, coeff in self.items():
+            factors = [name + (f"^{e}" if e > 1 else "") for name, e in zip(names, key) if e]
+            parts.append(f"({coeff})*{'*'.join(factors) if factors else '1'}")
         return " + ".join(parts)
 
     __repr__ = __str__
@@ -330,15 +316,10 @@ class WeightedPolynomial:
 
     def to_json_dict(self) -> dict:
         terms = []
-        for t in self.terms():
-            entry = {"a": t.a, "alpha": list(t.alpha), "beta": list(t.beta)}
-            if self.mode == EXACT:
-                entry["re"] = format_fraction(t.coeff.re)
-                entry["im"] = format_fraction(t.coeff.im)
-            else:
-                entry["re"] = t.coeff.real
-                entry["im"] = t.coeff.imag
-            terms.append(entry)
+        for key, coeff in self.items():
+            re, im = ((format_fraction(coeff.re), format_fraction(coeff.im))
+                      if self.mode == EXACT else (coeff.real, coeff.imag))
+            terms.append({**key_json(key), "re": re, "im": im})
         return {"mode": self.mode, "n": self.layout.n,
                 "blocks": [self.layout.s, self.layout.m], "terms": terms}
 
@@ -346,22 +327,25 @@ class WeightedPolynomial:
     def from_json_dict(cls, data: dict) -> "WeightedPolynomial":
         layout = VariableLayout(n=data["n"], s=data["blocks"][0], m=data["blocks"][1])
         mode = cls(layout, data["mode"]).mode      # an unknown mode fails first
-        terms = {}
+        parsed = {}
         for entry in data["terms"]:
-            key = (entry["a"], tuple(entry["alpha"]), tuple(entry["beta"]))
+            parts = (entry["a"], tuple(entry["alpha"]), tuple(entry["beta"]))
             if mode == EXACT:
                 coeff = GaussianRational(parse_fraction(entry["re"]), parse_fraction(entry["im"]))
             else:
                 coeff = complex(entry["re"], entry["im"])
-            terms[key] = coeff
-        return cls(layout, mode, terms)
+            parsed[parts] = coeff
+        # all terms parse first, then each key is checked, its parts' lengths first
+        width = 2 * layout.nvars + 1
+        return cls(layout, mode, {_checked_key(monomial_key(*parts), width): coeff
+                                  for parts, coeff in parsed.items()})
 
 
 def grade_components(p: WeightedPolynomial) -> dict[int, WeightedPolynomial]:
     """Split p into its weighted-homogeneous components, keyed by grade."""
     out: dict[int, dict] = {}
     for key, coeff in p.poly.terms.items():
-        out.setdefault(_flat_grade(key), {})[key] = coeff
+        out.setdefault(weighted_degree(key) - 2, {})[key] = coeff
     return {l: p._from_terms(terms) for l, terms in sorted(out.items())}
 
 
@@ -380,11 +364,12 @@ def bracket(a: WeightedPolynomial, b: WeightedPolynomial,
     # per pair (y_j, mu_j): both flat positions and the offsets lowering each by one
     pairs = [(1 + j, 1 + m + j, tuple(-1 if i in (1 + j, 1 + m + j) else 0 for i in range(width)))
              for j in range(m)]
-    bterms = [(k2, k2[0], sum(k2[m + 1:]), _flat_grade(k2), c2) for k2, c2 in b.poly.terms.items()]
+    bterms = [(k2, k2[0], sum(k2[m + 1:]), weighted_degree(k2) - 2, c2)
+              for k2, c2 in b.poly.terms.items()]
     out: dict[tuple, object] = {}
     for k1, c1 in a.poly.terms.items():
         a1 = k1[0]
-        g1 = _flat_grade(k1)
+        g1 = weighted_degree(k1) - 2
         nb1 = sum(k1[m + 1:])
         for k2, a2, nb2, g2, c2 in bterms:
             if g1 + g2 > limit:
@@ -520,10 +505,10 @@ class EigenWeights:
 
     def forms(self, key: MonomialKey) -> tuple[int, int]:
         """(Re, Im) of d R / lam at key."""
-        a, alpha, beta = key
         d = self.d
-        re, im = d * (a - 1), 0
-        for al, be, p, q in zip(alpha, beta, self.p, self.q):
+        re, im = d * (key[0] - 1), 0
+        # zip stops at the m entries of p: key[1:] yields alpha, key[m + 1:] beta
+        for al, be, p, q in zip(key[1:], key[len(self.p) + 1:], self.p, self.q):
             re += al * p + be * (d - p)
             im += (al - be) * q
         return re, im
@@ -577,13 +562,12 @@ def normalized_eigenvalue(key: MonomialKey, r_list):
     bytes.  Exact points do not reach it: their EigenWeights test and
     evaluate R / lam on integer forms.
     """
-    a, alpha, beta = key
-    acc = a - 1
-    for j, r in enumerate(r_list):
-        if alpha[j]:
-            acc = acc + alpha[j] * r
-        if beta[j]:
-            acc = acc + beta[j] * (1 - r)
+    acc = key[0] - 1
+    for r, al, be in zip(r_list, key[1:], key[len(r_list) + 1:]):
+        if al:
+            acc = acc + al * r
+        if be:
+            acc = acc + be * (1 - r)
     return acc
 
 
@@ -596,6 +580,10 @@ def compositions(length: int, total: int) -> Iterator[tuple[int, ...]]:
         if total == 0:
             yield ()
         return
+    if length == 1:     # the last part is what is left, one tuple
+        if total >= 0:
+            yield (total,)
+        return
     for head in range(total + 1):
         for tail in compositions(length - 1, total - head):
             yield (head,) + tail
@@ -603,14 +591,16 @@ def compositions(length: int, total: int) -> Iterator[tuple[int, ...]]:
 
 def iter_monomials(nvars: int, max_weighted_degree: int,
                    min_weighted_degree: int = 0) -> Iterator[MonomialKey]:
-    """All (a, alpha, beta) with weighted degree in the given range."""
+    """All keys (a, *alpha, *beta) with weighted degree in the given range, in
+    the order of weighted degree, a, |alpha|, alpha, beta."""
     for w in range(min_weighted_degree, max_weighted_degree + 1):
         for a in range(w // 2 + 1):
             rem = w - 2 * a
             for da in range(rem + 1):
                 for alpha in compositions(nvars, da):
+                    head = (a,) + alpha
                     for beta in compositions(nvars, rem - da):
-                        yield (a, alpha, beta)
+                        yield head + beta
 
 
 def eigen_action_table(model: ModelQuadratic, layout: VariableLayout | None = None,

@@ -68,8 +68,8 @@ def module_closure_check(rp: RadialPoint, max_degree: int = 3) -> ModuleClosureR
         if g.slot == 0:
             continue
         got = bracket(p0, sym)
-        key = next(iter(sym.terms()))
-        expect = sym.scale(model.eigenvalue((key.a, key.alpha, key.beta)))
+        (key, _), = sym.items()
+        expect = sym.scale(model.eigenvalue(key))
         eigen_ok = eigen_ok and (got - expect).chop(1e-10).is_zero()
 
     for ca in products(max_degree - 1):
@@ -79,12 +79,12 @@ def module_closure_check(rp: RadialPoint, max_degree: int = 3) -> ModuleClosureR
             _, st_b = s_alpha(rec, cb)
             budget = st_a + st_b
             br = bracket(symbol_power(ca), symbol_power(cb))
-            for term in br.terms():
-                gamma = module_multiindex((term.a, term.alpha, term.beta), rec)
+            for key, _ in br.items():
+                gamma = module_multiindex(key, rec)
                 _, st_g = s_alpha(rec, gamma)
                 if st_g > budget + (0 if mode == EXACT else 1e-12):
                     violations.append({"alpha": ca, "beta": cb,
-                                       "monomial": (term.a, term.alpha, term.beta),
+                                       "monomial": key,
                                        "s_tilde": float(st_g), "budget": float(budget)})
     return ModuleClosureReport(pairs_checked=pairs, violations=violations,
                                eigen_relations_ok=eigen_ok)

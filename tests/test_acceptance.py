@@ -28,7 +28,8 @@ from radialscope.radial import (CriticalPointSpec, hessian_thresholds,
                                 radial_point_from_spectrum)
 from radialscope.resonance import enumerate_resonances, scan_effectively_resonant_energies
 from radialscope.symalg import (EXACT, ModelQuadratic, VariableLayout,
-                                WeightedPolynomial, bracket, eigen_action_table)
+                                WeightedPolynomial, bracket, eigen_action_table,
+                                monomial_key as K)
 from radialscope.dynamics import PotentialModel, heteroclinic_dag, morse_sequence
 
 from oscillator_oracle import oscillator_spectrum_grid
@@ -130,7 +131,7 @@ def _brute_force(r_list, max_degree):
                     for j in range(n):
                         acc += alpha[j] * r_list[j] + beta[j] * (1 - r_list[j])
                     if acc == 0:
-                        found.add((a, alpha, beta))
+                        found.add(K(a, alpha, beta))
     return found
 
 
@@ -154,7 +155,7 @@ def test_criterion_07_effectively_resonant_scan():
     assert len(res.eff_res_energies) == 1, "no spurious roots allowed"
     sigma, idx, residual = res.eff_res_energies[0]
     assert abs(sigma - 1.0) <= 1e-8
-    assert idx == (0, (0, 2), (1, 0))
+    assert idx == K(0, (0, 2), (1, 0))
     assert res.thresholds == ()
     elapsed = time.perf_counter() - t0
     assert elapsed <= 10.0

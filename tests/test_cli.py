@@ -335,6 +335,29 @@ def test_scan_over_the_family_ceiling_is_a_stage_error(tmp_path, capsys):
     assert list(rep["stageErrors"]) == ["scan:z"]
 
 
+@pytest.mark.parametrize("hessian, energy, flags, message", [
+    # 458,612,235 monomials of degree 3..60 in 2 x 3 variables
+    ([-1, 1, 2], 10, ["--max-degree", "60"], "resonance enumeration to degree 60 needs "
+     "458612235 monomials, over MAX_RESONANCE_MONOMIALS = 1000000"),
+    # r'' about 0.0013 and 0.0016: J'' candidates of alpha'' totals up to about 1,600
+    ([1.0, 1.3], 400, [], "J'' needs 1920021 candidates, over "
+     "MAX_SECOND_INDEX_CANDIDATES = 500000"),
+])
+def test_resonance_scans_over_their_ceilings_are_stage_errors(tmp_path, capsys, hessian,
+                                                               energy, flags, message):
+    cfg = write_config(tmp_path, {
+        "mode": "abstract",
+        "criticalPoints": [{"label": "z", "value": 0, "hessian": hessian}],
+        "energy": energy})
+    out = str(tmp_path / "o")
+    assert main(["normal-form", "--config", cfg, "--out", out, *flags]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("stage error [z:resonance]: ScanBudgetError: " + message)
+    assert err.count("\n") == 1
+    rep = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert list(rep["stageErrors"]) == ["z:resonance"]
+
+
 def test_report_that_cannot_be_written_exits_4(tmp_path, capsys, monkeypatch):
     # the backstop for a non-finite value that no stage caught
     report = cli_reports.AnalysisReport(config=None, per_energy={}, stage_errors={},
@@ -670,6 +693,10 @@ def floating_perturbation(*terms):
     ({"mode": "exact", "n": 3, "blocks": [2, 3],
       "terms": [{"a": True, "alpha": [1, 0], "beta": [0, 1], "re": "1/1", "im": "0/1"}]},
      "ValueError: exponents must be integers, got (True, (1, 0), (0, 1))"),
+    # a short alpha with a long beta has the flat length of an n = 3 key
+    ({"mode": "exact", "n": 3, "blocks": [2, 3],
+      "terms": [{"a": 0, "alpha": [1], "beta": [0, 0, 1], "re": "1/1", "im": "0/1"}]},
+     "ValueError: exponent tuple length does not match layout"),
 ])
 def test_malformed_perturbation_is_config_error(tmp_path, capsys, perturbation, message):
     assert_config_exit(tmp_path, capsys,

@@ -11,7 +11,7 @@ from radialscope.expansion import (DegenerateOscillatorError, InvalidInputError,
                                    oscillator_spectrum)
 from radialscope.multipoly import MultiPoly
 from radialscope.radial import radial_point_from_spectrum
-from radialscope.symalg import WeightedPolynomial
+from radialscope.symalg import WeightedPolynomial, monomial_key as K
 
 from oscillator_oracle import oscillator_spectrum_grid
 
@@ -141,7 +141,7 @@ def test_log_recursion_saddle_chain():
     lvs = log_variable_recursion(rp, p_polys={0: MultiPoly(2, {(0, 2): Fraction(7)})})
     assert all(lvs.certificate.values())
     # and via the weighted-polynomial source
-    reff = WeightedPolynomial(rp.layout, "exact", {(0, (0, 2), (1, 0)): Fraction(7)})
+    reff = WeightedPolynomial(rp.layout, "exact", {K(0, (0, 2), (1, 0)): Fraction(7)})
     lvs2 = log_variable_recursion(rp, r_eff_r=reff)
     assert lvs2.pr_psharp == lvs.pr_psharp
 
@@ -157,13 +157,13 @@ def test_log_recursion_validates_homogeneity():
 
 def test_eff_r_polynomial_split():
     rp = radial_point_from_spectrum(Fraction(1), (Fraction(-2), Fraction(-1)))
-    reff = WeightedPolynomial(rp.layout, "exact", {(0, (0, 2), (1, 0)): Fraction(7)})
+    reff = WeightedPolynomial(rp.layout, "exact", {K(0, (0, 2), (1, 0)): Fraction(7)})
     p_polys, p0 = eff_r_polynomials(rp, reff)
     assert p0 is None
     assert list(p_polys) == [0]
     with pytest.raises(InvalidInputError):
         eff_r_polynomials(rp, WeightedPolynomial(rp.layout, "exact",
-                                                 {(1, (2, 0), (1, 0)): Fraction(1)}))
+                                                 {K(1, (2, 0), (1, 0)): Fraction(1)}))
 
 
 def test_template_source_sink():

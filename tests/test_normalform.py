@@ -10,7 +10,7 @@ import pytest
 from radialscope.radial import CriticalPointSpec, radial_point_from_spectrum
 from radialscope.scalars import GaussianRational
 from radialscope.symalg import (EXACT, FLOATING, ModeMismatchError, ModelQuadratic, VariableLayout,
-                                WeightedPolynomial)
+                                WeightedPolynomial, monomial_key as K)
 from radialscope.normalform import (ForbiddenEnergyError, ModelMismatchError, NelsonCase,
                                     ThresholdModelError, family_normal_form,
                                     flat_perturbation_case_1d, linear_contraction_rate,
@@ -124,7 +124,7 @@ def rand_high_order(lay, rng, max_grade):
         da = rng.randint(0, rem)
         alpha = (da,)
         beta = (rem - da,)
-        terms[(a, alpha, beta)] = GaussianRational(
+        terms[K(a, alpha, beta)] = GaussianRational(
             Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
     return WeightedPolynomial(lay, EXACT, terms)
 
@@ -142,8 +142,8 @@ def test_reduction_properties_random():
             assert res.p_norm.truncate_grade(0) == p0
             # every surviving higher-grade monomial is resonant
             model = rp.model_quadratic()
-            for term in (res.p_norm - p0).terms():
-                assert model.eigenvalue((term.a, term.alpha, term.beta)) == 0
+            for key, _ in (res.p_norm - p0).items():
+                assert model.eigenvalue(key) == 0
             # exact reversibility
             assert res.apply_inverse(res.p_norm) == p.truncate_grade(5)
             # the split reassembles the remainder
@@ -162,11 +162,11 @@ def test_family_continuous_through_plain_resonance():
     # a generic perturbation leaves a continuous nonzero coefficient curve.
     cp = CriticalPointSpec("z", Fraction(0), (Fraction(-4),))
     lay = VariableLayout(n=2, s=1, m=2)
-    pert = WeightedPolynomial(lay, "floating", {(1, (2,), (1,)): 0.3 + 0j,
-                                                (0, (3,), (0,)): 0.5 + 0j})
+    pert = WeightedPolynomial(lay, "floating", {K(1, (2,), (1,)): 0.3 + 0j,
+                                                K(0, (3,), (0,)): 0.5 + 0j})
     fam = family_normal_form(cp, (0.9, 1.1), max_grade=4, grid_size=9,
                              perturbation=pert)
-    idx = (1, (2,), (1,))
+    idx = K(1, (2,), (1,))
     assert idx in fam.index_set
     curve = fam.curve(idx)
     assert np.all(np.abs(curve) > 0.01)
@@ -177,7 +177,7 @@ def test_family_continuous_through_plain_resonance():
 def test_family_single_point_matches_pointwise_reduction():
     cp = CriticalPointSpec("z", Fraction(0), (Fraction(-4),))
     lay = VariableLayout(n=2, s=1, m=2)
-    pert = WeightedPolynomial(lay, "floating", {(1, (2,), (1,)): 0.3 + 0j})
+    pert = WeightedPolynomial(lay, "floating", {K(1, (2,), (1,)): 0.3 + 0j})
     fam = family_normal_form(cp, (0.999999999, 1.000000001), max_grade=5, grid_size=1,
                              scan_grid=500, perturbation=pert)
     sigma = fam.sigma_grid[0]
@@ -187,7 +187,7 @@ def test_family_single_point_matches_pointwise_reduction():
     res = reduce_to_normal_form(p, rp, 5, tol=1e-9)
     for idx in fam.index_set:
         a = fam.coeffs[idx][0]
-        b = complex(res.p_norm.coefficient(*idx))
+        b = complex(res.p_norm.coefficient(idx))
         assert abs(a - b) < 1e-8, idx
 
 

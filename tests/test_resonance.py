@@ -18,7 +18,8 @@ from radialscope.resonance import (DEFAULT_FLOAT_TOL, EFF_NONRES, EFF_R1, EFF_R2
                                    second_index_set)
 from radialscope.scalars import GaussianRational
 from radialscope.symalg import (FLOATING, WeightedPolynomial, compositions, iter_monomials,
-                                normalized_eigenvalue, weighted_degree)
+                                key_parts, monomial_key as K, normalized_eigenvalue,
+                                weighted_degree)
 from module_oracle import module_closure_check
 from resonance_oracle import (brute_force_resonances, brute_force_second_index_set,
                               float_resonant, float_resonances, float_second_index_set,
@@ -50,12 +51,12 @@ def test_enumeration_matches_brute_force(r_list):
 def test_enumeration_examples():
     rp = radial_point_from_spectrum(Fraction(1), (Fraction(-1),))
     idxs = {rec.idx for rec in enumerate_resonances(rp, 5)}
-    assert (1, (2,), (1,)) in idxs
-    assert (0, (3,), (2,)) in idxs
+    assert K(1, (2,), (1,)) in idxs
+    assert K(0, (3,), (2,)) in idxs
 
     rp2 = radial_point_from_spectrum(Fraction(1), (Fraction(1, 4),))
     idxs2 = {rec.idx for rec in enumerate_resonances(rp2, 4)}
-    assert (0, (4,), (0,)) in idxs2
+    assert K(0, (4,), (0,)) in idxs2
 
 
 def test_generic_irrational_r_has_no_resonances():
@@ -69,23 +70,23 @@ def test_near_resonances_reported_separately():
     rp = radial_point_from_spectrum(1.0, (0.25 + 1e-10,))
     deviation = abs(4 * float(rp.r_list[0]) - 1)
     tol = deviation / 5
-    assert all(rec.idx != (0, (4,), (0,)) for rec in
+    assert all(rec.idx != K(0, (4,), (0,)) for rec in
                enumerate_resonances(rp, 4, tol=tol))
-    assert (0, (4,), (0,)) in near_resonances(rp, 4, tol=tol)
+    assert K(0, (4,), (0,)) in near_resonances(rp, 4, tol=tol)
 
 
 def test_classification_examples():
     rp = radial_point_from_spectrum(Fraction(1), (Fraction(-2), Fraction(-1)))
-    assert classify_resonance((0, (0, 2), (1, 0)), rp) == EFF_R1
+    assert classify_resonance(K(0, (0, 2), (1, 0)), rp) == EFF_R1
 
     rp2 = radial_point_from_spectrum(Fraction(1), (Fraction(1, 3),))
-    assert classify_resonance((0, (3,), (0,)), rp2) == EFF_R2
+    assert classify_resonance(K(0, (3,), (0,)), rp2) == EFF_R2
 
     rp3 = radial_point_from_spectrum(Fraction(1), (Fraction(-1),))
-    assert classify_resonance((1, (2,), (1,)), rp3) == EFF_NONRES
+    assert classify_resonance(K(1, (2,), (1,)), rp3) == EFF_NONRES
 
     with pytest.raises(InvalidInputError):
-        classify_resonance((0, (1, 0), (0, 0)), rp)  # not resonant
+        classify_resonance(K(0, (1, 0), (0, 0)), rp)  # not resonant
 
 
 def test_classification_totality_and_uniqueness():
@@ -93,7 +94,7 @@ def test_classification_totality_and_uniqueness():
         rp = radial_point_from_spectrum(Fraction(1), r_list)
         for rec in enumerate_resonances(rp, 8):
             assert rec.klass in (EFF_R1, EFF_R2, EFF_NONRES)
-            a, alpha, beta = rec.idx
+            a, alpha, beta = key_parts(rec.idx)
             ap, asec, ath = rp.layout.split(alpha)
             bp, bsec, bth = rp.layout.split(beta)
             in_i1 = (a == 0 and not any(asec) and not any(ath) and not any(bsec)
@@ -111,7 +112,7 @@ def test_scan_worked_case():
     assert len(res.eff_res_energies) == 1
     sigma, idx, residual = res.eff_res_energies[0]
     assert abs(sigma - 1.0) <= 1e-8
-    assert idx == (0, (0, 2), (1, 0))
+    assert idx == K(0, (0, 2), (1, 0))
     assert residual <= 1e-10
     assert res.thresholds == ()
 
@@ -140,7 +141,7 @@ def test_scan_no_second_block_when_all_maxima():
     res = scan_effectively_resonant_energies(cp, (0.5, 1.5), grid_points=2000)
     # only I' families can fire; verify none of the witnesses involve beta''
     for _, idx, _ in res.eff_res_energies:
-        assert sum(idx[2]) == 1
+        assert sum(key_parts(idx)[2]) == 1
 
 
 def test_scan_invalid_interval():
@@ -257,7 +258,7 @@ def test_floating_second_index_set_drops_candidates_within_tol_of_1_and_2():
         assert idx in second_index_set(rp, tol=1e-14)
         assert second_index_set(rp, tol=1e-14) == float_second_index_set((r,), tol=1e-14)
     rp = radial_point_from_spectrum(1.0, (1 / 3 + 1e-13,))
-    assert (0, (3,), (0,)) in {rec.idx for rec in enumerate_resonances(rp, 3)}
+    assert K(0, (3,), (0,)) in {rec.idx for rec in enumerate_resonances(rp, 3)}
 
 
 def test_scan_deterministic():
@@ -332,7 +333,7 @@ def scalar_reference_scan(cp, interval, grid_points, bisect_tol=1e-10):
                             w = sig - v0
                             return (sum(av[i] * r_of(hsorted[j], w) for i, j in enumerate(neg_pos))
                                     - r_of(hsorted[k], w))
-                        families.append(((0, embed(neg_pos, av), embed([k], [1])), g))
+                        families.append((K(0, embed(neg_pos, av), embed([k], [1])), g))
         if sec_pos:
             min_r = min(min(r_of(hsorted[j], wa), r_of(hsorted[j], wb)) for j in sec_pos)
             amax = int(1.0 / min_r + 1e-9)
@@ -345,7 +346,7 @@ def scalar_reference_scan(cp, interval, grid_points, bisect_tol=1e-10):
                                 return sum(av[i] * r_of(hsorted[j], w)
                                            + bv[i] * (1.0 - r_of(hsorted[j], w))
                                            for i, j in enumerate(sec_pos)) - 1.0
-                            families.append(((0, embed(sec_pos, av), embed(sec_pos, bv)), g))
+                            families.append((K(0, embed(sec_pos, av), embed(sec_pos, bv)), g))
         step = (b_end - a_end) / grid_points
         grid = [a_end + i * step for i in range(grid_points + 1)]
         for idx, g in families:
@@ -393,17 +394,17 @@ def test_scan_equals_scalar_reference(hessian, v0, interval, grid, kinds):
     assert res.thresholds == thresholds
     # I' witnesses carry beta' (the negative, leading Hessian positions)
     n_neg = sum(1 for h in hessian if h < 0)
-    assert {"I'" if any(idx[2][:n_neg]) else "I''" for _, idx, _ in eff} == kinds
+    assert {"I'" if any(key_parts(idx)[2][:n_neg]) else "I''" for _, idx, _ in eff} == kinds
 
 
 def test_scan_reports_exact_grid_hits():
     cp = CriticalPointSpec("z", Fraction(0), (Fraction(3, 8),))
     for interval in ((0.875, 1.125), (0.875, 1.0), (1.0, 1.125)):   # inside, last, first
         res = scan_effectively_resonant_energies(cp, interval, grid_points=8192)
-        assert res.eff_res_energies == ((1.0, (0, (4,), (0,)), 0.0),)
+        assert res.eff_res_energies == ((1.0, K(0, (4,), (0,)), 0.0),)
     cp = CriticalPointSpec("z", Fraction(0), (0.2, 0.7422063750045471))
     res = scan_effectively_resonant_energies(cp, (1.5150087658616196, 1.6), grid_points=1000)
-    assert res.eff_res_energies[0] == (1.5150087658616196, (0, (2, 2), (0, 0)), 0.0)
+    assert res.eff_res_energies[0] == (1.5150087658616196, K(0, (2, 2), (0, 0)), 0.0)
 
 
 # -- the scan against exact enumeration at planted rational energies -----------------
@@ -555,18 +556,20 @@ def test_families_past_the_enumeration_bounds_exclude_zero(scan):
         return tuple(out)
 
     for families, neg_pos, sec_pos, _, _, ends in scan_pieces(cp, interval, 200):
+        parts = [key_parts(idx) for idx, *_ in families]
         for k in neg_pos:
             # totals run from 2, so a k with no family has bound <= 1
-            total = 1 + max((sum(idx[1]) for idx, *_ in families if idx[2][k]), default=1)
+            total = 1 + max((sum(alpha) for _, alpha, beta in parts if beta[k]), default=1)
             for av in compositions(len(neg_pos), total):
-                idx = (0, embed(neg_pos, av), embed([k], [1]))
+                idx = K(0, embed(neg_pos, av), embed([k], [1]))
                 assert resonance._range_bound(idx, ends)[1] < 0.0, idx
         if sec_pos:
-            atotal = 1 + max(sum(idx[1]) for idx, *_ in families if any(idx[1][j] for j in sec_pos))
+            atotal = 1 + max(sum(alpha) for _, alpha, _ in parts
+                             if any(alpha[j] for j in sec_pos))
             for btotal in (0, 1):
                 for bv in compositions(len(sec_pos), btotal):
                     for av in compositions(len(sec_pos), atotal):
-                        idx = (0, embed(sec_pos, av), embed(sec_pos, bv))
+                        idx = K(0, embed(sec_pos, av), embed(sec_pos, bv))
                         assert resonance._range_bound(idx, ends)[0] > 0.0, idx
 
 
@@ -681,6 +684,45 @@ def test_exact_second_index_set_matches_fraction_oracle_on_random_spectra(rp):
     assert second_index_set(rp) == brute_force_second_index_set(sec)
 
 
+def refuse_to_enumerate(*args):
+    raise AssertionError("a scan over its ceiling enumerated")
+
+
+def test_resonance_enumeration_over_its_ceiling_raises_before_scanning(monkeypatch):
+    rp = radial_point_from_spectrum(Fraction(1), (Fraction(-1, 2), Fraction(1, 4), Fraction(1, 3)))
+    count = len(list(iter_monomials(3, 8, 3)))
+    assert count == resonance._monomial_count(3, 3, 8) == 4137
+    with unittest.mock.patch.object(resonance, "MAX_RESONANCE_MONOMIALS", count):
+        want = enumerate_resonances(rp, 8)
+    monkeypatch.setattr(resonance, "iter_monomials", refuse_to_enumerate)
+    with unittest.mock.patch.object(resonance, "MAX_RESONANCE_MONOMIALS", count - 1), \
+            pytest.raises(resonance.ScanBudgetError, match=f"needs {count} monomials"):
+        enumerate_resonances(rp, 8)
+    assert want
+    # 1,479,423 monomials of degree 3..24, about 2 s of scanning
+    with pytest.raises(resonance.ScanBudgetError,
+                       match=r"^resonance enumeration to degree 24 needs 1479423 monomials, "
+                             r"over MAX_RESONANCE_MONOMIALS = 1000000$"):
+        enumerate_resonances(rp, 24)
+
+
+@pytest.mark.parametrize("r_second", [(Fraction(1, 5), Fraction(2, 7)), (0.05, 0.3, 0.45)])
+def test_second_index_set_over_its_ceiling_raises_before_enumerating(monkeypatch, r_second):
+    rp = radial_point_from_spectrum(Fraction(1), r_second)
+    with unittest.mock.patch.object(resonance, "MAX_SECOND_INDEX_CANDIDATES", 0), \
+            pytest.raises(resonance.ScanBudgetError) as exc:
+        second_index_set(rp)
+    count = int(str(exc.value).split()[2])
+    with unittest.mock.patch.object(resonance, "MAX_SECOND_INDEX_CANDIDATES", count):
+        assert 0 < len(second_index_set(rp)) <= count
+    monkeypatch.setattr(resonance, "compositions", refuse_to_enumerate)
+    with unittest.mock.patch.object(resonance, "MAX_SECOND_INDEX_CANDIDATES", count - 1), \
+            pytest.raises(resonance.ScanBudgetError,
+                          match=f"^J'' needs {count} candidates, over "
+                                f"MAX_SECOND_INDEX_CANDIDATES = {count - 1}$"):
+        second_index_set(rp)
+
+
 def test_exact_points_decide_resonance_on_integer_weights(monkeypatch):
     # the Fraction evaluator of R / lam is not reached on an exact point:
     # every floating caller reaches it through symalg, where it is patched
@@ -695,7 +737,7 @@ def test_exact_points_decide_resonance_on_integer_weights(monkeypatch):
     assert second_index_set(rp)
     assert all(is_resonant(idx, rp) for idx in want)
     model = rp.model_quadratic()
-    assert model.eigenvalue((0, (1, 1, 1), (0, 0, 0))) == Fraction(-11, 12)
+    assert model.eigenvalue(K(0, (1, 1, 1), (0, 0, 0))) == Fraction(-11, 12)
     y = [WeightedPolynomial.y(rp.layout, j) for j in range(3)]
     e = y[2] * y[2] * y[2] + y[0] * y[1] * y[2]
     sol = solve_homological(model, e)
@@ -738,7 +780,7 @@ def assert_floating_resonance_matches_oracle(rp, max_degree, tol):
     top = [idx for idx in keys if weighted_degree(idx) == max_degree]
     e = WeightedPolynomial(rp.layout, FLOATING, {idx: 1.0 for idx in top})
     sol = solve_homological(rp.model_quadratic(), e, tol)
-    assert sorted((t.a, t.alpha, t.beta) for t in sol.residual.terms()) == \
+    assert sorted(key for key, _ in sol.residual.items()) == \
         sorted(idx for idx in top if float_resonant(idx, r_list, tol))
 
 
@@ -748,7 +790,7 @@ def test_planted_near_third_matches_float_oracle(eps, tol):
     rp = radial_point_from_spectrum(-2.0, (-1.0, THIRD + eps))
     assert_floating_resonance_matches_oracle(rp, 6, tol)
     # y''^3 sits at R / lam = 3 eps
-    cube = (0, (0, 3), (0, 0))
+    cube = K(0, (0, 3), (0, 0))
     assert is_resonant(cube, rp, tol) == (3 * abs(eps) <= tol)
     assert (cube in near_resonances(rp, 6, tol)) == (tol < 3 * abs(eps) <= 10 * tol)
 

@@ -5,13 +5,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from radialscope import resonance
 from radialscope.normalform import reduce_to_normal_form
 from radialscope.radial import radial_point_from_spectrum
 from radialscope.scalars import GaussianRational
 from radialscope.symalg import (EXACT, FLOATING, ModeMismatchError, ModelQuadratic,
                                 VariableLayout, WeightedPolynomial, ad_exponential,
                                 bracket, compositions, eigen_action_table,
-                                grade_components, iter_monomials)
+                                grade_components, iter_monomials, key_parts,
+                                monomial_key as K)
 
 LAY1 = VariableLayout(n=2, s=1, m=2)
 LAY2 = VariableLayout(n=3)
@@ -19,8 +21,8 @@ LAY2 = VariableLayout(n=3)
 
 def diff_nu(p):
     """d p / d nu, term by term through the public constructor."""
-    return WeightedPolynomial(p.layout, p.mode, {(t.a - 1, t.alpha, t.beta): t.coeff * t.a
-                                                 for t in p.terms() if t.a})
+    return WeightedPolynomial(p.layout, p.mode, {(key[0] - 1, *key[1:]): c * key[0]
+                                                 for key, c in p.items() if key[0]})
 
 
 def rand_poly(lay, rng, nterms=5, max_exp=2):
@@ -31,7 +33,7 @@ def rand_poly(lay, rng, nterms=5, max_exp=2):
         beta = tuple(rng.randint(0, max_exp) for _ in range(lay.nvars))
         coeff = GaussianRational(Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
                                  Fraction(rng.randint(-2, 2)))
-        terms[(a, alpha, beta)] = coeff
+        terms[K(a, alpha, beta)] = coeff
     return WeightedPolynomial(lay, EXACT, terms)
 
 
@@ -40,7 +42,7 @@ def exact_polys(lay, max_terms=5, grade=None):
     polynomials homogeneous of the given grade, drawn by hypothesis."""
     if grade is None:
         exps = st.tuples(*[st.integers(0, 2)] * lay.nvars)
-        keys = st.tuples(st.integers(0, 1), exps, exps)
+        keys = st.tuples(st.integers(0, 1), exps, exps).map(lambda parts: K(*parts))
     else:
         keys = st.sampled_from(list(iter_monomials(lay.nvars, grade + 2, grade + 2)))
     coeffs = st.builds(GaussianRational, st.fractions(-5, 5, max_denominator=4),
@@ -112,10 +114,10 @@ def _term_map(p, rule):
     """Image of p under a term-wise linear map: rule(a, alpha, beta) gives
     (factor, new key), and distinct keys with nonzero factor map apart."""
     terms = {}
-    for t in p.terms():
-        factor, key = rule(t.a, t.alpha, t.beta)
+    for key, c in p.items():
+        factor, (a, alpha, beta) = rule(*key_parts(key))
         if factor:
-            terms[key] = t.coeff * factor
+            terms[K(a, alpha, beta)] = c * factor
     return WeightedPolynomial(p.layout, p.mode, terms)
 
 
@@ -152,7 +154,7 @@ def test_bracket_equals_product_formula():
         for _ in range(15):
             a = rand_poly(lay, rng, nterms=rng.randint(1, 7))
             b = rand_poly(lay, rng, nterms=rng.randint(1, 7))
-            complex_pairs += any(t.coeff.im for p in (a, b) for t in p.terms())
+            complex_pairs += any(c.im for p in (a, b) for _, c in p.items())
             assert bracket(a, b) == product_bracket(a, b, 99)
             for max_grade in (-1, 0, 2, 4, 6):
                 assert bracket(a, b, max_grade) == product_bracket(a, b, max_grade)
@@ -162,15 +164,15 @@ def test_bracket_equals_product_formula():
 def test_floating_bracket_matches_product_formula():
     rng = random.Random(31)
     for _ in range(15):
-        a, b = (WeightedPolynomial(LAY2, FLOATING, {(t.a, t.alpha, t.beta): complex(t.coeff) / 3
-                                                    for t in rand_poly(LAY2, rng).terms()})
+        a, b = (WeightedPolynomial(LAY2, FLOATING, {key: complex(c) / 3
+                                                    for key, c in rand_poly(LAY2, rng).items()})
                 for _ in range(2))
         got = bracket(a, b, 3)
         ref = product_bracket(a, b, 3)
-        keys = {(t.a, t.alpha, t.beta) for t in ref.terms()}
-        assert keys == {(t.a, t.alpha, t.beta) for t in got.terms()}
+        keys = {key for key, _ in ref.items()}
+        assert keys == {key for key, _ in got.items()}
         for key in keys:
-            assert abs(got.coefficient(*key) - ref.coefficient(*key)) <= 1e-12
+            assert abs(got.coefficient(key) - ref.coefficient(key)) <= 1e-12
 
 
 ROUND_TRIP_POINT = radial_point_from_spectrum(Fraction(1), (Fraction(-1, 3), Fraction(1, 5)))
@@ -264,10 +266,10 @@ def test_eigenvalue_lemma_grade6(r):
 
 def test_eigen_table_examples():
     m1 = ModelQuadratic(lam=Fraction(1), r_list=(Fraction(-1),), layout=LAY1)
-    assert m1.eigenvalue((1, (2,), (1,))) == 0
-    assert m1.eigenvalue((1, (0,), (0,))) == 0  # nu itself
+    assert m1.eigenvalue((1, 2, 1)) == 0
+    assert m1.eigenvalue((1, 0, 0)) == 0  # nu itself
     m2 = model_quarter()
-    assert m2.eigenvalue((0, (3,), (0,))) == Fraction(-1, 4)
+    assert m2.eigenvalue((0, 3, 0)) == Fraction(-1, 4)
 
 
 def test_ad_exponential_examples():
@@ -326,9 +328,10 @@ def test_no_zero_terms_stored():
 def _assert_clean(p):
     """p's terms are what the validating constructor would store."""
     kind = GaussianRational if p.mode == EXACT else complex
-    terms = {(t.a, t.alpha, t.beta): t.coeff for t in p.terms()}
-    for (a, alpha, beta), c in terms.items():
-        assert len(alpha) == len(beta) == p.layout.nvars
+    terms = dict(p.items())
+    for key, c in terms.items():
+        a, alpha, beta = key_parts(key)
+        assert len(key) == 2 * p.layout.nvars + 1
         assert a >= 0 and min(alpha + beta, default=0) >= 0
         assert type(c) is kind and c
     assert WeightedPolynomial(p.layout, p.mode, terms) == p
@@ -341,8 +344,7 @@ def test_operation_results_skip_validation_but_stay_clean():
     for lay in (LAY1, LAY2):
         for _ in range(10):
             a, b = rand_poly(lay, rng, nterms=6), rand_poly(lay, rng, nterms=6)
-            fa, fb = (WeightedPolynomial(lay, FLOATING, {(t.a, t.alpha, t.beta): complex(t.coeff)
-                                                         for t in q.terms()})
+            fa, fb = (WeightedPolynomial(lay, FLOATING, {key: complex(c) for key, c in q.items()})
                       for q in (a, b))
             for x, y, scalar in ((a, b, Fraction(-3, 7)), (fa, fb, -3 / 7)):
                 results = [bracket(x, y), bracket(x, y, max_grade=2), x + y, x + x.scale(-1),
@@ -357,17 +359,18 @@ def test_operation_results_skip_validation_but_stay_clean():
     assert len(scaled) == 1
     # public construction keeps every check
     with pytest.raises(ValueError, match="negative exponent"):
-        WeightedPolynomial(LAY1, EXACT, {(0, (-1,), (0,)): 1})
+        WeightedPolynomial(LAY1, EXACT, {(0, -1, 0): 1})
     with pytest.raises(ValueError, match="does not match layout"):
-        WeightedPolynomial(LAY1, EXACT, {(0, (0, 0), (0,)): 1})
+        WeightedPolynomial(LAY1, EXACT, {(0, 0, 0, 0): 1})
     with pytest.raises(TypeError):
-        WeightedPolynomial(LAY1, EXACT, {(0, (0,), (0,)): 0.5j})
+        WeightedPolynomial(LAY1, EXACT, {(0, 0, 0): 0.5j})
 
 
 def test_monomial_iteration_canonical_order():
     rng = random.Random(3)
     p = rand_poly(LAY2, rng, nterms=8)
-    keys = [(t.grade, t.a, t.alpha, t.beta) for t in p.terms()]
+    keys = [(2 * a + sum(alpha) + sum(beta) - 2, a, alpha, beta)
+            for a, alpha, beta in (key_parts(key) for key, _ in p.items())]
     assert keys == sorted(keys)
 
 
@@ -376,8 +379,48 @@ def test_iter_monomials_count():
     keys = list(iter_monomials(1, 4))
     assert len(set(keys)) == len(keys)
     for key in keys:
-        a, alpha, beta = key
+        a, alpha, beta = key_parts(key)
         assert 2 * a + sum(alpha) + sum(beta) <= 4
+
+
+def test_iter_monomials_yields_each_key_once_in_order_and_counted():
+    # every key of weighted degree lo..8, built from itertools.product and
+    # sorted by weighted degree, a, |alpha|, alpha, beta: the enumeration order
+    # of the nested (a, alpha, beta) keys, whose total the budget counts
+    for nvars in (1, 2, 3):
+        parts = [t for t in itertools.product(range(9), repeat=nvars) if sum(t) <= 8]
+        for lo in (0, 3):
+            want = sorted(((a, *al, *be) for a in range(5) for al in parts for be in parts
+                           if lo <= 2 * a + sum(al) + sum(be) <= 8),
+                          key=lambda k: (k[0] + sum(k), k[0], sum(k[1:nvars + 1]), k))
+            got = list(iter_monomials(nvars, 8, lo))
+            assert got == want, (nvars, lo)
+            for hi in range(9):
+                assert sum(1 for k in got if k[0] + sum(k) <= hi) \
+                    == resonance._monomial_count(nvars, lo, hi), (nvars, lo, hi)
+
+
+@pytest.mark.parametrize("key, message", [
+    ((0, 0, 0, 0), "exponent tuple length does not match layout"),
+    ((0, 0), "exponent tuple length does not match layout"),
+    ((0, 1.0, 0), "exponents must be integers, got (0, (1.0,), (0,))"),
+    ((0, 1, True), "exponents must be integers, got (0, (1,), (True,))"),
+    ((0, 0, -1), "negative exponent"),
+])
+def test_constructor_rejects_malformed_flat_keys(key, message):
+    with pytest.raises(ValueError) as exc:
+        WeightedPolynomial(LAY1, EXACT, {key: 1})
+    assert str(exc.value) == message
+
+
+def test_a_short_alpha_with_a_long_beta_is_no_key():
+    # (0, 1, 0, 0, 1) has the flat length of an n = 3 key, but not from these parts
+    with pytest.raises(ValueError, match="^exponent tuple length does not match layout$"):
+        K(0, (1,), (0, 0, 1))
+    with pytest.raises(ValueError, match="^exponent tuple length does not match layout$"):
+        WeightedPolynomial.monomial(LAY2, 1, alpha=(1,), beta=(0, 0, 1))
+    assert K(0, (1, 0), (0, 1)) == (0, 1, 0, 0, 1)
+    assert key_parts((0, 1, 0, 0, 1)) == (0, (1, 0), (0, 1))
 
 
 def test_compositions_match_filtered_product():
@@ -414,10 +457,10 @@ def test_eigenvalue_lemma_defect_on_complex_block():
     nu = WeightedPolynomial.nu(lay)
     defect = bracket(p0, nu)
     # Q = mu^2 + y^2 gives defect = mu^2 - y^2 on the third block
-    assert defect == WeightedPolynomial(lay, EXACT, {(0, (0, 0), (0, 2)): 1,
-                                                     (0, (0, 2), (0, 0)): -1})
+    assert defect == WeightedPolynomial(lay, EXACT, {K(0, (0, 0), (0, 2)): 1,
+                                                     K(0, (0, 2), (0, 0)): -1})
     for key in iter_monomials(2, 8):
-        a, alpha, beta = key
+        a, alpha, beta = key_parts(key)
         if alpha[1] or beta[1]:
             continue
         mono = WeightedPolynomial(lay, EXACT, {key: 1})
@@ -425,6 +468,6 @@ def test_eigenvalue_lemma_defect_on_complex_block():
         if a == 0:
             assert resid.is_zero(), key
         else:
-            expect = WeightedPolynomial(lay, EXACT, {(a - 1, alpha, beta): a}) * defect
+            expect = WeightedPolynomial(lay, EXACT, {K(a - 1, alpha, beta): a}) * defect
             assert (resid - expect).is_zero(), key
             assert resid.homogeneous_grade() == 2 * a + sum(alpha) + sum(beta) - 2
