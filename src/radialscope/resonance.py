@@ -455,7 +455,7 @@ class ModuleGenerator:
     symbol_id: str
     eigenvalue: object      # normalized eigenvalue sigma_i (real part for y''')
     order: object           # s_i = min(1, sigma_i)
-    slot: int               # the key position it counts: 0 nu, 1 + j y_j, n + j mu_j
+    slot: int               # the key position it counts, a VariableLayout slot
 
 
 @dataclass(frozen=True)
@@ -483,16 +483,16 @@ def module_order(rp: RadialPoint) -> ModuleOrderRecord:
     gens = []
     lay = rp.layout
     for j in lay.yprime_indices:
-        gens.append(ModuleGenerator(f"f'_{j + 1}", 1 - rp.r_list[j], 1, lay.n + j))
+        gens.append(ModuleGenerator(f"f'_{j + 1}", 1 - rp.r_list[j], 1, lay.mu_slot(j)))
     for j in lay.ysecond_indices:
-        gens.append(ModuleGenerator(f"e''_{j + 1}", rp.r_list[j], rp.r_list[j], 1 + j))
+        gens.append(ModuleGenerator(f"e''_{j + 1}", rp.r_list[j], rp.r_list[j], lay.y_slot(j)))
         gens.append(ModuleGenerator(f"f''_{j + 1}", 1 - rp.r_list[j], 1 - rp.r_list[j],
-                                    lay.n + j))
+                                    lay.mu_slot(j)))
     half = Fraction(1, 2)
     for j in lay.ythird_indices:
-        gens.append(ModuleGenerator(f"e'''_{j + 1}", half, half, 1 + j))
-        gens.append(ModuleGenerator(f"f'''_{j + 1}", half, half, lay.n + j))
-    gens.append(ModuleGenerator("p0", 1, 1, 0))
+        gens.append(ModuleGenerator(f"e'''_{j + 1}", half, half, lay.y_slot(j)))
+        gens.append(ModuleGenerator(f"f'''_{j + 1}", half, half, lay.mu_slot(j)))
+    gens.append(ModuleGenerator("p0", 1, 1, lay.nu_slot))
     return ModuleOrderRecord(generators=tuple(gens))
 
 

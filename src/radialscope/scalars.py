@@ -2,10 +2,12 @@
 
 The normal-form cancellations in this package are tested to equality, so
 the default coefficient field is Q(i).  A Gaussian rational is stored as
-machine integers, a numerator pair over one reduced denominator (as in
-FLINT's fmpq), so the hot products and sums of the bracket work on Python
-ints and never build a Fraction.  Floating complex is used only where
-eigenvalue data is irrational.
+Python ints, a numerator pair over one reduced denominator (as in FLINT's
+fmpq).  The bracket and the Lie series take no scalar at a time: a whole
+polynomial goes over one denominator (common_numerators, as in FLINT's
+fmpq_poly), symalg sums and multiplies its int numerators, and
+from_numerators reduces each result once.  Floating complex is used only
+where eigenvalue data is irrational.
 """
 
 from __future__ import annotations
@@ -24,10 +26,8 @@ class GaussianRational:
 
     The three slots are ints with d > 0 and gcd(r, i, d) = 1, so every
     value has one stored form and `==` compares slots.  Each result takes
-    at most one gcd.  Fast paths: a plain int operand (the bracket's
-    integer multipliers), a Fraction operand taken as (p, 0, q), sums over
-    equal denominators and products of two real values.  `re` and `im`
-    build a Fraction only when read.
+    at most one gcd, and an int summand none.  `re` and `im` build a
+    Fraction only when read.
     """
 
     __slots__ = ("_r", "_i", "_d")
@@ -68,23 +68,12 @@ class GaussianRational:
         raise TypeError(f"cannot coerce {type(value).__name__} into GaussianRational")
 
     def __add__(self, other):
-        t = type(other)
-        if t is GaussianRational:
-            r2, i2, d2 = other._r, other._i, other._d
-        elif t is int:
+        if type(other) is int:
             # gcd(r + k d, i, d) = gcd(r, i, d) = 1
             return _triple(self._r + other * self._d, self._i, self._d)
-        else:
-            r2, i2, d2 = _parts(other)
+        r2, i2, d2 = _parts(other)
         d = self._d
-        if d == d2:
-            r, i = self._r + r2, self._i + i2
-            if d == 1:
-                return _triple(r, i, 1)
-        else:
-            r, i = self._r * d2 + r2 * d, self._i * d2 + i2 * d
-            d *= d2
-        return _reduced(r, i, d)
+        return _reduced(self._r * d2 + r2 * d, self._i * d2 + i2 * d, d * d2)
 
     __radd__ = __add__
 
@@ -98,37 +87,14 @@ class GaussianRational:
         return GaussianRational.coerce(other) + (-self)
 
     def __mul__(self, other):
-        t = type(other)
-        if t is GaussianRational:
-            r2, i2, d2 = other._r, other._i, other._d
-        elif t is int:
-            if not other:
-                return _triple(0, 0, 1)
-            # k/g and d/g are coprime, and gcd(r, i, d) = 1 carries over
-            g = _gcd(other, self._d)
-            if g != 1:
-                other //= g
-                return _triple(self._r * other, self._i * other, self._d // g)
-            return _triple(self._r * other, self._i * other, self._d)
-        else:
-            r2, i2, d2 = _parts(other)
+        r2, i2, d2 = _parts(other)
         r1, i1 = self._r, self._i
-        d = self._d * d2
-        if not i1 and not i2:
-            r = r1 * r2
-            if d == 1:
-                return _triple(r, 0, 1)
-            g = _gcd(r, d)
-            return _triple(r // g, 0, d // g)
-        return _reduced(r1 * r2 - i1 * i2, r1 * i2 + i1 * r2, d)
+        return _reduced(r1 * r2 - i1 * i2, r1 * i2 + i1 * r2, self._d * d2)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if type(other) is int:
-            r2, i2, d2 = other, 0, 1
-        else:
-            r2, i2, d2 = _parts(other)
+        r2, i2, d2 = _parts(other)
         r1, i1 = self._r, self._i
         if not i2:
             if not r2:
@@ -200,6 +166,36 @@ def _reduced(r: int, i: int, d: int) -> GaussianRational:
     return _triple(r, i, d)
 
 
+def common_numerators(values: dict) -> tuple[dict, dict, int]:
+    """The numerator form (re, im, d) of a dict of exact values, values[k] =
+    (re[k] + im[k]*I)/d over one d; re and im keep nonzero numerators only."""
+    d = math.lcm(*(z._d for z in values.values()))
+    return ({k: z._r * (d // z._d) for k, z in values.items() if z._r},
+            {k: z._i * (d // z._d) for k, z in values.items() if z._i}, d)
+
+
+def from_numerators(*forms: tuple) -> dict:
+    """The exact values of a sum of numerator forms (re, im, d): the ints are
+    summed over the lcm of the d, then reduced with one gcd per key."""
+    d = math.lcm(*(form[2] for form in forms))
+    re, im = {}, {}
+    for form in forms:
+        scale = d // form[2]
+        for part, out in zip(form, (re, im)):
+            for k, c in part.items():
+                out[k] = out.get(k, 0) + c * scale
+    return {k: _reduced(re.get(k, 0), im.get(k, 0), d) for k in {**re, **im}
+            if re.get(k) or im.get(k)}
+
+
+def wire_parts(value: GaussianRational) -> tuple[str, str]:
+    """The wire strings "p/q" of an exact value's real and imaginary parts,
+    read off its stored triple with one gcd each."""
+    r, i, d = value._r, value._i, value._d
+    g, h = _gcd(r, d), _gcd(i, d)
+    return f"{r // g}/{d // g}", f"{i // h}/{d // h}"
+
+
 def rational_sqrt(value: Fraction) -> Fraction | None:
     """Exact square root of a nonnegative rational, or None if irrational."""
     if value < 0:
@@ -216,11 +212,6 @@ def rational_sqrt(value: Fraction) -> Fraction | None:
 def is_exact(value) -> bool:
     """True for scalars that participate in exact-mode arithmetic."""
     return isinstance(value, (int, Fraction, GaussianRational))
-
-
-def format_fraction(value: Fraction) -> str:
-    """Render a Fraction as the wire format "p/q" (always with denominator)."""
-    return f"{value.numerator}/{value.denominator}"
 
 
 def parse_fraction(text: str) -> Fraction:

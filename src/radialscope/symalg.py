@@ -9,7 +9,8 @@ A monomial's one key is the flat exponent tuple (a, alpha_1..alpha_m,
 beta_1..beta_m), m = n - 1, under which the terms live in the package's
 sparse-polynomial kernel (multipoly.MultiPoly) and its ring arithmetic.
 Only this module knows its layout: monomial_key and key_parts build and
-split it, key_json and from_json_dict write and read its report shape.
+split it, VariableLayout's slots give each variable's position in it, and
+key_json and from_json_dict write and read its report shape.
 This module adds the layout, the coefficient mode, the grading, the
 canonical term order and the bracket.
 
@@ -27,7 +28,10 @@ product and |be| the mu-degree,
                + sum_j (be1_j al2_j - al1_j be2_j) AB / (y_j mu_j).
 
 Both parts have grade grade(A) + grade(B), so a grade bound skips whole
-pairs instead of truncating a finished product.  The bracket is
+pairs instead of truncating a finished product.  One loop runs it for
+both modes: floating coefficients enter as they are, exact ones as int
+numerators over one denominator per polynomial, so the bracket and the
+Lie series (ad_exponential) multiply and sum only ints.  The bracket is
 antisymmetric, satisfies the Jacobi identity and reproduces the monomial
 eigenvalue table of the quadratic model, which fixes the convention.
 """
@@ -41,7 +45,8 @@ from operator import add
 from typing import Iterator, Mapping
 
 from .multipoly import MultiPoly
-from .scalars import GaussianRational, format_fraction, is_exact, parse_fraction
+from .scalars import (GaussianRational, common_numerators, from_numerators, is_exact,
+                      parse_fraction, wire_parts)
 
 MonomialKey = tuple[int, ...]
 
@@ -98,6 +103,14 @@ class VariableLayout:
     @property
     def is_real_block(self) -> bool:
         return self.m == self.n
+
+    nu_slot = 0     # flat key positions of nu, y_j and mu_j (j 0-based)
+
+    def y_slot(self, j: int) -> int:
+        return 1 + j
+
+    def mu_slot(self, j: int) -> int:
+        return self.n + j
 
     def split(self, exps: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
         """Split an exponent tuple into (prime, second, third) parts."""
@@ -317,8 +330,7 @@ class WeightedPolynomial:
     def to_json_dict(self) -> dict:
         terms = []
         for key, coeff in self.items():
-            re, im = ((format_fraction(coeff.re), format_fraction(coeff.im))
-                      if self.mode == EXACT else (coeff.real, coeff.imag))
+            re, im = wire_parts(coeff) if self.mode == EXACT else (coeff.real, coeff.imag)
             terms.append({**key_json(key), "re": re, "im": im})
         return {"mode": self.mode, "n": self.layout.n,
                 "blocks": [self.layout.s, self.layout.m], "terms": terms}
@@ -349,25 +361,18 @@ def grade_components(p: WeightedPolynomial) -> dict[int, WeightedPolynomial]:
     return {l: p._from_terms(terms) for l, terms in sorted(out.items())}
 
 
-def bracket(a: WeightedPolynomial, b: WeightedPolynomial,
-            max_grade: int | None = None) -> WeightedPolynomial:
-    """The rescaled Poisson bracket {{a, b}}, monomial pair by monomial pair.
-
-    Uses the closed form of the module docstring on flat keys.  Pairs whose
-    grades sum above `max_grade` are skipped, which equals truncating the
-    full bracket.  Antisymmetric and grade-additive: for homogeneous inputs
-    the result is homogeneous of grade(a) + grade(b).
-    """
-    a._check_compatible(b)
-    limit = math.inf if max_grade is None else max_grade
-    m, width = a.layout.nvars, a.poly.nvars
+def _bracket_terms(layout: VariableLayout, t1: dict, t2: dict, limit) -> dict:
+    """The terms of {{t1, t2}}, zero sums kept: the module docstring's closed
+    form on term dicts of int numerators or complex values.  Pairs above
+    grade `limit` are skipped, which equals truncating the full bracket."""
+    m, width = layout.nvars, 2 * layout.nvars + 1
     # per pair (y_j, mu_j): both flat positions and the offsets lowering each by one
-    pairs = [(1 + j, 1 + m + j, tuple(-1 if i in (1 + j, 1 + m + j) else 0 for i in range(width)))
-             for j in range(m)]
+    pairs = [(iy, imu, tuple(-1 if i in (iy, imu) else 0 for i in range(width)))
+             for iy, imu in ((layout.y_slot(j), layout.mu_slot(j)) for j in range(m))]
     bterms = [(k2, k2[0], sum(k2[m + 1:]), weighted_degree(k2) - 2, c2)
-              for k2, c2 in b.poly.terms.items()]
+              for k2, c2 in t2.items()]
     out: dict[tuple, object] = {}
-    for k1, c1 in a.poly.terms.items():
+    for k1, c1 in t1.items():
         a1 = k1[0]
         g1 = weighted_degree(k1) - 2
         nb1 = sum(k1[m + 1:])
@@ -387,6 +392,36 @@ def bracket(a: WeightedPolynomial, b: WeightedPolynomial,
                     key = tuple(map(add, ab, lower))
                     cur = out.get(key)
                     out[key] = c * mm if cur is None else cur + c * mm
+    return out
+
+
+def _exact_bracket(layout: VariableLayout, a: tuple, b: tuple, limit) -> tuple[dict, dict, int]:
+    """{{a, b}} of numerator forms (re, im, d) over d_a d_b, by bilinearity:
+    re {{aR, bR}} - {{aI, bI}}, im {{aR, bI}} + {{aI, bR}}, nonzero only."""
+    (ar, ai, da), (br, bi, db) = a, b
+    re, im = _bracket_terms(layout, ar, br, limit), {}
+    for sign, x, y, out in ((-1, ai, bi, re), (1, ar, bi, im), (1, ai, br, im)):
+        if x and y:
+            for key, c in _bracket_terms(layout, x, y, limit).items():
+                out[key] = out.get(key, 0) + sign * c
+    return ({key: c for key, c in re.items() if c},
+            {key: c for key, c in im.items() if c}, da * db)
+
+
+def bracket(a: WeightedPolynomial, b: WeightedPolynomial,
+            max_grade: int | None = None) -> WeightedPolynomial:
+    """The rescaled Poisson bracket {{a, b}}, truncated above `max_grade`.
+
+    Exact coefficients reduce once per result term.  Antisymmetric and
+    grade-additive: for homogeneous inputs the result is homogeneous of
+    grade(a) + grade(b).
+    """
+    a._check_compatible(b)
+    limit = math.inf if max_grade is None else max_grade
+    if a.mode == EXACT:
+        return a._from_terms(from_numerators(_exact_bracket(
+            a.layout, common_numerators(a.poly.terms), common_numerators(b.poly.terms), limit)))
+    out = _bracket_terms(a.layout, a.poly.terms, b.poly.terms, limit)
     return a._from_terms({key: c for key, c in out.items() if c})
 
 
@@ -396,6 +431,10 @@ def ad_exponential(b: WeightedPolynomial, p: WeightedPolynomial, max_grade: int)
     Computes sum_k (1/k!) ad_b^k(p) with ad_b(q) = {{q, b}}, truncated
     beyond `max_grade`.  Requires b homogeneous of grade >= 1 so that the
     series terminates under truncation; b = 0 returns p unchanged.
+
+    Exact terms stay int numerators over one denominator each: 1/k
+    multiplies it by k, one gcd reduces each term, and the terms are
+    summed over the lcm of their denominators and reduced once per key.
     """
     if b.is_zero():
         return p.truncate_grade(max_grade)
@@ -403,12 +442,22 @@ def ad_exponential(b: WeightedPolynomial, p: WeightedPolynomial, max_grade: int)
     if l is None or l < 1:
         raise ValueError(f"generator must be homogeneous of grade >= 1, got grade {l}")
     result = term = p.truncate_grade(max_grade)
-    k = 0
-    while not term.is_zero():
-        k += 1
-        term = bracket(term, b, max_grade).scale(Fraction(1, k))
-        result = result + term
-    return result
+    if p.mode == FLOATING:
+        k = 0
+        while not term.is_zero():
+            k += 1
+            term = bracket(term, b, max_grade).scale(Fraction(1, k))
+            result = result + term
+        return result
+    p._check_compatible(b)
+    gen, forms = common_numerators(b.poly.terms), [common_numerators(term.poly.terms)]
+    while forms[-1][0] or forms[-1][1]:
+        re, im, d = _exact_bracket(p.layout, forms[-1], gen, max_grade)
+        d *= len(forms)     # the k-th term is {{term_{k-1}, b}} / k
+        g = math.gcd(d, *re.values(), *im.values())
+        forms.append(({key: c // g for key, c in re.items()},
+                      {key: c // g for key, c in im.items()}, d // g))
+    return result._from_terms(from_numerators(*forms))
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,7 @@ from fractions import Fraction
 import pytest
 
 from radialscope.multipoly import MultiPoly
-from radialscope.scalars import (GaussianRational, format_fraction, parse_fraction,
-                                 rational_sqrt)
+from radialscope.scalars import GaussianRational, parse_fraction, rational_sqrt, wire_parts
 
 
 def test_gaussian_rational_field_ops():
@@ -63,8 +62,14 @@ def test_rational_sqrt():
 
 
 def test_fraction_wire_format():
-    assert format_fraction(Fraction(-3, 7)) == "-3/7"
-    assert format_fraction(Fraction(5)) == "5/1"
+    # "p/q" of each part, always with its denominator, read off the stored triple
+    assert wire_parts(GaussianRational(Fraction(-3, 7))) == ("-3/7", "0/1")
+    assert wire_parts(GaussianRational(5)) == ("5/1", "0/1")
+    assert wire_parts(GaussianRational(0)) == ("0/1", "0/1")
+    for re, im in [(Fraction(1, 6), Fraction(-5, 4)), (Fraction(0), Fraction(2, 3)),
+                   (Fraction(-9, 10), Fraction(7))]:
+        assert wire_parts(GaussianRational(re, im)) == tuple(
+            f"{x.numerator}/{x.denominator}" for x in (re, im))
     assert parse_fraction("-3/7") == Fraction(-3, 7)
 
 
