@@ -3,7 +3,8 @@
 tests/write_golden.py wrote each job's config.json and the files the CLI
 wrote for it under tests/data/golden/<workload>/<job>/.  Each job runs
 here from its stored config alone, in process, and every file the CLI
-writes must equal the stored one byte for byte.
+writes must equal the stored one byte for byte.  The floating workloads'
+files carry test_cli's FLOAT_REPORTS_PINNED_WITH caveat.
 """
 
 import pathlib
@@ -11,10 +12,14 @@ import pathlib
 import pytest
 
 from radialscope.cli import main
+from test_cli import FLOAT_REPORTS_PINNED_WITH
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "data" / "golden"
 # the CLI subcommand and --format of each pinned workload's jobs
-COMMANDS = {"nf-exact": ("expansion", "json")}
+COMMANDS = {"nf-exact": ("expansion", "json"), "energy-scan": ("scan-energies", "json"),
+            "circle-analyze": ("analyze", "json,csv"),
+            "stationary-phase": ("stationary-phase", "json")}
+EXACT = {"nf-exact"}
 JOBS = sorted(job.relative_to(GOLDEN).as_posix() for workload in COMMANDS
               for job in (GOLDEN / workload).iterdir())
 
@@ -31,5 +36,6 @@ def test_golden_output_bytes(tmp_path, capsys, job):
                  "--format", formats]) == 0
     written = sorted(path.name for path in tmp_path.iterdir())
     assert written == sorted(path.name for path in case.iterdir() if path.name != "config.json")
+    caveat = "" if job.split("/")[0] in EXACT else f", pinned with {FLOAT_REPORTS_PINNED_WITH}"
     for name in written:
-        assert (tmp_path / name).read_bytes() == (case / name).read_bytes(), name
+        assert (tmp_path / name).read_bytes() == (case / name).read_bytes(), name + caveat

@@ -23,7 +23,7 @@ import tempfile
 
 HERE = pathlib.Path(__file__).resolve().parent
 GOLDEN = HERE / "data" / "golden"
-PINNED = ("nf-exact",)
+PINNED = ("nf-exact", "energy-scan", "circle-analyze", "stationary-phase")
 SEED = 1
 
 
@@ -56,7 +56,7 @@ def main(argv=None) -> int:
         if (GOLDEN / name).exists():
             if not args.rewrite:
                 print(f"{GOLDEN / name} exists; pass --rewrite to replace it", file=sys.stderr)
-                return 1
+                continue
             shutil.rmtree(GOLDEN / name)
         write_workload(name, WORKLOADS[name](SEED), cli_main)
     return 0
