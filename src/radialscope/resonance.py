@@ -24,15 +24,15 @@ s(alpha) serve the reports; its closure under the bracket is a test oracle.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, mul
 from typing import Sequence
 
 from .roots import brentq
-from .symalg import (MonomialKey, VariableLayout, compositions, iter_monomials, key_json,
-                     key_parts, monomial_key, weighted_degree)
+from .symalg import (MonomialKey, VariableLayout, composition_count, compositions,
+                     iter_monomials, key_json, key_parts, monomial_count, monomial_key,
+                     weighted_degree)
 from .radial import CriticalPointSpec, RadialPoint
 
 EFF_R1 = "effR1"
@@ -115,7 +115,7 @@ def enumerate_resonances(rp: RadialPoint, max_degree: int,
     monomials, counted in closed form first, are more than
     MAX_RESONANCE_MONOMIALS.
     """
-    count = _monomial_count(rp.n - 1, 3, max_degree)
+    count = monomial_count(rp.n - 1, 3, max_degree)
     if count > MAX_RESONANCE_MONOMIALS:
         raise ScanBudgetError(
             f"resonance enumeration to degree {max_degree} needs {count} monomials, over "
@@ -165,22 +165,6 @@ def _r_real(h: float, w: float) -> float:
     return 0.5 - disc ** 0.5
 
 
-def _composition_count(parts: int, lo: int, hi: int) -> int:
-    """How many tuples of parts non-negative integers have a sum in lo..hi:
-    sum_{t <= T} C(t + parts - 1, parts - 1) = C(T + parts, parts)."""
-    if hi < lo:
-        return 0
-    below = math.comb(lo - 1 + parts, parts) if lo else 0
-    return math.comb(hi + parts, parts) - below
-
-
-def _monomial_count(nvars: int, lo: int, hi: int) -> int:
-    """How many keys iter_monomials(nvars, hi, lo) yields: for each a, the
-    (alpha, beta) of 2 nvars parts whose sum is in lo - 2a..hi - 2a."""
-    return sum(_composition_count(2 * nvars, max(0, lo - 2 * a), hi - 2 * a)
-               for a in range(hi // 2 + 1))
-
-
 def _families(hsorted: Sequence[float], neg_pos: Sequence[int], sec_pos: Sequence[int],
               wa: float, wb: float) -> list:
     """The I' and I'' families of a threshold-free subinterval V0 + [wa, wb].
@@ -212,8 +196,8 @@ def _families(hsorted: Sequence[float], neg_pos: Sequence[int], sec_pos: Sequenc
         # bound, the slack only adds families.
         amax = int(1.0 / min_r + 1e-9)
     m1, m2 = len(neg_pos), len(sec_pos)
-    count = (sum(_composition_count(m1, 2, bound) for bound in bounds.values())
-             + _composition_count(m2, 3, amax) + m2 * _composition_count(m2, 2, amax))
+    count = (sum(composition_count(m1, 2, bound) for bound in bounds.values())
+             + composition_count(m2, 3, amax) + m2 * composition_count(m2, 2, amax))
     if count > MAX_SCAN_FAMILIES:
         raise ScanBudgetError(
             f"energy scan on sigma - V0 in [{wa}, {wb}] needs {count} families, over "
@@ -425,8 +409,8 @@ def second_index_set(rp: RadialPoint, tol: float = DEFAULT_FLOAT_TOL
     # the bound (with the loops' float slack, 0 on ints): the loops below
     # visit no more candidates than that
     k, eps = len(sec), w.slack(1e-9)
-    count = sum(_composition_count(k, b, b)
-                * _composition_count(k, 0, int((2 * d - b * qmin + eps) // pmin))
+    count = sum(composition_count(k, b, b)
+                * composition_count(k, 0, int((2 * d - b * qmin + eps) // pmin))
                 for b in range(4))
     if count > MAX_SECOND_INDEX_CANDIDATES:
         raise ScanBudgetError(f"J'' needs {count} candidates, over "

@@ -652,6 +652,22 @@ def iter_monomials(nvars: int, max_weighted_degree: int,
                         yield head + beta
 
 
+def composition_count(parts: int, lo: int, hi: int) -> int:
+    """How many tuples of parts non-negative integers have a sum in lo..hi:
+    sum_{t <= T} C(t + parts - 1, parts - 1) = C(T + parts, parts)."""
+    if hi < lo:
+        return 0
+    below = math.comb(lo - 1 + parts, parts) if lo else 0
+    return math.comb(hi + parts, parts) - below
+
+
+def monomial_count(nvars: int, lo: int, hi: int) -> int:
+    """How many keys iter_monomials(nvars, hi, lo) yields: for each a, the
+    (alpha, beta) of 2 nvars parts whose sum is in lo - 2a..hi - 2a."""
+    return sum(composition_count(2 * nvars, max(0, lo - 2 * a), hi - 2 * a)
+               for a in range(hi // 2 + 1))
+
+
 def eigen_action_table(model: ModelQuadratic, layout: VariableLayout | None = None,
                        max_grade: int = 4) -> dict[MonomialKey, object]:
     """Eigenvalue R_{a,alpha,beta} for every monomial of grade <= max_grade.

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from radialscope import resonance
 from radialscope.normalform import reduce_to_normal_form
 from radialscope.radial import radial_point_from_spectrum
 from radialscope.scalars import GaussianRational
@@ -13,7 +12,7 @@ from radialscope.symalg import (EXACT, FLOATING, ModeMismatchError, ModelQuadrat
                                 VariableLayout, WeightedPolynomial, ad_exponential,
                                 bracket, compositions, eigen_action_table,
                                 grade_components, iter_monomials, key_parts,
-                                monomial_key as K)
+                                monomial_count, monomial_key as K)
 
 LAY1 = VariableLayout(n=2, s=1, m=2)
 LAY2 = VariableLayout(n=3)
@@ -397,7 +396,7 @@ def test_iter_monomials_yields_each_key_once_in_order_and_counted():
             assert got == want, (nvars, lo)
             for hi in range(9):
                 assert sum(1 for k in got if k[0] + sum(k) <= hi) \
-                    == resonance._monomial_count(nvars, lo, hi), (nvars, lo, hi)
+                    == monomial_count(nvars, lo, hi), (nvars, lo, hi)
 
 
 @pytest.mark.parametrize("key, message", [
