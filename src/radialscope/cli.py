@@ -94,6 +94,9 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         report = run_analysis(config)
+    except ConfigError as exc:      # an option that does not fit a radial point's data
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except ForbiddenEnergyError as exc:
         print(f"forbidden energy: {exc}", file=sys.stderr)
         return EXIT_FORBIDDEN_ENERGY

@@ -10,6 +10,7 @@ no timestamps).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import numbers
@@ -22,14 +23,13 @@ from . import __version__
 from .symalg import EXACT, WeightedPolynomial
 from .radial import (DEFAULT_FLOW_TOL, DEFAULT_SEED_EPS, DEFAULT_T_MAX, DEFAULT_TOL,
                      CriticalPointSpec, ForbiddenEnergyError, NoRealRadialPointError,
-                     RadialPoint, linearization_spectrum)
+                     RadialPoint, cp_hessian_sorted, linearization_spectrum)
 from .resonance import (DEFAULT_BISECT_TOL, DEFAULT_FLOAT_TOL, DEFAULT_GRID,
                         enumerate_resonances, module_order,
                         scan_effectively_resonant_energies, second_index_set)
 from .normalform import reduce_to_normal_form
 from .expansion import (OscillatorSpec, exponent_data, expansion_template,
                         log_variable_recursion)
-from .parallel import parallel_map
 
 # dynamics (explicit mode) and oscverify (the stationary-phase stage) load with
 # numpy, so they are imported in the branch that runs them
@@ -77,6 +77,10 @@ STAGES = ["radial", "resonance", "normalform", "expansion", "scan", "flow", "mor
           "stationaryPhase"]
 POINT_STAGES = {"radial", "resonance", "normalform", "expansion"}   # need a single energy
 FLOW_STAGES = {"flow", "morse"}              # need a single energy and explicit mode
+# stageSkips reasons, keyed "<tag>:<stage>" as stageErrors is
+SKIP_COMPLEX_BLOCK = ("the normal form reduces real-block radial points only, and this "
+                      "point has a complex (y''') block")
+SKIP_INCOMING = "incoming radial point: explicit mode runs the point stages at outgoing points"
 CONFIG_SCHEMA = {
     "type": "object",
     "required": ["mode"],
@@ -136,6 +140,18 @@ class ConfigError(ValueError):
 def _stage_error(exc: Exception) -> str:
     """A stageErrors entry: the exception's type, then its message."""
     return f"{type(exc).__name__}: {exc}"
+
+
+@contextlib.contextmanager
+def _stage(errors: dict, label: str):
+    """Run one requested stage: a failure is errors[label] and the run goes on,
+    but a forbidden energy (exit 3) or a config error (exit 2) ends the run."""
+    try:
+        yield
+    except (ConfigError, ForbiddenEnergyError):
+        raise
+    except Exception as exc:  # noqa: BLE001 - stage isolation by contract
+        errors[label] = _stage_error(exc)
 
 
 def _is_number(x) -> bool:
@@ -368,24 +384,25 @@ class AnalysisReport:
     global_results: dict
     stage_errors: dict
     provenance: dict
+    stage_skips: dict = field(default_factory=dict)
     artifacts: dict = field(default_factory=dict)   # live objects for CSV emission
 
     def to_json_dict(self) -> dict:
-        return {
-            "provenance": self.provenance,
-            "perEnergy": self.per_energy,
-            "global": self.global_results,
-            "stageErrors": self.stage_errors,
-        }
+        # stageSkips only when a stage was skipped, so other reports keep their bytes
+        skips = {"stageSkips": self.stage_skips} if self.stage_skips else {}
+        return {"provenance": self.provenance, "perEnergy": self.per_energy,
+                "global": self.global_results, "stageErrors": self.stage_errors, **skips}
 
 
-def _point_stages(rp: RadialPoint, config: AnalysisConfig, errors, tag):
-    """The per-radial-point pipeline: resonance, normal form, expansion."""
-    out = {"radial": rp.to_json_dict()}
+def _point_stages(tag: str, rp: RadialPoint, config: AnalysisConfig, errors: dict,
+                  skips: dict) -> dict:
+    """The requested point stages at one radial point: resonance, normal form,
+    expansion.  Each runs under _stage or is recorded in skips with its reason."""
+    out = {}
     stages, options, perturbation = config.stages, config.options, config.perturbation
 
     if "resonance" in stages:
-        try:
+        with _stage(errors, f"{tag}:resonance"):
             tol = options["floatResonanceTol"]
             recs = enumerate_resonances(rp, options["maxDegree"], tol=tol)
             rec_mod = module_order(rp)
@@ -396,12 +413,12 @@ def _point_stages(rp: RadialPoint, config: AnalysisConfig, errors, tag):
                 "moduleOrders": [{"id": g.symbol_id, "sigma": float(g.eigenvalue),
                                   "s": float(g.order)} for g in rec_mod.generators],
             }
-        except Exception as exc:  # noqa: BLE001 - stage isolation by contract
-            errors[f"{tag}:resonance"] = _stage_error(exc)
 
     nf = None
-    if "normalform" in stages and rp.layout.is_real_block:
-        try:
+    if "normalform" in stages and not rp.layout.is_real_block:
+        skips[f"{tag}:normalform"] = SKIP_COMPLEX_BLOCK
+    elif "normalform" in stages:
+        with _stage(errors, f"{tag}:normalform"):
             p = rp.model_quadratic().p0()
             if perturbation is not None:
                 if perturbation.mode != p.mode:
@@ -410,11 +427,9 @@ def _point_stages(rp: RadialPoint, config: AnalysisConfig, errors, tag):
             nf = reduce_to_normal_form(p, rp, options["maxDegree"],
                                        tol=options["floatResonanceTol"])
             out["normalForm"] = nf.to_json_dict()
-        except Exception as exc:  # noqa: BLE001
-            errors[f"{tag}:normalform"] = _stage_error(exc)
 
     if "expansion" in stages:
-        try:
+        with _stage(errors, f"{tag}:expansion"):
             osc = config.oscillator
             if isinstance(osc, OscillatorSpec):
                 osc = {j: osc for j in rp.layout.ythird_indices}
@@ -422,7 +437,6 @@ def _point_stages(rp: RadialPoint, config: AnalysisConfig, errors, tag):
                 # default normalized block (mu^2 + a y^2)/|lambda|, which
                 # reproduces the block eigenvalue ratios r(1-r) = a/w exactly;
                 # overridable via options.oscillator (quantization ambiguity)
-                from .radial import cp_hessian_sorted
                 lam_abs = abs(float(rp.lam))
                 hs = cp_hessian_sorted(rp)
                 osc = {j: OscillatorSpec(p=1.0 / lam_abs, q=0.0,
@@ -438,15 +452,15 @@ def _point_stages(rp: RadialPoint, config: AnalysisConfig, errors, tag):
                                      max_beta_prime=options["maxBetaPrime"], eff_r=eff_r)
             out["expansion"] = {"exponents": ed.to_json_dict(),
                                 "template": tpl.to_json_dict()}
-        except Exception as exc:  # noqa: BLE001
-            errors[f"{tag}:expansion"] = _stage_error(exc)
     return out
 
 
 def run_analysis(config: AnalysisConfig) -> AnalysisReport:
-    """Execute the configured pipeline; stage failures are recorded per
-    stage and leave completed stages intact."""
+    """Execute the configured pipeline.  Each requested stage runs under
+    _stage, where a failure is recorded and leaves completed stages intact,
+    or is recorded as skipped with its reason."""
     errors: dict[str, str] = {}
+    skips: dict[str, str] = {}
     per_energy: dict = {}
     global_results: dict = {}
     artifacts: dict = {}
@@ -454,31 +468,19 @@ def run_analysis(config: AnalysisConfig) -> AnalysisReport:
     stages = config.stages
 
     if "scan" in stages:
-        try:
+        with _stage(errors, "scan"):
             if config.potential is None:
                 cps = config.critical_points
             else:
                 from . import dynamics
                 cps = [cp for _, cp in dynamics.critical_points(config.potential)]
-        except Exception as exc:  # noqa: BLE001
-            errors["scan"] = _stage_error(exc)
-        else:
-            scans = {}
+            scans = global_results["energyScan"] = {}
             for cp in cps:
-                if float(cp.value) >= config.energy[0]:
-                    errors[f"scan:{cp.label}"] = (
-                        f"interval starts at {config.energy[0]} which is not above "
-                        f"V0({cp.label}) = {float(cp.value)}")
-                    continue
-                try:
-                    res = scan_effectively_resonant_energies(
+                with _stage(errors, f"scan:{cp.label}"):
+                    scans[cp.label] = scan_effectively_resonant_energies(
                         cp, config.energy, sign=options["sign"],
                         grid_points=options["scanGridPoints"],
-                        bisect_tol=options["bisectTol"])
-                    scans[cp.label] = res.to_json_dict()
-                except Exception as exc:  # noqa: BLE001
-                    errors[f"scan:{cp.label}"] = _stage_error(exc)
-            global_results["energyScan"] = scans
+                        bisect_tol=options["bisectTol"]).to_json_dict()
 
     point_stages = POINT_STAGES & set(stages)
     flow_stages = FLOW_STAGES & set(stages)
@@ -486,60 +488,52 @@ def run_analysis(config: AnalysisConfig) -> AnalysisReport:
     if config.mode == "explicit" and (point_stages or flow_stages):
         from . import dynamics
         # the one locate of the run; a forbidden energy propagates (exit 3)
-        try:
+        with _stage(errors, "radial"):
             located = dynamics.locate_radial_points(config.potential, float(config.energy),
                                                     tol=options["tol"])
-        except ForbiddenEnergyError:
-            raise
-        except Exception as exc:  # noqa: BLE001
-            errors["radial"] = _stage_error(exc)
 
     if point_stages and (config.mode == "abstract" or located is not None):
-        sigma = config.energy
-        entry: dict = {}
+        entry = per_energy[repr(float(config.energy))] = {}
+        points = []         # (tag, radial point, its radial entry, incoming explicit node)
         if config.mode == "abstract":
-            def run_cp(cp):
+            for cp in config.critical_points:
                 # a forbidden energy propagates (exit 3); a critical value
                 # above sigma is ordinary data
                 try:
-                    rp = linearization_spectrum(cp, sigma, options["sign"], options["tol"])
+                    rp = linearization_spectrum(cp, config.energy, options["sign"], options["tol"])
                 except NoRealRadialPointError as exc:
-                    return cp.label, {"error": str(exc)}
-                return cp.label, _point_stages(rp, config, errors, cp.label)
-
-            for label, data in parallel_map(run_cp, config.critical_points):
-                entry[label] = data
+                    entry[cp.label] = {"error": str(exc)}
+                else:
+                    points.append((cp.label, rp, rp.to_json_dict(), False))
         else:
-            for node in located:
-                if not node.outgoing:
-                    entry[node.node_id] = {"radial": node.to_json_dict()}
-                    continue
-                data = _point_stages(node.record, config, errors, node.node_id)
-                data["radial"] = node.to_json_dict()
-                entry[node.node_id] = data
-        per_energy[repr(float(sigma))] = entry
+            points = [(node.node_id, node.record, node.to_json_dict(), not node.outgoing)
+                      for node in located]
+        for tag, rp, radial, incoming in points:
+            entry[tag] = {"radial": radial}
+            if not incoming:
+                entry[tag].update(_point_stages(tag, rp, config, errors, skips))
+            for stage in point_stages - {"radial"} if incoming else ():
+                skips[f"{tag}:{stage}"] = SKIP_INCOMING
 
     if flow_stages and located is not None:
-        sigma = float(config.energy)
-        try:
-            dag = dynamics.heteroclinic_dag(config.potential, sigma, eps=options["seedEps"],
-                                            tol=options["flowTol"], t_max=options["tMax"],
-                                            nodes=located)
+        with _stage(errors, "flow"):
+            dag = dynamics.heteroclinic_dag(config.potential, float(config.energy),
+                                            eps=options["seedEps"], tol=options["flowTol"],
+                                            t_max=options["tMax"], nodes=located)
             global_results["dag"] = dag.to_json_dict()
             artifacts["dag"] = dag
             global_results["lyapunov"] = list(dag.lyapunov)
-            if "morse" in flow_stages:
+        if "morse" in flow_stages and "dag" in artifacts:
+            with _stage(errors, "morse"):
                 ms = dynamics.morse_sequence(dag)
                 global_results["morse"] = ms.to_json_dict()
                 if not ms.verified:
-                    errors["morse"] = "; ".join(ms.issues)
-        except Exception as exc:  # noqa: BLE001
-            errors["flow"] = _stage_error(exc)
+                    raise dynamics.MorseSequenceError("; ".join(ms.issues))
 
     if "stationaryPhase" in stages:
         sp = options["stationaryPhase"]
         from . import oscverify
-        try:
+        with _stage(errors, "stationaryPhase"):
             center = sp["center"]
             if center is None:
                 center = sp["v0z"] + 1.0 / (4.0 * sp["tau"] ** 2)
@@ -549,8 +543,6 @@ def run_analysis(config: AnalysisConfig) -> AnalysisReport:
             res = oscverify.stationary_phase_check(case)
             global_results["stationaryPhase"] = res.to_json_dict()
             artifacts["stationaryPhase"] = res
-        except Exception as exc:  # noqa: BLE001
-            errors["stationaryPhase"] = _stage_error(exc)
 
     provenance = {
         "tool": "radialscope",
@@ -560,7 +552,7 @@ def run_analysis(config: AnalysisConfig) -> AnalysisReport:
     }
     return AnalysisReport(config=config, per_energy=per_energy,
                           global_results=global_results, stage_errors=errors,
-                          provenance=provenance, artifacts=artifacts)
+                          stage_skips=skips, provenance=provenance, artifacts=artifacts)
 
 
 # -- emission --------------------------------------------------------------------------

@@ -51,6 +51,10 @@ class NotMorseError(ValueError):
     pass
 
 
+class MorseSequenceError(ValueError):
+    """The outgoing radial points admit no verified Morse sequence."""
+
+
 @dataclass(frozen=True)
 class PotentialModel:
     """A trigonometric potential on S^1 (n = 2).

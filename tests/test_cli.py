@@ -516,6 +516,33 @@ def test_stage_error_names_exception_type(tmp_path, monkeypatch):
     assert errors == {"flow": "FloatingPointError: forced"}
 
 
+def test_scan_and_morse_stage_errors_name_their_exception_type(tmp_path, monkeypatch):
+    # an interval that does not start above V0 fails that point's scan alone
+    cfg = write_config(tmp_path, {
+        "mode": "abstract",
+        "criticalPoints": [{"label": "lo", "value": 0, "hessian": [4.0]},
+                           {"label": "hi", "value": 1.5, "hessian": [4.0]}],
+        "energy": [1.0, 2.0]})
+    assert main(["scan-energies", "--config", cfg, "--out", str(tmp_path / "scan")]) \
+        == EXIT_NUMERICAL
+    rep = json.loads((tmp_path / "scan" / "report.json").read_text())
+    assert rep["stageErrors"] == {"scan:hi": "InvalidIntervalError: interval [1.0, 2.0] must "
+                                             "be compact and strictly above V0 = 1.5"}
+    assert list(rep["global"]["energyScan"]) == ["lo"]
+
+    # an unverified Morse sequence is reported and is a morse stage error
+    from radialscope import dynamics
+    unverified = dynamics.MorseSequence(order=[], gammas=[], verified=False,
+                                        issues=["cycle detected: cp0:out -> cp2:out -> cp0:out"])
+    monkeypatch.setattr(dynamics, "morse_sequence", lambda dag: unverified)
+    cfg = write_config(tmp_path, COS2_CONFIG, name="morse.json")
+    assert main(["morse", "--config", cfg, "--out", str(tmp_path / "morse")]) == EXIT_NUMERICAL
+    rep = json.loads((tmp_path / "morse" / "report.json").read_text())
+    assert rep["stageErrors"] == {
+        "morse": "MorseSequenceError: cycle detected: cp0:out -> cp2:out -> cp0:out"}
+    assert rep["global"]["morse"]["verified"] is False and rep["global"]["dag"]["edges"]
+
+
 def test_stationary_phase_subcommand(tmp_path):
     cfg = write_config(tmp_path, {
         "mode": "abstract",
@@ -702,6 +729,17 @@ def test_malformed_perturbation_is_config_error(tmp_path, capsys, perturbation, 
     assert_config_exit(tmp_path, capsys,
                        dict(ABSTRACT_CONFIG, options={"perturbation": perturbation}),
                        f"options.perturbation is not a polynomial: {message}")
+
+
+@pytest.mark.parametrize("command", ["analyze", "normal-form", "expansion"])
+def test_perturbation_mode_mismatch_is_config_error(tmp_path, capsys, command):
+    # hessian [0.3] at energy 1.3 is a floating radial point: an exact
+    # perturbation cannot be added to its normal form (exit 2, not a stage error)
+    exact = {"mode": "exact", "n": 2, "blocks": [1, 2],
+             "terms": [{"a": 0, "alpha": [3], "beta": [0], "re": "1/5", "im": "0/1"}]}
+    assert_config_exit(tmp_path, capsys, dict(ABSTRACT_CONFIG, options={"perturbation": exact}),
+                       "config error: perturbation mode must match the radial point data",
+                       command=command)
 
 
 def test_perturbation_blocks_are_range_checked_and_the_point_partition_used(tmp_path, capsys):
@@ -1167,3 +1205,75 @@ def test_float_report_bytes_are_pinned(tmp_path, name, command):
     versions = {"numpy": numpy.__version__}
     assert (tmp_path / "report.json").read_bytes() == (case / "report.json").read_bytes(), \
         f"pinned with {FLOAT_REPORTS_PINNED_WITH}, running {versions}"
+
+
+# where each point stage shows in a point's report entry
+POINT_OUTPUTS = {"radial": "radial", "resonance": "resonance", "normalform": "normalForm",
+                 "expansion": "expansion"}
+
+
+def unaccounted_stages(rep: dict) -> list[str]:
+    """The requested stages that the report neither shows nor names under
+    stageErrors or stageSkips: "<tag>:<stage>" for a point or scan stage,
+    "<stage>" for a global one."""
+    config = AnalysisConfig.from_dict(rep["provenance"]["config"])
+    errors, skips, results = rep["stageErrors"], rep.get("stageSkips", {}), rep["global"]
+    missing = []
+
+    def account(shown: bool, *names: str) -> None:
+        if not shown and not any(name in errors or name in skips for name in names):
+            missing.append(names[0])
+
+    point_stages = [stage for stage in config.stages if stage in POINT_OUTPUTS]
+    # an explicit run that cannot locate its points fails them under radial
+    if point_stages and "radial" not in errors:
+        (entry,) = rep["perEnergy"].values()
+        tags = ([cp.label for cp in config.critical_points] if config.mode == "abstract"
+                else [node["id"] for node in results["dag"]["nodes"]] if "dag" in results
+                else list(entry))
+        assert sorted(entry) == sorted(tags)
+        for tag in tags:
+            for stage in point_stages:
+                # a critical value above sigma has no radial point; its error says so
+                account(POINT_OUTPUTS[stage] in entry[tag] or "error" in entry[tag],
+                        f"{tag}:{stage}")
+    if "scan" in config.stages and config.mode == "abstract":
+        for cp in config.critical_points:
+            account(cp.label in results.get("energyScan", {}), f"scan:{cp.label}", "scan")
+    elif "scan" in config.stages:
+        account("energyScan" in results, "scan")
+    if "flow" in config.stages:
+        account("dag" in results, "flow", "radial")
+    if "morse" in config.stages:
+        account("morse" in results, "morse", "flow", "radial")
+    if "stationaryPhase" in config.stages:
+        account("stationaryPhase" in results, "stationaryPhase")
+    return missing
+
+
+GOLDEN_CASES = pathlib.Path(__file__).resolve().parent / "data" / "golden" / "cases"
+
+
+def json_file(path):
+    return json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("command, config", [
+    ("analyze", ABSTRACT_CONFIG),                                           # real block
+    ("expansion", json_file(EXACT_REPORTS / "complex_ratio" / "config.json")),
+    ("analyze", json_file(FLOAT_REPORTS / "circle_analyze" / "config.json")),
+    ("morse", COS2_CONFIG),
+    ("analyze", json_file(GOLDEN_CASES / "stage-error" / "config.json")),  # stationaryPhase fails
+    ("expansion", dict(ABSTRACT_Y3, options={"oscillator": {"p": 1e200, "q": 0.1, "c": 1e200}})),
+    ("analyze", {"mode": "abstract", "energy": 1.0,                        # V0 above sigma
+                 "criticalPoints": [{"label": "below", "value": 0, "hessian": [0.375]},
+                                    {"label": "above", "value": 2, "hessian": [1.0]}]}),
+    ("analyze", dict(CONSTANT_POTENTIAL, energy=2.0)),                     # locate fails
+    ("scan-energies", json_file(GOLDEN_CASES / "scan-over-ceiling" / "config.json")),
+], ids=["real-block", "complex-ratio", "circle", "cos2-morse", "stage-error",
+        "expansion-error", "value-above-sigma", "locate-error", "scan-over-ceiling"])
+def test_every_requested_stage_is_accounted_for(tmp_path, capsys, command, config):
+    cfg = write_config(tmp_path, config)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) in (EXIT_OK,
+                                                                              EXIT_NUMERICAL)
+    assert unaccounted_stages(json.loads((tmp_path / "o" / "report.json").read_text())) == []
