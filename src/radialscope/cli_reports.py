@@ -419,7 +419,7 @@ def _point_stages(tag: str, rp: RadialPoint, config: AnalysisConfig, errors: dic
         skips[f"{tag}:normalform"] = SKIP_COMPLEX_BLOCK
     elif "normalform" in stages:
         with _stage(errors, f"{tag}:normalform"):
-            p = rp.model_quadratic().p0()
+            p = rp.p0
             if perturbation is not None:
                 if perturbation.mode != p.mode:
                     raise ConfigError("perturbation mode must match the radial point data")
@@ -499,12 +499,14 @@ def run_analysis(config: AnalysisConfig) -> AnalysisReport:
             for cp in config.critical_points:
                 # a forbidden energy propagates (exit 3); a critical value
                 # above sigma is ordinary data
-                try:
-                    rp = linearization_spectrum(cp, config.energy, options["sign"], options["tol"])
-                except NoRealRadialPointError as exc:
-                    entry[cp.label] = {"error": str(exc)}
-                else:
-                    points.append((cp.label, rp, rp.to_json_dict(), False))
+                with _stage(errors, f"{cp.label}:radial"):
+                    try:
+                        rp = linearization_spectrum(cp, config.energy, options["sign"],
+                                                    options["tol"])
+                    except NoRealRadialPointError as exc:
+                        entry[cp.label] = {"error": str(exc)}
+                    else:
+                        points.append((cp.label, rp, rp.to_json_dict(), False))
         else:
             points = [(node.node_id, node.record, node.to_json_dict(), not node.outgoing)
                       for node in located]

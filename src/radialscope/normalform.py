@@ -16,8 +16,9 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .parallel import parallel_map
-from .symalg import (FLOATING, ModelQuadratic, MonomialKey, WeightedPolynomial,
-                     ad_exponential, iter_monomials, key_parts, weighted_degree)
+from .scalars import GaussianRational, common_numerators, from_numerators, int_parts
+from .symalg import (EXACT, FLOATING, ModelQuadratic, MonomialKey, WeightedPolynomial,
+                     ad_exponential, iter_monomials, key_parts, lie_series, weighted_degree)
 from .radial import (CriticalPointSpec, ForbiddenEnergyError,
                      RadialPoint, linearization_spectrum)
 from .resonance import (DEFAULT_FLOAT_TOL, EFF_NONRES, block_class, is_resonant,
@@ -62,7 +63,8 @@ def solve_homological(model: ModelQuadratic, e: WeightedPolynomial,
     divided by its R (ModelQuadratic.eigenvalue).  Resonance is the model's
     weights' vanishes test: on integer forms at an exact model, |R / lam|
     <= tol at a floating one.  A keep set replaces the resonance test:
-    exactly its monomials go to the residual.
+    exactly its monomials go to the residual.  Exact coefficients are
+    divided as int numerators over one denominator (_exact_quotients).
     """
     if not model.layout.is_real_block:
         raise ValueError("homological solve requires a real-block model")
@@ -77,17 +79,37 @@ def solve_homological(model: ModelQuadratic, e: WeightedPolynomial,
     if l < 1:
         raise ValueError(f"homological input must have grade >= 1, got {l}")
     w = model.weights
-    b_terms = {}
-    resid_terms = {}
-    for key, coeff in e.items():
-        resonant = key in keep if keep is not None else w.vanishes(key, tol)
-        if resonant:
-            resid_terms[key] = coeff
-        else:
-            q = coeff / model.eigenvalue(key)
-            if q:       # a floating quotient can underflow to 0, which is not stored
-                b_terms[key] = q
+    resid_terms = {key: coeff for key, coeff in e.items()
+                   if (key in keep if keep is not None else w.vanishes(key, tol))}
+    if e.mode == EXACT:
+        b_terms = _exact_quotients(model, common_numerators(e.poly.terms), 1, keep)
+    else:
+        b_terms = {}
+        for key, coeff in e.items():
+            if key not in resid_terms:
+                q = coeff / model.eigenvalue(key)
+                if q:       # a floating quotient can underflow to 0, which is not stored
+                    b_terms[key] = q
     return HomologicalSolution(e._from_terms(b_terms), e._from_terms(resid_terms))
+
+
+def _exact_quotients(model: ModelQuadratic, form: tuple, sign: int,
+                     keep: set[MonomialKey] | None) -> dict:
+    """sign * e / R at the nonresonant keys of e's numerator form (re, im, d) at
+    an exact model: with lam = (lr + li I) / ld and R / lam = (Fr + Fi I) / D
+    (EigenWeights.forms), sign D ld (re + im I) / (d (lr + li I)(Fr + Fi I))."""
+    re, im, d = form
+    w = model.weights
+    lr, li, ld = int_parts(model.lam)
+    scale = sign * w.d * ld
+    out = {}
+    for key in {**re, **im}:
+        fr, fi = w.forms(key)
+        if (key not in keep) if keep is not None else (fr or fi):
+            out[key] = GaussianRational.from_ints(
+                scale * re.get(key, 0), scale * im.get(key, 0),
+                d * (lr * fr - li * fi), d * (lr * fi + li * fr))
+    return out
 
 
 @dataclass(frozen=True)
@@ -131,37 +153,54 @@ def reduce_to_normal_form(p: WeightedPolynomial, rp: RadialPoint, max_grade: int
     and its grade <= 0 part equals the model quadratic of rp (raises
     ModelMismatchError otherwise).  Grade-0 terms are never
     modified; in exact mode every nonresonant monomial of the output
-    vanishes identically.  keep, if given, is passed to every
-    solve_homological call in place of its resonance test.  In floating
-    mode tol decides resonance in the solve and in the remainder split
-    alike.
+    vanishes identically.  keep, if given, replaces every stage's resonance
+    test, as in solve_homological.  In floating mode tol decides resonance
+    in the solve and in the remainder split alike.  An exact reduction holds
+    p as one numerator form (re, im, d) from the first stage to the last:
+    each stage divides its grade part with _exact_quotients and applies
+    symalg.lie_series, so only the generators and p_norm are built as
+    GaussianRational values.
     """
     if max_grade < 1:
         raise ValueError("max_grade must be >= 1")
     if not rp.layout.is_real_block:
         raise ValueError("reduction requires a real-block radial point "
                          "(the nu-monomial eigenbasis is exact only there)")
-    model = rp.model_quadratic()
-    p0 = model.p0()
-    # exact: no difference at all (chop is a no-op); floating: none above _MODEL_TOL
-    if not (p.truncate_grade(0) - p0).chop(_MODEL_TOL).is_zero():
+    model, p0 = rp.model, rp.p0
+    p._check_compatible(p0)
+    # exact: equal to the model; floating: no difference above _MODEL_TOL
+    low = p.truncate_grade(0)
+    if (low != p0) if p.mode == EXACT else not (low - p0).chop(_MODEL_TOL).is_zero():
         raise ModelMismatchError(
             "grade <= 0 part of p must equal the model quadratic of the radial point")
 
     current = p.truncate_grade(max_grade)
+    form = common_numerators(current.poly.terms) if p.mode == EXACT else None
     generators = []
     for l in range(1, max_grade + 1):
-        e_l = current.grade_part(l)
-        sol = solve_homological(model, -e_l, tol, keep) if not e_l.is_zero() else None
-        if sol is None or sol.b.is_zero():
-            generators.append(WeightedPolynomial.zero(p.layout, p.mode))
-            continue
-        generators.append(sol.b)
-        current = ad_exponential(sol.b, current, max_grade).chop(_CHOP_TOL)
+        b = None
+        if form is None:
+            e_l = current.grade_part(l)
+            if not e_l.is_zero():
+                b = solve_homological(model, -e_l, tol, keep).b
+        else:
+            e_l = [{k: c for k, c in part.items() if weighted_degree(k) - 2 == l}
+                   for part in form[:2]]
+            if any(e_l):    # no r_j = 1/2 check: at an exact point that is a threshold
+                b = p._from_terms(_exact_quotients(model, (*e_l, form[2]), -1, keep))
+        if b is None or b.is_zero():
+            b = WeightedPolynomial.zero(p.layout, p.mode)
+        elif form is None:
+            current = ad_exponential(b, current, max_grade).chop(_CHOP_TOL)
+        else:
+            form = lie_series(p.layout, common_numerators(b.poly.terms), form, max_grade)
+        generators.append(b)
+    if form is not None:
+        current = p._from_terms(from_numerators(form))
 
-    # grade <= 0 noise that passed the model check is no remainder term
+    # p0 is all of grade 0, and grade <= 0 noise that passed the check is no remainder
     effr_terms, effnr_terms = {}, {}
-    for key, coeff in (current - p0).items():
+    for key, coeff in current.items():
         if weighted_degree(key) < 3:
             continue
         if is_resonant(key, rp, tol) and block_class(key, rp.layout) != EFF_NONRES:
@@ -277,7 +316,7 @@ def family_normal_form(cp: CriticalPointSpec, interval: tuple[float, float],
     keep = set(index_set)
 
     def reduce_at(rp: RadialPoint) -> dict:
-        p = rp.model_quadratic().p0()
+        p = rp.p0
         if perturbation is not None:
             p = p + perturbation.to_mode(FLOATING)
         nf = reduce_to_normal_form(p, rp, max_grade, keep=keep)

@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from .scalars import GaussianRational, is_exact, rational_sqrt
 from .symalg import (EXACT, EigenWeights, FloatWeights, ModelQuadratic, VariableLayout,
-                     point_weights)
+                     WeightedPolynomial, point_weights)
 
 # numpy is imported in the numerical helpers that use it; no CLI run calls them
 if TYPE_CHECKING:
@@ -131,6 +131,16 @@ class RadialPoint:
     def weights(self) -> EigenWeights | FloatWeights:
         """The weights of R / lam at this point, built once."""
         return point_weights(self.lam, self.r_list)
+
+    @cached_property
+    def model(self) -> ModelQuadratic:
+        """The model quadratic without y''' block data, built once."""
+        return self.model_quadratic()
+
+    @cached_property
+    def p0(self) -> WeightedPolynomial:
+        """The model's p0, built once."""
+        return self.model.p0()
 
     def model_quadratic(self, quad_blocks=None) -> ModelQuadratic:
         """The grade-0 model for this radial point.

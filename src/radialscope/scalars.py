@@ -3,11 +3,13 @@
 The normal-form cancellations in this package are tested to equality, so
 the default coefficient field is Q(i).  A Gaussian rational is stored as
 Python ints, a numerator pair over one reduced denominator (as in FLINT's
-fmpq).  The bracket and the Lie series take no scalar at a time: a whole
-polynomial goes over one denominator (common_numerators, as in FLINT's
-fmpq_poly), symalg sums and multiplies its int numerators, and
-from_numerators reduces each result once.  Floating complex is used only
-where eigenvalue data is irrational.
+fmpq).  The bracket, the Lie series and the exact normal form take no
+scalar at a time: a whole polynomial goes over one denominator
+(common_numerators, as in FLINT's fmpq_poly), symalg and normalform sum,
+multiply and divide its int numerators, and from_numerators reduces each
+result once.  An exact reduction keeps its polynomial in this form from
+the first stage to the last.  Floating complex is used only where
+eigenvalue data is irrational.
 """
 
 from __future__ import annotations
@@ -51,8 +53,14 @@ class GaussianRational:
         return Fraction(self._i, self._d)
 
     @classmethod
-    def from_ints(cls, re: int, im: int, d: int) -> "GaussianRational":
-        """The value (re + im*I)/d of three ints with d > 0, in one gcd."""
+    def from_ints(cls, re: int, im: int, d: int, d_im: int = 0) -> "GaussianRational":
+        """The value (re + im*I)/(d + d_im*I) of four ints, in one gcd."""
+        if d_im:
+            re, im, d = re * d + im * d_im, im * d - re * d_im, d * d + d_im * d_im
+        elif d < 0:
+            re, im, d = -re, -im, -d
+        elif not d:
+            raise ZeroDivisionError("division by zero GaussianRational")
         return _reduced(re, im, d)
 
     @classmethod
@@ -71,7 +79,7 @@ class GaussianRational:
         if type(other) is int:
             # gcd(r + k d, i, d) = gcd(r, i, d) = 1
             return _triple(self._r + other * self._d, self._i, self._d)
-        r2, i2, d2 = _parts(other)
+        r2, i2, d2 = int_parts(other)
         d = self._d
         return _reduced(self._r * d2 + r2 * d, self._i * d2 + i2 * d, d * d2)
 
@@ -87,24 +95,15 @@ class GaussianRational:
         return GaussianRational.coerce(other) + (-self)
 
     def __mul__(self, other):
-        r2, i2, d2 = _parts(other)
+        r2, i2, d2 = int_parts(other)
         r1, i1 = self._r, self._i
         return _reduced(r1 * r2 - i1 * i2, r1 * i2 + i1 * r2, self._d * d2)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        r2, i2, d2 = _parts(other)
-        r1, i1 = self._r, self._i
-        if not i2:
-            if not r2:
-                raise ZeroDivisionError("division by zero GaussianRational")
-            if r2 < 0:
-                r2, d2 = -r2, -d2
-            return _reduced(r1 * d2, i1 * d2, self._d * r2)
-        # (r1 + i1 I)(r2 - i2 I) d2 / (d1 |r2 + i2 I|^2)
-        return _reduced((r1 * r2 + i1 * i2) * d2, (i1 * r2 - r1 * i2) * d2,
-                        self._d * (r2 * r2 + i2 * i2))
+        r2, i2, d2 = int_parts(other)
+        return GaussianRational.from_ints(self._r * d2, self._i * d2, self._d * r2, self._d * i2)
 
     def __rtruediv__(self, other):
         return GaussianRational.coerce(other) / self
@@ -113,7 +112,7 @@ class GaussianRational:
         if type(other) is int:
             return not self._i and self._d == 1 and self._r == other
         try:
-            return (self._r, self._i, self._d) == _parts(other)
+            return (self._r, self._i, self._d) == int_parts(other)
         except TypeError:
             return NotImplemented
 
@@ -143,7 +142,7 @@ class GaussianRational:
 _new = object.__new__
 
 
-def _parts(value) -> tuple[int, int, int]:
+def int_parts(value) -> tuple[int, int, int]:
     """The stored triple of an exact scalar; a Fraction p/q gives (p, 0, q)."""
     if type(value) is Fraction:
         return value.numerator, 0, value.denominator
@@ -174,9 +173,9 @@ def common_numerators(values: dict) -> tuple[dict, dict, int]:
             {k: z._i * (d // z._d) for k, z in values.items() if z._i}, d)
 
 
-def from_numerators(*forms: tuple) -> dict:
-    """The exact values of a sum of numerator forms (re, im, d): the ints are
-    summed over the lcm of the d, then reduced with one gcd per key."""
+def sum_numerators(*forms: tuple) -> tuple[dict, dict, int]:
+    """The sum of numerator forms (re, im, d) as one: the ints are summed over
+    the lcm of the d, zero sums dropped, and one gcd of them all divided out."""
     d = math.lcm(*(form[2] for form in forms))
     re, im = {}, {}
     for form in forms:
@@ -184,8 +183,15 @@ def from_numerators(*forms: tuple) -> dict:
         for part, out in zip(form, (re, im)):
             for k, c in part.items():
                 out[k] = out.get(k, 0) + c * scale
-    return {k: _reduced(re.get(k, 0), im.get(k, 0), d) for k in {**re, **im}
-            if re.get(k) or im.get(k)}
+    g = math.gcd(d, *re.values(), *im.values())
+    return ({k: c // g for k, c in re.items() if c},
+            {k: c // g for k, c in im.items() if c}, d // g)
+
+
+def from_numerators(form: tuple) -> dict:
+    """The exact values of a numerator form (re, im, d), one gcd per key."""
+    re, im, d = form
+    return {k: _reduced(re.get(k, 0), im.get(k, 0), d) for k in {**re, **im}}
 
 
 def wire_parts(value: GaussianRational) -> tuple[str, str]:

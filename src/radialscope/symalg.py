@@ -46,7 +46,7 @@ from typing import Iterator, Mapping
 
 from .multipoly import MultiPoly
 from .scalars import (GaussianRational, common_numerators, from_numerators, is_exact,
-                      parse_fraction, wire_parts)
+                      parse_fraction, sum_numerators, wire_parts)
 
 MonomialKey = tuple[int, ...]
 
@@ -371,10 +371,14 @@ def _bracket_terms(layout: VariableLayout, t1: dict, t2: dict, limit) -> dict:
              for iy, imu in ((layout.y_slot(j), layout.mu_slot(j)) for j in range(m))]
     bterms = [(k2, k2[0], sum(k2[m + 1:]), weighted_degree(k2) - 2, c2)
               for k2, c2 in t2.items()]
+    # a row of t1 whose grade plus t2's lowest is over the limit has no pair left
+    row_limit = limit - min((bt[3] for bt in bterms), default=0)
     out: dict[tuple, object] = {}
     for k1, c1 in t1.items():
-        a1 = k1[0]
         g1 = weighted_degree(k1) - 2
+        if g1 > row_limit:
+            continue
+        a1 = k1[0]
         nb1 = sum(k1[m + 1:])
         for k2, a2, nb2, g2, c2 in bterms:
             if g1 + g2 > limit:
@@ -432,9 +436,10 @@ def ad_exponential(b: WeightedPolynomial, p: WeightedPolynomial, max_grade: int)
     beyond `max_grade`.  Requires b homogeneous of grade >= 1 so that the
     series terminates under truncation; b = 0 returns p unchanged.
 
-    Exact terms stay int numerators over one denominator each: 1/k
-    multiplies it by k, one gcd reduces each term, and the terms are
-    summed over the lcm of their denominators and reduced once per key.
+    Exact coefficients go over one denominator, lie_series runs the series
+    on their int numerators, and the sum is reduced once per key.
+    reduce_to_normal_form calls lie_series itself, so its numerator form
+    lives from the first stage to the last.
     """
     if b.is_zero():
         return p.truncate_grade(max_grade)
@@ -450,14 +455,24 @@ def ad_exponential(b: WeightedPolynomial, p: WeightedPolynomial, max_grade: int)
             result = result + term
         return result
     p._check_compatible(b)
-    gen, forms = common_numerators(b.poly.terms), [common_numerators(term.poly.terms)]
+    return result._from_terms(from_numerators(lie_series(
+        p.layout, common_numerators(b.poly.terms), common_numerators(result.poly.terms),
+        max_grade)))
+
+
+def lie_series(layout: VariableLayout, gen: tuple, form: tuple, max_grade: int) -> tuple:
+    """exp(ad_b)(p) of numerator forms (re, im, d), gen of b and form of p
+    with no term above max_grade: ad_exponential's exact series, as one
+    numerator form.  The k-th term is {{term_{k-1}, b}} over its denominator
+    times k, divided by the gcd of its ints; sum_numerators adds them."""
+    forms = [form]
     while forms[-1][0] or forms[-1][1]:
-        re, im, d = _exact_bracket(p.layout, forms[-1], gen, max_grade)
+        re, im, d = _exact_bracket(layout, forms[-1], gen, max_grade)
         d *= len(forms)     # the k-th term is {{term_{k-1}, b}} / k
         g = math.gcd(d, *re.values(), *im.values())
         forms.append(({key: c // g for key, c in re.items()},
                       {key: c // g for key, c in im.items()}, d // g))
-    return result._from_terms(from_numerators(*forms))
+    return sum_numerators(*forms)
 
 
 @dataclass(frozen=True)

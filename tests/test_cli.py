@@ -543,6 +543,27 @@ def test_scan_and_morse_stage_errors_name_their_exception_type(tmp_path, monkeyp
     assert rep["global"]["morse"]["verified"] is False and rep["global"]["dag"]["edges"]
 
 
+def test_abstract_radial_failure_is_a_stage_error_with_a_report(tmp_path, monkeypatch):
+    # an unexpected exception in one point's linearization fails that point's
+    # radial stage alone; the other point still runs and the report is written
+    real = cli_reports.linearization_spectrum
+
+    def flaky(cp, *args):
+        if cp.label == "z":
+            raise RuntimeError("forced")
+        return real(cp, *args)
+
+    monkeypatch.setattr(cli_reports, "linearization_spectrum", flaky)
+    cfg = write_config(tmp_path, {
+        "mode": "abstract", "energy": 1.0, "stages": ["radial", "resonance"],
+        "criticalPoints": [{"label": "z", "value": 0, "hessian": [0.375]},
+                           {"label": "w", "value": 0, "hessian": [0.375]}]})
+    assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_NUMERICAL
+    rep = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert rep["stageErrors"] == {"z:radial": "RuntimeError: forced"}
+    assert list(rep["perEnergy"]["1.0"]) == ["w"] and "resonance" in rep["perEnergy"]["1.0"]["w"]
+
+
 def test_stationary_phase_subcommand(tmp_path):
     cfg = write_config(tmp_path, {
         "mode": "abstract",

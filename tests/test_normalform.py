@@ -6,11 +6,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import normalform_oracle as oracle
 from radialscope.radial import CriticalPointSpec, radial_point_from_spectrum
 from radialscope.scalars import GaussianRational
 from radialscope.symalg import (EXACT, FLOATING, ModeMismatchError, ModelQuadratic, VariableLayout,
-                                WeightedPolynomial, monomial_key as K)
+                                WeightedPolynomial, iter_monomials, monomial_key as K)
 from radialscope.normalform import (ForbiddenEnergyError, ModelMismatchError, NelsonCase,
                                     ThresholdModelError, family_normal_form,
                                     flat_perturbation_case_1d, linear_contraction_rate,
@@ -148,6 +150,73 @@ def test_reduction_properties_random():
             assert res.apply_inverse(res.p_norm) == p.truncate_grade(5)
             # the split reassembles the remainder
             assert res.p_norm - p0 == res.r_eff_r + res.r_eff_nr
+
+
+# real-block ratios: y' (r < 0) and y'' (0 < r < 1/2), with resonances among them
+RATIOS = [Fraction(-2), Fraction(-1), Fraction(-1, 2), Fraction(-1, 3), Fraction(-3, 2),
+          Fraction(1, 3), Fraction(1, 4), Fraction(1, 5), Fraction(2, 5)]
+
+
+@st.composite
+def exact_reductions(draw):
+    """(rp, p, max_grade, keep): p = p0 plus Gaussian-rational terms of grade
+    >= 1 at a random exact real-block point; keep is None or every key with
+    R = 0 plus some keys with R != 0."""
+    lam = draw(st.sampled_from([Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3, 2)]))
+    r_list = tuple(draw(st.lists(st.sampled_from(RATIOS), min_size=1, max_size=2)))
+    rp = radial_point_from_spectrum(lam, r_list)
+    max_grade = draw(st.integers(2, 5 if len(r_list) == 1 else 4))
+    keys = list(iter_monomials(rp.layout.nvars, max_grade + 2, 3))
+    part = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 7]))
+    coeffs = st.builds(GaussianRational, part, part | st.just(Fraction(0)))
+    terms = draw(st.dictionaries(st.sampled_from(keys), coeffs, min_size=1, max_size=5))
+    keep = None
+    if draw(st.booleans()):
+        model = rp.model_quadratic()
+        keep = {key for key in keys if model.eigenvalue(key) == 0}
+        keep |= set(draw(st.lists(st.sampled_from(keys), max_size=4)))
+    return rp, rp.p0 + WeightedPolynomial(rp.layout, EXACT, terms), max_grade, keep
+
+
+@settings(max_examples=60, deadline=None)
+@given(exact_reductions())
+def test_exact_reduction_equals_the_object_oracle(case):
+    rp, p, max_grade, keep = case
+    got = reduce_to_normal_form(p, rp, max_grade, keep=keep)
+    p_norm, generators, r_eff_r, r_eff_nr = oracle.reduce_to_normal_form(p, rp, max_grade, keep)
+    assert got.p_norm == p_norm and list(got.generators) == generators
+    assert got.r_eff_r == r_eff_r and got.r_eff_nr == r_eff_nr
+
+
+def test_exact_reduction_runs_no_gaussian_rational_operator(monkeypatch):
+    # two y' ratios with resonances and complex coefficients, reduced with and
+    # without a keep set: every stage runs on int numerators
+    rp = radial_point_from_spectrum(Fraction(1), (Fraction(-1), Fraction(-1, 2)))
+    lay = rp.layout
+    pert = WeightedPolynomial(lay, EXACT, {
+        K(0, (1, 1), (1, 0)): GaussianRational(Fraction(2, 3), 1),
+        K(1, (1, 0), (0, 0)): Fraction(-5, 7),
+        K(0, (2, 0), (1, 0)): GaussianRational(0, Fraction(1, 5)),
+        K(1, (0, 1), (0, 1)): 3,
+        K(0, (1, 2), (0, 1)): GaussianRational(Fraction(-1, 4), Fraction(3, 2))})
+    p = rp.p0 + pert
+    model = rp.model_quadratic()
+    keep = {key for key in iter_monomials(2, 7, 3) if model.eigenvalue(key) == 0}
+    keep |= {K(1, (0, 1), (0, 1)), K(0, (2, 0), (1, 0))}    # R != 0, kept all the same
+    cases = [(None, oracle.reduce_to_normal_form(p, rp, 5)),
+             (keep, oracle.reduce_to_normal_form(p, rp, 5, keep))]
+
+    def refuse(*args):
+        raise AssertionError("GaussianRational operator inside the reduction")
+
+    for op in ("__add__", "__radd__", "__neg__", "__sub__", "__rsub__",
+               "__mul__", "__rmul__", "__truediv__", "__rtruediv__"):
+        monkeypatch.setattr(GaussianRational, op, refuse)
+    got = [reduce_to_normal_form(p, rp, 5, keep=k) for k, _ in cases]
+    monkeypatch.undo()
+    for res, (_, want) in zip(got, cases):
+        assert sum(not b.is_zero() for b in res.generators) >= 2 and res.p_norm != p
+        assert (res.p_norm, list(res.generators), res.r_eff_r, res.r_eff_nr) == want
 
 
 def test_family_nonresonant_interval_is_zero():
