@@ -18,14 +18,14 @@ from radialscope import (CriticalPointSpec, VariableLayout, WeightedPolynomial,
                          reduce_to_normal_form, solve_homological)
 
 rp = radial_point_from_spectrum(Fraction(1), (Fraction(1, 4),))
-p0 = rp.model_quadratic().p0()
+p0 = rp.p0
 y = WeightedPolynomial.y(rp.layout, 0)
 
 # the homological equation {{p0, b}} = e: nonresonant e inverts exactly,
 # resonant e lands in the residual
-sol = solve_homological(rp.model_quadratic(), y * y * y)
+sol = solve_homological(rp.model, y * y * y)
 print("e = y^3:  b =", sol.b, " residual =", sol.residual)
-sol = solve_homological(rp.model_quadratic(), y * y * y * y)
+sol = solve_homological(rp.model, y * y * y * y)
 print("e = y^4:  b =", sol.b, " residual =", sol.residual)
 
 # a cubic perturbation is nonresonant at r = 1/4 and disappears exactly

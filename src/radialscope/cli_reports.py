@@ -565,13 +565,26 @@ def canonical_json(obj) -> str:
                       allow_nan=False) + "\n"
 
 
+def _rewrite(path: str, text: str) -> None:
+    """Write text over path in place: no O_TRUNC at open, cut after the write."""
+    data = text.encode("utf-8")
+    with os.fdopen(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(data)
+        fh.truncate()
+
+
 def emit(report: AnalysisReport, formats: list[str], outdir: str) -> list[str]:
     """Write report files; returns the paths written.
 
     json -> report.json (canonical); csv -> one file per tabular series
     (per-edge trajectories and the stationary-phase prefactor curve,
     which double as plot data).  Outputs are byte-identical across runs
-    with identical config.
+    with identical config.  Each file's text is built in full, then
+    written over the file in place (same inode, so links are written
+    through) as UTF-8 bytes with no newline translation; a text that
+    fails to build leaves the old file as it was.  Files this run does
+    not write, such as trajectory_*.csv past its edge count, stay as
+    they are.
     """
     os.makedirs(outdir, exist_ok=True)
     written = []
@@ -586,15 +599,11 @@ def emit(report: AnalysisReport, formats: list[str], outdir: str) -> list[str]:
 
     if "json" in formats:
         path = os.path.join(outdir, "report.json")
-        text = canonical_json(report.to_json_dict())
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _rewrite(path, canonical_json(report.to_json_dict()))
         written.append(path)
     if "csv" in formats:
         for name in sorted(csv_tables):
             path = os.path.join(outdir, name)
-            with open(path, "w", encoding="utf-8") as fh:
-                for row in csv_tables[name]:
-                    fh.write(",".join(row) + "\n")
+            _rewrite(path, "".join(",".join(row) + "\n" for row in csv_tables[name]))
             written.append(path)
     return written

@@ -134,23 +134,18 @@ class RadialPoint:
 
     @cached_property
     def model(self) -> ModelQuadratic:
-        """The model quadratic without y''' block data, built once."""
-        return self.model_quadratic()
+        """The grade-0 model for this radial point, built once.
+
+        Real blocks use r_j y_j mu_j.  It carries no y''' block data (the
+        Hessian alone does not determine it); the normal form refuses
+        points with such blocks.
+        """
+        return ModelQuadratic(lam=self.lam, r_list=self.r_list, layout=self.layout)
 
     @cached_property
     def p0(self) -> WeightedPolynomial:
         """The model's p0, built once."""
         return self.model.p0()
-
-    def model_quadratic(self, quad_blocks=None) -> ModelQuadratic:
-        """The grade-0 model for this radial point.
-
-        Real blocks use r_j y_j mu_j; y''' blocks need elliptic quadratic
-        data, which is not determined by the Hessian alone and must be
-        supplied by the caller.
-        """
-        return ModelQuadratic(lam=self.lam, r_list=self.r_list, layout=self.layout,
-                              quad_blocks=quad_blocks or {})
 
     def to_json_dict(self) -> dict:
         return {

@@ -39,7 +39,7 @@ def module_closure_check(rp: RadialPoint, max_degree: int = 3) -> ModuleClosureR
     rec = module_order(rp)
     mode = rp.mode
     lay = rp.layout
-    model = rp.model_quadratic()
+    model = rp.model
     p0 = model.p0()
 
     symbols = [p0 if g.slot == 0

@@ -18,7 +18,7 @@ def reduce_to_normal_form(p: WeightedPolynomial, rp, max_grade: int, keep=None) 
 
     A monomial is resonant when its R is 0, or, given keep, when keep has it.
     """
-    model = rp.model_quadratic()
+    model = rp.model
     current = p.truncate_grade(max_grade)
     generators = []
     for l in range(1, max_grade + 1):

@@ -104,7 +104,7 @@ def test_criterion_04_eigenvalue_lemma(r):
 def test_criterion_05_normal_form_exactness():
     t0 = time.perf_counter()
     rp = radial_point_from_spectrum(Fraction(1), (Fraction(1, 4),))
-    p0 = rp.model_quadratic().p0()
+    p0 = rp.p0
     y = WeightedPolynomial.y(rp.layout, 0)
     p = p0 + y * y * y
     res = reduce_to_normal_form(p, rp, 6)

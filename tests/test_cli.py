@@ -307,6 +307,11 @@ def test_canonical_json_rejects_non_finite_floats(tmp_path):
     with pytest.raises(ValueError):
         cli_reports.emit(report, ["json"], str(tmp_path))
     assert not (tmp_path / "report.json").exists()
+    # ... and leaves an existing report.json as it was
+    (tmp_path / "report.json").write_bytes(b'{"old":1}\n')
+    with pytest.raises(ValueError):
+        cli_reports.emit(report, ["json"], str(tmp_path))
+    assert (tmp_path / "report.json").read_bytes() == b'{"old":1}\n'
 
 
 def test_oscillator_with_overflowing_kappas_is_an_expansion_stage_error(tmp_path, capsys):

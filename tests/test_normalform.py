@@ -24,7 +24,7 @@ LAY1 = VariableLayout(n=2, s=1, m=2)
 
 def quarter_setup():
     rp = radial_point_from_spectrum(Fraction(1), (Fraction(1, 4),))
-    model = rp.model_quadratic()
+    model = rp.model
     return rp, model, model.p0()
 
 
@@ -135,7 +135,7 @@ def test_reduction_properties_random():
     rng = random.Random(17)
     for r in (Fraction(1, 4), Fraction(-1), Fraction(1, 3)):
         rp = radial_point_from_spectrum(Fraction(1), (r,))
-        p0 = rp.model_quadratic().p0()
+        p0 = rp.p0
         for _ in range(6):
             pert = rand_high_order(rp.layout, rng, 5)
             p = p0 + pert
@@ -143,7 +143,7 @@ def test_reduction_properties_random():
             # grade-0 part untouched
             assert res.p_norm.truncate_grade(0) == p0
             # every surviving higher-grade monomial is resonant
-            model = rp.model_quadratic()
+            model = rp.model
             for key, _ in (res.p_norm - p0).items():
                 assert model.eigenvalue(key) == 0
             # exact reversibility
@@ -172,7 +172,7 @@ def exact_reductions(draw):
     terms = draw(st.dictionaries(st.sampled_from(keys), coeffs, min_size=1, max_size=5))
     keep = None
     if draw(st.booleans()):
-        model = rp.model_quadratic()
+        model = rp.model
         keep = {key for key in keys if model.eigenvalue(key) == 0}
         keep |= set(draw(st.lists(st.sampled_from(keys), max_size=4)))
     return rp, rp.p0 + WeightedPolynomial(rp.layout, EXACT, terms), max_grade, keep
@@ -200,7 +200,7 @@ def test_exact_reduction_runs_no_gaussian_rational_operator(monkeypatch):
         K(1, (0, 1), (0, 1)): 3,
         K(0, (1, 2), (0, 1)): GaussianRational(Fraction(-1, 4), Fraction(3, 2))})
     p = rp.p0 + pert
-    model = rp.model_quadratic()
+    model = rp.model
     keep = {key for key in iter_monomials(2, 7, 3) if model.eigenvalue(key) == 0}
     keep |= {K(1, (0, 1), (0, 1)), K(0, (2, 0), (1, 0))}    # R != 0, kept all the same
     cases = [(None, oracle.reduce_to_normal_form(p, rp, 5)),
@@ -252,7 +252,7 @@ def test_family_single_point_matches_pointwise_reduction():
     sigma = fam.sigma_grid[0]
     from radialscope.radial import linearization_spectrum
     rp = linearization_spectrum(cp, sigma, +1)
-    p = rp.model_quadratic().p0() + pert
+    p = rp.p0 + pert
     res = reduce_to_normal_form(p, rp, 5, tol=1e-9)
     for idx in fam.index_set:
         a = fam.coeffs[idx][0]

@@ -736,7 +736,7 @@ def test_exact_points_decide_resonance_on_integer_weights(monkeypatch):
     assert near_resonances(rp, 6) == []
     assert second_index_set(rp)
     assert all(is_resonant(idx, rp) for idx in want)
-    model = rp.model_quadratic()
+    model = rp.model
     assert model.eigenvalue(K(0, (1, 1, 1), (0, 0, 0))) == Fraction(-11, 12)
     y = [WeightedPolynomial.y(rp.layout, j) for j in range(3)]
     e = y[2] * y[2] * y[2] + y[0] * y[1] * y[2]
@@ -764,7 +764,7 @@ def rational_r_irrational_nu():
 
 def assert_floating_resonance_matches_oracle(rp, max_degree, tol):
     r_list = rp.r_list
-    assert rp.mode == rp.model_quadratic().mode == rp.weights.mode == FLOATING
+    assert rp.mode == rp.model.mode == rp.weights.mode == FLOATING
     recs = enumerate_resonances(rp, max_degree, tol)
     assert [rec.idx for rec in recs] == float_resonances(r_list, max_degree, tol)
     for rec in recs:
@@ -779,7 +779,7 @@ def assert_floating_resonance_matches_oracle(rp, max_degree, tol):
     # the homological residual is the resonant part of e at tol
     top = [idx for idx in keys if weighted_degree(idx) == max_degree]
     e = WeightedPolynomial(rp.layout, FLOATING, {idx: 1.0 for idx in top})
-    sol = solve_homological(rp.model_quadratic(), e, tol)
+    sol = solve_homological(rp.model, e, tol)
     assert sorted(key for key, _ in sol.residual.items()) == \
         sorted(idx for idx in top if float_resonant(idx, r_list, tol))
 

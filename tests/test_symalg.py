@@ -187,7 +187,7 @@ def test_reduction_round_trip_random_real_block(terms):
     rp = ROUND_TRIP_POINT
     assert rp.layout.nvars == 2 and rp.layout.is_real_block
     pert = WeightedPolynomial(rp.layout, EXACT, terms)
-    p = rp.model_quadratic().p0() + pert
+    p = rp.p0 + pert
     res = reduce_to_normal_form(p, rp, 5)
     assert len(pert) > 30 and any(not b.is_zero() for b in res.generators)
     assert res.apply_inverse(res.p_norm) == p.truncate_grade(5)
