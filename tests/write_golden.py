@@ -7,9 +7,9 @@ bench/workloads.py and runs every job through the CLI entry point in
 process.  The job's config.json and every file the CLI writes go to
 tests/data/golden/<workload>/<job>/.  The CASES, which no workload
 reaches, go the same way to tests/data/golden/cases/<case>/, with the
-exit code in an exit_code file.  An existing workload directory is
-left alone unless --rewrite is given, because rewriting a golden file is
-a report change.
+exit code in an exit_code file.  An existing workload or case directory
+is left alone unless --rewrite is given, because rewriting a golden file
+is a report change; a new case is written without it.
 """
 
 from __future__ import annotations
@@ -49,6 +49,14 @@ CASES = {
         "mode": "abstract",
         "criticalPoints": [{"label": "z", "value": 0, "hessian": [-1, -1, -1e-3]}],
         "energy": [1.0, 2.0]},
+    # a scan on a grid of 9,999 steps, not a square: I' and I'' roots in
+    # several of its cells and a Hessian threshold (exit 0)
+    "scan-non-square-grid": {
+        "mode": "abstract",
+        "criticalPoints": [{"label": "z", "value": 0, "hessian": ["-12", "-4", "3/8"]}],
+        "energy": [0.5, 2.0],
+        "stages": ["scan"],
+        "options": {"scanGridPoints": 9999}},
 }
 
 
@@ -75,6 +83,9 @@ def write_workload(name: str, jobs, cli_main) -> None:
 def write_cases(cli_main) -> None:
     for name, config in CASES.items():
         dest = GOLDEN / "cases" / name
+        if dest.exists():
+            print(f"{dest} exists; pass --rewrite to replace it", file=sys.stderr)
+            continue
         rc = write_job(dest, "analyze", config, "json", cli_main)
         (dest / "exit_code").write_text(f"{rc}\n", encoding="utf-8")
 
@@ -82,22 +93,22 @@ def write_cases(cli_main) -> None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--rewrite", action="store_true",
-                        help="replace the existing golden files of each pinned workload")
+                        help="replace the existing golden files of each pinned workload and case")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(HERE.parent / "bench"))
     from workloads import WORKLOADS
     from radialscope.cli import main as cli_main
 
-    for name in PINNED + ("cases",):
+    for name in PINNED:
         if (GOLDEN / name).exists():
             if not args.rewrite:
                 print(f"{GOLDEN / name} exists; pass --rewrite to replace it", file=sys.stderr)
                 continue
             shutil.rmtree(GOLDEN / name)
-        if name == "cases":
-            write_cases(cli_main)
-        else:
-            write_workload(name, WORKLOADS[name](SEED), cli_main)
+        write_workload(name, WORKLOADS[name](SEED), cli_main)
+    if args.rewrite and (GOLDEN / "cases").exists():
+        shutil.rmtree(GOLDEN / "cases")
+    write_cases(cli_main)
     return 0
 
 
