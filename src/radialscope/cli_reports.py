@@ -63,7 +63,9 @@ DEFAULTS = {
 
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 # integer options and their (least, greatest) values, checked at load; None is
-# no ceiling.  The scan allocates scanGridPoints + 1 floats per family.
+# no ceiling.  The scan holds r_j at about sqrt(scanGridPoints) points per
+# block, and evaluates a family only on the cells whose range bound admits
+# a zero: up to scanGridPoints + 1 floats, most often a few hundred.
 INTEGER_OPTIONS = {"scanGridPoints": (2, 1_000_000), "maxDegree": (1, None), "K": (0, None),
                    "maxBetaPrime": (0, None)}
 

@@ -16,14 +16,17 @@ two integer forms with no tolerance at an exact point, as |R / lam| <= tol
 at a floating one.  J'' runs one algorithm on the same weights, as
 integers at an exact point.  Energies at which I' or I'' is nonempty form a
 discrete set, located here by a sign-change scan plus bisection over the
-finitely many defining functions; a function whose range bound on a
-threshold-free subinterval (from the end values of the monotone r_j)
-excludes zero is not evaluated on the grid.  The test module's orders
+finitely many defining functions.  The range bound of a function (from
+the end values of the monotone r_j) runs on each threshold-free
+subinterval and then on each coarse cell of its grid, and the function is
+evaluated only on the cells whose bound admits a zero; tangential zeros
+are not found.  The test module's orders
 s(alpha) serve the reports; its closure under the bracket is a test oracle.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, mul
@@ -233,10 +236,13 @@ def _families(hsorted: Sequence[float], neg_pos: Sequence[int], sec_pos: Sequenc
     return families
 
 
-def _range_bound(idx: MonomialKey, ends: dict) -> tuple[float, float]:
+def _range_bound(idx: MonomialKey, starts: dict, stops: dict,
+                 lower=min, upper=max) -> tuple:
     """[lo, hi] enclosing a family's value where each r_j runs monotonically
-    between its end values ends[j]: the range-enclosure step of interval
-    analysis, in plain floats.
+    from starts[j] to stops[j]: the range-enclosure step of interval
+    analysis, in plain floats.  The ends are floats for one interval; for
+    arrays of cells pass lower=np.minimum and upper=np.maximum, and lo and
+    hi are arrays of cell bounds.
 
     At a witness (0, alpha, beta) the value R / lam is c0 + sum_j c_j r_j
     with c_j = alpha_j - beta_j and c0 = |beta| - 1; lo and hi add the
@@ -244,11 +250,12 @@ def _range_bound(idx: MonomialKey, ends: dict) -> tuple[float, float]:
     """
     _, alpha, beta = key_parts(idx)
     lo = hi = float(sum(beta) - 1)
-    for j, (ra, rb) in ends.items():
+    for j, ra in starts.items():
         c = alpha[j] - beta[j]
-        u, v = c * ra, c * rb
-        lo += min(u, v)
-        hi += max(u, v)
+        if c:
+            u, v = c * ra, c * stops[j]
+            lo = lo + lower(u, v)
+            hi = hi + upper(u, v)
     return lo, hi
 
 
@@ -270,19 +277,23 @@ def scan_effectively_resonant_energies(cp: CriticalPointSpec,
     thresholds, across which the y''/y''' block structure changes.
 
     On each threshold-free subinterval the grid of grid_points + 1 energies
-    and every block's r_j on it are numpy arrays built once.  Each family
-    is c0 + sum_j c_j r_j (its R / lam), and every r_j array is monotone
-    (each of its float operations rounds monotonically), so the family's
-    array values lie within a roundoff margin of [lo, hi], the sums of the
-    smaller and of the larger end values of c_j r_j.  A family whose
-    [lo, hi] keeps twice the near-zero margin away from 0 has no grid value
-    near zero and no sign change, so it is excluded without evaluating it on
-    the grid.  Every other family is evaluated on the whole grid as array
-    arithmetic.  Grid points where a family's array value is near zero are
-    re-decided with its scalar function, so zeros and signs agree bit for
-    bit with a point-by-point scalar scan.  brentq runs on the scalar
-    function, and only on cells whose end values change sign; tangential
-    zeros are not found.  grid_points must be an integer >= 2.
+    is split into coarse cells of isqrt(grid_points) steps (the last may be
+    shorter), and every block's r_j is a numpy array on the cell ends.
+    Each family is c0 + sum_j c_j r_j (its R / lam), and every r_j is
+    monotone on the grid (each of its float operations rounds
+    monotonically), so the family's array values on a cell lie within a
+    roundoff margin of [lo, hi], the sums of the smaller and of the larger
+    end values of c_j r_j there.  The bound on the whole subinterval
+    excludes a family first; the bound per cell then leaves open only the
+    cells whose [lo, hi] comes within twice the near-zero margin of 0, and
+    the family is evaluated as array arithmetic on the grid points of each
+    run of open cells alone.  A closed cell has no value near zero and no
+    sign change, ends included.  Grid points where a family's array value
+    is near zero are re-decided with its scalar function, so zeros and
+    signs agree bit for bit with a point-by-point scalar scan.  brentq runs
+    on the scalar function, and only on grid steps whose end values change
+    sign; tangential zeros are not found.  grid_points must be an integer
+    >= 2.
     """
     import numpy as np
     if isinstance(grid_points, bool) or not isinstance(grid_points, int) or grid_points < 2:
@@ -316,6 +327,8 @@ def scan_effectively_resonant_energies(cp: CriticalPointSpec,
             subintervals.append((aa, bb))
 
     roots: list[tuple[float, MonomialKey, float]] = []
+    # coarse cells of about isqrt(grid_points) steps; neighbours share an end
+    coarse = np.append(np.arange(0, grid_points, math.isqrt(grid_points)), grid_points)
     for (a_end, b_end) in subintervals:
         wa, wb = a_end - v0, b_end - v0
         # y'' membership is constant on a threshold-free subinterval
@@ -325,39 +338,56 @@ def scan_effectively_resonant_energies(cp: CriticalPointSpec,
             continue
         blocks = neg_pos + sec_pos
         step = (b_end - a_end) / grid_points
-        grid = a_end + np.arange(grid_points + 1) * step
-        r_grid = {j: _r_real(hsorted[j], grid - v0) for j in blocks}
+        # r_j at the coarse points; a grid point a_end + i step and its r_j
+        # take correctly rounded elementwise operations only, so they are the
+        # same floats on any subset of the grid
+        r_coarse = {j: _r_real(hsorted[j], a_end + coarse * step - v0) for j in blocks}
         # |r_j| is monotone in sigma, so its largest value sits at an end
-        rmax = max([1.0] + [abs(r_grid[j][e]) for j in blocks for e in (0, -1)])
-        ends = {j: (float(r_grid[j][0]), float(r_grid[j][-1])) for j in blocks}
+        rmax = max([1.0] + [abs(r[e]) for r in r_coarse.values() for e in (0, -1)])
+        firsts = {j: float(r[0]) for j, r in r_coarse.items()}
+        lasts = {j: float(r[-1]) for j, r in r_coarse.items()}
+        starts = {j: r[:-1] for j, r in r_coarse.items()}
+        stops = {j: r[1:] for j, r in r_coarse.items()}
 
         for idx, f, weight in families:
             margin = _NEAR_ZERO * weight * rmax
-            g_lo, g_hi = _range_bound(idx, ends)
-            # every array value lies in [g_lo - margin, g_hi + margin], so
-            # past 2 margin none is near zero and none changes sign
+            # every array value lies in [lo - margin, hi + margin] of its
+            # cell, so past 2 margin none is near zero and none changes sign
+            g_lo, g_hi = _range_bound(idx, firsts, lasts)
             if g_lo > 2.0 * margin or g_hi < -2.0 * margin:
                 continue
+            c_lo, c_hi = _range_bound(idx, starts, stops, np.minimum, np.maximum)
+            runs = []   # [first, last + 1) of each run of adjacent open cells
+            for c in np.flatnonzero((c_lo <= 2.0 * margin) & (c_hi >= -2.0 * margin)).tolist():
+                if runs and runs[-1][1] == c:
+                    runs[-1][1] = c + 1
+                else:
+                    runs.append([c, c + 1])
 
             def g(sig, f=f):
                 return f({j: _r_real(hsorted[j], sig - v0) for j in blocks})
 
-            vals = f(r_grid)
-            # numpy's sqrt and libm's pow can differ in the last bit, which
-            # moves vals by a few ulps of weight * rmax; re-decide every point
-            # within a thousandfold margin of that with the scalar g, so
-            # zeros and signs are the ones the scalar g gives
-            for i in np.flatnonzero(np.abs(vals) <= margin):
-                vals[i] = g(float(grid[i]))
-            for i in np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0)):
-                if vals[i] == 0.0:
-                    roots.append((float(grid[i]), idx, 0.0))
-                else:
-                    root = brentq(g, float(grid[i]), float(grid[i + 1]),
-                                  xtol=bisect_tol * 1e-4)
-                    roots.append((root, idx, abs(g(root))))
-            if vals[-1] == 0.0:
-                roots.append((float(grid[-1]), idx, 0.0))
+            for c0, c1 in runs:
+                i0, i1 = int(coarse[c0]), int(coarse[c1])
+                grid = a_end + np.arange(i0, i1 + 1) * step
+                vals = f({j: _r_real(hsorted[j], grid - v0) for j in blocks})
+                # numpy's sqrt and libm's pow can differ in the last bit, which
+                # moves vals by a few ulps of weight * rmax; re-decide every
+                # point within a thousandfold margin of that with the scalar
+                # g, so zeros and signs are the ones the scalar g gives
+                for i in np.flatnonzero(np.abs(vals) <= margin):
+                    vals[i] = g(float(grid[i]))
+                for i in np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0)):
+                    if vals[i] == 0.0:
+                        roots.append((float(grid[i]), idx, 0.0))
+                    else:
+                        root = brentq(g, float(grid[i]), float(grid[i + 1]),
+                                      xtol=bisect_tol * 1e-4)
+                        roots.append((root, idx, abs(g(root))))
+                # a run's last point is 0.0 only at the grid's end: a closed
+                # cell beyond it keeps every value past the margin
+                if i1 == grid_points and vals[-1] == 0.0:
+                    roots.append((float(grid[-1]), idx, 0.0))
 
     dedup: dict[tuple, tuple[float, MonomialKey, float]] = {}
     for s, idx, res in roots:

@@ -21,6 +21,7 @@ from radialscope.symalg import (FLOATING, WeightedPolynomial, compositions, iter
                                 key_parts, monomial_key as K, normalized_eigenvalue,
                                 weighted_degree)
 from module_oracle import module_closure_check
+from scan_oracle import scan_effectively_resonant_energies as whole_grid_scan
 from resonance_oracle import (brute_force_resonances, brute_force_second_index_set,
                               float_resonant, float_resonances, float_second_index_set,
                               near_resonances)
@@ -380,12 +381,17 @@ SCALAR_CASES = [
     # at sigma = lo the family (2, 2) is exactly 0.0 with libm's pow and
     # -1.1e-16 with numpy's sqrt; only the scalar value may decide it
     ((0.2, 0.7422063750045471), 0, (1.5150087658616196, 1.6), 1000, {"I''"}),
+    # the exact hit sigma = 1 at i = 2048 = 32 isqrt(4096), an end shared by two cells
+    ((Fraction(3, 8),), 0, (0.875, 1.125), 4096, {"I''"}),
+    # 101 steps: the last cell is one step, (1.0005 - step, 1.0005), and holds the root 1
+    ((Fraction(3, 8),), 0, (0.9, 1.0005), 101, {"I''"}),
 ]
 
 
 @pytest.mark.parametrize("hessian,v0,interval,grid,kinds", SCALAR_CASES,
                          ids=["(-1,-1/2,1/4)", "(-2,-1,1/3)", "r=(-1,-1/2,1/4)",
-                              "r=(-2,-1,1/3)", "(-12,-4,3/8)", "grid-hit", "pow-vs-sqrt"])
+                              "r=(-2,-1,1/3)", "(-12,-4,3/8)", "grid-hit", "pow-vs-sqrt",
+                              "hit-on-cell-end", "root-in-last-cell"])
 def test_scan_equals_scalar_reference(hessian, v0, interval, grid, kinds):
     cp = CriticalPointSpec("z", Fraction(v0), hessian)
     res = scan_effectively_resonant_energies(cp, interval, grid_points=grid)
@@ -402,6 +408,10 @@ def test_scan_reports_exact_grid_hits():
     for interval in ((0.875, 1.125), (0.875, 1.0), (1.0, 1.125)):   # inside, last, first
         res = scan_effectively_resonant_energies(cp, interval, grid_points=8192)
         assert res.eff_res_energies == ((1.0, K(0, (4,), (0,)), 0.0),)
+    # at i = 2048 and 512, ends shared by two coarse cells of 64 and 32 steps
+    for interval, grid in (((0.875, 1.125), 4096), ((0.75, 1.25), 1024)):
+        res = scan_effectively_resonant_energies(cp, interval, grid_points=grid)
+        assert (1.0, K(0, (4,), (0,)), 0.0) in res.eff_res_energies
     cp = CriticalPointSpec("z", Fraction(0), (0.2, 0.7422063750045471))
     res = scan_effectively_resonant_energies(cp, (1.5150087658616196, 1.6), grid_points=1000)
     assert res.eff_res_energies[0] == (1.5150087658616196, K(0, (2, 2), (0, 0)), 0.0)
@@ -467,6 +477,23 @@ def test_scan_roots_are_sign_changes_of_their_witness(scan):
         assert below * above <= 0.0, (sigma, idx, below, above)
 
 
+# stride 1 (2, 3), non-square grids and a last cell shorter than the others
+ORACLE_GRIDS = [2, 3, 5, 99, 100, 101, 2000, 9999, 10000]
+
+
+@settings(max_examples=40, deadline=None)
+@given(planted_scans(), st.sampled_from(ORACLE_GRIDS))
+@example((CriticalPointSpec("z", 0, (Fraction(3, 8),)), (0.875, 1.125)), 4096)
+@example((CriticalPointSpec("z", 0, (Fraction(3, 8),)), (0.875, 1.0)), 10000)
+def test_scan_equals_the_whole_grid_oracle(scan, grid):
+    # roots, residual floats and thresholds: the whole result, bit for bit
+    cp, interval = scan
+    res = scan_effectively_resonant_energies(cp, interval, grid_points=grid)
+    want = whole_grid_scan(cp, interval, grid_points=grid)
+    assert res == want
+    assert res.settings == want.settings
+
+
 # -- range exclusion: families skipped by their end-value bound ----------------------
 
 
@@ -510,7 +537,8 @@ def test_scan_equals_scalar_reference_on_random_scans(scan, grid):
 
 def scan_pieces(cp, interval, grid_points):
     """Per threshold-free subinterval, what the scan builds there:
-    (families, neg_pos, sec_pos, r_grid, rmax, ends)."""
+    (families, neg_pos, sec_pos, r_grid, rmax, ends), with the r_j values
+    at both ends of the subinterval as ends = (firsts, lasts)."""
     v0 = float(cp.value)
     hsorted = sorted(float(h) for h in cp.hessian)
     neg_pos = [j for j, h in enumerate(hsorted) if h < 0]
@@ -520,7 +548,8 @@ def scan_pieces(cp, interval, grid_points):
         grid = a_end + np.arange(grid_points + 1) * ((b_end - a_end) / grid_points)
         r_grid = {j: resonance._r_real(hsorted[j], grid - v0) for j in neg_pos + sec_pos}
         rmax = max([1.0] + [abs(r[e]) for r in r_grid.values() for e in (0, -1)])
-        ends = {j: (float(r[0]), float(r[-1])) for j, r in r_grid.items()}
+        ends = ({j: float(r[0]) for j, r in r_grid.items()},
+                {j: float(r[-1]) for j, r in r_grid.items()})
         yield (resonance._families(hsorted, neg_pos, sec_pos, wa, wb), neg_pos, sec_pos,
                r_grid, rmax, ends)
 
@@ -531,10 +560,22 @@ def test_family_values_lie_in_their_range_bound(scan, grid):
     cp, interval = scan
     for families, _, _, r_grid, rmax, ends in scan_pieces(cp, interval, grid):
         for idx, f, weight in families:
-            lo, hi = resonance._range_bound(idx, ends)
+            lo, hi = resonance._range_bound(idx, *ends)
             margin = resonance._NEAR_ZERO * weight * rmax
             vals = f(r_grid)
             assert np.all(vals >= lo - margin) and np.all(vals <= hi + margin), idx
+            # and cell by cell, for cells of one step, of seven and of the scan's width
+            for width in (1, 7, math.isqrt(grid)):
+                cuts = np.append(np.arange(0, grid, width), grid)
+                lo, hi = resonance._range_bound(idx, {j: r[cuts[:-1]] for j, r in r_grid.items()},
+                                                {j: r[cuts[1:]] for j, r in r_grid.items()},
+                                                np.minimum, np.maximum)
+                # each point against the cell it starts or lies in, then each cell's end
+                cell = np.minimum(np.searchsorted(cuts, np.arange(grid + 1), side="right") - 1,
+                                  len(cuts) - 2)
+                assert np.all(vals >= lo[cell] - margin) and np.all(vals <= hi[cell] + margin)
+                end = vals[cuts[1:]]
+                assert np.all(end >= lo - margin) and np.all(end <= hi + margin), (idx, width)
 
 
 @settings(max_examples=60, deadline=None)
@@ -562,7 +603,7 @@ def test_families_past_the_enumeration_bounds_exclude_zero(scan):
             total = 1 + max((sum(alpha) for _, alpha, beta in parts if beta[k]), default=1)
             for av in compositions(len(neg_pos), total):
                 idx = K(0, embed(neg_pos, av), embed([k], [1]))
-                assert resonance._range_bound(idx, ends)[1] < 0.0, idx
+                assert resonance._range_bound(idx, *ends)[1] < 0.0, idx
         if sec_pos:
             atotal = 1 + max(sum(alpha) for _, alpha, _ in parts
                              if any(alpha[j] for j in sec_pos))
@@ -570,7 +611,7 @@ def test_families_past_the_enumeration_bounds_exclude_zero(scan):
                 for bv in compositions(len(sec_pos), btotal):
                     for av in compositions(len(sec_pos), atotal):
                         idx = K(0, embed(sec_pos, av), embed(sec_pos, bv))
-                        assert resonance._range_bound(idx, ends)[0] > 0.0, idx
+                        assert resonance._range_bound(idx, *ends)[0] > 0.0, idx
 
 
 @settings(max_examples=100, deadline=None)
